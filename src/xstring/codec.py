@@ -14,12 +14,21 @@ Decoding is a single pass over the tokens with a stack of open elements:
   ignoring attributes; reaching zero closes it;
 * the end of the stream closes everything still open.
 
-Safe-sibling encoding starts from the plain child/sibling emission, then
-decodes its own output and repairs the leftmost divergence until the round
-trip is exact: it prefers adding an explicit depth to the element whose
-close point was misread, and converts a sibling to a child only when the
-sibling closure itself is invalid.  Canonical encoding skips sibling tokens
-entirely and gives every element an explicit depth.
+Safe-sibling encoding emits the tree in one pass, writing every later
+element child as a sibling token, and keeps the stack of open elements the
+decoder will hold.  Every node already emitted decodes under its true
+parent p, so that stack is the ancestors up to p plus at most one finished
+subtree still open above p.  Two local rules keep it so:
+
+* before a data or child token, if p is not the innermost open element,
+  the open child of p gets a depth marker counting the nodes attached
+  since it opened, which closes it and everything above it;
+* a sibling token is kept when the nearest open element with its name is
+  the open child of p, or when no open element has its name and that
+  child is the innermost; otherwise it becomes a child token.
+
+One decode of the result checks the round trip.  Canonical encoding skips
+sibling tokens entirely and gives every element an explicit depth.
 """
 
 from __future__ import annotations
@@ -357,18 +366,49 @@ def _emit_canonical(doc: XmlDocument, escaping: EscapeMode) -> list[XsToken]:
     return tokens
 
 
-def _emit_sibling(doc: XmlDocument, escaping: EscapeMode) -> tuple[list[XsToken], list[int]]:
-    """Plain child/sibling emission plus the token index of each tree node
-    in stream order (the repair loop needs the mapping)."""
+def _encode_safe_sibling(doc: XmlDocument, escaping: EscapeMode) -> list[XsToken]:
     tokens: list[XsToken] = []
-    token_of: list[int] = []
     if doc.prolog is not None:
         tokens.append(XsToken(PrefixKind.PROC_INSTR, _pi_payload(doc.prolog)))
+    # The decoder's stack of open elements, as (token, nodes attached up to
+    # and including the element, index of the next open element below with
+    # the same name or -1).  Every node emitted so far decodes under its
+    # true parent, so the stack holds the ancestors of the next node plus
+    # the chain of the last finished element child, still open above them.
+    stack: list[tuple[XsToken, int, int]] = []
+    nearest: dict[str, int] = {}  # name -> index of its topmost open element
+    attached = 0
 
-    def walk(elem: XmlNode, as_sibling: bool) -> None:
-        kind = PrefixKind.SIBLING if as_sibling else PrefixKind.CHILD
-        token_of.append(len(tokens))
-        tokens.append(XsToken(kind, elem.name))
+    def truncate(size: int) -> None:
+        while len(stack) > size:
+            tok, _, below = stack.pop()
+            if below < 0:
+                del nearest[tok.payload]
+            else:
+                nearest[tok.payload] = below
+
+    def close_above(p: int) -> None:
+        # the depth marker closes the open child of stack[p] and everything
+        # above it right after the nodes attached since it opened
+        if len(stack) > p + 1:
+            tok, start, _ = stack[p + 1]
+            tok.depth = attached - start
+            truncate(p + 1)
+
+    def walk(elem: XmlNode, p: int, as_sibling: bool) -> None:
+        nonlocal attached
+        at = nearest.get(elem.name, -1)
+        if as_sibling and (at == p + 1 or (at < 0 and len(stack) == p + 2)):
+            kind = PrefixKind.SIBLING
+            truncate(p + 1)
+        else:
+            kind = PrefixKind.CHILD
+            close_above(p)
+        tok = XsToken(kind, elem.name)
+        tokens.append(tok)
+        attached += 1
+        stack.append((tok, attached, nearest.get(elem.name, -1)))
+        nearest[elem.name] = p + 1
         for name, value in elem.attributes:
             tokens.append(XsToken(PrefixKind.ATTR_NAME, name))
             if value is not None:
@@ -376,86 +416,18 @@ def _emit_sibling(doc: XmlDocument, escaping: EscapeMode) -> tuple[list[XsToken]
         seen_element = False
         for child in elem.children:
             if child.kind is NodeKind.ELEMENT:
-                walk(child, as_sibling=seen_element)
+                walk(child, p + 1, seen_element)
                 seen_element = True
             else:
-                token_of.append(len(tokens))
+                close_above(p + 1)
+                attached += 1
                 tokens.append(_data_token(child, escaping))
 
-    walk(doc.root, False)
-    return tokens, token_of
-
-
-def _stream_parents(doc: XmlDocument) -> tuple[list[XmlNode], list[int]]:
-    """Nodes of the root's tree in stream order plus each node's parent index."""
-    nodes: list[XmlNode] = []
-    parents: list[int] = []
-
-    def walk(node: XmlNode, parent: int) -> None:
-        me = len(nodes)
-        nodes.append(node)
-        parents.append(parent)
-        for child in node.children:
-            walk(child, me)
-
-    walk(doc.root, -1)
-    return nodes, parents
-
-
-def _as_child(tok: XsToken) -> XsToken:
-    return XsToken(PrefixKind.CHILD, tok.payload, depth=tok.depth,
-                   subst_key=tok.subst_key)
-
-
-def _encode_safe_sibling(doc: XmlDocument, escaping: EscapeMode) -> list[XsToken]:
-    tokens, token_of = _emit_sibling(doc, escaping)
-    true_nodes, true_parents = _stream_parents(doc)
-
-    for _ in range(2 * len(tokens) + 4):
-        state = DecodeState()
-        conflict_at = None
-        for idx, tok in enumerate(tokens):
-            try:
-                state.feed(tok)
-            except BudgetConflict:
-                conflict_at = idx
-                break
-        if conflict_at is not None:
-            # the sibling closure itself is invalid; demote it to a child
-            if tokens[conflict_at].kind is not PrefixKind.SIBLING:
-                raise Unencodable("encoder repair loop failed to converge")
-            tokens[conflict_at] = _as_child(tokens[conflict_at])
-            continue
-
-        decoded = state.finish()
-        _, got_parents = _stream_parents(decoded)
-        bad = next((k for k in range(len(true_parents))
-                    if got_parents[k] != true_parents[k]), None)
-        if bad is None:
-            if not structural_equal(decoded, doc, whitespace_significant=True):
-                raise Unencodable("encoder repair loop failed to converge")
-            return tokens
-
-        p = true_parents[bad]
-        # is the wrong parent inside the right one?  then some ancestor was
-        # left open too long and needs its close point spelled out
-        anc = got_parents[bad]
-        while anc != -1 and anc != p:
-            anc = true_parents[anc]
-        if anc == p and got_parents[bad] != p:
-            e = got_parents[bad]
-            while true_parents[e] != p:
-                e = true_parents[e]
-            tok = tokens[token_of[e]]
-            if tok.depth is not None:
-                raise Unencodable("encoder repair loop failed to converge")
-            tok.depth = descendant_count(true_nodes[e])
-        else:
-            # the sibling closed too much; demote it to a child
-            if tokens[token_of[bad]].kind is not PrefixKind.SIBLING:
-                raise Unencodable("encoder repair loop failed to converge")
-            tokens[token_of[bad]] = _as_child(tokens[token_of[bad]])
-    raise Unencodable("encoder repair loop failed to converge")
+    walk(doc.root, -1, False)
+    decoded = decode(XsDocument(tokens, escaping))
+    if not structural_equal(decoded, doc, whitespace_significant=True):
+        raise Unencodable("encoded stream does not decode to the document")
+    return tokens
 
 
 def _avoid_quoted_value(tokens: list[XsToken]) -> None:

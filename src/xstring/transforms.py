@@ -7,10 +7,9 @@ from typing import Optional
 
 from .codec import EncodeMode, EncodeOptions, UnknownKey, decode, encode
 from .errors import XStringError
-from .grammar import EscapeMode, PrefixKind, XsDocument, XsToken, escape_data
+from .grammar import (_NAME_KINDS, EscapeMode, PrefixKind, XsDocument, XsToken,
+                      escape_data)
 from .xml_model import NodeKind, XmlNode
-
-_NAME_KINDS = (PrefixKind.CHILD, PrefixKind.SIBLING, PrefixKind.ATTR_NAME)
 
 
 class NumericNameClash(XStringError):

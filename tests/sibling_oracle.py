@@ -1,0 +1,125 @@
+"""The decode-and-repair safe-sibling encoder, kept as a reference.
+
+The codec's one-pass encoder replaced this loop; the differential tests in
+test_sibling_encoder.py compare the two.  It starts from the plain
+child/sibling emission, decodes its own output and repairs the leftmost
+divergence until the round trip is exact, up to 2n+4 rounds.
+"""
+
+from xstring.codec import (BudgetConflict, DecodeState, Unencodable,
+                           _avoid_quoted_value, _data_token, _pi_payload,
+                           descendant_count)
+from xstring.grammar import EscapeMode, PrefixKind, XsDocument, XsToken
+from xstring.xml_model import (NodeKind, XmlDocument, XmlNode,
+                               drop_insignificant_whitespace, structural_equal)
+
+
+def oracle_encode(doc: XmlDocument,
+                  escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
+    """encode(doc) in sibling mode as the repair loop wrote it."""
+    tokens = _encode_safe_sibling(drop_insignificant_whitespace(doc), escaping)
+    _avoid_quoted_value(tokens)
+    return XsDocument(tokens, escaping)
+
+
+def _emit_sibling(doc: XmlDocument, escaping: EscapeMode) -> tuple[list[XsToken], list[int]]:
+    """Plain child/sibling emission plus the token index of each tree node
+    in stream order (the repair loop needs the mapping)."""
+    tokens: list[XsToken] = []
+    token_of: list[int] = []
+    if doc.prolog is not None:
+        tokens.append(XsToken(PrefixKind.PROC_INSTR, _pi_payload(doc.prolog)))
+
+    def walk(elem: XmlNode, as_sibling: bool) -> None:
+        kind = PrefixKind.SIBLING if as_sibling else PrefixKind.CHILD
+        token_of.append(len(tokens))
+        tokens.append(XsToken(kind, elem.name))
+        for name, value in elem.attributes:
+            tokens.append(XsToken(PrefixKind.ATTR_NAME, name))
+            if value is not None:
+                tokens.append(XsToken(PrefixKind.ATTR_VALUE, value))
+        seen_element = False
+        for child in elem.children:
+            if child.kind is NodeKind.ELEMENT:
+                walk(child, as_sibling=seen_element)
+                seen_element = True
+            else:
+                token_of.append(len(tokens))
+                tokens.append(_data_token(child, escaping))
+
+    walk(doc.root, False)
+    return tokens, token_of
+
+
+def _stream_parents(doc: XmlDocument) -> tuple[list[XmlNode], list[int]]:
+    """Nodes of the root's tree in stream order plus each node's parent index."""
+    nodes: list[XmlNode] = []
+    parents: list[int] = []
+
+    def walk(node: XmlNode, parent: int) -> None:
+        me = len(nodes)
+        nodes.append(node)
+        parents.append(parent)
+        for child in node.children:
+            walk(child, me)
+
+    walk(doc.root, -1)
+    return nodes, parents
+
+
+def _as_child(tok: XsToken) -> XsToken:
+    return XsToken(PrefixKind.CHILD, tok.payload, depth=tok.depth,
+                   subst_key=tok.subst_key)
+
+
+def _encode_safe_sibling(doc: XmlDocument, escaping: EscapeMode) -> list[XsToken]:
+    tokens, token_of = _emit_sibling(doc, escaping)
+    true_nodes, true_parents = _stream_parents(doc)
+
+    for _ in range(2 * len(tokens) + 4):
+        state = DecodeState()
+        conflict_at = None
+        for idx, tok in enumerate(tokens):
+            try:
+                state.feed(tok)
+            except BudgetConflict:
+                conflict_at = idx
+                break
+        if conflict_at is not None:
+            # the sibling closure itself is invalid; demote it to a child
+            if tokens[conflict_at].kind is not PrefixKind.SIBLING:
+                raise Unencodable("encoder repair loop failed to converge")
+            tokens[conflict_at] = _as_child(tokens[conflict_at])
+            continue
+
+        decoded = state.finish()
+        _, got_parents = _stream_parents(decoded)
+        bad = next((k for k in range(len(true_parents))
+                    if got_parents[k] != true_parents[k]), None)
+        if bad is None:
+            if not structural_equal(decoded, doc, whitespace_significant=True):
+                raise Unencodable("encoder repair loop failed to converge")
+            return tokens
+
+        p = true_parents[bad]
+        # is the wrong parent inside the right one?  then some ancestor was
+        # left open too long and needs its close point spelled out
+        anc = got_parents[bad]
+        while anc != -1 and anc != p:
+            anc = true_parents[anc]
+        if anc == p and got_parents[bad] != p:
+            e = got_parents[bad]
+            while true_parents[e] != p:
+                e = true_parents[e]
+            tok = tokens[token_of[e]]
+            if tok.depth is not None:
+                raise Unencodable("encoder repair loop failed to converge")
+            tok.depth = descendant_count(true_nodes[e])
+        else:
+            # the sibling closed too much; demote it to a child
+            if tokens[token_of[bad]].kind is not PrefixKind.SIBLING:
+                raise Unencodable("encoder repair loop failed to converge")
+            tokens[token_of[bad]] = _as_child(tokens[token_of[bad]])
+    raise Unencodable("encoder repair loop failed to converge")
+
+

@@ -198,6 +198,14 @@ def test_fold_error_label(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("fold: ")
 
 
+def test_too_deep_document_label(tmp_path, capsys):
+    src = write(tmp_path, "in.xml", "<A>" * 3000 + "</A>" * 3000)
+    assert main(["encode", src]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "depth: document nested too deeply to process\n"
+
+
 def test_sentinel_escape_flag_round_trip(tmp_path):
     src = write(tmp_path, "in.xml", "<X>a/b</X>")
     mid = tmp_path / "mid.xs"
