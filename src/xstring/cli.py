@@ -301,10 +301,6 @@ def main(argv=None) -> int:
     except XStringError as err:
         print(f"{_label(err)}: {err}", file=sys.stderr)
         return 1
-    except RecursionError:
-        # the tree walkers recurse once per level of nesting
-        print("depth: document nested too deeply to process", file=sys.stderr)
-        return 1
     except BrokenPipeError:
         # the reader went away; suppress the noise a closed pipe would
         # cause during interpreter shutdown

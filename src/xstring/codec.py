@@ -11,7 +11,8 @@ Decoding is a single pass over the tokens with a stack of open elements:
   not have content yet;
 * an element carrying a depth marker N encloses exactly the next N nodes
   of the stream, counting elements and data nodes at any nesting level and
-  ignoring attributes; reaching zero closes it;
+  ignoring attributes: it closes when the count of attached nodes reaches
+  its close count, the count when it opened plus N;
 * the end of the stream closes everything still open.
 
 Safe-sibling encoding emits the tree in one pass, writing every later
@@ -33,13 +34,14 @@ sibling tokens entirely and gives every element an explicit depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import inf
 from typing import Optional
 
 from .errors import XStringError
 from .grammar import EscapeMode, PrefixKind, XsDocument, XsToken, PREFIX_CHARS, NUL
 from .xml_model import (NodeKind, XmlDocument, XmlNode,
-                        drop_insignificant_whitespace, structural_equal)
+                        drop_insignificant_whitespace, structural_equal, walk)
 
 
 class EncodeMode:
@@ -109,23 +111,52 @@ class Unencodable(XStringError):
     pass
 
 
+class _OpenStack(list):
+    """Open elements, outermost first, plus nearest: name -> index of the
+    topmost open element with that name, or -1.  The decoder keeps one, and
+    the sibling encoder keeps the one the decoder will hold."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.nearest: dict[str, int] = {}
+        self._below: list[tuple[str, int]] = []
+
+    def push(self, name: str, entry) -> None:
+        self._below.append((name, self.nearest.get(name, -1)))
+        self.nearest[name] = len(self)
+        self.append(entry)
+
+    def pop(self):
+        name, below = self._below.pop()
+        self.nearest[name] = below
+        return super().pop()
+
+    def truncate(self, size: int) -> None:
+        while len(self) > size:
+            self.pop()
+
+
 @dataclass
 class OpenEntry:
     node: XmlNode
-    remaining: Optional[int]
+    close: Optional[int]  # node count at which the depth marker runs out
+    low: float  # smallest close at or below this entry, inf when none
 
 
 class DecodeState:
     """Decoder state, exposed so the stack behaviour is testable directly.
 
-    open_stack holds (element, remaining budget) entries, outermost first;
-    remaining is None for elements without a depth marker.
-    """
+    open_stack holds the open elements, outermost first.  Each entry keeps
+    its close count, if it has a depth marker, and the lowest close count
+    at or below it, so the elements due to close are found from the top;
+    open_stack.nearest finds the element a sibling token closes back to.
+    Each node costs O(1) amortized at any depth."""
 
     def __init__(self):
-        self.open_stack: list[OpenEntry] = []
+        self.open_stack = _OpenStack()
         self.root: Optional[XmlNode] = None
         self.prolog: Optional[XmlNode] = None
+        self._attached = 0
         self._pending_attr = False
         self._keys: dict[int, str] = {}
 
@@ -141,27 +172,24 @@ class DecodeState:
             self._keys[tok.subst_key] = tok.payload
         return tok.payload
 
-    def _close_exhausted(self) -> None:
-        while True:
-            idx = next((i for i, e in enumerate(self.open_stack)
-                        if e.remaining == 0), None)
-            if idx is None:
-                return
-            while len(self.open_stack) > idx:
-                popped = self.open_stack.pop()
-                if popped.remaining is not None and popped.remaining > 0:
-                    raise BudgetOverrun(
-                        f"<{popped.node.name}> still expects "
-                        f"{popped.remaining} nodes when an enclosing depth ran out")
+    def _unfilled(self, entry: OpenEntry) -> int:
+        return 0 if entry.close is None else entry.close - self._attached
 
-    def _spend(self) -> None:
-        for e in self.open_stack:
-            if e.remaining is not None:
-                e.remaining -= 1
+    def _close_exhausted(self) -> None:
+        # no close count is below the node count, so the top's low shows
+        # whether some entry is due; pop down to the outermost one due
+        stack = self.open_stack
+        while stack and stack[-1].low == self._attached:
+            popped = stack.pop()
+            if self._unfilled(popped) > 0:
+                raise BudgetOverrun(
+                    f"<{popped.node.name}> still expects "
+                    f"{self._unfilled(popped)} nodes when an enclosing "
+                    "depth ran out")
 
     def _attach(self, node: XmlNode) -> None:
         self.open_stack[-1].node.children.append(node)
-        self._spend()
+        self._attached += 1
 
     # -- token handlers -----------------------------------------------------
 
@@ -185,52 +213,51 @@ class DecodeState:
             owner.attributes[-1] = (n, tok.payload)
             self._pending_attr = False
 
-    def _open(self, tok: XsToken, name: str, parent_known: bool) -> None:
+    def _open(self, tok: XsToken, name: str) -> None:
         elem = XmlNode.element(name)
-        if parent_known:
+        stack = self.open_stack
+        if stack:
             self._attach(elem)
         else:
             self.root = elem
-        self.open_stack.append(OpenEntry(elem, tok.depth))
+        close = None if tok.depth is None else self._attached + tok.depth
+        low = min(inf if close is None else close, stack[-1].low if stack else inf)
+        stack.push(name, OpenEntry(elem, close, low))
 
     def _feed_child(self, tok: XsToken) -> None:
         name = self._resolve_name(tok)
         self._close_exhausted()
-        if not self.open_stack:
-            if self.root is not None:
-                raise ContentAfterRoot("second root element")
-            self._open(tok, name, parent_known=False)
-            return
-        self._open(tok, name, parent_known=True)
+        if not self.open_stack and self.root is not None:
+            raise ContentAfterRoot("second root element")
+        self._open(tok, name)
 
     def _feed_sibling(self, tok: XsToken) -> None:
         name = self._resolve_name(tok)
         self._close_exhausted()
-        if not self.open_stack:
+        stack = self.open_stack
+        if not stack:
             if self.root is None:
                 raise BadStreamStart("stream must start with a child element")
             raise ContentAfterRoot("sibling after the root closed")
-        idx = next((i for i in range(len(self.open_stack) - 1, -1, -1)
-                    if self.open_stack[i].node.name == name), None)
-        if idx is None:
-            top = self.open_stack[-1]
-            if top.remaining is not None and top.remaining > 0:
+        idx = stack.nearest.get(name, -1)
+        if idx < 0:
+            # no open element has the name: close just the innermost one
+            top = stack[-1]
+            if self._unfilled(top) > 0:
                 raise BudgetConflict(
                     f"sibling <{name}> would close <{top.node.name}> "
-                    f"with {top.remaining} nodes of its depth unfilled")
-            if len(self.open_stack) == 1:
-                raise BudgetConflict(f"sibling <{name}> would close the root")
-            self.open_stack.pop()
-        else:
-            if idx == 0:
-                raise BudgetConflict(f"sibling <{name}> would close the root")
-            for e in self.open_stack[idx:]:
-                if e.remaining is not None and e.remaining > 0:
-                    raise BudgetConflict(
-                        f"sibling <{name}> closure crosses <{e.node.name}> "
-                        f"with {e.remaining} nodes of its depth unfilled")
-            del self.open_stack[idx:]
-        self._open(tok, name, parent_known=True)
+                    f"with {self._unfilled(top)} nodes of its depth unfilled")
+            idx = len(stack) - 1
+        if idx == 0:
+            raise BudgetConflict(f"sibling <{name}> would close the root")
+        # the entries scanned are closed below: paid for by their pushes
+        for e in stack[idx:]:
+            if self._unfilled(e) > 0:
+                raise BudgetConflict(
+                    f"sibling <{name}> closure crosses <{e.node.name}> "
+                    f"with {self._unfilled(e)} nodes of its depth unfilled")
+        stack.truncate(idx)
+        self._open(tok, name)
 
     def _feed_data(self, tok: XsToken) -> None:
         kind = tok.kind
@@ -274,7 +301,7 @@ class DecodeState:
     def finish(self) -> XmlDocument:
         if self.root is None:
             raise EmptyStream("no root element in the stream")
-        self.open_stack.clear()
+        self.open_stack = _OpenStack()
         return XmlDocument(self.root, self.prolog)
 
 
@@ -293,10 +320,7 @@ def decode(doc: XsDocument) -> XmlDocument:
 
 def descendant_count(node: XmlNode) -> int:
     """Nodes in the subtree below node, attributes excluded."""
-    total = 0
-    for child in node.children:
-        total += 1 + descendant_count(child)
-    return total
+    return sum(entering for _, entering in walk(node)) - 1
 
 
 def _pi_payload(node: XmlNode) -> str:
@@ -327,7 +351,8 @@ def _check_encodable(doc: XmlDocument) -> None:
             raise Unencodable(
                 f"{what} name {name!r} would read back as a key reference")
 
-    def walk(node: XmlNode) -> None:
+    tops = [doc.root] if doc.prolog is None else [doc.prolog, doc.root]
+    for node in (n for top in tops for n, entering in walk(top) if entering):
         if NUL in node.content:
             raise Unencodable("NUL in character data cannot be written")
         if node.kind in (NodeKind.ELEMENT, NodeKind.PROC_INSTR):
@@ -336,33 +361,37 @@ def _check_encodable(doc: XmlDocument) -> None:
             check_name(name, "attribute")
             if value is not None and NUL in value:
                 raise Unencodable("NUL in character data cannot be written")
-        for child in node.children:
-            walk(child)
 
-    if doc.prolog is not None:
-        walk(doc.prolog)
-    walk(doc.root)
+
+def _attr_tokens(elem: XmlNode, tokens: list[XsToken]) -> None:
+    for name, value in elem.attributes:
+        tokens.append(XsToken(PrefixKind.ATTR_NAME, name))
+        if value is not None:
+            tokens.append(XsToken(PrefixKind.ATTR_VALUE, value))
 
 
 def _emit_canonical(doc: XmlDocument, escaping: EscapeMode) -> list[XsToken]:
     tokens: list[XsToken] = []
     if doc.prolog is not None:
         tokens.append(XsToken(PrefixKind.PROC_INSTR, _pi_payload(doc.prolog)))
-
-    def walk(elem: XmlNode) -> None:
-        tokens.append(XsToken(PrefixKind.CHILD, elem.name,
-                              depth=descendant_count(elem)))
-        for name, value in elem.attributes:
-            tokens.append(XsToken(PrefixKind.ATTR_NAME, name))
-            if value is not None:
-                tokens.append(XsToken(PrefixKind.ATTR_VALUE, value))
-        for child in elem.children:
-            if child.kind is NodeKind.ELEMENT:
-                walk(child)
-            else:
-                tokens.append(_data_token(child, escaping))
-
-    walk(doc.root)
+    # (token, nodes emitted up to and including it) per open element; its
+    # depth is the number of nodes emitted between its enter and leave
+    open_elems: list[tuple[XsToken, int]] = []
+    emitted = 0
+    for node, entering in walk(doc.root):
+        if node.kind is not NodeKind.ELEMENT:
+            if entering:
+                emitted += 1
+                tokens.append(_data_token(node, escaping))
+        elif entering:
+            emitted += 1
+            tok = XsToken(PrefixKind.CHILD, node.name)
+            tokens.append(tok)
+            _attr_tokens(node, tokens)
+            open_elems.append((tok, emitted))
+        else:
+            tok, start = open_elems.pop()
+            tok.depth = emitted - start
     return tokens
 
 
@@ -370,60 +399,51 @@ def _encode_safe_sibling(doc: XmlDocument, escaping: EscapeMode) -> list[XsToken
     tokens: list[XsToken] = []
     if doc.prolog is not None:
         tokens.append(XsToken(PrefixKind.PROC_INSTR, _pi_payload(doc.prolog)))
-    # The decoder's stack of open elements, as (token, nodes attached up to
-    # and including the element, index of the next open element below with
-    # the same name or -1).  Every node emitted so far decodes under its
-    # true parent, so the stack holds the ancestors of the next node plus
-    # the chain of the last finished element child, still open above them.
-    stack: list[tuple[XsToken, int, int]] = []
-    nearest: dict[str, int] = {}  # name -> index of its topmost open element
+    # The decoder's stack of open elements, as (token, nodes attached up
+    # to and including the element).  Every node emitted so far decodes
+    # under its true parent, so the stack holds the ancestors of the next
+    # node plus the chain of the last finished element child above them.
+    stack = _OpenStack()
+    # per open ancestor in the tree, under one for the document itself:
+    # has it an element child yet
+    seen_element = [False]
     attached = 0
-
-    def truncate(size: int) -> None:
-        while len(stack) > size:
-            tok, _, below = stack.pop()
-            if below < 0:
-                del nearest[tok.payload]
-            else:
-                nearest[tok.payload] = below
 
     def close_above(p: int) -> None:
         # the depth marker closes the open child of stack[p] and everything
         # above it right after the nodes attached since it opened
         if len(stack) > p + 1:
-            tok, start, _ = stack[p + 1]
+            tok, start = stack[p + 1]
             tok.depth = attached - start
-            truncate(p + 1)
+            stack.truncate(p + 1)
 
-    def walk(elem: XmlNode, p: int, as_sibling: bool) -> None:
-        nonlocal attached
-        at = nearest.get(elem.name, -1)
-        if as_sibling and (at == p + 1 or (at < 0 and len(stack) == p + 2)):
+    for node, entering in walk(doc.root):
+        p = len(seen_element) - 2  # stack index of the node's parent
+        if node.kind is not NodeKind.ELEMENT:
+            if entering:
+                close_above(p)
+                attached += 1
+                tokens.append(_data_token(node, escaping))
+            continue
+        if not entering:
+            seen_element.pop()
+            continue
+        at = stack.nearest.get(node.name, -1)
+        if seen_element[-1] and (at == p + 1
+                                 or (at < 0 and len(stack) == p + 2)):
             kind = PrefixKind.SIBLING
-            truncate(p + 1)
+            stack.truncate(p + 1)
         else:
             kind = PrefixKind.CHILD
             close_above(p)
-        tok = XsToken(kind, elem.name)
+        tok = XsToken(kind, node.name)
         tokens.append(tok)
+        _attr_tokens(node, tokens)
         attached += 1
-        stack.append((tok, attached, nearest.get(elem.name, -1)))
-        nearest[elem.name] = p + 1
-        for name, value in elem.attributes:
-            tokens.append(XsToken(PrefixKind.ATTR_NAME, name))
-            if value is not None:
-                tokens.append(XsToken(PrefixKind.ATTR_VALUE, value))
-        seen_element = False
-        for child in elem.children:
-            if child.kind is NodeKind.ELEMENT:
-                walk(child, p + 1, seen_element)
-                seen_element = True
-            else:
-                close_above(p + 1)
-                attached += 1
-                tokens.append(_data_token(child, escaping))
+        stack.push(node.name, (tok, attached))
+        seen_element[-1] = True
+        seen_element.append(False)
 
-    walk(doc.root, -1, False)
     decoded = decode(XsDocument(tokens, escaping))
     if not structural_equal(decoded, doc, whitespace_significant=True):
         raise Unencodable("encoded stream does not decode to the document")

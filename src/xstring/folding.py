@@ -20,7 +20,7 @@ from typing import Optional
 from .codec import EncodeOptions, decode, encode
 from .errors import XStringError
 from .grammar import EscapeMode, render, tokenize
-from .xml_model import NodeKind, XmlDocument, XmlNode
+from .xml_model import NodeKind, XmlDocument, XmlNode, walk
 
 SLOT_NAME = "XSTRING"
 
@@ -79,21 +79,21 @@ def unescape_fold_attr(s: str) -> str:
     return "".join(out)
 
 
-def _find_slot(doc: XmlDocument, what: str) -> XmlNode:
-    slots: list[XmlNode] = []
-
-    def walk(node: XmlNode) -> None:
-        if node.kind is NodeKind.ELEMENT and node.name == SLOT_NAME:
-            slots.append(node)
-        for child in node.children:
-            walk(child)
-
-    walk(doc.root)
-    if not slots:
-        raise NoSlot(f"{what} has no {SLOT_NAME} element")
+def _slot(doc: XmlDocument, what: str) -> Optional[XmlNode]:
+    """The single slot element of doc, or None when it has none."""
+    slots = [node for node, entering in walk(doc.root)
+             if entering and node.kind is NodeKind.ELEMENT
+             and node.name == SLOT_NAME]
     if len(slots) > 1:
         raise MultipleSlots(f"{what} has {len(slots)} {SLOT_NAME} elements")
-    return slots[0]
+    return slots[0] if slots else None
+
+
+def _find_slot(doc: XmlDocument, what: str) -> XmlNode:
+    slot = _slot(doc, what)
+    if slot is None:
+        raise NoSlot(f"{what} has no {SLOT_NAME} element")
+    return slot
 
 
 def _get_attr(node: XmlNode, name: str) -> Optional[str]:
@@ -161,13 +161,8 @@ def fold(inner: XmlDocument, host: XmlDocument,
         raise MixedSlot("multi fold needs a host slot with no fold attributes")
 
     pairs: list[tuple[str, str]] = []
-    inner_slots = [n for n in _walk_elements(inner.root)
-                   if n.name == SLOT_NAME]
-    if len(inner_slots) > 1:
-        raise MultipleSlots(
-            f"inner document has {len(inner_slots)} {SLOT_NAME} elements")
-    if inner_slots:
-        inner_slot = inner_slots[0]
+    inner_slot = _slot(inner, "inner document")
+    if inner_slot is not None:
         count_text = _get_attr(inner_slot, "COUNT")
         if count_text is None:
             if _get_attr(inner_slot, "LENGTH") is not None \
@@ -192,13 +187,6 @@ def fold(inner: XmlDocument, host: XmlDocument,
     _set_attr(slot, f"LENGTH_{len(pairs)}", str(len(text)))
     _set_attr(slot, f"TEXT_{len(pairs)}", escape_fold_attr(text))
     return out
-
-
-def _walk_elements(node: XmlNode):
-    if node.kind is NodeKind.ELEMENT:
-        yield node
-        for child in node.children:
-            yield from _walk_elements(child)
 
 
 def _decode_stored(length_text: str, stored: str) -> XmlDocument:

@@ -236,36 +236,15 @@ class _Cursor:
         self.n = len(text)
         self.sentinel = sentinel
 
-    def scan_name(self, i: int) -> tuple[str, int]:
+    def scan(self, i: int, name: bool) -> tuple[str, int]:
+        """Read a payload up to the next prefix character, or the next NUL
+        in sentinel mode; a name also ends at whitespace."""
         out: list[str] = []
         t = self.text
         while i < self.n:
             c = t[i]
-            if c in _WS:
+            if name and c in _WS:
                 break
-            if self.sentinel:
-                if c == NUL:
-                    break
-                out.append(c)
-                i += 1
-            else:
-                if c in _CHAR_TO_KIND:
-                    break
-                if c == NUL:
-                    raise StrayData(i, "NUL in entity-mode stream")
-                if c == "&":
-                    piece, i = _read_reference(t, i, _PREFIX_CODES)
-                    out.append(piece)
-                else:
-                    out.append(c)
-                    i += 1
-        return "".join(out), i
-
-    def scan_raw(self, i: int) -> tuple[str, int]:
-        out: list[str] = []
-        t = self.text
-        while i < self.n:
-            c = t[i]
             if self.sentinel:
                 if c == NUL:
                     break
@@ -386,7 +365,7 @@ def tokenize(text: str, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
                 raise BadKey(start, "no integer after key binder")
             _attach_key(tokens, value, start)
         elif kind in _NAME_KINDS:
-            name, i = cur.scan_name(i)
+            name, i = cur.scan(i, name=True)
             if not name:
                 raise EmptyName(start, "missing name")
             if _all_digits(name):
@@ -400,9 +379,9 @@ def tokenize(text: str, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
             if not sentinel and i < n and text[i] == '"':
                 payload, i = cur.scan_dual(i + 1, start)
             else:
-                payload, i = cur.scan_raw(i)
+                payload, i = cur.scan(i, name=False)
             tokens.append(XsToken(kind, payload))
         else:
-            payload, i = cur.scan_raw(i)
+            payload, i = cur.scan(i, name=False)
             tokens.append(XsToken(kind, payload))
     return XsDocument(tokens, escaping)

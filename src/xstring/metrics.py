@@ -18,7 +18,8 @@ from .codec import decode, encode
 from .errors import XStringError
 from .grammar import EscapeMode, PrefixKind, XsDocument, XsToken, render
 from .xml_model import (NodeKind, XmlDocument, XmlNode, parse_xml,
-                        serialize_xml, structural_equal, _serialize_attrs)
+                        serialize_xml, structural_equal, walk,
+                        _serialize_attrs)
 
 
 class ConstructKind(enum.Enum):
@@ -124,12 +125,6 @@ def _piece_len(tok: XsToken, escaping: EscapeMode) -> int:
     return len(render(XsDocument([tok], escaping)))
 
 
-def _preorder(node: XmlNode, out: list[XmlNode]) -> None:
-    out.append(node)
-    for child in node.children:
-        _preorder(child, out)
-
-
 def _node_construct(node: XmlNode, tok: XsToken) -> tuple[ConstructKind, int]:
     """Construct kind and exact markup character count for one node."""
     if node.kind is NodeKind.ELEMENT:
@@ -172,10 +167,8 @@ def measure(xml_text: str, xs: XsDocument) -> SizeReport:
     def stat(kind: ConstructKind) -> ConstructStat:
         return report.constructs.setdefault(kind, ConstructStat())
 
-    nodes: list[XmlNode] = []
-    if tree.prolog is not None:
-        nodes.append(tree.prolog)
-    _preorder(tree.root, nodes)
+    nodes = [] if tree.prolog is None else [tree.prolog]
+    nodes.extend(node for node, entering in walk(tree.root) if entering)
 
     node_i = 0
     owner: XmlNode | None = None

@@ -9,7 +9,7 @@ from .codec import EncodeMode, EncodeOptions, UnknownKey, decode, encode
 from .errors import XStringError
 from .grammar import (_NAME_KINDS, EscapeMode, PrefixKind, XsDocument, XsToken,
                       escape_data)
-from .xml_model import NodeKind, XmlNode
+from .xml_model import XmlNode, walk
 
 
 class NumericNameClash(XStringError):
@@ -142,9 +142,9 @@ def attrs_to_elements(doc: XsDocument) -> XsDocument:
     """
     tree = decode(doc)
 
-    def promote(node: XmlNode) -> None:
-        for child in node.children:
-            promote(child)
+    for node, entering in walk(tree.root):
+        if entering or not node.attributes:
+            continue
         lifted = []
         for name, value in node.attributes:
             elem = XmlNode.element(name)
@@ -153,8 +153,6 @@ def attrs_to_elements(doc: XsDocument) -> XsDocument:
             lifted.append(elem)
         node.attributes = []
         node.children = lifted + node.children
-
-    promote(tree.root)
     mode = EncodeMode.CANONICAL if is_canonical(doc) else EncodeMode.SAFE_SIBLING
     opts = EncodeOptions(mode=mode, escaping=doc.escaping,
                          drop_insignificant_whitespace=False)

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from itertools import zip_longest
+from typing import Iterator, Optional
 
 from .errors import XStringError
 
@@ -81,8 +82,42 @@ class XmlNode:
         return self.kind is NodeKind.TEXT and self.content.strip() == ""
 
     def copy(self) -> "XmlNode":
-        return XmlNode(self.kind, self.name, list(self.attributes),
-                       self.content, [c.copy() for c in self.children])
+        return _copy_tree(self, keep_whitespace=True)
+
+
+def walk(root: XmlNode) -> Iterator[tuple[XmlNode, bool]]:
+    """Yield (node, True) on entering and (node, False) on leaving each
+    node of the subtree at root, in document order, keeping the open nodes
+    on an explicit stack instead of recursing.  A node's children are read
+    between its two events, so a consumer may replace them on leave."""
+    yield root, True
+    stack = [(root, iter(root.children))]
+    while stack:
+        node, children = stack[-1]
+        for child in children:
+            yield child, True
+            if child.children:
+                stack.append((child, iter(child.children)))
+                break
+            yield child, False
+        else:
+            stack.pop()
+            yield node, False
+
+
+def _copy_tree(root: XmlNode, keep_whitespace: bool) -> XmlNode:
+    stack = [XmlNode(NodeKind.ELEMENT)]  # its one child is the copy of root
+    for node, entering in walk(root):
+        if not keep_whitespace and node.is_whitespace_text():
+            continue  # a leaf, so skipping both its events skips it
+        if entering:
+            dup = XmlNode(node.kind, node.name, list(node.attributes),
+                          node.content)
+            stack[-1].children.append(dup)
+            stack.append(dup)
+        else:
+            stack.pop()
+    return stack[0].children[0]
 
 
 @dataclass
@@ -466,27 +501,25 @@ def _serialize_attrs(attrs: list[Attribute]) -> str:
     return "".join(parts)
 
 
-def _serialize_node(node: XmlNode, out: list[str]) -> None:
-    if node.kind is NodeKind.ELEMENT:
-        out.append(f"<{node.name}{_serialize_attrs(node.attributes)}")
-        if node.children:
-            out.append(">")
-            for child in node.children:
-                _serialize_node(child, out)
-            out.append(f"</{node.name}>")
-        else:
-            out.append("/>")
-    elif node.kind is NodeKind.TEXT:
-        out.append(node.content)
-    elif node.kind is NodeKind.COMMENT:
-        out.append(f"<!--{node.content}-->")
-    elif node.kind is NodeKind.PROC_INSTR:
-        body = f"{node.name} {node.content}" if node.content else node.name
-        out.append(f"<?{body}?>")
-    elif node.kind is NodeKind.CDATA:
-        out.append(f"<![CDATA[{node.content}]]>")
-    elif node.kind is NodeKind.DTD:
-        out.append(f"<!{node.content}>")
+def _serialize_node(root: XmlNode, out: list[str]) -> None:
+    for node, entering in walk(root):
+        if not entering:
+            if node.kind is NodeKind.ELEMENT and node.children:
+                out.append(f"</{node.name}>")
+        elif node.kind is NodeKind.ELEMENT:
+            end = ">" if node.children else "/>"
+            out.append(f"<{node.name}{_serialize_attrs(node.attributes)}{end}")
+        elif node.kind is NodeKind.TEXT:
+            out.append(node.content)
+        elif node.kind is NodeKind.COMMENT:
+            out.append(f"<!--{node.content}-->")
+        elif node.kind is NodeKind.PROC_INSTR:
+            body = f"{node.name} {node.content}" if node.content else node.name
+            out.append(f"<?{body}?>")
+        elif node.kind is NodeKind.CDATA:
+            out.append(f"<![CDATA[{node.content}]]>")
+        elif node.kind is NodeKind.DTD:
+            out.append(f"<!{node.content}>")
 
 
 def serialize_xml(doc: XmlDocument) -> str:
@@ -500,22 +533,19 @@ def serialize_xml(doc: XmlDocument) -> str:
     return "".join(out)
 
 
-def _significant_children(node: XmlNode, ws: bool) -> list[XmlNode]:
-    if ws:
-        return node.children
-    return [c for c in node.children if not c.is_whitespace_text()]
-
-
 def _nodes_equal(a: XmlNode, b: XmlNode, ws: bool) -> bool:
-    if a.kind is not b.kind or a.name != b.name or a.content != b.content:
-        return False
-    if a.attributes != b.attributes:
-        return False
-    ca = _significant_children(a, ws)
-    cb = _significant_children(b, ws)
-    if len(ca) != len(cb):
-        return False
-    return all(_nodes_equal(x, y, ws) for x, y in zip(ca, cb))
+    # the enter/leave events spell out the nesting, so compare those; a
+    # whitespace-only text node is a leaf, so skipping its events skips it
+    ea, eb = (((n, e) for n, e in walk(top) if ws or not n.is_whitespace_text())
+              for top in (a, b))
+    for (x, x_in), (y, y_in) in zip_longest(ea, eb, fillvalue=(None, None)):
+        if x_in is not y_in:
+            return False
+        if x_in and (x.kind is not y.kind or x.name != y.name
+                     or x.content != y.content
+                     or x.attributes != y.attributes):
+            return False
+    return True
 
 
 def structural_equal(a: XmlDocument, b: XmlDocument,
@@ -525,21 +555,13 @@ def structural_equal(a: XmlDocument, b: XmlDocument,
     Whitespace-only text nodes are ignored unless whitespace_significant."""
     if (a.prolog is None) != (b.prolog is None):
         return False
-    if a.prolog is not None and b.prolog is not None:
-        if not _nodes_equal(a.prolog, b.prolog, whitespace_significant):
-            return False
+    if a.prolog is not None and not _nodes_equal(a.prolog, b.prolog,
+                                                 whitespace_significant):
+        return False
     return _nodes_equal(a.root, b.root, whitespace_significant)
 
 
 def drop_insignificant_whitespace(doc: XmlDocument) -> XmlDocument:
     """Copy of doc with whitespace-only text nodes removed."""
-
-    def strip(node: XmlNode) -> XmlNode:
-        if node.kind is not NodeKind.ELEMENT:
-            return node.copy()
-        kept = [strip(c) for c in node.children if not c.is_whitespace_text()]
-        return XmlNode(node.kind, node.name, list(node.attributes),
-                       node.content, kept)
-
-    return XmlDocument(strip(doc.root),
+    return XmlDocument(_copy_tree(doc.root, keep_whitespace=False),
                        doc.prolog.copy() if doc.prolog else None)

@@ -198,12 +198,15 @@ def test_fold_error_label(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("fold: ")
 
 
-def test_too_deep_document_label(tmp_path, capsys):
-    src = write(tmp_path, "in.xml", "<A>" * 3000 + "</A>" * 3000)
-    assert main(["encode", src]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "depth: document nested too deeply to process\n"
+def test_deep_document_round_trip(tmp_path, capsys):
+    xml = "<A>" * 3000 + "t" + "</A>" * 3000
+    src = write(tmp_path, "in.xml", xml)
+    mid = tmp_path / "mid.xs"
+    back = tmp_path / "back.xml"
+    assert main(["encode", src, "-o", str(mid)]) == 0
+    assert main(["decode", str(mid), "-o", str(back)]) == 0
+    assert capsys.readouterr().err == ""
+    assert back.read_text() == xml + "\n"
 
 
 def test_sentinel_escape_flag_round_trip(tmp_path):

@@ -196,6 +196,14 @@ def test_asymptote_ratio_consistent():
         parse_xml("<AAA>" * 11 + "<AAA/>" + "</AAA>" * 11)))
 
 
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_asymptote_deep_chain_nears_limit(n):
+    # far past the old recursion limit of about 330 levels
+    probe = asymptote_check(n, 10_000)
+    assert probe.xs_chars == 10_000 * (n + 1)
+    assert 0 < probe.ratio - probe.limit < 1e-4
+
+
 def test_asymptote_validation():
     with pytest.raises(ValueError):
         asymptote_check(0, 5)
