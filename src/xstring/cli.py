@@ -306,6 +306,10 @@ def main(argv=None) -> int:
         # cause during interpreter shutdown
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except (OSError, UnicodeDecodeError) as err:
+        # a missing or unreadable file, or one that is not UTF-8
+        print(f"io: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -39,7 +39,8 @@ from math import inf
 from typing import Optional
 
 from .errors import XStringError
-from .grammar import EscapeMode, PrefixKind, XsDocument, XsToken, PREFIX_CHARS, NUL
+from .grammar import (NUL, PREFIX_CHARS, WHITESPACE, EscapeMode, PrefixKind,
+                      XsDocument, XsToken, reads_as_key)
 from .xml_model import (NodeKind, XmlDocument, XmlNode,
                         drop_insignificant_whitespace, structural_equal, walk)
 
@@ -271,8 +272,8 @@ class DecodeState:
             node = XmlNode.dtd(tok.payload)
         else:
             payload = tok.payload
-            cut = next((i for i, c in enumerate(payload) if c in " \t\r\n"),
-                       len(payload))
+            ws = WHITESPACE.search(payload)
+            cut = ws.start() if ws else len(payload)
             if cut == 0:
                 raise BadToken("instruction without a target")
             node = XmlNode.pi(payload[:cut], payload[cut + 1:])
@@ -345,9 +346,9 @@ def _data_token(node: XmlNode, escaping: EscapeMode) -> XsToken:
 
 def _check_encodable(doc: XmlDocument) -> None:
     def check_name(name: str, what: str) -> None:
-        if not name or any(c in " \t\r\n" for c in name) or NUL in name:
+        if not name or WHITESPACE.search(name) or NUL in name:
             raise Unencodable(f"{what} name {name!r} cannot be written")
-        if name.isascii() and name.isdigit():
+        if reads_as_key(name):
             raise Unencodable(
                 f"{what} name {name!r} would read back as a key reference")
 

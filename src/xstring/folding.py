@@ -15,18 +15,24 @@ is checked on unfold, so a tampered TEXT is caught early.
 
 from __future__ import annotations
 
+import re
 from typing import Optional
 
 from .codec import EncodeOptions, decode, encode
 from .errors import XStringError
-from .grammar import EscapeMode, render, tokenize
+from .grammar import EscapeMode, render, tokenize, translation
 from .xml_model import NodeKind, XmlDocument, XmlNode, walk
 
 SLOT_NAME = "XSTRING"
 
-_ESCAPES = {" ": "&#160;", '"': "&#34;", "&": "&#38;", "<": "&#60;"}
+_ESCAPES = translation({" ": "&#160;", '"': "&#34;", "&": "&#38;",
+                        "<": "&#60;"})
 _UNESCAPES = {"&#160;": " ", "&#34;": '"', "&#38;": "&", "&#60;": "<",
               "&nbsp;": " "}
+# every reference starts with '&' and ends at its first ';', so matching
+# the literals left to right finds what a scan from each '&' to the next
+# ';' finds
+_REFERENCE = re.compile("|".join(map(re.escape, _UNESCAPES)))
 
 
 class FoldMode:
@@ -60,23 +66,11 @@ class LengthMismatch(FoldError):
 
 def escape_fold_attr(s: str) -> str:
     """Make an encoded string safe for storage in an attribute value."""
-    return "".join(_ESCAPES.get(c, c) for c in s)
+    return s.translate(_ESCAPES)
 
 
 def unescape_fold_attr(s: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(s):
-        if s[i] == "&":
-            end = s.find(";", i)
-            ref = s[i:end + 1] if end != -1 else ""
-            if ref in _UNESCAPES:
-                out.append(_UNESCAPES[ref])
-                i = end + 1
-                continue
-        out.append(s[i])
-        i += 1
-    return "".join(out)
+    return _REFERENCE.sub(lambda m: _UNESCAPES[m[0]], s)
 
 
 def _slot(doc: XmlDocument, what: str) -> Optional[XmlNode]:

@@ -23,19 +23,36 @@ Depth markers and key binders are not separate tokens here; they attach to
 the element (or attribute) token they follow, and the tokenizer accepts them
 after an attribute list as well (``@name=v+10`` binds the depth to the
 enclosing element token).
+
+The tokenizer reads the wire string with compiled patterns.  A lead pattern
+skips padding and captures the prefix character (after its NUL in sentinel
+mode); one run pattern per escape mode and payload kind (data, name, dual)
+then reads the payload.  An entity-mode data run is
+``(?:[^<prefix chars>&\\x00]+|&#[0-9]+;|&(?!#))*``, and the character a run
+stops at names the error: ``&`` a malformed reference, NUL stray data, the
+end of input an unterminated dual.  References are resolved by one
+``&#0*([0-9]+);`` substitution, only in payloads that hold an ``&``; the
+digits are looked up as text, so a reference of any length is read.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Callable, NoReturn, Optional
 
 from .errors import XStringError
 
 NUL = "\x00"
-_WS = " \t\r\n"
-_DIGITS = "0123456789"
+_WS = r" \t\r\n"
+# the one definition of whitespace on the wire
+WHITESPACE = re.compile(f"[{_WS}]")
+
+
+def reads_as_key(s: str) -> bool:
+    """True when s, written in name position, would read back as a key."""
+    return s.isascii() and s.isdigit()
 
 
 class PrefixKind(Enum):
@@ -60,10 +77,6 @@ class EscapeMode(Enum):
 
 PREFIX_CHARS = "".join(k.value for k in PrefixKind)
 _CHAR_TO_KIND = {k.value: k for k in PrefixKind}
-_PREFIX_CODES = frozenset(ord(c) for c in PREFIX_CHARS)
-# inside "..." payloads only the delimiter and the reference introducer
-# need escaping; everything else may appear bare
-_DUAL_CODES = frozenset((ord('"'), ord("#")))
 _NAME_KINDS = (PrefixKind.CHILD, PrefixKind.SIBLING, PrefixKind.ATTR_NAME)
 _MARKER_KINDS = (PrefixKind.DEPTH, PrefixKind.SUBST_KEY)
 
@@ -103,10 +116,6 @@ class MalformedEntity(TokenizeError):
     pass
 
 
-def _all_digits(s: str) -> bool:
-    return bool(s) and all(c in _DIGITS for c in s)
-
-
 @dataclass
 class XsToken:
     kind: PrefixKind
@@ -120,11 +129,11 @@ class XsToken:
         if NUL in self.payload:
             raise ValueError("payload must not contain NUL")
         if self.kind in _NAME_KINDS:
-            if any(c in _WS for c in self.payload):
+            if WHITESPACE.search(self.payload):
                 raise ValueError("names must not contain whitespace")
             if not self.payload and self.subst_key is None:
                 raise ValueError("empty name")
-            if _all_digits(self.payload):
+            if reads_as_key(self.payload):
                 raise ValueError("purely numeric names collide with key references")
         else:
             if self.subst_key is not None:
@@ -153,148 +162,145 @@ class XsDocument:
 # ---------------------------------------------------------------------------
 # escaping
 
+def translation(replace: dict[str, str]) -> dict[int, str]:
+    """A str.translate table for replace.  The other ASCII characters map
+    to themselves, which spares translate a failed lookup for each."""
+    table = {i: chr(i) for i in range(128)}
+    table.update(str.maketrans(replace))
+    return table
+
+
+# inside "..." payloads only the delimiter and the reference introducer
+# need escaping; everything else may appear bare
+_DUAL_CHARS = '"#'
+_ESCAPE = translation({c: f"&#{ord(c)};" for c in PREFIX_CHARS})
+_ESCAPE_DUAL = translation({c: f"&#{ord(c)};" for c in _DUAL_CHARS})
+_REFERENCE = re.compile("&#0*([0-9]+);")
+_MALFORMED = re.compile("&#(?![0-9]+;)")
+
+
+def _resolver(chars: str) -> Callable[[re.Match], str]:
+    """re.sub callback folding a reference back to one of chars; any other
+    reference stays verbatim, however many digits it has."""
+    codes = {str(ord(c)): c for c in chars}
+    return lambda m: codes.get(m[1], m[0])
+
+
+_UNESCAPE = _resolver(PREFIX_CHARS)
+_UNESCAPE_DUAL = _resolver(_DUAL_CHARS)
+
+
 def escape_data(s: str, mode: EscapeMode = EscapeMode.ENTITY) -> str:
     """Make s safe for use as payload data in the given mode."""
     if mode is EscapeMode.SENTINEL:
         return s
-    return "".join(f"&#{ord(c)};" if c in _CHAR_TO_KIND else c for c in s)
-
-
-def _read_reference(s: str, i: int, codes: frozenset[int]) -> tuple[str, int]:
-    """Resolve a possible character reference at s[i] == '&'.
-
-    Returns the replacement text and the next index.  References outside
-    the requested code set stay verbatim; a '&#' that is not a decimal
-    reference is an error, since escaping never produces one.
-    """
-    if s[i + 1:i + 2] != "#":
-        return "&", i + 1
-    j = i + 2
-    while j < len(s) and s[j] in _DIGITS:
-        j += 1
-    if j == i + 2 or j >= len(s) or s[j] != ";":
-        raise MalformedEntity(i, "'&#' is not a decimal character reference")
-    code = int(s[i + 2:j])
-    if code in codes:
-        return chr(code), j + 1
-    return s[i:j + 1], j + 1
+    return s.translate(_ESCAPE)
 
 
 def unescape_data(s: str, mode: EscapeMode = EscapeMode.ENTITY) -> str:
-    """Inverse of escape_data over strings produced by it."""
+    """Inverse of escape_data over strings produced by it.
+
+    A '&#' that is not a decimal reference is an error, since escaping
+    never produces one."""
     if mode is EscapeMode.SENTINEL:
         return s
-    out: list[str] = []
-    i = 0
-    while i < len(s):
-        if s[i] == "&":
-            piece, i = _read_reference(s, i, _PREFIX_CODES)
-            out.append(piece)
-        else:
-            out.append(s[i])
-            i += 1
-    return "".join(out)
-
-
-def _escape_dual(s: str) -> str:
-    return "".join(f"&#{ord(c)};" if c in '"#' else c for c in s)
+    bad = _MALFORMED.search(s)
+    if bad:
+        raise MalformedEntity(bad.start(),
+                              "'&#' is not a decimal character reference")
+    return _REFERENCE.sub(_UNESCAPE, s)
 
 
 # ---------------------------------------------------------------------------
 # rendering
 
+def render_token(t: XsToken, escaping: EscapeMode) -> str:
+    """The wire form of one token; render joins these."""
+    kind = t.kind
+    if escaping is EscapeMode.SENTINEL:
+        mark, body = NUL, t.payload
+    else:
+        mark = ""
+        body = t.payload.translate(
+            _ESCAPE_DUAL if kind is PrefixKind.TEXT_DUAL else _ESCAPE)
+    if kind is PrefixKind.TEXT_DUAL:
+        return f'{mark}"{body}{mark}"'
+    if kind not in _NAME_KINDS:
+        return mark + kind.value + body
+    if not body:
+        out = f"{mark}{kind.value}{t.subst_key}"
+    elif t.subst_key is None:
+        out = mark + kind.value + body
+    else:
+        out = f"{mark}{kind.value}{body}{mark}#{t.subst_key}"
+    if t.depth is not None:
+        out += f"{mark}+{t.depth}"
+    return out
+
+
 def render(doc: XsDocument) -> str:
     """Serialize tokens to the wire string; no inter-token whitespace."""
-    sentinel = doc.escaping is EscapeMode.SENTINEL
-    mark = NUL if sentinel else ""
-    out: list[str] = []
-    for t in doc.tokens:
-        out.append(mark + t.kind.value)
-        if t.kind in _NAME_KINDS:
-            if t.payload:
-                out.append(t.payload if sentinel else escape_data(t.payload))
-                if t.subst_key is not None:
-                    out.append(f"{mark}#{t.subst_key}")
-            else:
-                out.append(str(t.subst_key))
-            if t.depth is not None:
-                out.append(f"{mark}+{t.depth}")
-        elif t.kind is PrefixKind.TEXT_DUAL:
-            body = t.payload if sentinel else _escape_dual(t.payload)
-            out.append(body + mark + '"')
-        else:
-            out.append(t.payload if sentinel else escape_data(t.payload))
-    return "".join(out)
+    return "".join([render_token(t, doc.escaping) for t in doc.tokens])
 
 
 # ---------------------------------------------------------------------------
 # tokenizing
 
-class _Cursor:
-    def __init__(self, text: str, sentinel: bool):
-        self.text = text
-        self.n = len(text)
-        self.sentinel = sentinel
+_P = re.escape(PREFIX_CHARS)
+_RUN_REF = "&#[0-9]+;|&(?!#)"
+# lead, data, name and dual patterns per escape mode
+_PATTERNS = {
+    EscapeMode.ENTITY: tuple(map(re.compile, (
+        f"[{_WS}]*([{_P}])?",
+        f"(?:[^{_P}&\\x00]+|{_RUN_REF})*",
+        f"(?:[^{_P}&\\x00{_WS}]+|{_RUN_REF})*",
+        f'(?:[^"&\\x00]+|{_RUN_REF})*'))),
+    EscapeMode.SENTINEL: tuple(map(re.compile, (
+        f"[{_WS}]*(\\x00[{_P}])?",
+        "[^\\x00]*",
+        f"[^\\x00{_WS}]*",
+        "[^\\x00]*"))),
+}
+_DIGIT_RUN = re.compile("[0-9]+")
 
-    def scan(self, i: int, name: bool) -> tuple[str, int]:
-        """Read a payload up to the next prefix character, or the next NUL
-        in sentinel mode; a name also ends at whitespace."""
-        out: list[str] = []
-        t = self.text
-        while i < self.n:
-            c = t[i]
-            if name and c in _WS:
-                break
-            if self.sentinel:
-                if c == NUL:
-                    break
-                out.append(c)
-                i += 1
-            else:
-                if c in _CHAR_TO_KIND:
-                    break
-                if c == NUL:
-                    raise StrayData(i, "NUL in entity-mode stream")
-                if c == "&":
-                    piece, i = _read_reference(t, i, _PREFIX_CODES)
-                    out.append(piece)
-                else:
-                    out.append(c)
-                    i += 1
-        return "".join(out), i
 
-    def scan_dual(self, i: int, start: int) -> tuple[str, int]:
-        out: list[str] = []
-        t = self.text
-        while i < self.n:
-            c = t[i]
-            if self.sentinel:
-                if c == NUL:
-                    if t[i + 1:i + 2] == '"':
-                        return "".join(out), i + 2
-                    raise UnterminatedDual(start, "dual text never closed")
-                out.append(c)
-                i += 1
-            else:
-                if c == '"':
-                    return "".join(out), i + 1
-                if c == NUL:
-                    raise StrayData(i, "NUL in entity-mode stream")
-                if c == "&":
-                    piece, i = _read_reference(t, i, _DUAL_CODES)
-                    out.append(piece)
-                else:
-                    out.append(c)
-                    i += 1
-        raise UnterminatedDual(start, "dual text never closed")
+def _no_token(text: str, i: int, sentinel: bool) -> NoReturn:
+    """Raise for the character at i, which cannot start a token."""
+    if sentinel:
+        if text[i] != NUL:
+            raise StrayData(i, "data outside any token")
+        if i + 1 == len(text):
+            raise DanglingEscape(i, "sentinel at end of input")
+        raise DanglingEscape(i, "sentinel before a non-structural character")
+    if text[i] == NUL:
+        raise StrayData(i, "NUL in entity-mode stream")
+    raise StrayData(i, "data outside any token")
 
-    def scan_digits(self, i: int) -> tuple[Optional[int], int]:
-        j = i
-        while j < self.n and self.text[j] in _DIGITS:
-            j += 1
-        if j == i:
-            return None, i
-        return int(self.text[i:j]), j
+
+def _payload(run: re.Pattern, text: str, i: int, sentinel: bool,
+             unescape: Callable[[re.Match], str]) -> tuple[str, int]:
+    """Read the payload run matches at i; returns it unescaped and its end.
+
+    An entity-mode run stops early at an '&' that starts no reference and
+    at a NUL, and both are errors there."""
+    j = run.match(text, i).end()
+    s = text[i:j]
+    if sentinel:
+        return s, j
+    c = text[j:j + 1]
+    if c == "&":
+        raise MalformedEntity(j, "'&#' is not a decimal character reference")
+    if c == NUL:
+        raise StrayData(j, "NUL in entity-mode stream")
+    return (_REFERENCE.sub(unescape, s) if "&" in s else s), j
+
+
+def _integer(digits: str, error: type[TokenizeError], offset: int,
+             what: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise error(offset, f"{what} has too many digits") from None
 
 
 def _attach_depth(tokens: list[XsToken], value: int, offset: int) -> None:
@@ -319,6 +325,10 @@ def _attach_key(tokens: list[XsToken], value: int, offset: int) -> None:
     raise BadKey(offset, "key binder is not attached to a name")
 
 
+_MARKERS = {PrefixKind.DEPTH: (BadDepth, "depth marker", _attach_depth),
+            PrefixKind.SUBST_KEY: (BadKey, "key binder", _attach_key)}
+
+
 def tokenize(text: str, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
     """Parse a wire string into tokens.
 
@@ -327,61 +337,46 @@ def tokenize(text: str, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
     preserved.
     """
     sentinel = escaping is EscapeMode.SENTINEL
-    cur = _Cursor(text, sentinel)
+    lead, data, name_run, dual = _PATTERNS[escaping]
+    close = NUL + '"' if sentinel else '"'
     tokens: list[XsToken] = []
-    i = 0
     n = len(text)
+    i = 0
     while i < n:
-        c = text[i]
-        if c in _WS:
-            i += 1
-            continue
-        start = i
-        if sentinel:
-            if c != NUL:
-                raise StrayData(i, "data outside any token")
-            if i + 1 >= n:
-                raise DanglingEscape(i, "sentinel at end of input")
-            c = text[i + 1]
-            if c not in _CHAR_TO_KIND:
-                raise DanglingEscape(i, "sentinel before a non-structural character")
-            i += 1
-        else:
-            if c == NUL:
-                raise StrayData(i, "NUL in entity-mode stream")
-            if c not in _CHAR_TO_KIND:
-                raise StrayData(i, "data outside any token")
-        kind = _CHAR_TO_KIND[c]
-        i += 1
+        m = lead.match(text, i)
+        if m[1] is None:
+            if m.end() < n:
+                _no_token(text, m.end(), sentinel)
+            break
+        start, i = m.span(1)
+        kind = _CHAR_TO_KIND[text[i - 1]]
 
-        if kind is PrefixKind.DEPTH:
-            value, i = cur.scan_digits(i)
-            if value is None:
-                raise BadDepth(start, "no integer after depth marker")
-            _attach_depth(tokens, value, start)
-        elif kind is PrefixKind.SUBST_KEY:
-            value, i = cur.scan_digits(i)
-            if value is None:
-                raise BadKey(start, "no integer after key binder")
-            _attach_key(tokens, value, start)
+        if kind in _MARKERS:
+            error, what, attach = _MARKERS[kind]
+            m = _DIGIT_RUN.match(text, i)
+            if m is None:
+                raise error(start, f"no integer after {what}")
+            attach(tokens, _integer(m[0], error, start, what), start)
+            i = m.end()
         elif kind in _NAME_KINDS:
-            name, i = cur.scan(i, name=True)
+            name, i = _payload(name_run, text, i, sentinel, _UNESCAPE)
             if not name:
                 raise EmptyName(start, "missing name")
-            if _all_digits(name):
-                tokens.append(XsToken(kind, "", subst_key=int(name)))
+            if reads_as_key(name):
+                key = _integer(name, BadKey, start, "key reference")
+                tokens.append(XsToken(kind, "", subst_key=key))
             else:
                 tokens.append(XsToken(kind, name))
-        elif kind is PrefixKind.TEXT_DUAL:
-            payload, i = cur.scan_dual(i, start)
-            tokens.append(XsToken(kind, payload))
-        elif kind is PrefixKind.ATTR_VALUE:
-            if not sentinel and i < n and text[i] == '"':
-                payload, i = cur.scan_dual(i + 1, start)
-            else:
-                payload, i = cur.scan(i, name=False)
+        elif kind is PrefixKind.TEXT_DUAL or (
+                kind is PrefixKind.ATTR_VALUE and not sentinel
+                and text.startswith('"', i)):
+            i += kind is PrefixKind.ATTR_VALUE  # past the opening quote
+            payload, i = _payload(dual, text, i, sentinel, _UNESCAPE_DUAL)
+            if not text.startswith(close, i):
+                raise UnterminatedDual(start, "dual text never closed")
+            i += len(close)
             tokens.append(XsToken(kind, payload))
         else:
-            payload, i = cur.scan(i, name=False)
+            payload, i = _payload(data, text, i, sentinel, _UNESCAPE)
             tokens.append(XsToken(kind, payload))
     return XsDocument(tokens, escaping)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .binary import pack_envelope
 from .codec import decode, encode
 from .errors import XStringError
-from .grammar import EscapeMode, PrefixKind, XsDocument, XsToken, render
+from .grammar import PrefixKind, XsDocument, XsToken, render, render_token
 from .xml_model import (NodeKind, XmlDocument, XmlNode, parse_xml,
                         serialize_xml, structural_equal, walk,
                         _serialize_attrs)
@@ -121,10 +121,6 @@ class Mismatch(XStringError):
     pass
 
 
-def _piece_len(tok: XsToken, escaping: EscapeMode) -> int:
-    return len(render(XsDocument([tok], escaping)))
-
-
 def _node_construct(node: XmlNode, tok: XsToken) -> tuple[ConstructKind, int]:
     """Construct kind and exact markup character count for one node."""
     if node.kind is NodeKind.ELEMENT:
@@ -174,7 +170,7 @@ def measure(xml_text: str, xs: XsDocument) -> SizeReport:
     owner: XmlNode | None = None
     attr_i = 0
     for tok in xs.tokens:
-        piece = _piece_len(tok, xs.escaping)
+        piece = len(render_token(tok, xs.escaping))
         if tok.kind is PrefixKind.ATTR_NAME:
             attr = owner.attributes[attr_i]
             attr_i += 1

@@ -8,7 +8,7 @@ from typing import Optional
 from .codec import EncodeMode, EncodeOptions, UnknownKey, decode, encode
 from .errors import XStringError
 from .grammar import (_NAME_KINDS, EscapeMode, PrefixKind, XsDocument, XsToken,
-                      escape_data)
+                      escape_data, reads_as_key)
 from .xml_model import XmlNode, walk
 
 
@@ -74,7 +74,7 @@ def build_substitution(doc: XsDocument,
         if tok.subst_key is not None:
             raise ValueError("stream already carries substitution keys")
         if tok.kind in _NAME_KINDS:
-            if tok.payload.isascii() and tok.payload.isdigit():
+            if reads_as_key(tok.payload):
                 raise NumericNameClash(
                     f"name {tok.payload!r} is indistinguishable from a key")
             if len(tok.payload) >= threshold:

@@ -21,6 +21,7 @@ Well-formedness violations are reported against a fixed eight-rule list:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import zip_longest
@@ -162,21 +163,20 @@ class WellFormednessError(XStringError):
 
 
 _WS = " \t\r\n"
-_NAME_EXTRA = ".-_:"
-
-
-def _is_name_start(c: str) -> bool:
-    return c.isalpha() or c in "_:"
-
-
-def _is_name_char(c: str) -> bool:
-    return c.isalnum() or c in _NAME_EXTRA
+_WS_RUN = re.compile(f"[{_WS}]*")
+# a name character is alphanumeric or one of "._-:", which is exactly \w
+# plus ".-:" (\w already holds the underscore)
+_NAME_RUN = re.compile(r"[\w.\-:]*")
+_UNQUOTED_VALUE = re.compile(f"[^{_WS}>/]*")
+# '&' not starting a reference: a name or digits after an optional '#',
+# then ';'
+_BARE_AMP = re.compile(r"&(?!#?[\w.\-]+;)")
+_ANGLES = re.compile("[<>]")
 
 
 def _valid_name(name: str) -> bool:
-    if not name or not _is_name_start(name[0]):
-        return False
-    return all(_is_name_char(c) for c in name)
+    return (name[:1].isalpha() or name[:1] in ("_", ":")) \
+        and _NAME_RUN.fullmatch(name) is not None
 
 
 class _Parser:
@@ -217,8 +217,7 @@ class _Parser:
         return self.text[self.pos:self.pos + n]
 
     def skip_ws(self) -> None:
-        while not self.eof() and self.text[self.pos] in _WS:
-            self.pos += 1
+        self.pos = _WS_RUN.match(self.text, self.pos).end()
 
     def read_until(self, marker: str) -> Optional[str]:
         end = self.text.find(marker, self.pos)
@@ -228,32 +227,20 @@ class _Parser:
         self.pos = end + len(marker)
         return out
 
+    def read_run(self, run: re.Pattern) -> str:
+        m = run.match(self.text, self.pos)
+        self.pos = m.end()
+        return m[0]
+
     def read_name(self) -> str:
-        start = self.pos
-        while not self.eof() and _is_name_char(self.text[self.pos]):
-            self.pos += 1
-        return self.text[start:self.pos]
+        return self.read_run(_NAME_RUN)
 
     # -- entity scan (rule 8) ----------------------------------------------
 
     def scan_amps(self, data: str, base: int) -> None:
-        i = 0
-        while True:
-            i = data.find("&", i)
-            if i < 0:
-                return
-            j = i + 1
-            if j < len(data) and data[j] == "#":
-                j += 1
-            k = j
-            while k < len(data) and (data[k].isalnum() or data[k] in "._-"):
-                k += 1
-            if k == j or k >= len(data) or data[k] != ";":
-                self.violate(8, base + i,
-                             "bare '&' must be an entity reference")
-                i += 1
-            else:
-                i = k + 1
+        for m in _BARE_AMP.finditer(data):
+            self.violate(8, base + m.start(),
+                         "bare '&' must be an entity reference")
 
     # -- node attachment ----------------------------------------------------
 
@@ -303,26 +290,18 @@ class _Parser:
 
     def parse_dtd(self, start: int) -> None:
         # opaque <!...> capture; '<'/'>' depth covers internal subsets
-        self.pos += 2
         depth = 1
-        body_start = self.pos
-        while not self.eof():
-            c = self.text[self.pos]
-            if c == "<":
-                depth += 1
-            elif c == ">":
-                depth -= 1
-                if depth == 0:
-                    body = self.text[body_start:self.pos]
-                    self.pos += 1
-                    if not self.stack:
-                        # no slot for a doctype in the document model
-                        self.violate(1, start,
-                                     "declaration outside the root element")
-                        return
-                    self.attach(XmlNode.dtd(body), start)
+        for m in _ANGLES.finditer(self.text, start + 2):
+            depth += 1 if m[0] == "<" else -1
+            if depth == 0:
+                self.pos = m.end()
+                if not self.stack:
+                    # no slot for a doctype in the document model
+                    self.violate(1, start,
+                                 "declaration outside the root element")
                     return
-            self.pos += 1
+                self.attach(XmlNode.dtd(self.text[start + 2:m.start()]), start)
+                return
         self.syntax(start, "unterminated '<!' declaration")
 
     def parse_pi(self, start: int) -> None:
@@ -389,11 +368,7 @@ class _Parser:
                 else:
                     self.violate(6, self.pos,
                                  "attribute value must be quoted")
-                    start = self.pos
-                    while (not self.eof()
-                           and self.text[self.pos] not in _WS + ">/"):
-                        self.pos += 1
-                    value = self.text[start:self.pos]
+                    value = self.read_run(_UNQUOTED_VALUE)
             if name in seen:
                 self.violate(6, name_off, f"duplicate attribute {name!r}")
                 continue

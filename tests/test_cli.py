@@ -198,6 +198,35 @@ def test_fold_error_label(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("fold: ")
 
 
+@pytest.mark.parametrize("wire", ["/X+" + "9" * 5000, "/X#" + "9" * 5000,
+                                  "/" + "9" * 5000],
+                         ids=["depth", "key", "reference"])
+def test_overlong_digit_run_label(tmp_path, capsys, wire):
+    src = write(tmp_path, "in.xs", wire)
+    assert main(["decode", src]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tokenize: ")
+    assert err.count("\n") == 1
+
+
+def test_missing_input_file_label(tmp_path, capsys):
+    assert main(["encode", str(tmp_path / "absent.xml")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("io: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_non_utf8_input_label(tmp_path, capsys):
+    src = tmp_path / "latin1.xml"
+    src.write_bytes("<A>caf\u00e9</A>".encode("latin-1"))
+    assert main(["encode", str(src)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("io: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_deep_document_round_trip(tmp_path, capsys):
     xml = "<A>" * 3000 + "t" + "</A>" * 3000
     src = write(tmp_path, "in.xml", xml)

@@ -214,6 +214,29 @@ def test_tokenize_errors():
         tokenize("x\0/X", EscapeMode.SENTINEL)
 
 
+@pytest.mark.parametrize("wire, error, offset", [
+    ("/X+" + "9" * 5000, BadDepth, 2),
+    ("/X#" + "9" * 5000, BadKey, 2),
+    ("/X'a|" + "9" * 5000, BadKey, 4),
+    ("\0/X\0+" + "9" * 5000, BadDepth, 3),
+], ids=["depth", "key", "reference", "sentinel-depth"])
+def test_overlong_digit_runs_are_typed(wire, error, offset):
+    escaping = EscapeMode.SENTINEL if wire[0] == "\0" else EscapeMode.ENTITY
+    with pytest.raises(error) as info:
+        tokenize(wire, escaping)
+    assert info.value.offset == offset
+    assert "too many digits" in info.value.reason
+
+
+def test_overlong_reference_stays_verbatim():
+    ref = "&#" + "9" * 5000 + ";"
+    assert tokenize(f"/X'{ref}").tokens[1].payload == ref
+    assert tokenize(f'/X"{ref}"').tokens[1].payload == ref
+    assert unescape_data(ref) == ref
+    # leading zeros do not change which character a reference names
+    assert tokenize("/X'&#" + "0" * 5000 + "47;").tokens[1].payload == "/"
+
+
 def test_token_validation():
     with pytest.raises(ValueError):
         XsToken(PrefixKind.CHILD, "a b")
