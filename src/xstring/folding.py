@@ -20,13 +20,13 @@ from typing import Optional
 
 from .codec import EncodeOptions, decode, encode
 from .errors import XStringError
-from .grammar import EscapeMode, render, tokenize, translation
+from .grammar import EscapeMode, escaper, render, tokenize
 from .xml_model import NodeKind, XmlDocument, XmlNode, walk
 
 SLOT_NAME = "XSTRING"
 
-_ESCAPES = translation({" ": "&#160;", '"': "&#34;", "&": "&#38;",
-                        "<": "&#60;"})
+_ESCAPE = escaper({" ": "&#160;", '"': "&#34;", "&": "&#38;",
+                     "<": "&#60;"})
 _UNESCAPES = {"&#160;": " ", "&#34;": '"', "&#38;": "&", "&#60;": "<",
               "&nbsp;": " "}
 # every reference starts with '&' and ends at its first ';', so matching
@@ -66,7 +66,7 @@ class LengthMismatch(FoldError):
 
 def escape_fold_attr(s: str) -> str:
     """Make an encoded string safe for storage in an attribute value."""
-    return s.translate(_ESCAPES)
+    return _ESCAPE(s)
 
 
 def unescape_fold_attr(s: str) -> str:

@@ -162,19 +162,25 @@ class XsDocument:
 # ---------------------------------------------------------------------------
 # escaping
 
-def translation(replace: dict[str, str]) -> dict[int, str]:
-    """A str.translate table for replace.  The other ASCII characters map
-    to themselves, which spares translate a failed lookup for each."""
-    table = {i: chr(i) for i in range(128)}
-    table.update(str.maketrans(replace))
-    return table
+def escaper(replace: dict[str, str]) -> Callable[[str], str]:
+    """A function writing each key of replace as its value, one str.replace
+    pass per key, so its cost does not depend on the script of the text.
+    Keys that occur in the values go first, so none is escaped twice."""
+    values = "".join(replace.values())
+    order = sorted(replace, key=lambda c: c not in values)
+
+    def escape(s: str) -> str:
+        for c in order:
+            if c in s:
+                s = s.replace(c, replace[c])
+        return s
+    return escape
 
 
-# inside "..." payloads only the delimiter and the reference introducer
-# need escaping; everything else may appear bare
+# "..." payloads escape only the delimiter and the reference introducer
 _DUAL_CHARS = '"#'
-_ESCAPE = translation({c: f"&#{ord(c)};" for c in PREFIX_CHARS})
-_ESCAPE_DUAL = translation({c: f"&#{ord(c)};" for c in _DUAL_CHARS})
+_ESCAPE = escaper({c: f"&#{ord(c)};" for c in PREFIX_CHARS})
+_ESCAPE_DUAL = escaper({c: f"&#{ord(c)};" for c in _DUAL_CHARS})
 _REFERENCE = re.compile("&#0*([0-9]+);")
 _MALFORMED = re.compile("&#(?![0-9]+;)")
 
@@ -192,9 +198,7 @@ _UNESCAPE_DUAL = _resolver(_DUAL_CHARS)
 
 def escape_data(s: str, mode: EscapeMode = EscapeMode.ENTITY) -> str:
     """Make s safe for use as payload data in the given mode."""
-    if mode is EscapeMode.SENTINEL:
-        return s
-    return s.translate(_ESCAPE)
+    return s if mode is EscapeMode.SENTINEL else _ESCAPE(s)
 
 
 def unescape_data(s: str, mode: EscapeMode = EscapeMode.ENTITY) -> str:
@@ -221,8 +225,8 @@ def render_token(t: XsToken, escaping: EscapeMode) -> str:
         mark, body = NUL, t.payload
     else:
         mark = ""
-        body = t.payload.translate(
-            _ESCAPE_DUAL if kind is PrefixKind.TEXT_DUAL else _ESCAPE)
+        body = (_ESCAPE_DUAL if kind is PrefixKind.TEXT_DUAL
+                else _ESCAPE)(t.payload)
     if kind is PrefixKind.TEXT_DUAL:
         return f'{mark}"{body}{mark}"'
     if kind not in _NAME_KINDS:
