@@ -28,8 +28,17 @@ subtree still open above p.  Two local rules keep it so:
   the open child of p, or when no open element has its name and that
   child is the innermost; otherwise it becomes a child token.
 
-One decode of the result checks the round trip.  Canonical encoding skips
-sibling tokens entirely and gives every element an explicit depth.
+Canonical encoding skips sibling tokens entirely and gives every element
+an explicit depth, set when the walk leaves the element.
+
+Either form is emitted in one walk of the caller's tree.  Each node is
+checked when the walk first reaches it (the prolog before everything), so
+the first node in document order that cannot be written raises
+Unencodable.  Whitespace-only text is skipped in the walk when it is
+insignificant.  A text token takes the dual form when it ends in a prefix
+character, unless it follows a bare =, where a dual would read back as a
+quoted value.  One decode of the sibling form, compared with the caller's
+tree, then checks the round trip.
 """
 
 from __future__ import annotations
@@ -41,8 +50,8 @@ from typing import Optional
 from .errors import XStringError
 from .grammar import (NUL, PREFIX_CHARS, WHITESPACE, EscapeMode, PrefixKind,
                       XsDocument, XsToken, reads_as_key)
-from .xml_model import (NodeKind, XmlDocument, XmlNode,
-                        drop_insignificant_whitespace, structural_equal, walk)
+from .xml_model import (NodeKind, OpenStack, XmlDocument, XmlNode,
+                        structural_equal, walk)
 
 
 class EncodeMode:
@@ -112,31 +121,6 @@ class Unencodable(XStringError):
     pass
 
 
-class _OpenStack(list):
-    """Open elements, outermost first, plus nearest: name -> index of the
-    topmost open element with that name, or -1.  The decoder keeps one, and
-    the sibling encoder keeps the one the decoder will hold."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.nearest: dict[str, int] = {}
-        self._below: list[tuple[str, int]] = []
-
-    def push(self, name: str, entry) -> None:
-        self._below.append((name, self.nearest.get(name, -1)))
-        self.nearest[name] = len(self)
-        self.append(entry)
-
-    def pop(self):
-        name, below = self._below.pop()
-        self.nearest[name] = below
-        return super().pop()
-
-    def truncate(self, size: int) -> None:
-        while len(self) > size:
-            self.pop()
-
-
 @dataclass
 class OpenEntry:
     node: XmlNode
@@ -154,11 +138,14 @@ class DecodeState:
     Each node costs O(1) amortized at any depth."""
 
     def __init__(self):
-        self.open_stack = _OpenStack()
+        self.open_stack = OpenStack()
         self.root: Optional[XmlNode] = None
         self.prolog: Optional[XmlNode] = None
         self._attached = 0
         self._pending_attr = False
+        # attribute names of the element opened last; an attribute for any
+        # other element finds it holding content and fails before the lookup
+        self._attr_names: set[str] = set()
         self._keys: dict[int, str] = {}
 
     # -- helpers ------------------------------------------------------------
@@ -203,8 +190,9 @@ class DecodeState:
                 raise AttrAfterContent(
                     f"attribute after content in <{owner.name}>")
             name = self._resolve_name(tok)
-            if any(n == name for n, _ in owner.attributes):
+            if name in self._attr_names:
                 raise DuplicateAttr(f"duplicate attribute {name!r}")
+            self._attr_names.add(name)
             owner.attributes.append((name, None))
             self._pending_attr = True
         else:
@@ -224,6 +212,7 @@ class DecodeState:
         close = None if tok.depth is None else self._attached + tok.depth
         low = min(inf if close is None else close, stack[-1].low if stack else inf)
         stack.push(name, OpenEntry(elem, close, low))
+        self._attr_names.clear()
 
     def _feed_child(self, tok: XsToken) -> None:
         name = self._resolve_name(tok)
@@ -302,7 +291,7 @@ class DecodeState:
     def finish(self) -> XmlDocument:
         if self.root is None:
             raise EmptyStream("no root element in the stream")
-        self.open_stack = _OpenStack()
+        self.open_stack = OpenStack()
         return XmlDocument(self.root, self.prolog)
 
 
@@ -324,87 +313,89 @@ def descendant_count(node: XmlNode) -> int:
     return sum(entering for _, entering in walk(node)) - 1
 
 
-def _pi_payload(node: XmlNode) -> str:
-    return f"{node.name} {node.content}" if node.content else node.name
+_DATA_KINDS = {NodeKind.COMMENT: PrefixKind.COMMENT,
+               NodeKind.CDATA: PrefixKind.CDATA, NodeKind.DTD: PrefixKind.DTD}
 
 
-def _data_token(node: XmlNode, escaping: EscapeMode) -> XsToken:
-    if node.kind is NodeKind.TEXT:
-        last = node.content[-1:]
-        if (escaping is EscapeMode.ENTITY and last
-                and last in PREFIX_CHARS and last != '"'):
-            return XsToken(PrefixKind.TEXT_DUAL, node.content)
-        return XsToken(PrefixKind.TEXT, node.content)
-    if node.kind is NodeKind.COMMENT:
-        return XsToken(PrefixKind.COMMENT, node.content)
-    if node.kind is NodeKind.CDATA:
-        return XsToken(PrefixKind.CDATA, node.content)
-    if node.kind is NodeKind.DTD:
-        return XsToken(PrefixKind.DTD, node.content)
-    return XsToken(PrefixKind.PROC_INSTR, _pi_payload(node))
+def _nul_free(s: str) -> str:
+    if NUL in s:
+        raise Unencodable("NUL in character data cannot be written")
+    return s
 
 
-def _check_encodable(doc: XmlDocument) -> None:
-    def check_name(name: str, what: str) -> None:
-        if not name or WHITESPACE.search(name) or NUL in name:
-            raise Unencodable(f"{what} name {name!r} cannot be written")
-        if reads_as_key(name):
-            raise Unencodable(
-                f"{what} name {name!r} would read back as a key reference")
-
-    tops = [doc.root] if doc.prolog is None else [doc.prolog, doc.root]
-    for node in (n for top in tops for n, entering in walk(top) if entering):
-        if NUL in node.content:
-            raise Unencodable("NUL in character data cannot be written")
-        if node.kind in (NodeKind.ELEMENT, NodeKind.PROC_INSTR):
-            check_name(node.name, node.kind.value)
-        for name, value in node.attributes:
-            check_name(name, "attribute")
-            if value is not None and NUL in value:
-                raise Unencodable("NUL in character data cannot be written")
+def _writable_name(name: str, what: str) -> str:
+    if not name or WHITESPACE.search(name) or NUL in name:
+        raise Unencodable(f"{what} name {name!r} cannot be written")
+    if reads_as_key(name):
+        raise Unencodable(
+            f"{what} name {name!r} would read back as a key reference")
+    return name
 
 
-def _attr_tokens(elem: XmlNode, tokens: list[XsToken]) -> None:
-    for name, value in elem.attributes:
-        tokens.append(XsToken(PrefixKind.ATTR_NAME, name))
+def _element_tokens(node: XmlNode, kind: PrefixKind,
+                    tokens: list[XsToken]) -> XsToken:
+    """Check an element and append its token and attribute tokens."""
+    _nul_free(node.content)
+    tok = XsToken(kind, _writable_name(node.name, node.kind.value))
+    tokens.append(tok)
+    for name, value in node.attributes:
+        tokens.append(XsToken(PrefixKind.ATTR_NAME,
+                              _writable_name(name, "attribute")))
         if value is not None:
-            tokens.append(XsToken(PrefixKind.ATTR_VALUE, value))
+            tokens.append(XsToken(PrefixKind.ATTR_VALUE, _nul_free(value)))
+    return tok
 
 
-def _emit_canonical(doc: XmlDocument, escaping: EscapeMode) -> list[XsToken]:
-    tokens: list[XsToken] = []
-    if doc.prolog is not None:
-        tokens.append(XsToken(PrefixKind.PROC_INSTR, _pi_payload(doc.prolog)))
+def _data_token(node: XmlNode, escaping: EscapeMode,
+                tokens: list[XsToken]) -> None:
+    """Check a data node and append its token."""
+    content = _nul_free(node.content)
+    if node.kind is NodeKind.TEXT:
+        # a trailing prefix character needs the dual form in entity mode,
+        # except right after a bare =, where a dual would read back as a
+        # quoted value; plain text escapes the character instead
+        last = content[-1:]
+        dual = (escaping is EscapeMode.ENTITY and last
+                and last in PREFIX_CHARS and last != '"'
+                and not (tokens and tokens[-1].kind is PrefixKind.ATTR_VALUE
+                         and not tokens[-1].payload))
+        kind = PrefixKind.TEXT_DUAL if dual else PrefixKind.TEXT
+    elif node.kind in _DATA_KINDS:
+        kind = _DATA_KINDS[node.kind]
+    else:
+        name = _writable_name(node.name, node.kind.value)
+        kind = PrefixKind.PROC_INSTR
+        content = f"{name} {content}" if content else name
+    tokens.append(XsToken(kind, content))
+
+
+def _emit_canonical(root: XmlNode, escaping: EscapeMode, drop: bool,
+                    tokens: list[XsToken]) -> None:
     # (token, nodes emitted up to and including it) per open element; its
     # depth is the number of nodes emitted between its enter and leave
     open_elems: list[tuple[XsToken, int]] = []
     emitted = 0
-    for node, entering in walk(doc.root):
+    for node, entering in walk(root):
         if node.kind is not NodeKind.ELEMENT:
-            if entering:
+            if entering and not (drop and node.is_whitespace_text()):
                 emitted += 1
-                tokens.append(_data_token(node, escaping))
+                _data_token(node, escaping, tokens)
         elif entering:
             emitted += 1
-            tok = XsToken(PrefixKind.CHILD, node.name)
-            tokens.append(tok)
-            _attr_tokens(node, tokens)
+            tok = _element_tokens(node, PrefixKind.CHILD, tokens)
             open_elems.append((tok, emitted))
         else:
             tok, start = open_elems.pop()
             tok.depth = emitted - start
-    return tokens
 
 
-def _encode_safe_sibling(doc: XmlDocument, escaping: EscapeMode) -> list[XsToken]:
-    tokens: list[XsToken] = []
-    if doc.prolog is not None:
-        tokens.append(XsToken(PrefixKind.PROC_INSTR, _pi_payload(doc.prolog)))
+def _emit_safe_sibling(root: XmlNode, escaping: EscapeMode, drop: bool,
+                       tokens: list[XsToken]) -> None:
     # The decoder's stack of open elements, as (token, nodes attached up
     # to and including the element).  Every node emitted so far decodes
     # under its true parent, so the stack holds the ancestors of the next
     # node plus the chain of the last finished element child above them.
-    stack = _OpenStack()
+    stack = OpenStack()
     # per open ancestor in the tree, under one for the document itself:
     # has it an element child yet
     seen_element = [False]
@@ -418,13 +409,13 @@ def _encode_safe_sibling(doc: XmlDocument, escaping: EscapeMode) -> list[XsToken
             tok.depth = attached - start
             stack.truncate(p + 1)
 
-    for node, entering in walk(doc.root):
+    for node, entering in walk(root):
         p = len(seen_element) - 2  # stack index of the node's parent
         if node.kind is not NodeKind.ELEMENT:
-            if entering:
+            if entering and not (drop and node.is_whitespace_text()):
                 close_above(p)
                 attached += 1
-                tokens.append(_data_token(node, escaping))
+                _data_token(node, escaping, tokens)
             continue
         if not entering:
             seen_element.pop()
@@ -437,41 +428,27 @@ def _encode_safe_sibling(doc: XmlDocument, escaping: EscapeMode) -> list[XsToken
         else:
             kind = PrefixKind.CHILD
             close_above(p)
-        tok = XsToken(kind, node.name)
-        tokens.append(tok)
-        _attr_tokens(node, tokens)
+        tok = _element_tokens(node, kind, tokens)
         attached += 1
         stack.push(node.name, (tok, attached))
         seen_element[-1] = True
         seen_element.append(False)
 
-    decoded = decode(XsDocument(tokens, escaping))
-    if not structural_equal(decoded, doc, whitespace_significant=True):
-        raise Unencodable("encoded stream does not decode to the document")
-    return tokens
-
-
-def _avoid_quoted_value(tokens: list[XsToken]) -> None:
-    # A dual right after a bare = would read back as a quoted attribute
-    # value; plain text escapes the trailing prefix character instead.
-    for i in range(1, len(tokens)):
-        prev = tokens[i - 1]
-        if (tokens[i].kind is PrefixKind.TEXT_DUAL
-                and prev.kind is PrefixKind.ATTR_VALUE and not prev.payload):
-            tokens[i] = XsToken(PrefixKind.TEXT, tokens[i].payload)
-
 
 def encode(doc: XmlDocument, opts: Optional[EncodeOptions] = None) -> XsDocument:
     """Encode a document; decode(encode(d)) is structurally equal to d."""
     opts = opts or EncodeOptions()
-    _check_encodable(doc)
-    prepared = (drop_insignificant_whitespace(doc)
-                if opts.drop_insignificant_whitespace else doc)
+    drop = opts.drop_insignificant_whitespace
+    tokens: list[XsToken] = []
+    if doc.prolog is not None:
+        _data_token(doc.prolog, opts.escaping, tokens)
     if opts.mode == EncodeMode.CANONICAL:
-        tokens = _emit_canonical(prepared, opts.escaping)
+        _emit_canonical(doc.root, opts.escaping, drop, tokens)
     else:
-        tokens = _encode_safe_sibling(prepared, opts.escaping)
-    _avoid_quoted_value(tokens)
+        _emit_safe_sibling(doc.root, opts.escaping, drop, tokens)
+        decoded = decode(XsDocument(tokens, opts.escaping))
+        if not structural_equal(decoded, doc, whitespace_significant=not drop):
+            raise Unencodable("encoded stream does not decode to the document")
     out = XsDocument(tokens, opts.escaping)
     if opts.substitution_threshold is not None:
         from .transforms import build_substitution

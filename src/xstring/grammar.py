@@ -77,7 +77,7 @@ class EscapeMode(Enum):
 
 PREFIX_CHARS = "".join(k.value for k in PrefixKind)
 _CHAR_TO_KIND = {k.value: k for k in PrefixKind}
-_NAME_KINDS = (PrefixKind.CHILD, PrefixKind.SIBLING, PrefixKind.ATTR_NAME)
+NAME_KINDS = (PrefixKind.CHILD, PrefixKind.SIBLING, PrefixKind.ATTR_NAME)
 _MARKER_KINDS = (PrefixKind.DEPTH, PrefixKind.SUBST_KEY)
 
 
@@ -128,7 +128,7 @@ class XsToken:
             raise ValueError(f"{self.kind.name} is a marker, not a token kind")
         if NUL in self.payload:
             raise ValueError("payload must not contain NUL")
-        if self.kind in _NAME_KINDS:
+        if self.kind in NAME_KINDS:
             if WHITESPACE.search(self.payload):
                 raise ValueError("names must not contain whitespace")
             if not self.payload and self.subst_key is None:
@@ -229,7 +229,7 @@ def render_token(t: XsToken, escaping: EscapeMode) -> str:
                 else _ESCAPE)(t.payload)
     if kind is PrefixKind.TEXT_DUAL:
         return f'{mark}"{body}{mark}"'
-    if kind not in _NAME_KINDS:
+    if kind not in NAME_KINDS:
         return mark + kind.value + body
     if not body:
         out = f"{mark}{kind.value}{t.subst_key}"
@@ -323,7 +323,7 @@ def _attach_depth(tokens: list[XsToken], value: int, offset: int) -> None:
 def _attach_key(tokens: list[XsToken], value: int, offset: int) -> None:
     if tokens:
         t = tokens[-1]
-        if t.kind in _NAME_KINDS and t.payload and t.subst_key is None:
+        if t.kind in NAME_KINDS and t.payload and t.subst_key is None:
             t.subst_key = value
             return
     raise BadKey(offset, "key binder is not attached to a name")
@@ -362,7 +362,7 @@ def tokenize(text: str, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
                 raise error(start, f"no integer after {what}")
             attach(tokens, _integer(m[0], error, start, what), start)
             i = m.end()
-        elif kind in _NAME_KINDS:
+        elif kind in NAME_KINDS:
             name, i = _payload(name_run, text, i, sentinel, _UNESCAPE)
             if not name:
                 raise EmptyName(start, "missing name")

@@ -18,8 +18,8 @@ from .codec import decode, encode
 from .errors import XStringError
 from .grammar import PrefixKind, XsDocument, XsToken, render, render_token
 from .xml_model import (NodeKind, XmlDocument, XmlNode, parse_xml,
-                        serialize_xml, structural_equal, walk,
-                        _serialize_attrs)
+                        serialize_attribute, serialize_xml, structural_equal,
+                        walk)
 
 
 class ConstructKind(enum.Enum):
@@ -176,7 +176,7 @@ def measure(xml_text: str, xs: XsDocument) -> SizeReport:
             attr_i += 1
             s = stat(ConstructKind.ATTRIBUTE)
             s.count += 1
-            s.xml_chars += len(_serialize_attrs([attr])) - 1
+            s.xml_chars += len(serialize_attribute(attr)) - 1
             s.xs_chars += piece
             report.xml_overhead += 1
         elif tok.kind is PrefixKind.ATTR_VALUE:

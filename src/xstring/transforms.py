@@ -7,7 +7,7 @@ from typing import Optional
 
 from .codec import EncodeMode, EncodeOptions, UnknownKey, decode, encode
 from .errors import XStringError
-from .grammar import (_NAME_KINDS, EscapeMode, PrefixKind, XsDocument, XsToken,
+from .grammar import (NAME_KINDS, EscapeMode, PrefixKind, XsDocument, XsToken,
                       escape_data, reads_as_key)
 from .xml_model import XmlNode, walk
 
@@ -73,7 +73,7 @@ def build_substitution(doc: XsDocument,
                 f"name {tok.subst_key} is indistinguishable from a key")
         if tok.subst_key is not None:
             raise ValueError("stream already carries substitution keys")
-        if tok.kind in _NAME_KINDS:
+        if tok.kind in NAME_KINDS:
             if reads_as_key(tok.payload):
                 raise NumericNameClash(
                     f"name {tok.payload!r} is indistinguishable from a key")
@@ -83,7 +83,7 @@ def build_substitution(doc: XsDocument,
     table = SubstitutionTable()
     keys: dict[str, int] = {}
     for tok in doc.tokens:
-        if tok.kind not in _NAME_KINDS:
+        if tok.kind not in NAME_KINDS:
             continue
         name = tok.payload
         if name in keys or counts.get(name, 0) < 2:
@@ -98,7 +98,7 @@ def build_substitution(doc: XsDocument,
     out: list[XsToken] = []
     bound: set[str] = set()
     for tok in doc.tokens:
-        if tok.kind in _NAME_KINDS and tok.payload in keys:
+        if tok.kind in NAME_KINDS and tok.payload in keys:
             key = keys[tok.payload]
             if tok.payload in bound:
                 out.append(XsToken(tok.kind, "", depth=tok.depth, subst_key=key))

@@ -121,6 +121,31 @@ def _copy_tree(root: XmlNode, keep_whitespace: bool) -> XmlNode:
     return stack[0].children[0]
 
 
+class OpenStack(list):
+    """Open elements, outermost first, plus nearest: name -> index of the
+    topmost open element with that name, or -1.  The parser and the decoder
+    keep one, and the sibling encoder keeps the one the decoder will hold."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.nearest: dict[str, int] = {}
+        self._below: list[tuple[str, int]] = []
+
+    def push(self, name: str, entry) -> None:
+        self._below.append((name, self.nearest.get(name, -1)))
+        self.nearest[name] = len(self)
+        self.append(entry)
+
+    def pop(self):
+        name, below = self._below.pop()
+        self.nearest[name] = below
+        return super().pop()
+
+    def truncate(self, size: int) -> None:
+        while len(self) > size:
+            self.pop()
+
+
 @dataclass
 class XmlDocument:
     root: XmlNode
@@ -190,7 +215,7 @@ class _Parser:
         self.violations: list[Violation] = []
         self.prolog: Optional[XmlNode] = None
         self.root: Optional[XmlNode] = None
-        self.stack: list[XmlNode] = []
+        self.stack = OpenStack()
         self.fatal = False
 
     # -- error plumbing -----------------------------------------------------
@@ -388,14 +413,11 @@ class _Parser:
         if self.stack and self.stack[-1].name == name:
             self.stack.pop()
             return
-        open_names = [e.name for e in self.stack]
-        if name in open_names:
+        at = self.stack.nearest.get(name, -1)
+        if at >= 0:
             self.violate(4, start,
                          f"close tag </{name}> overlaps <{self.stack[-1].name}>")
-            while self.stack and self.stack[-1].name != name:
-                self.stack.pop()
-            if self.stack:
-                self.stack.pop()
+            self.stack.truncate(at)
         else:
             self.violate(2, start, f"close tag </{name}> matches no open tag")
 
@@ -412,7 +434,7 @@ class _Parser:
         closed = self.parse_attributes(node)
         self.attach(node, start)
         if not closed:
-            self.stack.append(node)
+            self.stack.push(name, node)
 
     # -- driver -------------------------------------------------------------
 
@@ -463,17 +485,16 @@ def check_well_formed(text: str) -> WellFormednessReport:
     return WellFormednessReport(p.violations)
 
 
-def _serialize_attrs(attrs: list[Attribute]) -> str:
-    parts = []
-    for name, value in attrs:
-        if value is None:
-            parts.append(f" {name}")
-        elif '"' in value and "'" not in value:
-            parts.append(f" {name}='{value}'")
-        else:
-            v = value.replace('"', "&#34;")
-            parts.append(f' {name}="{v}"')
-    return "".join(parts)
+def serialize_attribute(attr: Attribute) -> str:
+    """The markup of one attribute with its leading space; a start tag
+    joins these."""
+    name, value = attr
+    if value is None:
+        return f" {name}"
+    if '"' in value and "'" not in value:
+        return f" {name}='{value}'"
+    v = value.replace('"', "&#34;")
+    return f' {name}="{v}"'
 
 
 def _serialize_node(root: XmlNode, out: list[str]) -> None:
@@ -483,7 +504,8 @@ def _serialize_node(root: XmlNode, out: list[str]) -> None:
                 out.append(f"</{node.name}>")
         elif node.kind is NodeKind.ELEMENT:
             end = ">" if node.children else "/>"
-            out.append(f"<{node.name}{_serialize_attrs(node.attributes)}{end}")
+            attrs = "".join(map(serialize_attribute, node.attributes))
+            out.append(f"<{node.name}{attrs}{end}")
         elif node.kind is NodeKind.TEXT:
             out.append(node.content)
         elif node.kind is NodeKind.COMMENT:

@@ -1,17 +1,71 @@
-"""The decode-and-repair safe-sibling encoder, kept as a reference.
+"""The encoder pieces the codec's one-walk encoder replaced, kept as
+references.
 
-The codec's one-pass encoder replaced this loop; the differential tests in
-test_sibling_encoder.py compare the two.  It starts from the plain
-child/sibling emission, decodes its own output and repairs the leftmost
-divergence until the round trip is exact, up to 2n+4 rounds.
+The codec's one-pass encoder replaced the decode-and-repair loop; the
+differential tests in test_sibling_encoder.py compare the two.  The loop
+starts from the plain child/sibling emission, decodes its own output and
+repairs the leftmost divergence until the round trip is exact, up to 2n+4
+rounds.  _check_encodable is the check the encoder ran over the whole tree
+before emitting; the encoder now checks each node as it emits it.
 """
 
 from xstring.codec import (BudgetConflict, DecodeState, Unencodable,
-                           _avoid_quoted_value, _data_token, _pi_payload,
                            descendant_count)
-from xstring.grammar import EscapeMode, PrefixKind, XsDocument, XsToken
+from xstring.grammar import (NUL, PREFIX_CHARS, WHITESPACE, EscapeMode,
+                             PrefixKind, XsDocument, XsToken, reads_as_key)
 from xstring.xml_model import (NodeKind, XmlDocument, XmlNode,
-                               drop_insignificant_whitespace, structural_equal)
+                               drop_insignificant_whitespace, structural_equal,
+                               walk)
+
+
+def _pi_payload(node: XmlNode) -> str:
+    return f"{node.name} {node.content}" if node.content else node.name
+
+
+def _data_token(node: XmlNode, escaping: EscapeMode) -> XsToken:
+    if node.kind is NodeKind.TEXT:
+        last = node.content[-1:]
+        if (escaping is EscapeMode.ENTITY and last
+                and last in PREFIX_CHARS and last != '"'):
+            return XsToken(PrefixKind.TEXT_DUAL, node.content)
+        return XsToken(PrefixKind.TEXT, node.content)
+    if node.kind is NodeKind.COMMENT:
+        return XsToken(PrefixKind.COMMENT, node.content)
+    if node.kind is NodeKind.CDATA:
+        return XsToken(PrefixKind.CDATA, node.content)
+    if node.kind is NodeKind.DTD:
+        return XsToken(PrefixKind.DTD, node.content)
+    return XsToken(PrefixKind.PROC_INSTR, _pi_payload(node))
+
+
+def _check_encodable(doc: XmlDocument) -> None:
+    def check_name(name: str, what: str) -> None:
+        if not name or WHITESPACE.search(name) or NUL in name:
+            raise Unencodable(f"{what} name {name!r} cannot be written")
+        if reads_as_key(name):
+            raise Unencodable(
+                f"{what} name {name!r} would read back as a key reference")
+
+    tops = [doc.root] if doc.prolog is None else [doc.prolog, doc.root]
+    for node in (n for top in tops for n, entering in walk(top) if entering):
+        if NUL in node.content:
+            raise Unencodable("NUL in character data cannot be written")
+        if node.kind in (NodeKind.ELEMENT, NodeKind.PROC_INSTR):
+            check_name(node.name, node.kind.value)
+        for name, value in node.attributes:
+            check_name(name, "attribute")
+            if value is not None and NUL in value:
+                raise Unencodable("NUL in character data cannot be written")
+
+
+def _avoid_quoted_value(tokens: list[XsToken]) -> None:
+    # A dual right after a bare = would read back as a quoted attribute
+    # value; plain text escapes the trailing prefix character instead.
+    for i in range(1, len(tokens)):
+        prev = tokens[i - 1]
+        if (tokens[i].kind is PrefixKind.TEXT_DUAL
+                and prev.kind is PrefixKind.ATTR_VALUE and not prev.payload):
+            tokens[i] = XsToken(PrefixKind.TEXT, tokens[i].payload)
 
 
 def oracle_encode(doc: XmlDocument,

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xstring import (
+    AttrAfterContent,
     BudgetConflict,
     BudgetOverrun,
+    DuplicateAttr,
     EncodeMode,
     EncodeOptions,
     EscapeMode,
@@ -110,6 +112,37 @@ def test_random_streams_match_oracle(tokens):
 def test_budget_cases_match_oracle(wire, error):
     err = assert_same(tokenize(wire))
     assert (err and err[0]) == error
+
+
+@pytest.mark.parametrize("wire, error", [
+    ("/a@x/b@y|b@x@x", DuplicateAttr),
+    ("/a@x/b+0@x", None),
+    ("/a@x/b+0't@x", AttrAfterContent),
+    ("/a@x/b@x|b@x", None),
+    ("/r/a@x/b@x|a@x@x", DuplicateAttr),
+])
+def test_attribute_cases_match_oracle(wire, error):
+    # an attribute for any element but the one opened last finds it
+    # holding content, so only that element's names need remembering
+    err = assert_same(tokenize(wire))
+    assert (err and err[0]) == error
+
+
+def test_duplicate_attribute_check_is_linear():
+    class Name(str):
+        compared = 0
+
+        def __eq__(self, other):
+            Name.compared += 1
+            return str.__eq__(self, other)
+
+        __hash__ = str.__hash__
+
+    n = 1000
+    tokens = [XsToken(PrefixKind.CHILD, "r")]
+    tokens += [XsToken(PrefixKind.ATTR_NAME, Name(f"a{i}")) for i in range(n)]
+    assert len(decode(XsDocument(tokens)).root.attributes) == n
+    assert Name.compared <= n
 
 
 @pytest.mark.parametrize("mode", [EncodeMode.SAFE_SIBLING,

@@ -1,0 +1,124 @@
+"""The one-walk encoder against the up-front check and the tree copy it
+replaced: the same first error, and no tree built that it does not need."""
+
+import random
+
+import pytest
+
+from xstring import (
+    EncodeMode,
+    EncodeOptions,
+    NodeKind,
+    PrefixKind,
+    Unencodable,
+    XmlNode,
+    decode,
+    drop_insignificant_whitespace,
+    encode,
+    parse_xml,
+    render,
+    structural_equal,
+    tokenize,
+)
+from xstring.xml_model import walk
+
+import corpus as fixtures
+from sibling_oracle import _check_encodable
+
+MODES = (EncodeMode.SAFE_SIBLING, EncodeMode.CANONICAL)
+BAD_NAMES = ("", "a b", "a\tb", "a\x00b", "12", "007")
+
+
+def _inject(node: XmlNode, rng: random.Random) -> None:
+    """Make node, or one of its attributes, impossible to write."""
+    roll = rng.random()
+    element = node.kind is NodeKind.ELEMENT
+    if (element or node.kind is NodeKind.PROC_INSTR) and roll < 0.4:
+        node.name = rng.choice(BAD_NAMES)
+    elif element and roll < 0.7:
+        value = rng.choice((None, "v", ""))
+        node.attributes.insert(rng.randint(0, len(node.attributes)),
+                               (rng.choice(BAD_NAMES), value))
+    elif element and node.attributes and roll < 0.85:
+        i = rng.randrange(len(node.attributes))
+        node.attributes[i] = (node.attributes[i][0], "v\x00")
+    elif not element:
+        node.content += "\x00"
+
+
+def test_first_error_matches_the_up_front_check():
+    rng = random.Random(7)
+    checked = 0
+    for doc in fixtures.corpus():
+        doc = doc.copy()
+        nodes = [n for n, entering in walk(doc.root) if entering]
+        if doc.prolog is not None:
+            nodes.append(doc.prolog)
+        for _ in range(rng.randint(1, 3)):
+            _inject(rng.choice(nodes), rng)
+        try:
+            _check_encodable(doc)
+            continue  # the injections missed, e.g. an element's content
+        except Unencodable as e:
+            expected = str(e)
+        for mode in MODES:
+            for drop in (True, False):
+                opts = EncodeOptions(mode=mode,
+                                     drop_insignificant_whitespace=drop)
+                with pytest.raises(Unencodable) as got:
+                    encode(doc, opts)
+                assert str(got.value) == expected
+        checked += 1
+    assert checked > 400
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_skipping_whitespace_matches_dropping_it_first(mode):
+    for doc in fixtures.corpus():
+        skipped = encode(doc, EncodeOptions(mode=mode))
+        dropped = encode(drop_insignificant_whitespace(doc), EncodeOptions(
+            mode=mode, drop_insignificant_whitespace=False))
+        assert render(skipped) == render(dropped)
+
+
+def _nodes_built(monkeypatch, fn) -> int:
+    built = 0
+    init = XmlNode.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(XmlNode, "__init__", counted)
+        fn()
+    return built
+
+
+@pytest.mark.parametrize("drop", [True, False])
+def test_no_tree_copy(monkeypatch, drop):
+    # canonical encode builds no node; sibling encode builds exactly the
+    # nodes of its one verification decode
+    for doc in fixtures.corpus()[:100]:
+        kept = sum(entering and not (drop and n.is_whitespace_text())
+                   for n, entering in walk(doc.root))
+        kept += doc.prolog is not None
+        for mode, expected in ((EncodeMode.CANONICAL, 0),
+                               (EncodeMode.SAFE_SIBLING, kept)):
+            opts = EncodeOptions(mode=mode, drop_insignificant_whitespace=drop)
+            assert _nodes_built(monkeypatch,
+                                lambda: encode(doc, opts)) == expected
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_no_dual_after_bare_equals(mode):
+    # '/' ends the text, which otherwise takes the dual form; right after
+    # an empty value a dual would read back as the quoted value
+    doc = parse_xml('<a b=""><c d="">x/</c>y/</a>')
+    xs = encode(doc, EncodeOptions(mode=mode))
+    kinds = [tok.kind for tok in xs.tokens]
+    assert kinds.count(PrefixKind.TEXT) == 1
+    assert kinds.count(PrefixKind.TEXT_DUAL) == 1
+    assert structural_equal(decode(tokenize(render(xs))), doc,
+                            whitespace_significant=True)

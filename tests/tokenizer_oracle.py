@@ -7,9 +7,10 @@ time, resolving each character reference as it meets it.
 
 from typing import Optional
 
-from xstring.grammar import (NUL, _CHAR_TO_KIND, _NAME_KINDS, BadDepth, BadKey,
+from xstring.grammar import (NUL, _CHAR_TO_KIND, BadDepth, BadKey,
                              DanglingEscape, EmptyName, EscapeMode,
-                             MalformedEntity, PREFIX_CHARS, PrefixKind,
+                             MalformedEntity, NAME_KINDS as _NAME_KINDS,
+                             PREFIX_CHARS, PrefixKind,
                              StrayData, UnterminatedDual, XsDocument, XsToken,
                              _attach_depth, _attach_key)
 
