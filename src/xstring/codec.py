@@ -37,8 +37,21 @@ the first node in document order that cannot be written raises
 Unencodable.  Whitespace-only text is skipped in the walk when it is
 insignificant.  A text token takes the dual form when it ends in a prefix
 character, unless it follows a bare =, where a dual would read back as a
-quoted value.  One decode of the sibling form, compared with the caller's
-tree, then checks the round trip.
+quoted value.  A node holding a field its kind has no token for (content
+on an element; a name, attributes or children on a data node other than
+an instruction's name) cannot be written either.
+
+The sibling form is then checked without building a tree.  As it writes
+each element and data node, the emitter records the node's parent in the
+caller's tree.  The decoder's core then runs over the stream with a sink
+whose open elements are the caller's own nodes, and each node must attach
+under its recorded parent.  The check is exact.  Each token carries every
+field of the node it was written from, in document order, so a decode
+yields the caller's nodes in document order.  The prolog and the root come
+first, and the core puts them at the top.  Such a sequence rebuilds the
+caller's tree exactly when every other node lands under its true parent,
+and no node recorded is left without its token.  A stream the core
+rejects raises Unencodable as well.
 """
 
 from __future__ import annotations
@@ -50,8 +63,7 @@ from typing import Optional
 from .errors import XStringError
 from .grammar import (NUL, PREFIX_CHARS, WHITESPACE, EscapeMode, PrefixKind,
                       XsDocument, XsToken, reads_as_key)
-from .xml_model import (NodeKind, OpenStack, XmlDocument, XmlNode,
-                        structural_equal, walk)
+from .xml_model import NodeKind, OpenStack, XmlDocument, XmlNode, walk
 
 
 class EncodeMode:
@@ -128,6 +140,20 @@ class OpenEntry:
     low: float  # smallest close at or below this entry, inf when none
 
 
+def _target_end(payload: str) -> int:
+    """Where an instruction's target ends: its first whitespace, or the end."""
+    ws = WHITESPACE.search(payload)
+    return ws.start() if ws else len(payload)
+
+
+_DATA_KINDS = {NodeKind.COMMENT: PrefixKind.COMMENT,
+               NodeKind.CDATA: PrefixKind.CDATA, NodeKind.DTD: PrefixKind.DTD}
+# the node kind of each data token but an instruction
+_NODE_KINDS = {PrefixKind.TEXT: NodeKind.TEXT,
+               PrefixKind.TEXT_DUAL: NodeKind.TEXT,
+               **{tok: node for node, tok in _DATA_KINDS.items()}}
+
+
 class DecodeState:
     """Decoder state, exposed so the stack behaviour is testable directly.
 
@@ -135,18 +161,49 @@ class DecodeState:
     its close count, if it has a depth marker, and the lowest close count
     at or below it, so the elements due to close are found from the top;
     open_stack.nearest finds the element a sibling token closes back to.
-    Each node costs O(1) amortized at any depth."""
+    Each node costs O(1) amortized at any depth.
+
+    This core keeps the stack, the budgets, the sibling close-back and the
+    attribute rules, and raises every DecodeError.  Making nodes, storing
+    attributes and placing a node under the innermost open element are the
+    sink methods _element, _data_node, _add_attr, _set_attr_value and
+    _attach; the ones here build the tree decode returns."""
 
     def __init__(self):
         self.open_stack = OpenStack()
         self.root: Optional[XmlNode] = None
         self.prolog: Optional[XmlNode] = None
         self._attached = 0
+        # nodes attached up to the element opened last; the innermost
+        # element holds content exactly when more have been attached since
+        self._opened_at = 0
         self._pending_attr = False
         # attribute names of the element opened last; an attribute for any
         # other element finds it holding content and fails before the lookup
         self._attr_names: set[str] = set()
         self._keys: dict[int, str] = {}
+
+    # -- tree sink ----------------------------------------------------------
+
+    def _element(self, name: str) -> XmlNode:
+        return XmlNode(NodeKind.ELEMENT, name)
+
+    def _data_node(self, tok: XsToken) -> XmlNode:
+        kind = _NODE_KINDS.get(tok.kind)
+        if kind is not None:
+            return XmlNode(kind, content=tok.payload)
+        payload = tok.payload
+        cut = _target_end(payload)
+        return XmlNode.pi(payload[:cut], payload[cut + 1:])
+
+    def _add_attr(self, owner: XmlNode, name: str) -> None:
+        owner.attributes.append((name, None))
+
+    def _set_attr_value(self, owner: XmlNode, value: str) -> None:
+        owner.attributes[-1] = (owner.attributes[-1][0], value)
+
+    def _attach(self, node: XmlNode) -> None:
+        self.open_stack[-1].node.children.append(node)
 
     # -- helpers ------------------------------------------------------------
 
@@ -175,10 +232,6 @@ class DecodeState:
                     f"{self._unfilled(popped)} nodes when an enclosing "
                     "depth ran out")
 
-    def _attach(self, node: XmlNode) -> None:
-        self.open_stack[-1].node.children.append(node)
-        self._attached += 1
-
     # -- token handlers -----------------------------------------------------
 
     def _feed_attr(self, tok: XsToken) -> None:
@@ -186,32 +239,33 @@ class DecodeState:
             raise DanglingAttr("attribute outside any open element")
         owner = self.open_stack[-1].node
         if tok.kind is PrefixKind.ATTR_NAME:
-            if owner.children:
+            if self._attached > self._opened_at:
                 raise AttrAfterContent(
                     f"attribute after content in <{owner.name}>")
             name = self._resolve_name(tok)
             if name in self._attr_names:
                 raise DuplicateAttr(f"duplicate attribute {name!r}")
             self._attr_names.add(name)
-            owner.attributes.append((name, None))
+            self._add_attr(owner, name)
             self._pending_attr = True
         else:
             if not self._pending_attr:
                 raise DanglingAttr("attribute value without a preceding name")
-            n, _ = owner.attributes[-1]
-            owner.attributes[-1] = (n, tok.payload)
+            self._set_attr_value(owner, tok.payload)
             self._pending_attr = False
 
     def _open(self, tok: XsToken, name: str) -> None:
-        elem = XmlNode.element(name)
+        elem = self._element(name)
         stack = self.open_stack
         if stack:
             self._attach(elem)
+            self._attached += 1
         else:
             self.root = elem
         close = None if tok.depth is None else self._attached + tok.depth
         low = min(inf if close is None else close, stack[-1].low if stack else inf)
         stack.push(name, OpenEntry(elem, close, low))
+        self._opened_at = self._attached
         self._attr_names.clear()
 
     def _feed_child(self, tok: XsToken) -> None:
@@ -251,21 +305,9 @@ class DecodeState:
 
     def _feed_data(self, tok: XsToken) -> None:
         kind = tok.kind
-        if kind in (PrefixKind.TEXT, PrefixKind.TEXT_DUAL):
-            node = XmlNode.text(tok.payload)
-        elif kind is PrefixKind.COMMENT:
-            node = XmlNode.comment(tok.payload)
-        elif kind is PrefixKind.CDATA:
-            node = XmlNode.cdata(tok.payload)
-        elif kind is PrefixKind.DTD:
-            node = XmlNode.dtd(tok.payload)
-        else:
-            payload = tok.payload
-            ws = WHITESPACE.search(payload)
-            cut = ws.start() if ws else len(payload)
-            if cut == 0:
-                raise BadToken("instruction without a target")
-            node = XmlNode.pi(payload[:cut], payload[cut + 1:])
+        if kind is PrefixKind.PROC_INSTR and _target_end(tok.payload) == 0:
+            raise BadToken("instruction without a target")
+        node = self._data_node(tok)
         self._close_exhausted()
         if not self.open_stack:
             if self.root is None:
@@ -275,6 +317,7 @@ class DecodeState:
                 raise BadStreamStart("stream must start with a child element")
             raise ContentAfterRoot("data after the root closed")
         self._attach(node)
+        self._attached += 1
 
     def feed(self, tok: XsToken) -> None:
         if tok.kind in (PrefixKind.ATTR_NAME, PrefixKind.ATTR_VALUE):
@@ -305,16 +348,64 @@ def decode(doc: XsDocument) -> XmlDocument:
     return state.finish()
 
 
+_NOT_DECODED = "encoded stream does not decode to the document"
+# (node, its parent in the caller's tree) per element and data node written
+_Placed = list[tuple[XmlNode, Optional[XmlNode]]]
+
+
+class _Verifier(DecodeState):
+    """Decodes a sibling stream onto the caller's own tree, building none.
+
+    placed holds, in stream order, each element and data node the stream
+    writes, with its parent in the caller's tree (None for the root and the
+    prolog, which the core places at the top).  The open entries hold the
+    caller's elements, so a node lands under its parent exactly when that
+    parent is the innermost entry."""
+
+    def __init__(self, placed: _Placed):
+        super().__init__()
+        self._placed = iter(placed)
+        self._parent: Optional[XmlNode] = None
+
+    def _element(self, _name_or_token) -> XmlNode:
+        node, self._parent = next(self._placed)
+        return node
+
+    _data_node = _element
+
+    def _add_attr(self, owner: XmlNode, _name_or_value: str) -> None:
+        pass
+
+    _set_attr_value = _add_attr
+
+    def _attach(self, node: XmlNode) -> None:
+        if self.open_stack[-1].node is not self._parent:
+            raise Unencodable(_NOT_DECODED)
+
+    def finish(self) -> XmlDocument:
+        got = super().finish()
+        if next(self._placed, None) is not None:
+            raise Unencodable(_NOT_DECODED)
+        return got
+
+
+def _verify(tokens: list[XsToken], placed: _Placed) -> None:
+    """Raise Unencodable unless tokens place every node as placed says."""
+    state = _Verifier(placed)
+    try:
+        for tok in tokens:
+            state.feed(tok)
+        state.finish()
+    except DecodeError as e:
+        raise Unencodable(_NOT_DECODED) from e
+
+
 # ---------------------------------------------------------------------------
 # encoding
 
 def descendant_count(node: XmlNode) -> int:
     """Nodes in the subtree below node, attributes excluded."""
     return sum(entering for _, entering in walk(node)) - 1
-
-
-_DATA_KINDS = {NodeKind.COMMENT: PrefixKind.COMMENT,
-               NodeKind.CDATA: PrefixKind.CDATA, NodeKind.DTD: PrefixKind.DTD}
 
 
 def _nul_free(s: str) -> str:
@@ -335,12 +426,18 @@ def _writable_name(name: str, what: str) -> str:
 def _element_tokens(node: XmlNode, kind: PrefixKind,
                     tokens: list[XsToken]) -> XsToken:
     """Check an element and append its token and attribute tokens."""
-    _nul_free(node.content)
+    if node.content:
+        raise Unencodable("element content cannot be written")
     tok = XsToken(kind, _writable_name(node.name, node.kind.value))
     tokens.append(tok)
+    names: set[str] = set()
     for name, value in node.attributes:
         tokens.append(XsToken(PrefixKind.ATTR_NAME,
                               _writable_name(name, "attribute")))
+        if name in names:
+            raise Unencodable(
+                f"duplicate attribute {name!r} cannot be written")
+        names.add(name)
         if value is not None:
             tokens.append(XsToken(PrefixKind.ATTR_VALUE, _nul_free(value)))
     return tok
@@ -349,6 +446,10 @@ def _element_tokens(node: XmlNode, kind: PrefixKind,
 def _data_token(node: XmlNode, escaping: EscapeMode,
                 tokens: list[XsToken]) -> None:
     """Check a data node and append its token."""
+    if node.children or node.attributes or (
+            node.name and node.kind is not NodeKind.PROC_INSTR):
+        raise Unencodable(f"{node.kind.value} node with a name, attributes "
+                          "or children cannot be written")
     content = _nul_free(node.content)
     if node.kind is NodeKind.TEXT:
         # a trailing prefix character needs the dual form in entity mode,
@@ -390,14 +491,15 @@ def _emit_canonical(root: XmlNode, escaping: EscapeMode, drop: bool,
 
 
 def _emit_safe_sibling(root: XmlNode, escaping: EscapeMode, drop: bool,
-                       tokens: list[XsToken]) -> None:
+                       tokens: list[XsToken], placed: _Placed) -> None:
     # The decoder's stack of open elements, as (token, nodes attached up
     # to and including the element).  Every node emitted so far decodes
     # under its true parent, so the stack holds the ancestors of the next
     # node plus the chain of the last finished element child above them.
     stack = OpenStack()
-    # per open ancestor in the tree, under one for the document itself:
-    # has it an element child yet
+    # per open ancestor in the tree, under None for the document itself:
+    # the ancestor, and has it an element child yet
+    parents: list[Optional[XmlNode]] = [None]
     seen_element = [False]
     attached = 0
 
@@ -416,8 +518,10 @@ def _emit_safe_sibling(root: XmlNode, escaping: EscapeMode, drop: bool,
                 close_above(p)
                 attached += 1
                 _data_token(node, escaping, tokens)
+                placed.append((node, parents[-1]))
             continue
         if not entering:
+            parents.pop()
             seen_element.pop()
             continue
         at = stack.nearest.get(node.name, -1)
@@ -429,8 +533,10 @@ def _emit_safe_sibling(root: XmlNode, escaping: EscapeMode, drop: bool,
             kind = PrefixKind.CHILD
             close_above(p)
         tok = _element_tokens(node, kind, tokens)
+        placed.append((node, parents[-1]))
         attached += 1
         stack.push(node.name, (tok, attached))
+        parents.append(node)
         seen_element[-1] = True
         seen_element.append(False)
 
@@ -440,15 +546,19 @@ def encode(doc: XmlDocument, opts: Optional[EncodeOptions] = None) -> XsDocument
     opts = opts or EncodeOptions()
     drop = opts.drop_insignificant_whitespace
     tokens: list[XsToken] = []
+    placed: _Placed = []
     if doc.prolog is not None:
+        if doc.prolog.kind is not NodeKind.PROC_INSTR:
+            raise Unencodable(
+                f"prolog {doc.prolog.kind.value} node cannot be written: only "
+                "a processing instruction can precede the root")
         _data_token(doc.prolog, opts.escaping, tokens)
+        placed.append((doc.prolog, None))
     if opts.mode == EncodeMode.CANONICAL:
         _emit_canonical(doc.root, opts.escaping, drop, tokens)
     else:
-        _emit_safe_sibling(doc.root, opts.escaping, drop, tokens)
-        decoded = decode(XsDocument(tokens, opts.escaping))
-        if not structural_equal(decoded, doc, whitespace_significant=not drop):
-            raise Unencodable("encoded stream does not decode to the document")
+        _emit_safe_sibling(doc.root, opts.escaping, drop, tokens, placed)
+        _verify(tokens, placed)
     out = XsDocument(tokens, opts.escaping)
     if opts.substitution_threshold is not None:
         from .transforms import build_substitution
