@@ -41,24 +41,28 @@ quoted value.  A node holding a field its kind has no token for (content
 on an element; a name, attributes or children on a data node other than
 an instruction's name) cannot be written either.
 
-The sibling form is then checked without building a tree.  As it writes
-each element and data node, the emitter records the node's parent in the
-caller's tree.  The decoder's core then runs over the stream with a sink
-whose open elements are the caller's own nodes, and each node must attach
-under its recorded parent.  The check is exact.  Each token carries every
-field of the node it was written from, in document order, so a decode
-yields the caller's nodes in document order.  The prolog and the root come
-first, and the core puts them at the top.  Such a sequence rebuilds the
-caller's tree exactly when every other node lands under its true parent,
-and no node recorded is left without its token.  A stream the core
-rejects raises Unencodable as well.
+The sibling form is then checked without building a tree.  The decoder's
+core runs over the stream with a sink whose open elements are the caller's
+own nodes.  Each element and data token takes the next node the walk
+writes, in document order, and must carry that node's kind, name, content
+and attributes; the node must attach under its parent in the caller's
+tree, so that parent must be the innermost open element.  The check needs
+nothing from the emitter but its tokens, and it is exact.  Decoding makes
+one node per element or data token, in stream order, from that token and
+the attribute tokens after it, and puts it under the innermost open
+element, so the decoded nodes come out in document order.  The check
+pairs them one to one with the caller's nodes in document order, with
+equal fields and corresponding parents, and leaves no node unpaired.
+That holds exactly when the stream decodes to the caller's tree, less the
+whitespace the walk skips.  A stream the core rejects raises Unencodable
+as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import XStringError
 from .grammar import (NUL, PREFIX_CHARS, WHITESPACE, EscapeMode, PrefixKind,
@@ -349,34 +353,84 @@ def decode(doc: XsDocument) -> XmlDocument:
 
 
 _NOT_DECODED = "encoded stream does not decode to the document"
-# (node, its parent in the caller's tree) per element and data node written
-_Placed = list[tuple[XmlNode, Optional[XmlNode]]]
+
+
+def _written(doc: XmlDocument, drop: bool
+             ) -> Iterator[tuple[XmlNode, Optional[XmlNode]]]:
+    """Each node an encoding of doc writes, in document order, with its
+    parent in doc (None for the prolog and the root)."""
+    if doc.prolog is not None:
+        yield doc.prolog, None
+    yield doc.root, None
+    # walk's order, with each node's parent at hand and no leave events
+    stack = [(doc.root, iter(doc.root.children))]
+    while stack:
+        parent, children = stack[-1]
+        for node in children:
+            if not (drop and node.is_whitespace_text()):
+                yield node, parent
+            if node.children:
+                stack.append((node, iter(node.children)))
+                break
+        else:
+            stack.pop()
 
 
 class _Verifier(DecodeState):
     """Decodes a sibling stream onto the caller's own tree, building none.
 
-    placed holds, in stream order, each element and data node the stream
-    writes, with its parent in the caller's tree (None for the root and the
-    prolog, which the core places at the top).  The open entries hold the
-    caller's elements, so a node lands under its parent exactly when that
-    parent is the innermost entry."""
+    Each element and data token takes the next node the caller's tree
+    writes, in document order, and must carry its fields; the open entries
+    hold the caller's elements, so a node lands under its parent exactly
+    when that parent is the innermost entry.  The attribute tokens after an
+    element are gathered and compared once the next node or the end comes."""
 
-    def __init__(self, placed: _Placed):
+    def __init__(self, doc: XmlDocument, drop: bool):
         super().__init__()
-        self._placed = iter(placed)
+        self._written = _written(doc, drop)
         self._parent: Optional[XmlNode] = None
+        # the element opened last, and the attributes the stream gave it
+        self._owner: Optional[XmlNode] = None
+        self._attrs: list[tuple[str, Optional[str]]] = []
 
-    def _element(self, _name_or_token) -> XmlNode:
-        node, self._parent = next(self._placed)
+    def _attrs_match(self) -> bool:
+        return self._owner is None or self._attrs == self._owner.attributes
+
+    def _next(self) -> XmlNode:
+        if not self._attrs_match():
+            raise Unencodable(_NOT_DECODED)
+        node, self._parent = next(self._written, (None, None))
+        if node is None:
+            raise Unencodable(_NOT_DECODED)
         return node
 
-    _data_node = _element
+    def _element(self, name: str) -> XmlNode:
+        node = self._next()
+        if (node.kind is not NodeKind.ELEMENT or node.name != name
+                or node.content):
+            raise Unencodable(_NOT_DECODED)
+        self._owner = node
+        self._attrs = []
+        return node
 
-    def _add_attr(self, owner: XmlNode, _name_or_value: str) -> None:
-        pass
+    def _data_node(self, tok: XsToken) -> XmlNode:
+        node = self._next()
+        kind = _NODE_KINDS.get(tok.kind)
+        if kind is None:
+            cut = _target_end(tok.payload)
+            fields = (NodeKind.PROC_INSTR, tok.payload[:cut],
+                      tok.payload[cut + 1:])
+        else:
+            fields = (kind, "", tok.payload)
+        if (node.kind, node.name, node.content) != fields or node.attributes:
+            raise Unencodable(_NOT_DECODED)
+        return node
 
-    _set_attr_value = _add_attr
+    def _add_attr(self, owner: XmlNode, name: str) -> None:
+        self._attrs.append((name, None))
+
+    def _set_attr_value(self, owner: XmlNode, value: str) -> None:
+        self._attrs[-1] = (self._attrs[-1][0], value)
 
     def _attach(self, node: XmlNode) -> None:
         if self.open_stack[-1].node is not self._parent:
@@ -384,14 +438,14 @@ class _Verifier(DecodeState):
 
     def finish(self) -> XmlDocument:
         got = super().finish()
-        if next(self._placed, None) is not None:
+        if not self._attrs_match() or next(self._written, None) is not None:
             raise Unencodable(_NOT_DECODED)
         return got
 
 
-def _verify(tokens: list[XsToken], placed: _Placed) -> None:
-    """Raise Unencodable unless tokens place every node as placed says."""
-    state = _Verifier(placed)
+def _verify(doc: XmlDocument, drop: bool, tokens: list[XsToken]) -> None:
+    """Raise Unencodable unless tokens decode to doc."""
+    state = _Verifier(doc, drop)
     try:
         for tok in tokens:
             state.feed(tok)
@@ -430,16 +484,18 @@ def _element_tokens(node: XmlNode, kind: PrefixKind,
         raise Unencodable("element content cannot be written")
     tok = XsToken(kind, _writable_name(node.name, node.kind.value))
     tokens.append(tok)
-    names: set[str] = set()
     for name, value in node.attributes:
         tokens.append(XsToken(PrefixKind.ATTR_NAME,
                               _writable_name(name, "attribute")))
-        if name in names:
-            raise Unencodable(
-                f"duplicate attribute {name!r} cannot be written")
-        names.add(name)
         if value is not None:
             tokens.append(XsToken(PrefixKind.ATTR_VALUE, _nul_free(value)))
+    if len(node.attributes) > 1:
+        names: set[str] = set()
+        for name, _ in node.attributes:
+            if name in names:
+                raise Unencodable(
+                    f"duplicate attribute {name!r} cannot be written")
+            names.add(name)
     return tok
 
 
@@ -491,15 +547,14 @@ def _emit_canonical(root: XmlNode, escaping: EscapeMode, drop: bool,
 
 
 def _emit_safe_sibling(root: XmlNode, escaping: EscapeMode, drop: bool,
-                       tokens: list[XsToken], placed: _Placed) -> None:
+                       tokens: list[XsToken]) -> None:
     # The decoder's stack of open elements, as (token, nodes attached up
     # to and including the element).  Every node emitted so far decodes
     # under its true parent, so the stack holds the ancestors of the next
     # node plus the chain of the last finished element child above them.
     stack = OpenStack()
-    # per open ancestor in the tree, under None for the document itself:
-    # the ancestor, and has it an element child yet
-    parents: list[Optional[XmlNode]] = [None]
+    # per open ancestor in the tree, under one for the document itself:
+    # has it an element child yet
     seen_element = [False]
     attached = 0
 
@@ -518,10 +573,8 @@ def _emit_safe_sibling(root: XmlNode, escaping: EscapeMode, drop: bool,
                 close_above(p)
                 attached += 1
                 _data_token(node, escaping, tokens)
-                placed.append((node, parents[-1]))
             continue
         if not entering:
-            parents.pop()
             seen_element.pop()
             continue
         at = stack.nearest.get(node.name, -1)
@@ -533,10 +586,8 @@ def _emit_safe_sibling(root: XmlNode, escaping: EscapeMode, drop: bool,
             kind = PrefixKind.CHILD
             close_above(p)
         tok = _element_tokens(node, kind, tokens)
-        placed.append((node, parents[-1]))
         attached += 1
         stack.push(node.name, (tok, attached))
-        parents.append(node)
         seen_element[-1] = True
         seen_element.append(False)
 
@@ -546,19 +597,17 @@ def encode(doc: XmlDocument, opts: Optional[EncodeOptions] = None) -> XsDocument
     opts = opts or EncodeOptions()
     drop = opts.drop_insignificant_whitespace
     tokens: list[XsToken] = []
-    placed: _Placed = []
     if doc.prolog is not None:
         if doc.prolog.kind is not NodeKind.PROC_INSTR:
             raise Unencodable(
                 f"prolog {doc.prolog.kind.value} node cannot be written: only "
                 "a processing instruction can precede the root")
         _data_token(doc.prolog, opts.escaping, tokens)
-        placed.append((doc.prolog, None))
     if opts.mode == EncodeMode.CANONICAL:
         _emit_canonical(doc.root, opts.escaping, drop, tokens)
     else:
-        _emit_safe_sibling(doc.root, opts.escaping, drop, tokens, placed)
-        _verify(tokens, placed)
+        _emit_safe_sibling(doc.root, opts.escaping, drop, tokens)
+        _verify(doc, drop, tokens)
     out = XsDocument(tokens, opts.escaping)
     if opts.substitution_threshold is not None:
         from .transforms import build_substitution

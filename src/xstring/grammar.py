@@ -242,32 +242,9 @@ def render_token(t: XsToken, escaping: EscapeMode) -> str:
     return out
 
 
-_SENTINEL_PREFIX = {k: NUL + k.value for k in PrefixKind}
-
-
 def render(doc: XsDocument) -> str:
     """Serialize tokens to the wire string; no inter-token whitespace."""
-    if doc.escaping is EscapeMode.ENTITY:
-        return "".join([render_token(t, doc.escaping) for t in doc.tokens])
-    # sentinel mode writes payloads as they are, so render_token's cases
-    # are written out here without a call per token
-    out: list[str] = []
-    add = out.append
-    for t in doc.tokens:
-        kind = t.kind
-        if kind is PrefixKind.TEXT_DUAL:
-            add(f'\0"{t.payload}\0"')
-            continue
-        add(_SENTINEL_PREFIX[kind])
-        if kind not in NAME_KINDS or t.subst_key is None:
-            add(t.payload)
-        elif not t.payload:
-            add(str(t.subst_key))
-        else:
-            add(f"{t.payload}\0#{t.subst_key}")
-        if t.depth is not None:
-            add(f"\0+{t.depth}")
-    return "".join(out)
+    return "".join([render_token(t, doc.escaping) for t in doc.tokens])
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from xstring import (
     tokenize,
     unescape_data,
 )
-from xstring.grammar import render_token
 
 from corpus import PROPERTIES_XS
 
@@ -315,11 +314,3 @@ def _token_lists(draw):
 def test_render_tokenize_identity(tokens, mode):
     doc = XsDocument(tokens, mode)
     assert tokenize(render(doc), mode).tokens == doc.tokens
-
-
-@given(_token_lists(), st.sampled_from(list(EscapeMode)))
-def test_render_joins_render_token(tokens, mode):
-    # render writes sentinel tokens inline; metrics.measure sizes each token
-    # with render_token, so the two must agree byte for byte
-    expected = "".join(render_token(t, mode) for t in tokens)
-    assert render(XsDocument(tokens, mode)) == expected

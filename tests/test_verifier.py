@@ -19,26 +19,10 @@ from xstring import (
     structural_equal,
 )
 from xstring import codec
-from xstring.xml_model import walk
 
 import corpus as fixtures
 
 ELEMENT_KINDS = (PrefixKind.CHILD, PrefixKind.SIBLING)
-
-
-def _placed(doc):
-    """Each node the default encoding writes, in document order, with its
-    parent in doc (None for the prolog and the root)."""
-    placed = [] if doc.prolog is None else [(doc.prolog, None)]
-    parents = [None]
-    for node, entering in walk(doc.root):
-        if not entering:
-            parents.pop()
-            continue
-        if not node.is_whitespace_text():
-            placed.append((node, parents[-1]))
-        parents.append(node)
-    return placed
 
 
 def _mutations(tok):
@@ -63,9 +47,9 @@ def _decodes_to(doc, tokens, escaping):
     return structural_equal(decoded, doc)
 
 
-def _verifies(tokens, placed):
+def _verifies(doc, tokens):
     try:
-        codec._verify(tokens, placed)
+        codec._verify(doc, True, tokens)
     except Unencodable:
         return False
     return True
@@ -76,15 +60,14 @@ def test_verifier_rejects_exactly_what_decoding_rejects(escaping):
     checked = rejected = 0
     for doc in fixtures.corpus():
         tokens = encode(doc, EncodeOptions(escaping=escaping)).tokens
-        placed = _placed(doc)
-        assert _verifies(tokens, placed)
+        assert _verifies(doc, tokens)
         for i, tok in enumerate(tokens):
             if tok.kind not in ELEMENT_KINDS:
                 continue
             for bad in _mutations(tok):
                 mutated = tokens[:i] + [bad] + tokens[i + 1:]
                 expected = _decodes_to(doc, mutated, escaping)
-                assert _verifies(mutated, placed) == expected
+                assert _verifies(doc, mutated) == expected
                 checked += 1
                 rejected += not expected
     # both outcomes occur, so the comparison means something
@@ -95,8 +78,8 @@ def test_verifier_rejects_exactly_what_decoding_rejects(escaping):
 def _break_emitter(monkeypatch, damage):
     emit = codec._emit_safe_sibling
 
-    def broken(root, escaping, drop, tokens, placed):
-        emit(root, escaping, drop, tokens, placed)
+    def broken(root, escaping, drop, tokens):
+        emit(root, escaping, drop, tokens)
         damage(tokens)
 
     monkeypatch.setattr(codec, "_emit_safe_sibling", broken)
@@ -113,9 +96,90 @@ def test_encode_catches_a_dropped_depth_marker(monkeypatch):
     assert got.value.__cause__ is None  # a node landed under a wrong parent
 
 
-def test_encode_catches_a_dropped_token(monkeypatch):
-    # every token decodes in place, but one node is never written
+@pytest.mark.parametrize("xml", ["<r><a/>t</r>", "<r><a x='1'/></r>"])
+def test_encode_catches_a_dropped_token(monkeypatch, xml):
+    # every token decodes in place, but one node or attribute value is
+    # never written
     _break_emitter(monkeypatch, list.pop)
+    with pytest.raises(Unencodable):
+        encode(parse_xml(xml))
+
+
+def test_encode_catches_an_instruction_written_as_an_element(monkeypatch):
+    # <p/> and <?p?> share the name and have no content
+    def as_element(tokens):
+        tokens[1] = replace(tokens[1], kind=PrefixKind.CHILD)
+
+    _break_emitter(monkeypatch, as_element)
+    with pytest.raises(Unencodable):
+        encode(parse_xml("<r><?p?></r>"))
+
+
+@pytest.mark.parametrize("xml, left_out", [
+    ("<r><a/>t<b/></r>", 2),  # a text node
+    ("<r><a x='1'/><b/></r>", slice(1, 4)),  # an element and its attribute
+])
+def test_encode_catches_a_node_left_out(monkeypatch, xml, left_out):
+    def leave_out(tokens):
+        del tokens[left_out]
+
+    _break_emitter(monkeypatch, leave_out)
+    with pytest.raises(Unencodable):
+        encode(parse_xml(xml))
+
+
+def test_encode_catches_whitespace_left_out(monkeypatch):
+    # kept whitespace is a node like any other
+    def leave_out(tokens):
+        del tokens[1]
+
+    _break_emitter(monkeypatch, leave_out)
+    with pytest.raises(Unencodable):
+        encode(parse_xml("<r> <a/></r>"),
+               EncodeOptions(drop_insignificant_whitespace=False))
+
+
+def test_encode_catches_swapped_data_siblings(monkeypatch):
+    # text and a comment with the same content, in the wrong order
+    def swap(tokens):
+        tokens[1], tokens[2] = tokens[2], tokens[1]
+
+    _break_emitter(monkeypatch, swap)
+    with pytest.raises(Unencodable):
+        encode(parse_xml("<r>t<!--t--></r>"))
+
+
+@pytest.mark.parametrize("xml, i, j, payloads", [
+    # two elements that differ only in their names
+    ("<r><a/><b/></r>", 1, 2, "r a b"),
+    # two <a>s that differ only in an attribute value, last in the stream
+    # and before another node
+    ("<r><a x='1'/><a x='2'/></r>", 3, 6, "r a x 1 a x 2"),
+    ("<r><a x='1'/><a x='2'/>t</r>", 3, 6, "r a x 1 a x 2 t"),
+])
+def test_encode_catches_swapped_element_siblings(monkeypatch, xml, i, j,
+                                                 payloads):
+    # the two payloads trade places, so each token decodes where the
+    # other element belongs
+    def swap(tokens):
+        tokens[i], tokens[j] = (replace(tokens[i], payload=tokens[j].payload),
+                                replace(tokens[j], payload=tokens[i].payload))
+
+    doc = parse_xml(xml)
+    assert [t.payload for t in encode(doc).tokens] == payloads.split()
+    _break_emitter(monkeypatch, swap)
+    with pytest.raises(Unencodable) as got:
+        encode(doc)
+    assert got.value.__cause__ is None  # the stream itself decodes
+
+
+@pytest.mark.parametrize("at", [-1, 1])
+def test_encode_catches_a_duplicated_token(monkeypatch, at):
+    # one token more than the tree has nodes: Unencodable, not StopIteration
+    def duplicate(tokens):
+        tokens.append(tokens[at])
+
+    _break_emitter(monkeypatch, duplicate)
     with pytest.raises(Unencodable):
         encode(parse_xml("<r><a/>t</r>"))
 
