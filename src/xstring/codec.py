@@ -158,6 +158,16 @@ _NODE_KINDS = {PrefixKind.TEXT: NodeKind.TEXT,
                **{tok: node for node, tok in _DATA_KINDS.items()}}
 
 
+def _data_fields(tok: XsToken) -> tuple[NodeKind, str, str]:
+    """The kind, name and content of the node a data token stands for; an
+    instruction's target runs to its first whitespace."""
+    kind = _NODE_KINDS.get(tok.kind)
+    if kind is not None:
+        return kind, "", tok.payload
+    cut = _target_end(tok.payload)
+    return NodeKind.PROC_INSTR, tok.payload[:cut], tok.payload[cut + 1:]
+
+
 class DecodeState:
     """Decoder state, exposed so the stack behaviour is testable directly.
 
@@ -193,12 +203,8 @@ class DecodeState:
         return XmlNode(NodeKind.ELEMENT, name)
 
     def _data_node(self, tok: XsToken) -> XmlNode:
-        kind = _NODE_KINDS.get(tok.kind)
-        if kind is not None:
-            return XmlNode(kind, content=tok.payload)
-        payload = tok.payload
-        cut = _target_end(payload)
-        return XmlNode.pi(payload[:cut], payload[cut + 1:])
+        kind, name, content = _data_fields(tok)
+        return XmlNode(kind, name, content=content)
 
     def _add_attr(self, owner: XmlNode, name: str) -> None:
         owner.attributes.append((name, None))
@@ -415,14 +421,8 @@ class _Verifier(DecodeState):
 
     def _data_node(self, tok: XsToken) -> XmlNode:
         node = self._next()
-        kind = _NODE_KINDS.get(tok.kind)
-        if kind is None:
-            cut = _target_end(tok.payload)
-            fields = (NodeKind.PROC_INSTR, tok.payload[:cut],
-                      tok.payload[cut + 1:])
-        else:
-            fields = (kind, "", tok.payload)
-        if (node.kind, node.name, node.content) != fields or node.attributes:
+        if ((node.kind, node.name, node.content) != _data_fields(tok)
+                or node.attributes):
             raise Unencodable(_NOT_DECODED)
         return node
 

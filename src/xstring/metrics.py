@@ -113,7 +113,7 @@ class SizeReport:
         rows.append(("total", "", str(self.xml_chars), str(self.xs_chars)))
         widths = [max(len(r[i]) for r in rows) for i in range(4)]
         return "\n".join(
-            "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+            "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip(" ")
             for row in rows)
 
 

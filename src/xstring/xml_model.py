@@ -24,8 +24,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from itertools import zip_longest
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import XStringError
 
@@ -79,8 +80,9 @@ class XmlNode:
         return XmlNode(NodeKind.DTD, content=content)
 
     def is_whitespace_text(self) -> bool:
-        """True for text nodes containing only whitespace (insignificant)."""
-        return self.kind is NodeKind.TEXT and self.content.strip() == ""
+        """True for text nodes containing only XML whitespace (space, tab,
+        CR, LF), which is insignificant."""
+        return self.kind is NodeKind.TEXT and self.content.strip(_WS) == ""
 
     def copy(self) -> "XmlNode":
         return _copy_tree(self, keep_whitespace=True)
@@ -188,11 +190,17 @@ class WellFormednessError(XStringError):
 
 
 _WS = " \t\r\n"
-_WS_RUN = re.compile(f"[{_WS}]*")
 # a name character is alphanumeric or one of "._-:", which is exactly \w
 # plus ".-:" (\w already holds the underscore)
-_NAME_RUN = re.compile(r"[\w.\-:]*")
-_UNQUOTED_VALUE = re.compile(f"[^{_WS}>/]*")
+_NAME = r"[\w.\-:]*"
+_NAME_RUN = re.compile(_NAME)
+# what can follow '<': the construct's opener, or none for a start tag
+_LEAD = re.compile(r"<(?:!--|!\[CDATA\[|!|\?|/)?")
+# one step of a start tag: the tag's end (1), or a name (2), then after
+# '=' the opening quote or the end of input (3), or an unquoted value (4)
+_ATTR = re.compile(f"[{_WS}]*(?:(/?>)|({_NAME})[{_WS}]*"
+                   f"(?:=[{_WS}]*(?:([\"']|\\Z)|([^{_WS}>/]*)))?)")
+_CLOSE_TAG = re.compile(f"</({_NAME})[{_WS}]*(>)?")
 # '&' not starting a reference: a name or digits after an optional '#',
 # then ';'
 _BARE_AMP = re.compile(r"&(?!#?[\w.\-]+;)")
@@ -206,7 +214,12 @@ def _valid_name(name: str) -> bool:
 
 class _Parser:
     """Single-pass scanner shared by parse_xml (strict) and
-    check_well_formed (collecting)."""
+    check_well_formed (collecting).
+
+    One lead pattern at each '<' picks the construct, and each construct is
+    read by a pattern of its own or a find for its closer; a start tag
+    takes one _ATTR match per attribute.  After a syntax error the
+    collecting scan stops at the end of the construct it is in."""
 
     def __init__(self, text: str, collect: bool):
         self.text = text
@@ -235,15 +248,6 @@ class _Parser:
 
     # -- low level ----------------------------------------------------------
 
-    def eof(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self, n: int = 1) -> str:
-        return self.text[self.pos:self.pos + n]
-
-    def skip_ws(self) -> None:
-        self.pos = _WS_RUN.match(self.text, self.pos).end()
-
     def read_until(self, marker: str) -> Optional[str]:
         end = self.text.find(marker, self.pos)
         if end < 0:
@@ -251,14 +255,6 @@ class _Parser:
         out = self.text[self.pos:end]
         self.pos = end + len(marker)
         return out
-
-    def read_run(self, run: re.Pattern) -> str:
-        m = run.match(self.text, self.pos)
-        self.pos = m.end()
-        return m[0]
-
-    def read_name(self) -> str:
-        return self.read_run(_NAME_RUN)
 
     # -- entity scan (rule 8) ----------------------------------------------
 
@@ -281,7 +277,7 @@ class _Parser:
             return
         self.violate(1, offset, "content outside the single root element")
 
-    # -- constructs ---------------------------------------------------------
+    # -- constructs: each reads from its lead match -------------------------
 
     def parse_text_run(self) -> None:
         start = self.pos
@@ -295,28 +291,21 @@ class _Parser:
         self.scan_amps(data, start)
         self.attach(XmlNode.text(data), start)
 
-    def parse_comment(self, start: int) -> None:
-        self.pos += 4  # past <!--
-        body = self.read_until("-->")
+    def parse_delimited(self, closer: str, node: Callable[[str], XmlNode],
+                        message: str, lead: re.Match) -> None:
+        """A comment or CDATA section: its body runs to the first closer."""
+        self.pos = lead.end()
+        body = self.read_until(closer)
         if body is None:
-            self.syntax(start, "unterminated comment")
-            self.pos = len(self.text)
+            self.syntax(lead.start(), message)
             return
-        self.attach(XmlNode.comment(body), start)
+        self.attach(node(body), lead.start())
 
-    def parse_cdata(self, start: int) -> None:
-        self.pos += 9  # past <![CDATA[
-        body = self.read_until("]]>")
-        if body is None:
-            self.syntax(start, "unterminated CDATA section")
-            self.pos = len(self.text)
-            return
-        self.attach(XmlNode.cdata(body), start)
-
-    def parse_dtd(self, start: int) -> None:
+    def parse_dtd(self, lead: re.Match) -> None:
         # opaque <!...> capture; '<'/'>' depth covers internal subsets
+        start = lead.start()
         depth = 1
-        for m in _ANGLES.finditer(self.text, start + 2):
+        for m in _ANGLES.finditer(self.text, lead.end()):
             depth += 1 if m[0] == "<" else -1
             if depth == 0:
                 self.pos = m.end()
@@ -329,17 +318,17 @@ class _Parser:
                 return
         self.syntax(start, "unterminated '<!' declaration")
 
-    def parse_pi(self, start: int) -> None:
-        self.pos += 2  # past <?
-        target = self.read_name()
+    def parse_pi(self, lead: re.Match) -> None:
+        start = lead.start()
+        m = _NAME_RUN.match(self.text, lead.end())
+        target = m[0]
         if not target:
             self.syntax(start, "processing instruction without a target")
-            self.read_until("?>")
             return
+        self.pos = m.end()
         rest = self.read_until("?>")
         if rest is None:
             self.syntax(start, "unterminated processing instruction")
-            self.pos = len(self.text)
             return
         # exactly one separator char, so leading whitespace in data survives
         content = rest[1:] if rest[:1] and rest[0] in _WS else rest
@@ -357,59 +346,52 @@ class _Parser:
 
     def parse_attributes(self, owner: XmlNode) -> bool:
         """Read attributes up to '>' or '/>'.  Returns True for self-closing."""
+        text = self.text
         seen: set[str] = set()
         while True:
-            self.skip_ws()
-            if self.eof():
-                self.syntax(self.pos, "unterminated start tag")
-                return True
-            if self.peek(2) == "/>":
-                self.pos += 2
-                return True
-            if self.peek() == ">":
-                self.pos += 1
-                return False
-            name_off = self.pos
-            name = self.read_name()
+            m = _ATTR.match(text, self.pos)
+            if m[1]:
+                self.pos = m.end()
+                return m[1] == "/>"
+            name, name_off = m[2], m.start(2)
             if not name:
-                self.syntax(self.pos, f"unexpected {self.peek()!r} in tag")
-                self.pos += 1
+                if name_off == len(text):
+                    self.syntax(name_off, "unterminated start tag")
+                    return True
+                # in collecting mode, skip the character and read on
+                self.syntax(name_off, f"unexpected {text[name_off]!r} in tag")
+                self.pos = name_off + 1
                 continue
             if not _valid_name(name):
                 self.violate(7, name_off, f"invalid attribute name {name!r}")
-            value: Optional[str] = None
-            self.skip_ws()
-            if self.peek() == "=":
-                self.pos += 1
-                self.skip_ws()
-                q = self.peek()
-                if q in "\"'":
-                    self.pos += 1
-                    value = self.read_until(q)
-                    if value is None:
-                        self.syntax(name_off, "unterminated attribute value")
-                        return True
-                    self.scan_amps(value, self.pos - len(value) - 1)
-                else:
-                    self.violate(6, self.pos,
-                                 "attribute value must be quoted")
-                    value = self.read_run(_UNQUOTED_VALUE)
+            self.pos = m.end()
+            quote, value = m[3], m[4]
+            if quote is not None:
+                # an empty quote is '=' at the end of input
+                close = text.find(quote, self.pos) if quote else -1
+                if close < 0:
+                    self.syntax(name_off, "unterminated attribute value")
+                    return True
+                value = text[self.pos:close]
+                self.scan_amps(value, self.pos)
+                self.pos = close + 1
+            elif value is not None:
+                self.violate(6, m.start(4), "attribute value must be quoted")
             if name in seen:
                 self.violate(6, name_off, f"duplicate attribute {name!r}")
                 continue
             seen.add(name)
             owner.attributes.append((name, value))
 
-    def parse_close_tag(self, start: int) -> None:
-        self.pos += 2  # past </
-        name = self.read_name()
-        self.skip_ws()
-        if self.peek() != ">":
+    def parse_close_tag(self, lead: re.Match) -> None:
+        start = lead.start()
+        m = _CLOSE_TAG.match(self.text, start)
+        name = m[1]
+        self.pos = m.end()
+        if m[2] is None:
             self.violate(5, self.pos, "attributes are not allowed on close tags")
             end = self.text.find(">", self.pos)
             self.pos = len(self.text) if end < 0 else end + 1
-        else:
-            self.pos += 1
         if self.stack and self.stack[-1].name == name:
             self.stack.pop()
             return
@@ -421,15 +403,16 @@ class _Parser:
         else:
             self.violate(2, start, f"close tag </{name}> matches no open tag")
 
-    def parse_open_tag(self, start: int) -> None:
-        self.pos += 1  # past <
-        name_off = self.pos
-        name = self.read_name()
+    def parse_open_tag(self, lead: re.Match) -> None:
+        start = lead.start()
+        m = _NAME_RUN.match(self.text, lead.end())
+        name = m[0]
         if not name:
             self.syntax(start, "bare '<' does not start markup")
             return
         if not _valid_name(name):
-            self.violate(7, name_off, f"invalid element name {name!r}")
+            self.violate(7, m.start(), f"invalid element name {name!r}")
+        self.pos = m.end()
         node = XmlNode.element(name)
         closed = self.parse_attributes(node)
         self.attach(node, start)
@@ -439,28 +422,24 @@ class _Parser:
     # -- driver -------------------------------------------------------------
 
     def run(self) -> None:
-        while not self.eof() and not self.fatal:
-            c = self.text[self.pos]
-            if c != "<":
+        text = self.text
+        read = {"<": self.parse_open_tag, "</": self.parse_close_tag,
+                "<?": self.parse_pi, "<!": self.parse_dtd,
+                "<!--": partial(self.parse_delimited, "-->", XmlNode.comment,
+                                "unterminated comment"),
+                "<![CDATA[": partial(self.parse_delimited, "]]>",
+                                     XmlNode.cdata,
+                                     "unterminated CDATA section")}
+        while self.pos < len(text) and not self.fatal:
+            lead = _LEAD.match(text, self.pos)
+            if lead is None:
                 self.parse_text_run()
-                continue
-            start = self.pos
-            if self.peek(4) == "<!--":
-                self.parse_comment(start)
-            elif self.peek(9) == "<![CDATA[":
-                self.parse_cdata(start)
-            elif self.peek(2) == "<!":
-                self.parse_dtd(start)
-            elif self.peek(2) == "<?":
-                self.parse_pi(start)
-            elif self.peek(2) == "</":
-                self.parse_close_tag(start)
             else:
-                self.parse_open_tag(start)
+                read[lead[0]](lead)
         for node in reversed(self.stack):
-            self.violate(2, len(self.text), f"<{node.name}> is never closed")
+            self.violate(2, len(text), f"<{node.name}> is never closed")
         if self.root is None and not self.fatal:
-            self.violate(1, len(self.text), "no root element")
+            self.violate(1, len(text), "no root element")
 
 
 def parse_xml(text: str) -> XmlDocument:

@@ -231,6 +231,27 @@ def test_encode_whitespace_dropped_by_default():
     assert structural_equal(back, doc, whitespace_significant=True)
 
 
+# no-break space, ideographic space and form feed are text, not whitespace:
+# XML whitespace is space, tab, CR and LF only
+NON_XML_SPACE_DOCS = ["<a>\xa0</a>", "<a>\u3000</a>", "<a>\x0c</a>"]
+
+
+@pytest.mark.parametrize("text", NON_XML_SPACE_DOCS)
+@pytest.mark.parametrize("mode", [EncodeMode.SAFE_SIBLING,
+                                  EncodeMode.CANONICAL])
+@pytest.mark.parametrize("escaping", list(EscapeMode))
+def test_non_xml_space_text_survives(text, mode, escaping):
+    doc = parse_xml(text)
+    xs = encode(doc, EncodeOptions(mode=mode, escaping=escaping))
+    back = decode(tokenize(render(xs), escaping))
+    assert serialize_xml(back) == text
+    assert structural_equal(back, doc, whitespace_significant=True)
+
+
+def test_non_xml_space_text_is_not_insignificant():
+    assert not structural_equal(parse_xml("<a>\xa0</a>"), parse_xml("<a/>"))
+
+
 def test_text_dual_selection():
     doc = XmlDocument(XmlNode.element("X", children=[XmlNode.text("huh?")]))
     xs = encode(doc)

@@ -18,3 +18,18 @@ def test_no_private_names_across_modules():
             crossing += [f"{path.name}: {node.module}.{alias.name}"
                          for alias in node.names if alias.name.startswith("_")]
     assert crossing == []
+
+
+def test_no_whitespace_calls_without_characters():
+    # with no argument these treat all of Unicode's spaces as whitespace;
+    # XML's whitespace is space, tab, CR and LF only, so name the characters
+    calls = []
+    for path in sorted(Path(xstring.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("strip", "lstrip", "rstrip",
+                                           "split", "isspace")
+                    and not node.args and not node.keywords):
+                calls.append(f"{path.name}:{node.lineno} .{node.func.attr}()")
+    assert calls == []

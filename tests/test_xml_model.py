@@ -157,6 +157,14 @@ def test_doctype_before_root_rejected():
     assert exc.value.rule == 1
 
 
+def test_non_xml_space_outside_root_is_rule_1():
+    # only space, tab, CR and LF may stand outside the root element
+    assert check_well_formed(" \t\r\n<A/>\n").ok
+    with pytest.raises(WellFormednessError) as exc:
+        parse_xml("<A/>\xa0")
+    assert (exc.value.rule, exc.value.offset) == (1, 4)
+
+
 def test_report_clean_on_valid_input():
     for text in (PROPERTIES_XML, RECORDS_XML, XHTML_PAGE_XML):
         report = check_well_formed(text)
@@ -237,5 +245,17 @@ def _lines_run(fn, *args) -> int:
 def test_mismatched_close_tags_take_linear_steps():
     def steps(n):
         return _lines_run(check_well_formed, "<r>" + "<a>" * n + "</b>" * n)
+
+    assert steps(1000) < 2.2 * steps(500)
+
+
+@pytest.mark.parametrize("tag", [
+    lambda n: "<a" + "".join(f" b{i}='{i}'" for i in range(n)) + "/>",
+    lambda n: "<a b=" + "c" * n + "/>",
+    lambda n: "<a" + " " * n + "/>",
+], ids=["attributes", "unquoted_value", "whitespace"])
+def test_start_tag_takes_linear_steps(tag):
+    def steps(n):
+        return _lines_run(check_well_formed, tag(n))
 
     assert steps(1000) < 2.2 * steps(500)

@@ -13,7 +13,9 @@ import corpus as fixtures
 from parser_oracle import (_is_name_char, oracle_check_well_formed,
                            oracle_parse_xml)
 
-ALPHABET = "<>/!?-[]&;#=\"' a1:"
+# XML whitespace, a non-ASCII letter and a non-XML space test the patterns'
+# whitespace and name classes
+ALPHABET = "<>/!?-[]&;#=\"' a1:\t\n\ré\xa0"
 # whole markup openers make comments, CDATA and declarations likelier
 PIECES = list(ALPHABET) + ["<!--", "-->", "<![CDATA[", "]]>", "<?", "?>",
                            "</", "/>", "&a;", "&#1;"]
@@ -43,7 +45,9 @@ def test_random_markup_pieces_match_oracle(text):
 
 @pytest.mark.parametrize("text", ["<a b=c/>", "<a b=c>x</a>", "<a b=/>",
                                   "<a b=c d='e'/>", "<a>&a.b-c;&#1;&</a>",
-                                  "<a>&#;&#x1;&;</a>"])
+                                  "<a>&#;&#x1;&;</a>", "<a b=", '<a b="',
+                                  "<a b =\t'c'/>", "<a =x/>",
+                                  '<a b="1"c="2"/>', "</a\t>", "<r></r x>"])
 def test_markup_edge_cases_match_oracle(text):
     assert_same(text)
 
