@@ -137,7 +137,7 @@ class Unencodable(XStringError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class OpenEntry:
     node: XmlNode
     close: Optional[int]  # node count at which the depth marker runs out
@@ -482,13 +482,14 @@ def _element_tokens(node: XmlNode, kind: PrefixKind,
     """Check an element and append its token and attribute tokens."""
     if node.content:
         raise Unencodable("element content cannot be written")
-    tok = XsToken(kind, _writable_name(node.name, node.kind.value))
+    tok = XsToken.unchecked(kind, _writable_name(node.name, node.kind.value))
     tokens.append(tok)
     for name, value in node.attributes:
-        tokens.append(XsToken(PrefixKind.ATTR_NAME,
-                              _writable_name(name, "attribute")))
+        tokens.append(XsToken.unchecked(PrefixKind.ATTR_NAME,
+                                        _writable_name(name, "attribute")))
         if value is not None:
-            tokens.append(XsToken(PrefixKind.ATTR_VALUE, _nul_free(value)))
+            tokens.append(XsToken.unchecked(PrefixKind.ATTR_VALUE,
+                                            _nul_free(value)))
     if len(node.attributes) > 1:
         names: set[str] = set()
         for name, _ in node.attributes:
@@ -523,7 +524,7 @@ def _data_token(node: XmlNode, escaping: EscapeMode,
         name = _writable_name(node.name, node.kind.value)
         kind = PrefixKind.PROC_INSTR
         content = f"{name} {content}" if content else name
-    tokens.append(XsToken(kind, content))
+    tokens.append(XsToken.unchecked(kind, content))
 
 
 def _emit_canonical(root: XmlNode, escaping: EscapeMode, drop: bool,

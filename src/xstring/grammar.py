@@ -24,15 +24,18 @@ the element (or attribute) token they follow, and the tokenizer accepts them
 after an attribute list as well (``@name=v+10`` binds the depth to the
 enclosing element token).
 
-The tokenizer reads the wire string with compiled patterns.  A lead pattern
-skips padding and captures the prefix character (after its NUL in sentinel
-mode); one run pattern per escape mode and payload kind (data, name, dual)
-then reads the payload.  An entity-mode data run is
-``(?:[^<prefix chars>&\\x00]+|&#[0-9]+;|&(?!#))*``, and the character a run
-stops at names the error: ``&`` a malformed reference, NUL stray data, the
-end of input an unterminated dual.  References are resolved by one
-``&#0*([0-9]+);`` substitution, only in payloads that hold an ``&``; the
-digits are looked up as text, so a reference of any length is read.
+The tokenizer reads each token with one match of a compiled pattern per
+escape mode.  The match skips padding and reads the lead (the prefix
+character, after its NUL in sentinel mode) and that kind's payload run;
+``m.lastindex`` says which kind of run it read.  An entity-mode data run
+is ``(?:[^<prefix chars>&\\x00]+|&#[0-9]+;|&(?!#))*``, and the character a
+run stops at names the error, read by the same match: ``&`` a malformed
+reference, NUL stray data, the end of input an unterminated dual.
+References are resolved by one ``&#0*([0-9]+);`` substitution, only in
+payloads that hold an ``&``; the digits are looked up as text, so a
+reference of any length is read.  The tokens it builds skip
+``XsToken``'s checks (``XsToken.unchecked``): the pattern has already
+established them.
 """
 
 from __future__ import annotations
@@ -116,7 +119,7 @@ class MalformedEntity(TokenizeError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class XsToken:
     kind: PrefixKind
     payload: str = ""
@@ -147,6 +150,21 @@ class XsToken:
                 raise ValueError("negative depth")
         if self.subst_key is not None and self.subst_key < 0:
             raise ValueError("negative key")
+
+    @classmethod
+    def unchecked(cls, kind: PrefixKind, payload: str = "",
+                  depth: Optional[int] = None,
+                  subst_key: Optional[int] = None) -> XsToken:
+        """A token built without the checks of __post_init__, for code that
+        has already established them: the tokenizer, the encoders and the
+        substitution passes.  Input from outside the library goes through
+        XsToken(...)."""
+        tok = object.__new__(cls)
+        tok.kind = kind
+        tok.payload = payload
+        tok.depth = depth
+        tok.subst_key = subst_key
+        return tok
 
     def is_reference(self) -> bool:
         """True for a bare key occurrence standing in for a name."""
@@ -251,21 +269,39 @@ def render(doc: XsDocument) -> str:
 # tokenizing
 
 _P = re.escape(PREFIX_CHARS)
+_DATA_LEADS = "-'?\\[!="
 _RUN_REF = "&#[0-9]+;|&(?!#)"
-# lead, data, name and dual patterns per escape mode
-_PATTERNS = {
-    EscapeMode.ENTITY: tuple(map(re.compile, (
-        f"[{_WS}]*([{_P}])?",
-        f"(?:[^{_P}&\\x00]+|{_RUN_REF})*",
-        f"(?:[^{_P}&\\x00{_WS}]+|{_RUN_REF})*",
-        f'(?:[^"&\\x00]+|{_RUN_REF})*'))),
-    EscapeMode.SENTINEL: tuple(map(re.compile, (
-        f"[{_WS}]*(\\x00[{_P}])?",
-        "[^\\x00]*",
-        f"[^\\x00{_WS}]*",
-        "[^\\x00]*"))),
+# One token pattern per escape mode.  The alternatives and their groups,
+# the same numbers in both modes:
+#   1 2 3   dual lead, payload, what the run stopped at when unclosed
+#   4 5     marker lead, digits
+#   6 7     name lead, payload
+#   8 9     data lead, payload
+#   10      (entity mode) the '&' or NUL a name or data run stopped at
+# A quoted attribute value ``="..."`` is read as a dual; sentinel mode has
+# no quoted values.
+_TOKEN = {
+    EscapeMode.ENTITY: re.compile(
+        f"[{_WS}]*(?:"
+        f'(="|")((?:[^"&\\x00]+|{_RUN_REF})*)(?:"|([&\\x00]|\\Z))'
+        "|([+#])([0-9]*)"
+        f"|(?:([/|@])((?:[^{_P}&\\x00{_WS}]+|{_RUN_REF})*)"
+        f"|([{_DATA_LEADS}])((?:[^{_P}&\\x00]+|{_RUN_REF})*))([&\\x00])?"
+        ")?"),
+    EscapeMode.SENTINEL: re.compile(
+        f"[{_WS}]*(?:"
+        '(\\x00")([^\\x00]*)(?:\\x00"|(\\x00|\\Z))'
+        "|(\\x00[+#])([0-9]*)"
+        f"|(\\x00[/|@])([^\\x00{_WS}]*)"
+        f"|(\\x00[{_DATA_LEADS}])([^\\x00]*)"
+        ")?"),
 }
-_DIGIT_RUN = re.compile("[0-9]+")
+# what a match read, by its m.lastindex; the group before a payload holds
+# its lead, and a lastindex of 3 or 10 says where a run stopped short
+_DUAL, _MARKER, _NAME, _DATA = 2, 5, 7, 9
+_LEADS = {lead: kind for c, kind in _CHAR_TO_KIND.items()
+          for lead in (c, NUL + c)}
+_LEADS['="'] = PrefixKind.ATTR_VALUE
 
 
 def _no_token(text: str, i: int, sentinel: bool) -> NoReturn:
@@ -281,22 +317,16 @@ def _no_token(text: str, i: int, sentinel: bool) -> NoReturn:
     raise StrayData(i, "data outside any token")
 
 
-def _payload(run: re.Pattern, text: str, i: int, sentinel: bool,
-             unescape: Callable[[re.Match], str]) -> tuple[str, int]:
-    """Read the payload run matches at i; returns it unescaped and its end.
-
-    An entity-mode run stops early at an '&' that starts no reference and
-    at a NUL, and both are errors there."""
-    j = run.match(text, i).end()
-    s = text[i:j]
-    if sentinel:
-        return s, j
-    c = text[j:j + 1]
+def _stopped(m: re.Match, g: int, sentinel: bool) -> NoReturn:
+    """Raise for a payload run that stopped where group g of m begins: at
+    an '&' that starts no reference, at a NUL in entity mode, or before the
+    closer of a dual."""
+    c, at = m[g], m.start(g)
     if c == "&":
-        raise MalformedEntity(j, "'&#' is not a decimal character reference")
-    if c == NUL:
-        raise StrayData(j, "NUL in entity-mode stream")
-    return (_REFERENCE.sub(unescape, s) if "&" in s else s), j
+        raise MalformedEntity(at, "'&#' is not a decimal character reference")
+    if c == NUL and not sentinel:
+        raise StrayData(at, "NUL in entity-mode stream")
+    raise UnterminatedDual(m.start(_DUAL - 1), "dual text never closed")
 
 
 def _integer(digits: str, error: type[TokenizeError], offset: int,
@@ -329,8 +359,8 @@ def _attach_key(tokens: list[XsToken], value: int, offset: int) -> None:
     raise BadKey(offset, "key binder is not attached to a name")
 
 
-_MARKERS = {PrefixKind.DEPTH: (BadDepth, "depth marker", _attach_depth),
-            PrefixKind.SUBST_KEY: (BadKey, "key binder", _attach_key)}
+_MARKERS = {"+": (BadDepth, "depth marker", _attach_depth),
+            "#": (BadKey, "key binder", _attach_key)}
 
 
 def tokenize(text: str, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
@@ -341,46 +371,39 @@ def tokenize(text: str, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
     preserved.
     """
     sentinel = escaping is EscapeMode.SENTINEL
-    lead, data, name_run, dual = _PATTERNS[escaping]
-    close = NUL + '"' if sentinel else '"'
+    match = _TOKEN[escaping].match
+    new = XsToken.unchecked
     tokens: list[XsToken] = []
     n = len(text)
     i = 0
     while i < n:
-        m = lead.match(text, i)
-        if m[1] is None:
+        m = match(text, i)
+        g = m.lastindex
+        if g is None:
             if m.end() < n:
                 _no_token(text, m.end(), sentinel)
             break
-        start, i = m.span(1)
-        kind = _CHAR_TO_KIND[text[i - 1]]
-
-        if kind in _MARKERS:
-            error, what, attach = _MARKERS[kind]
-            m = _DIGIT_RUN.match(text, i)
-            if m is None:
+        i = m.end()
+        payload = m[g]
+        if g == _NAME:
+            if not payload:
+                raise EmptyName(m.start(g - 1), "missing name")
+            # isdigit first spares most names the call
+            if payload.isdigit() and reads_as_key(payload):
+                key = _integer(payload, BadKey, m.start(g - 1), "key reference")
+                tokens.append(new(_LEADS[m[g - 1]], "", None, key))
+                continue
+        elif g == _MARKER:
+            start = m.start(g - 1)
+            error, what, attach = _MARKERS[m[g - 1][-1]]
+            if not payload:
                 raise error(start, f"no integer after {what}")
-            attach(tokens, _integer(m[0], error, start, what), start)
-            i = m.end()
-        elif kind in NAME_KINDS:
-            name, i = _payload(name_run, text, i, sentinel, _UNESCAPE)
-            if not name:
-                raise EmptyName(start, "missing name")
-            if reads_as_key(name):
-                key = _integer(name, BadKey, start, "key reference")
-                tokens.append(XsToken(kind, "", subst_key=key))
-            else:
-                tokens.append(XsToken(kind, name))
-        elif kind is PrefixKind.TEXT_DUAL or (
-                kind is PrefixKind.ATTR_VALUE and not sentinel
-                and text.startswith('"', i)):
-            i += kind is PrefixKind.ATTR_VALUE  # past the opening quote
-            payload, i = _payload(dual, text, i, sentinel, _UNESCAPE_DUAL)
-            if not text.startswith(close, i):
-                raise UnterminatedDual(start, "dual text never closed")
-            i += len(close)
-            tokens.append(XsToken(kind, payload))
-        else:
-            payload, i = _payload(data, text, i, sentinel, _UNESCAPE)
-            tokens.append(XsToken(kind, payload))
+            attach(tokens, _integer(payload, error, start, what), start)
+            continue
+        elif g != _DATA and g != _DUAL:
+            _stopped(m, g, sentinel)
+        if not sentinel and "&" in payload:
+            payload = _REFERENCE.sub(
+                _UNESCAPE_DUAL if g == _DUAL else _UNESCAPE, payload)
+        tokens.append(new(_LEADS[m[g - 1]], payload))
     return XsDocument(tokens, escaping)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .codec import EncodeMode, EncodeOptions, UnknownKey, decode, encode
@@ -95,16 +95,19 @@ def build_substitution(doc: XsDocument,
             keys[name] = key
             table.names.append(name)
 
+    # the input's tokens hold their invariants and a key is not negative,
+    # so the keyed tokens are built unchecked
     out: list[XsToken] = []
     bound: set[str] = set()
     for tok in doc.tokens:
         if tok.kind in NAME_KINDS and tok.payload in keys:
             key = keys[tok.payload]
             if tok.payload in bound:
-                out.append(XsToken(tok.kind, "", depth=tok.depth, subst_key=key))
+                out.append(XsToken.unchecked(tok.kind, "", tok.depth, key))
             else:
                 bound.add(tok.payload)
-                out.append(replace(tok, subst_key=key))
+                out.append(XsToken.unchecked(tok.kind, tok.payload, tok.depth,
+                                             key))
         else:
             out.append(tok)
     return table, XsDocument(out, doc.escaping)
@@ -117,19 +120,24 @@ def expand_substitution(doc: XsDocument,
     The stream's own binders are enough; a table may seed keys for streams
     whose binders were stripped.
     """
-    names: dict[int, str] = dict(enumerate(table.names)) if table else {}
+    # names the stream binds were checked as name payloads; the table's
+    # come from the caller, so their tokens get XsToken's checks
+    bound: dict[int, str] = {}
+    seeded = table.names if table else []
     out: list[XsToken] = []
     for tok in doc.tokens:
-        if tok.subst_key is None:
+        key = tok.subst_key
+        if key is None:
             out.append(tok)
-        elif tok.is_reference():
-            name = names.get(tok.subst_key)
-            if name is None:
-                raise UnknownKey(f"key {tok.subst_key} was never bound")
-            out.append(XsToken(tok.kind, name, depth=tok.depth))
+        elif not tok.is_reference():
+            bound[key] = tok.payload
+            out.append(XsToken.unchecked(tok.kind, tok.payload, tok.depth))
+        elif key in bound:
+            out.append(XsToken.unchecked(tok.kind, bound[key], tok.depth))
+        elif key < len(seeded):
+            out.append(XsToken(tok.kind, seeded[key], depth=tok.depth))
         else:
-            names[tok.subst_key] = tok.payload
-            out.append(replace(tok, subst_key=None))
+            raise UnknownKey(f"key {key} was never bound")
     return XsDocument(out, doc.escaping)
 
 

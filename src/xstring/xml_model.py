@@ -44,7 +44,7 @@ class NodeKind(Enum):
 Attribute = tuple[str, Optional[str]]
 
 
-@dataclass
+@dataclass(slots=True)
 class XmlNode:
     kind: NodeKind
     name: str = ""

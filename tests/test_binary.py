@@ -179,6 +179,22 @@ def test_bad_payload_digits_only_name():
         unpack(bytes([0x0E, 0x02]) + b"42")
 
 
+@pytest.mark.parametrize("data, token", [
+    (bytes([0x0E, 0x03]) + b"a b", (PrefixKind.CHILD, "a b")),
+    (bytes([0x0E, 0x02]) + b"42", (PrefixKind.CHILD, "42")),
+    (bytes([0xFE, 0x03]) + b"a\0b", (PrefixKind.TEXT, "a\0b")),
+    (bytes([0x0E, 0x00]), (PrefixKind.CHILD, "")),
+])
+def test_bad_payload_says_what_the_constructor_says(data, token):
+    # unpack reads input from outside: its tokens get every check of
+    # XsToken(...), reported in the constructor's words
+    with pytest.raises(ValueError) as expected:
+        XsToken(*token)
+    with pytest.raises(BadPayload) as got:
+        unpack(data)
+    assert str(got.value) == str(expected.value)
+
+
 @given(st.integers(min_value=0, max_value=2 ** 63 - 1))
 def test_varint_round_trip(value):
     out = bytearray()
