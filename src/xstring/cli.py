@@ -19,7 +19,7 @@ from .codec import (DecodeError, EncodeMode, EncodeOptions, Unencodable,
                     decode, encode)
 from .errors import XStringError
 from .folding import FoldError, FoldMode, fold, unfold
-from .grammar import EscapeMode, TokenizeError, render, tokenize
+from .grammar import EscapeMode, TokenizeError, XsDocument, render, tokenize
 from .metrics import Mismatch, measure
 from .transforms import (NumericNameClash, build_substitution,
                          expand_substitution, to_child_depth)
@@ -96,12 +96,14 @@ def _write_stream(args: argparse.Namespace, doc) -> int:
     return 0
 
 
-def _encode_options(args: argparse.Namespace) -> EncodeOptions:
-    return EncodeOptions(
-        mode=args.mode,
-        escaping=_escape(args),
-        drop_insignificant_whitespace=not args.keep_whitespace,
-        substitution_threshold=args.subst_threshold)
+def _encode(args: argparse.Namespace, text: str) -> XsDocument:
+    """Encode XML text as the encode options on the command line ask."""
+    opts = EncodeOptions(mode=args.mode, escaping=_escape(args),
+                         drop_insignificant_whitespace=not args.keep_whitespace)
+    stream = encode(parse_xml(text), opts)
+    if args.subst_threshold is not None:
+        _, stream = build_substitution(stream, args.subst_threshold)
+    return stream
 
 
 def _threshold(text: str) -> int:
@@ -114,8 +116,7 @@ def _threshold(text: str) -> int:
 # -- commands ---------------------------------------------------------------
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    doc = parse_xml(_read_text(args.input))
-    return _write_stream(args, encode(doc, _encode_options(args)))
+    return _write_stream(args, _encode(args, _read_text(args.input)))
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
@@ -166,8 +167,7 @@ def cmd_unfold(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     text = _read_text(args.input)
-    stream = encode(parse_xml(text), _encode_options(args))
-    report = measure(text, stream)
+    report = measure(text, _encode(args, text))
     body = report.as_table() if args.format == "table" else report.as_kv()
     _write_text(args.output, body)
     return 0

@@ -42,20 +42,21 @@ on an element; a name, attributes or children on a data node other than
 an instruction's name) cannot be written either.
 
 The sibling form is then checked without building a tree.  The decoder's
-core runs over the stream with a sink whose open elements are the caller's
-own nodes.  Each element and data token takes the next node the walk
-writes, in document order, and must carry that node's kind, name, content
-and attributes; the node must attach under its parent in the caller's
-tree, so that parent must be the innermost open element.  The check needs
-nothing from the emitter but its tokens, and it is exact.  Decoding makes
-one node per element or data token, in stream order, from that token and
-the attribute tokens after it, and puts it under the innermost open
-element, so the decoded nodes come out in document order.  The check
-pairs them one to one with the caller's nodes in document order, with
-equal fields and corresponding parents, and leaves no node unpaired.
-That holds exactly when the stream decodes to the caller's tree, less the
-whitespace the walk skips.  A stream the core rejects raises Unencodable
-as well.
+core reads the stream and hands each node's kind, name, content and
+attribute list to a two-method sink whose open elements are the caller's
+own nodes.  Its _node takes the next node the walk writes, in document
+order, which must have the kind, name and content the core read, and the
+attributes the core gave it by the next node or the end; its _attach
+requires that node's parent in the caller's tree to be the innermost open
+element.  The check needs nothing from the emitter but its tokens, and it
+is exact.  Decoding makes one node per element or data token, in stream
+order, from that token and the attribute tokens after it, and puts it
+under the innermost open element, so the decoded nodes come out in
+document order.  The check pairs them one to one with the caller's nodes
+in document order, with equal fields and corresponding parents, and leaves
+no node unpaired.  That holds exactly when the stream decodes to the
+caller's tree, less the whitespace the walk skips.  A stream the core
+rejects raises Unencodable as well.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ from typing import Iterator, Optional
 from .errors import XStringError
 from .grammar import (NUL, PREFIX_CHARS, WHITESPACE, EscapeMode, PrefixKind,
                       XsDocument, XsToken, reads_as_key)
-from .xml_model import NodeKind, OpenStack, XmlDocument, XmlNode, walk
+from .xml_model import (Attribute, NodeKind, OpenStack, XmlDocument, XmlNode,
+                        walk)
 
 
 class EncodeMode:
@@ -80,13 +82,10 @@ class EncodeOptions:
     mode: str = EncodeMode.SAFE_SIBLING
     escaping: EscapeMode = EscapeMode.ENTITY
     drop_insignificant_whitespace: bool = True
-    substitution_threshold: Optional[int] = None
 
     def __post_init__(self):
         if self.mode not in (EncodeMode.SAFE_SIBLING, EncodeMode.CANONICAL):
             raise ValueError(f"unknown encode mode {self.mode!r}")
-        if self.substitution_threshold is not None and self.substitution_threshold < 2:
-            raise ValueError("substitution threshold must be at least 2")
 
 
 class DecodeError(XStringError):
@@ -158,16 +157,6 @@ _NODE_KINDS = {PrefixKind.TEXT: NodeKind.TEXT,
                **{tok: node for node, tok in _DATA_KINDS.items()}}
 
 
-def _data_fields(tok: XsToken) -> tuple[NodeKind, str, str]:
-    """The kind, name and content of the node a data token stands for; an
-    instruction's target runs to its first whitespace."""
-    kind = _NODE_KINDS.get(tok.kind)
-    if kind is not None:
-        return kind, "", tok.payload
-    cut = _target_end(tok.payload)
-    return NodeKind.PROC_INSTR, tok.payload[:cut], tok.payload[cut + 1:]
-
-
 class DecodeState:
     """Decoder state, exposed so the stack behaviour is testable directly.
 
@@ -177,11 +166,14 @@ class DecodeState:
     open_stack.nearest finds the element a sibling token closes back to.
     Each node costs O(1) amortized at any depth.
 
-    This core keeps the stack, the budgets, the sibling close-back and the
-    attribute rules, and raises every DecodeError.  Making nodes, storing
-    attributes and placing a node under the innermost open element are the
-    sink methods _element, _data_node, _add_attr, _set_attr_value and
-    _attach; the ones here build the tree decode returns."""
+    This core reads every token: it keeps the stack, the budgets, the
+    sibling close-back and the attribute rules, raises every DecodeError,
+    and works out the kind, name and content of each node and the
+    attribute list of the element opened last.  Two sink methods take it
+    from there: _node(kind, name, content, attrs) makes the node, with
+    attrs the list the core goes on filling, and _attach(node) places it
+    under the innermost open element.  The ones here build the tree decode
+    returns."""
 
     def __init__(self):
         self.open_stack = OpenStack()
@@ -192,25 +184,18 @@ class DecodeState:
         # element holds content exactly when more have been attached since
         self._opened_at = 0
         self._pending_attr = False
-        # attribute names of the element opened last; an attribute for any
-        # other element finds it holding content and fails before the lookup
+        # the attributes of the element opened last, and their names; an
+        # attribute for any other element finds it holding content and
+        # fails before the lookup
+        self._attrs: list[Attribute] = []
         self._attr_names: set[str] = set()
         self._keys: dict[int, str] = {}
 
     # -- tree sink ----------------------------------------------------------
 
-    def _element(self, name: str) -> XmlNode:
-        return XmlNode(NodeKind.ELEMENT, name)
-
-    def _data_node(self, tok: XsToken) -> XmlNode:
-        kind, name, content = _data_fields(tok)
-        return XmlNode(kind, name, content=content)
-
-    def _add_attr(self, owner: XmlNode, name: str) -> None:
-        owner.attributes.append((name, None))
-
-    def _set_attr_value(self, owner: XmlNode, value: str) -> None:
-        owner.attributes[-1] = (owner.attributes[-1][0], value)
+    def _node(self, kind: NodeKind, name: str, content: str,
+              attrs: list[Attribute]) -> XmlNode:
+        return XmlNode(kind, name, attrs, content)
 
     def _attach(self, node: XmlNode) -> None:
         self.open_stack[-1].node.children.append(node)
@@ -247,25 +232,25 @@ class DecodeState:
     def _feed_attr(self, tok: XsToken) -> None:
         if not self.open_stack:
             raise DanglingAttr("attribute outside any open element")
-        owner = self.open_stack[-1].node
         if tok.kind is PrefixKind.ATTR_NAME:
             if self._attached > self._opened_at:
-                raise AttrAfterContent(
-                    f"attribute after content in <{owner.name}>")
+                raise AttrAfterContent("attribute after content in "
+                                       f"<{self.open_stack[-1].node.name}>")
             name = self._resolve_name(tok)
             if name in self._attr_names:
                 raise DuplicateAttr(f"duplicate attribute {name!r}")
             self._attr_names.add(name)
-            self._add_attr(owner, name)
+            self._attrs.append((name, None))
             self._pending_attr = True
         else:
             if not self._pending_attr:
                 raise DanglingAttr("attribute value without a preceding name")
-            self._set_attr_value(owner, tok.payload)
+            self._attrs[-1] = (self._attrs[-1][0], tok.payload)
             self._pending_attr = False
 
     def _open(self, tok: XsToken, name: str) -> None:
-        elem = self._element(name)
+        attrs: list[Attribute] = []
+        elem = self._node(NodeKind.ELEMENT, name, "", attrs)
         stack = self.open_stack
         if stack:
             self._attach(elem)
@@ -276,6 +261,7 @@ class DecodeState:
         low = min(inf if close is None else close, stack[-1].low if stack else inf)
         stack.push(name, OpenEntry(elem, close, low))
         self._opened_at = self._attached
+        self._attrs = attrs
         self._attr_names.clear()
 
     def _feed_child(self, tok: XsToken) -> None:
@@ -314,14 +300,21 @@ class DecodeState:
         self._open(tok, name)
 
     def _feed_data(self, tok: XsToken) -> None:
-        kind = tok.kind
-        if kind is PrefixKind.PROC_INSTR and _target_end(tok.payload) == 0:
-            raise BadToken("instruction without a target")
-        node = self._data_node(tok)
+        kind = _NODE_KINDS.get(tok.kind)
+        if kind is None:
+            # an instruction: its target runs to its first whitespace
+            payload = tok.payload
+            cut = _target_end(payload)
+            if cut == 0:
+                raise BadToken("instruction without a target")
+            node = self._node(NodeKind.PROC_INSTR, payload[:cut],
+                              payload[cut + 1:], [])
+        else:
+            node = self._node(kind, "", tok.payload, [])
         self._close_exhausted()
         if not self.open_stack:
             if self.root is None:
-                if kind is PrefixKind.PROC_INSTR and self.prolog is None:
+                if kind is None and self.prolog is None:
                     self.prolog = node
                     return
                 raise BadStreamStart("stream must start with a child element")
@@ -386,51 +379,28 @@ class _Verifier(DecodeState):
     """Decodes a sibling stream onto the caller's own tree, building none.
 
     Each element and data token takes the next node the caller's tree
-    writes, in document order, and must carry its fields; the open entries
-    hold the caller's elements, so a node lands under its parent exactly
-    when that parent is the innermost entry.  The attribute tokens after an
-    element are gathered and compared once the next node or the end comes."""
+    writes, in document order, and must carry its kind, name and content;
+    the open entries hold the caller's elements, so a node lands under its
+    parent exactly when that parent is the innermost entry.  The attribute
+    list the core fills for a node is compared with the node's own once
+    the next node or the end comes."""
 
     def __init__(self, doc: XmlDocument, drop: bool):
         super().__init__()
         self._written = _written(doc, drop)
         self._parent: Optional[XmlNode] = None
-        # the element opened last, and the attributes the stream gave it
-        self._owner: Optional[XmlNode] = None
-        self._attrs: list[tuple[str, Optional[str]]] = []
+        # the attributes the stream gave the last node, and the node's own
+        self._got: list[Attribute] = []
+        self._want: list[Attribute] = []
 
-    def _attrs_match(self) -> bool:
-        return self._owner is None or self._attrs == self._owner.attributes
-
-    def _next(self) -> XmlNode:
-        if not self._attrs_match():
-            raise Unencodable(_NOT_DECODED)
+    def _node(self, kind: NodeKind, name: str, content: str,
+              attrs: list[Attribute]) -> XmlNode:
         node, self._parent = next(self._written, (None, None))
-        if node is None:
+        if (self._got != self._want or node is None or node.kind is not kind
+                or node.name != name or node.content != content):
             raise Unencodable(_NOT_DECODED)
+        self._got, self._want = attrs, node.attributes
         return node
-
-    def _element(self, name: str) -> XmlNode:
-        node = self._next()
-        if (node.kind is not NodeKind.ELEMENT or node.name != name
-                or node.content):
-            raise Unencodable(_NOT_DECODED)
-        self._owner = node
-        self._attrs = []
-        return node
-
-    def _data_node(self, tok: XsToken) -> XmlNode:
-        node = self._next()
-        if ((node.kind, node.name, node.content) != _data_fields(tok)
-                or node.attributes):
-            raise Unencodable(_NOT_DECODED)
-        return node
-
-    def _add_attr(self, owner: XmlNode, name: str) -> None:
-        self._attrs.append((name, None))
-
-    def _set_attr_value(self, owner: XmlNode, value: str) -> None:
-        self._attrs[-1] = (self._attrs[-1][0], value)
 
     def _attach(self, node: XmlNode) -> None:
         if self.open_stack[-1].node is not self._parent:
@@ -438,7 +408,7 @@ class _Verifier(DecodeState):
 
     def finish(self) -> XmlDocument:
         got = super().finish()
-        if not self._attrs_match() or next(self._written, None) is not None:
+        if self._got != self._want or next(self._written, None) is not None:
             raise Unencodable(_NOT_DECODED)
         return got
 
@@ -609,8 +579,4 @@ def encode(doc: XmlDocument, opts: Optional[EncodeOptions] = None) -> XsDocument
     else:
         _emit_safe_sibling(doc.root, opts.escaping, drop, tokens)
         _verify(doc, drop, tokens)
-    out = XsDocument(tokens, opts.escaping)
-    if opts.substitution_threshold is not None:
-        from .transforms import build_substitution
-        _, out = build_substitution(out, opts.substitution_threshold)
-    return out
+    return XsDocument(tokens, opts.escaping)

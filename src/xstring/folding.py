@@ -33,6 +33,10 @@ _UNESCAPES = {"&#160;": " ", "&#34;": '"', "&#38;": "&", "&#60;": "<",
 # the literals left to right finds what a scan from each '&' to the next
 # ';' finds
 _REFERENCE = re.compile("|".join(map(re.escape, _UNESCAPES)))
+# a count or layer index in a folded document: ASCII digits, where int()
+# and str.isdigit would also take signs, spaces, underscores and the
+# digits of other scripts
+_DIGITS = re.compile("[0-9]+")
 
 
 class FoldMode:
@@ -111,19 +115,20 @@ def _fold_attr_names(node: XmlNode) -> list[str]:
         if n in ("COUNT", "LENGTH", "TEXT"):
             names.append(n)
         elif (n.startswith(("LENGTH_", "TEXT_"))
-              and n.rpartition("_")[2].isdigit()):
+              and _DIGITS.fullmatch(n.rpartition("_")[2])):
             names.append(n)
     return names
 
 
 def _parse_count(text: str, what: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise LengthMismatch(f"{what} {text!r} is not a number") from None
-    if value < 0:
+    if _DIGITS.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    elif text.startswith("-") and _DIGITS.fullmatch(text, 1):
         raise LengthMismatch(f"{what} {text!r} is negative")
-    return value
+    raise LengthMismatch(f"{what} {text!r} is not a number")
 
 
 def _encode_payload(payload: XmlDocument) -> str:

@@ -42,6 +42,8 @@ RECORDS_XML = ('<EMP><REC FNAME="John" LNAME="Doe"/>'
 RECORDS_XS = "/EMP/REC@FNAME=John@LNAME=Doe|REC@FNAME=Jane@LNAME=Doh"
 
 # Name-table substitution example.
+SUBST_PLAIN_XML = ("<XML><AVERYLONGTAGNAME>child1</AVERYLONGTAGNAME>"
+                   "<AVERYLONGTAGNAME>child2</AVERYLONGTAGNAME></XML>")
 SUBST_PLAIN_XS = "/XML/AVERYLONGTAGNAME'child1|AVERYLONGTAGNAME'child2"
 SUBST_KEYED_XS = "/XML/AVERYLONGTAGNAME#0'child1|0'child2"
 
@@ -171,6 +173,13 @@ def random_document(rng: random.Random) -> XmlDocument:
 def make_corpus(count: int = 500, seed: int = 1031) -> list:
     rng = random.Random(seed)
     return [random_document(rng) for _ in range(count)]
+
+
+def fixture_documents() -> list:
+    """Every *_XML fixture, parsed.  Unlike the random corpus, which never
+    repeats a name long enough to key, these give substitution work."""
+    return [parse_xml(xml) for name, xml in sorted(globals().items())
+            if name.endswith("_XML")]
 
 
 _cached = None

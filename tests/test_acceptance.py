@@ -53,6 +53,7 @@ from corpus import (
     XHTML_HOST3_XML,
     XHTML_PAGE_XML,
     corpus,
+    fixture_documents,
 )
 
 XHTML_HOST4_XML = (XHTML_HOST3_XML
@@ -285,14 +286,16 @@ def test_criterion_8_substitution(capsys):
           "expansion is not token-exact")
 
     for threshold in (3, 8):
-        grew = 0
-        for doc in corpus():
+        grew = keys = 0
+        for doc in corpus() + fixture_documents():
             xs = encode(doc)
-            _, out = build_substitution(xs, threshold)
+            table, out = build_substitution(xs, threshold)
+            keys += len(table.names)
             if len(render(out)) > len(render(xs)):
                 grew += 1
         check(failures, grew == 0,
               f"threshold {threshold}: {grew} streams grew")
+        check(failures, keys > 0, f"threshold {threshold}: no key bound")
     with capsys.disabled():
         finish(8, "name substitution round-trips and never grows a stream",
                failures)

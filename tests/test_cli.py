@@ -9,6 +9,7 @@ from xstring.cli import main
 from corpus import (
     PROPERTIES_XML,
     PROPERTIES_XS,
+    RECORDS_XML,
     ROWS_MIXED_XML,
     ROWS_XS,
     ROWS_XS_CANONICAL,
@@ -85,6 +86,17 @@ def test_subst_threshold_flag(tmp_path, capsys):
     assert capsys.readouterr().out == "/R/ABCD'x|ABCD'y"
     assert main(["subst", src, "--threshold", "4"]) == 0
     assert capsys.readouterr().out == "/R/ABCD#0'x|0'y"
+
+
+def test_encode_and_stats_subst_threshold_flag(tmp_path, capsys):
+    src = write(tmp_path, "in.xml", RECORDS_XML)
+    assert main(["encode", src, "--subst-threshold", "4"]) == 0
+    assert capsys.readouterr().out == (
+        "/EMP/REC@FNAME#0=John@LNAME#1=Doe|REC@0=Jane@1=Doh")
+    assert main(["stats", src]) == 0
+    assert "xs_chars=54\n" in capsys.readouterr().out
+    assert main(["stats", src, "--subst-threshold", "4"]) == 0
+    assert "xs_chars=50\n" in capsys.readouterr().out
 
 
 def test_pack_and_unpack(tmp_path, capsys):

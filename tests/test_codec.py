@@ -23,6 +23,7 @@ from xstring import (
     XmlNode,
     XsDocument,
     XsToken,
+    build_substitution,
     decode,
     descendant_count,
     encode,
@@ -291,7 +292,7 @@ def test_encode_options_validation():
     with pytest.raises(ValueError):
         EncodeOptions(mode="fancy")
     with pytest.raises(ValueError):
-        EncodeOptions(substitution_threshold=1)
+        build_substitution(encode(parse_xml("<r/>")), threshold=1)
 
 
 def test_round_trip_sample():

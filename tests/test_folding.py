@@ -286,3 +286,35 @@ def test_fold_round_trip_on_corpus():
             out = fold(doc, host, mode)
             reparsed = parse_xml(serialize_xml(out))
             assert structural_equal(unfold(reparsed), doc)
+
+
+@pytest.mark.parametrize("count", ["0_6", " 6 ", "+6", "٦", "６",
+                                   "6" * 5000])
+def test_counts_are_ascii_digits(count):
+    # int() reads each of these but the last as 6; a folded document is
+    # outside input, so its counts are plain ASCII digits or nothing
+    with pytest.raises(LengthMismatch, match="is not a number"):
+        unfold(parse_xml(f'<P><XSTRING LENGTH="{count}" TEXT="/X"/></P>'))
+    with pytest.raises(LengthMismatch, match="is not a number"):
+        unfold(parse_xml(f'<P><XSTRING COUNT="{count}"/></P>'))
+
+
+@pytest.mark.parametrize("count", ["-1", "-0"])
+def test_signed_counts_are_negative(count):
+    with pytest.raises(LengthMismatch, match="is negative"):
+        unfold(parse_xml(f'<P><XSTRING LENGTH="{count}" TEXT="/X"/></P>'))
+
+
+def test_host_count_zero_is_ascii():
+    # "0_0" is not the explicit zero that marks a fresh slot
+    host = parse_xml('<PAGE><XSTRING COUNT="0_0"/></PAGE>')
+    with pytest.raises(LengthMismatch, match="is not a number"):
+        fold(parse_xml("<X/>"), host, FoldMode.MULTI)
+
+
+def test_layer_suffix_is_ascii():
+    # TEXT_٣ is no layer's attribute: the slot stays fresh and keeps it
+    host = parse_xml('<PAGE><XSTRING TEXT_٣="x"/></PAGE>')
+    out = fold(parse_xml("<X/>"), host, FoldMode.MULTI)
+    assert slot_attrs(out)["TEXT_٣"] == "x"
+    assert slot_attrs(out)["COUNT"] == "1"

@@ -1,6 +1,7 @@
 """Checks on the source of the xstring package itself."""
 
 import ast
+import graphlib
 from pathlib import Path
 
 import xstring
@@ -33,3 +34,29 @@ def test_no_whitespace_calls_without_characters():
                     and not node.args and not node.keywords):
                 calls.append(f"{path.name}:{node.lineno} .{node.func.attr}()")
     assert calls == []
+
+
+def _imported_modules(path):
+    """The xstring modules path imports, at any level of its code."""
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                imported.add(node.module.partition(".")[0])
+            elif node.level == 1:
+                imported.update(alias.name for alias in node.names)
+            elif (node.module or "").startswith("xstring."):
+                imported.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[1] for alias in node.names
+                            if alias.name.startswith("xstring."))
+    return imported
+
+
+def test_module_imports_form_no_cycle():
+    # imports inside functions count: they hide a cycle, not break it;
+    # prepare raises CycleError, naming the cycle, when there is one
+    package = Path(xstring.__file__).parent
+    graph = {path.stem: _imported_modules(path)
+             for path in sorted(package.glob("*.py"))}
+    graphlib.TopologicalSorter(graph).prepare()

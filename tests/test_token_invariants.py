@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 
 from xstring import (EncodeMode, EncodeOptions, EscapeMode, SubstitutionTable,
                      XsDocument, XsToken, build_substitution, encode,
-                     expand_substitution, parse_xml, render, tokenize)
+                     expand_substitution, render, tokenize)
 
 import corpus as fixtures
 from test_grammar import _token_lists
@@ -32,11 +32,7 @@ def assert_substitution_checked(doc):
     assert_checked(expand_substitution(keyed).tokens)
 
 
-# the random corpus repeats no name long enough to key; the fixture
-# documents do
-_DOCS = fixtures.corpus() + [parse_xml(xml) for name, xml in
-                             sorted(vars(fixtures).items())
-                             if name.endswith("_XML")]
+_DOCS = fixtures.corpus() + fixtures.fixture_documents()
 
 
 @pytest.mark.parametrize("mode", [EncodeMode.SAFE_SIBLING,

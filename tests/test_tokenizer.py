@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xstring import (EncodeMode, EncodeOptions, EscapeMode, PREFIX_CHARS,
-                     encode, render, tokenize)
+                     build_substitution, encode, render, tokenize)
 
 import corpus as fixtures
 from tokenizer_oracle import tokenize as oracle_tokenize
@@ -61,8 +61,12 @@ def test_end_of_input_matches_oracle(text, mode):
                                   EncodeMode.CANONICAL])
 @pytest.mark.parametrize("escaping", list(EscapeMode))
 def test_corpus_streams_match_oracle(mode, escaping):
-    opts = EncodeOptions(mode=mode, escaping=escaping,
-                         substitution_threshold=4)
-    for doc in fixtures.corpus():
-        tokens, err = assert_same(render(encode(doc, opts)), escaping)
+    opts = EncodeOptions(mode=mode, escaping=escaping)
+    keys = 0
+    for doc in fixtures.corpus() + fixtures.fixture_documents():
+        table, keyed = build_substitution(encode(doc, opts), 4)
+        keys += len(table.names)
+        tokens, err = assert_same(render(keyed), escaping)
         assert err is None
+    # the fixture documents bind keys, so binders and references are read
+    assert keys > 0

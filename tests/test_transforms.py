@@ -29,7 +29,9 @@ from corpus import (
     ROWS_XS,
     ROWS_XS_CANONICAL,
     SUBST_KEYED_XS,
+    SUBST_PLAIN_XML,
     SUBST_PLAIN_XS,
+    fixture_documents,
     make_corpus,
 )
 
@@ -91,6 +93,7 @@ def test_to_child_depth_corpus_sample():
 # substitution
 
 def test_build_substitution_golden():
+    assert render(encode(parse_xml(SUBST_PLAIN_XML))) == SUBST_PLAIN_XS
     table, out = build_substitution(tokenize(SUBST_PLAIN_XS))
     assert render(out) == SUBST_KEYED_XS
     assert table.names == ["AVERYLONGTAGNAME"]
@@ -144,11 +147,15 @@ def test_substitution_covers_attribute_names():
 
 
 def test_substitution_never_grows():
-    for doc in make_corpus(count=40, seed=5):
+    keys = {3: 0, 8: 0}
+    for doc in make_corpus(count=40, seed=5) + fixture_documents():
         xs = encode(doc)
-        for threshold in (3, 8):
-            _, out = build_substitution(xs, threshold=threshold)
+        for threshold in keys:
+            table, out = build_substitution(xs, threshold=threshold)
+            keys[threshold] += len(table.names)
             assert len(render(out)) <= len(render(xs))
+    # the fixture documents bind keys at both thresholds
+    assert all(keys.values()), keys
 
 
 def test_numeric_name_rejected():

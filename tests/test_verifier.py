@@ -192,3 +192,31 @@ def test_encode_wraps_a_decode_error(monkeypatch):
     with pytest.raises(Unencodable) as got:
         encode(parse_xml("<r><a/></r>"))
     assert isinstance(got.value.__cause__, BadStreamStart)
+
+
+def test_encode_catches_swapped_data_contents(monkeypatch):
+    # two text nodes trade contents: every kind and parent still matches
+    def swap(tokens):
+        tokens[1], tokens[3] = (replace(tokens[1], payload=tokens[3].payload),
+                                replace(tokens[3], payload=tokens[1].payload))
+
+    doc = parse_xml("<r>t<a/>u</r>")
+    assert [t.payload for t in encode(doc).tokens] == "r t a u".split()
+    _break_emitter(monkeypatch, swap)
+    with pytest.raises(Unencodable) as got:
+        encode(doc)
+    assert got.value.__cause__ is None
+
+
+def test_encode_catches_a_changed_attribute_after_others(monkeypatch):
+    # the attributes of every element are compared, not only the first
+    # element's that has some
+    def change_last(tokens):
+        tokens[-1] = replace(tokens[-1], payload="3")
+
+    doc = parse_xml("<r><a x='1'/><b y='2'/></r>")
+    assert [t.payload for t in encode(doc).tokens] == "r a x 1 b y 2".split()
+    _break_emitter(monkeypatch, change_last)
+    with pytest.raises(Unencodable) as got:
+        encode(doc)
+    assert got.value.__cause__ is None
