@@ -4,8 +4,9 @@ Each token expands to one or more units: a unit is a four-bit code plus an
 optional body.  Units are consumed two at a time; every pair contributes
 one byte holding both codes (first unit in the high nibble) followed by the
 two bodies.  String bodies are a varint length and that many UTF-8 bytes;
-depth and key bodies are a bare varint.  An odd unit count is completed
-with the bodiless pad code in the low nibble of the last pair byte.
+depth and key bodies are a bare varint, and a varint holds at most 64
+bits.  An odd unit count is completed with the bodiless pad code in the
+low nibble of the last pair byte.
 
 pack and unpack work on the bare payload; pack_envelope and
 unpack_envelope add and check the magic and format version.
@@ -108,6 +109,8 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
         pos += 1
         value |= (b & 0x7F) << shift
         if not b & 0x80:
+            if value >> 64:  # a tenth byte carries bit 63 alone
+                raise MalformedVarint("varint is longer than 64 bits")
             return value, pos
         shift += 7
 
@@ -125,6 +128,8 @@ def _expand(tokens: list[XsToken]) -> list[tuple[int, object]]:
 
 def _write_body(code: int, value: object, out: bytearray) -> None:
     if code in (_DEPTH, _SUBST_KEY):
+        if value >> 64:  # also true of a negative value
+            raise MalformedVarint(f"{value} does not fit in 64 bits")
         _write_varint(value, out)
     elif code != _PAD:
         raw = value.encode("utf-8")

@@ -11,6 +11,10 @@ and hands pairs 0..k-1 back down to its slot.
 
 LENGTH always counts the raw encoded string before attribute escaping and
 is checked on unfold, so a tampered TEXT is caught early.
+
+A multi slot must hold LENGTH_i and TEXT_i for every i below its COUNT,
+or LengthMismatch names the first one missing.  Reading or writing a slot
+takes one pass over its attributes, whatever COUNT claims.
 """
 
 from __future__ import annotations
@@ -37,6 +41,9 @@ _REFERENCE = re.compile("|".join(map(re.escape, _UNESCAPES)))
 # and str.isdigit would also take signs, spaces, underscores and the
 # digits of other scripts
 _DIGITS = re.compile("[0-9]+")
+# the names a fold layout owns: COUNT, LENGTH, TEXT, and a LENGTH_ or TEXT_
+# name whose part after its last underscore is ASCII digits (TEXT_x_1 too)
+_LAYOUT_NAME = re.compile("(?s)COUNT|(?:LENGTH|TEXT)(?:_(?:.*_)?[0-9]+)?")
 
 
 class FoldMode:
@@ -94,30 +101,46 @@ def _find_slot(doc: XmlDocument, what: str) -> XmlNode:
     return slot
 
 
-def _get_attr(node: XmlNode, name: str) -> Optional[str]:
-    for n, v in node.attributes:
-        if n == name:
-            return v if v is not None else ""
-    return None
+def _read_slot(slot: XmlNode) -> dict[str, str]:
+    """The slot's attributes by name: the first of a repeated name wins and
+    an attribute without a value reads as ''."""
+    return {name: value or "" for name, value in reversed(slot.attributes)}
 
 
-def _set_attr(node: XmlNode, name: str, value: str) -> None:
-    for i, (n, _) in enumerate(node.attributes):
-        if n == name:
-            node.attributes[i] = (n, value)
-            return
-    node.attributes.append((name, value))
+def _layers(attrs: dict[str, str]) -> Optional[list[tuple[str, str]]]:
+    """The (LENGTH_i, TEXT_i) pairs of a slot, lowest layer first, or None
+    when it has no COUNT.  The read ends at the first pair missing below
+    COUNT, so it costs at most the slot's attributes whatever COUNT says."""
+    if "COUNT" not in attrs:
+        return None
+    if "LENGTH" in attrs or "TEXT" in attrs:
+        raise MixedSlot("slot mixes nested and multi fold attributes")
+    count = _parse_count(attrs["COUNT"], "COUNT")
+    pairs = []
+    for i in range(count):
+        try:
+            pairs.append((attrs[f"LENGTH_{i}"], attrs[f"TEXT_{i}"]))
+        except KeyError as missing:
+            raise LengthMismatch(f"COUNT says {count} layers but the slot "
+                                 f"has no {missing.args[0]}") from None
+    return pairs
 
 
-def _fold_attr_names(node: XmlNode) -> list[str]:
-    names = []
-    for n, _ in node.attributes:
-        if n in ("COUNT", "LENGTH", "TEXT"):
-            names.append(n)
-        elif (n.startswith(("LENGTH_", "TEXT_"))
-              and _DIGITS.fullmatch(n.rpartition("_")[2])):
-            names.append(n)
-    return names
+def _write_slot(slot: XmlNode, /, **values: str) -> None:
+    """Set values on slot in one pass: an attribute it already has keeps
+    its place, the others are appended in order."""
+    attrs = slot.attributes
+    for i, (name, _) in enumerate(attrs):
+        if name in values:
+            attrs[i] = (name, values.pop(name))
+    attrs.extend(values.items())
+
+
+def _write_layers(slot: XmlNode, pairs: list[tuple[str, str]]) -> None:
+    values = {"COUNT": str(len(pairs))}
+    for i, (length, stored) in enumerate(pairs):
+        values.update({f"LENGTH_{i}": length, f"TEXT_{i}": stored})
+    _write_slot(slot, **values)
 
 
 def _parse_count(text: str, what: str) -> int:
@@ -140,56 +163,43 @@ def fold(inner: XmlDocument, host: XmlDocument,
     """Store inner, encoded, in the slot of a copy of host."""
     out = host.copy()
     slot = _find_slot(out, "host")
+    attrs = _read_slot(slot)
     if mode == FoldMode.NESTED:
-        if _get_attr(slot, "COUNT") is not None:
+        if "COUNT" in attrs:
             raise MixedSlot("host slot already holds a multi fold")
         text = _encode_payload(inner)
-        _set_attr(slot, "LENGTH", str(len(text)))
-        _set_attr(slot, "TEXT", escape_fold_attr(text))
+        _write_slot(slot, LENGTH=str(len(text)), TEXT=escape_fold_attr(text))
         return out
     if mode != FoldMode.MULTI:
         raise ValueError(f"unknown fold mode {mode!r}")
 
     # the host slot must be fresh; an explicit COUNT="0" counts as fresh
-    taken = _fold_attr_names(slot)
-    if taken == ["COUNT"]:
-        if _parse_count(_get_attr(slot, "COUNT"), "COUNT") != 0:
-            raise MixedSlot("host slot already holds folded layers; "
-                            "fold the host as the inner document instead")
-    elif taken:
+    taken = [name for name in attrs if _LAYOUT_NAME.fullmatch(name)]
+    if taken == ["COUNT"] and _parse_count(attrs["COUNT"], "COUNT"):
+        raise MixedSlot("host slot already holds folded layers; "
+                        "fold the host as the inner document instead")
+    if taken not in ([], ["COUNT"]):
         raise MixedSlot("multi fold needs a host slot with no fold attributes")
 
-    pairs: list[tuple[str, str]] = []
     inner_slot = _slot(inner, "inner document")
-    if inner_slot is not None:
-        count_text = _get_attr(inner_slot, "COUNT")
-        if count_text is None:
-            if _get_attr(inner_slot, "LENGTH") is not None \
-                    or _get_attr(inner_slot, "TEXT") is not None:
-                raise MixedSlot("inner document's slot holds a nested fold")
-        else:
-            count = _parse_count(count_text, "COUNT")
-            for i in range(count):
-                pairs.append((_get_attr(inner_slot, f"LENGTH_{i}") or "0",
-                              _get_attr(inner_slot, f"TEXT_{i}") or ""))
-            inner = inner.copy()
-            reset_slot = _find_slot(inner, "inner document")
-            stripped = set(_fold_attr_names(reset_slot))
-            reset_slot.attributes = [(n, v) for n, v in reset_slot.attributes
-                                     if n not in stripped]
+    inner_attrs = {} if inner_slot is None else _read_slot(inner_slot)
+    lifted = _layers(inner_attrs)
+    if lifted is None and ("LENGTH" in inner_attrs or "TEXT" in inner_attrs):
+        raise MixedSlot("inner document's slot holds a nested fold")
+    pairs = [(length or "0", stored) for length, stored in lifted or ()]
+    if lifted is not None:
+        inner = inner.copy()
+        reset_slot = _find_slot(inner, "inner document")
+        reset_slot.attributes = [(n, v) for n, v in reset_slot.attributes
+                                 if not _LAYOUT_NAME.fullmatch(n)]
 
     text = _encode_payload(inner)
-    _set_attr(slot, "COUNT", str(len(pairs) + 1))
-    for i, (length, stored) in enumerate(pairs):
-        _set_attr(slot, f"LENGTH_{i}", length)
-        _set_attr(slot, f"TEXT_{i}", stored)
-    _set_attr(slot, f"LENGTH_{len(pairs)}", str(len(text)))
-    _set_attr(slot, f"TEXT_{len(pairs)}", escape_fold_attr(text))
+    _write_layers(slot, pairs + [(str(len(text)), escape_fold_attr(text))])
     return out
 
 
 def _decode_stored(length_text: str, stored: str) -> XmlDocument:
-    expected = _parse_count(length_text, "LENGTH")
+    expected = _parse_count(length_text or "0", "LENGTH")
     text = unescape_fold_attr(stored)
     if len(text) != expected:
         raise LengthMismatch(
@@ -205,30 +215,18 @@ def unfold(doc: XmlDocument, index: Optional[int] = None) -> XmlDocument:
     own slot, so it compares equal to the document that was folded in.
     """
     slot = _find_slot(doc, "document")
-    count_text = _get_attr(slot, "COUNT")
-    if count_text is None:
+    attrs = _read_slot(slot)
+    pairs = _layers(attrs)
+    if pairs is None:
         if index not in (None, 0):
             raise IndexOutOfRange("a nested fold holds a single document")
-        return _decode_stored(_get_attr(slot, "LENGTH") or "0",
-                              _get_attr(slot, "TEXT") or "")
+        return _decode_stored(attrs.get("LENGTH", ""), attrs.get("TEXT", ""))
 
-    if _get_attr(slot, "LENGTH") is not None \
-            or _get_attr(slot, "TEXT") is not None:
-        raise MixedSlot("slot mixes nested and multi fold attributes")
-    count = _parse_count(count_text, "COUNT")
+    count = len(pairs)
     k = count - 1 if index is None else index
     if not 0 <= k < count:
         raise IndexOutOfRange(f"index {k} outside the {count} folded layers")
-    payload = _decode_stored(_get_attr(slot, f"LENGTH_{k}") or "0",
-                             _get_attr(slot, f"TEXT_{k}") or "")
+    payload = _decode_stored(*pairs[k])
     if k > 0:
-        inner_slot = _find_slot(payload, "rebuilt document")
-        _set_attr(inner_slot, "COUNT", str(k))
-        for i in range(k):
-            length = _get_attr(slot, f"LENGTH_{i}")
-            stored = _get_attr(slot, f"TEXT_{i}")
-            if length is not None:
-                _set_attr(inner_slot, f"LENGTH_{i}", length)
-            if stored is not None:
-                _set_attr(inner_slot, f"TEXT_{i}", stored)
+        _write_layers(_find_slot(payload, "rebuilt document"), pairs[:k])
     return payload

@@ -140,8 +140,22 @@ def test_truncated_inside_varint():
 
 
 def test_varint_over_64_bits():
-    with pytest.raises(MalformedVarint):
-        unpack(b"\x0e" + b"\x80" * 11)
+    # eleven bytes, and ten whose last carries more than bit 63
+    for data in (b"\x0e" + b"\x80" * 11, b"\x0e" + b"\xff" * 9 + b"\x02"):
+        with pytest.raises(MalformedVarint, match="longer than 64 bits"):
+            unpack(data)
+
+
+def test_pack_refuses_what_unpack_refuses():
+    for field in ("depth", "subst_key"):
+        # a negative value, which only an unchecked token can hold, would
+        # write 0xff bytes without end
+        for value in (2 ** 64, -1):
+            over = XsToken.unchecked(PrefixKind.CHILD, "X", **{field: value})
+            with pytest.raises(MalformedVarint, match="does not fit in 64"):
+                pack(XsDocument([over]))
+        top = XsToken(PrefixKind.CHILD, "X", **{field: 2 ** 64 - 1})
+        assert unpack(pack(XsDocument([top]))).tokens == [top]
 
 
 def test_stray_depth_marker():

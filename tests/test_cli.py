@@ -140,6 +140,17 @@ def test_unfold_index_out_of_range(tmp_path, capsys):
     assert err.endswith("\n")
 
 
+def test_unfold_of_a_slot_missing_layers(tmp_path, capsys):
+    # COUNT claims 100000 layers but the slot holds only the top pair
+    doc = write(tmp_path, "doc.xml",
+                '<P><XSTRING COUNT="100000" LENGTH_99999="10"'
+                ' TEXT_99999="/P/XSTRING"/></P>')
+    assert main(["unfold", doc]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fold: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_stats_kv(tmp_path, capsys):
     src = write(tmp_path, "in.xml", ROWS_MIXED_XML)
     assert main(["stats", src]) == 0

@@ -1,6 +1,9 @@
 """Tests for folding encoded documents into host attributes."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xstring import parse_xml
 from xstring.codec import EmptyStream
@@ -25,6 +28,8 @@ from corpus import (
     XHTML_PAGE_XML,
     corpus,
 )
+from folding_oracle import oracle_fold, oracle_unfold
+from steps import lines_run
 
 XHTML_HOST4_XML = (XHTML_HOST3_XML
                    .replace("Going too far perhaps?", "One more level")
@@ -318,3 +323,218 @@ def test_layer_suffix_is_ascii():
     out = fold(parse_xml("<X/>"), host, FoldMode.MULTI)
     assert slot_attrs(out)["TEXT_٣"] == "x"
     assert slot_attrs(out)["COUNT"] == "1"
+
+
+# differential checks against the attribute-at-a-time layout code kept in
+# folding_oracle.py
+
+def outcome(fn, *args):
+    """The serialized tree a call returns, or its error's class and text."""
+    try:
+        return serialize_xml(fn(*args))
+    except Exception as err:
+        return type(err), str(err)
+
+
+def assert_same_unfolds(doc):
+    """unfold agrees with the oracle at every index and one past the end."""
+    count = slot_attrs(doc).get("COUNT", "0")
+    indexes = range(int(count) + 1) if count.isdigit() else range(2)
+    for index in [None, *indexes]:
+        assert outcome(unfold, doc, index) == outcome(oracle_unfold, doc,
+                                                      index)
+
+
+COUNT_AMONG_OTHERS = ('<PAGE><B><XSTRING id="s" COUNT="0" z="9"/></B><C/>'
+                      '</PAGE>')
+DIFF_HOSTS = [
+    "<PAGE><XSTRING/></PAGE>",
+    XHTML_PAGE_XML,  # LENGTH="0" TEXT=""
+    XHTML_PAGE_COUNT_XML,  # COUNT="0"
+    # other attributes before, between and after the fold attributes
+    '<PAGE a="1"><XSTRING id="s" LENGTH="" class="c" TEXT="old" z="9"/>'
+    '</PAGE>',
+    COUNT_AMONG_OTHERS,
+    '<PAGE><XSTRING id="s" TEXT="" z=""/></PAGE>',
+]
+
+
+@pytest.mark.parametrize("mode", [FoldMode.NESTED, FoldMode.MULTI])
+@pytest.mark.parametrize("host_xml", DIFF_HOSTS, ids=[
+    "bare", "nested", "count_zero", "nested_among_others",
+    "count_among_others", "text_only"])
+def test_fold_matches_oracle_on_corpus(host_xml, mode):
+    host = parse_xml(host_xml)
+    for doc in corpus()[:80]:
+        got = outcome(fold, doc, host, mode)
+        assert got == outcome(oracle_fold, doc, host, mode)
+        if isinstance(got, str):
+            assert_same_unfolds(parse_xml(got))
+
+
+CHAIN_HOSTS = [XHTML_HOST2_XML, COUNT_AMONG_OTHERS, XHTML_HOST3_XML]
+
+
+@pytest.mark.parametrize("modes", list(itertools.product(
+    [FoldMode.NESTED, FoldMode.MULTI], repeat=3)))
+def test_fold_chains_match_oracle(modes):
+    for first in (XHTML_PAGE_BARE_XML, XHTML_PAGE_COUNT_XML,
+                  *map(serialize_xml, corpus()[:4])):
+        doc = parse_xml(first)
+        for mode, host_xml in zip(modes, CHAIN_HOSTS):
+            host = parse_xml(host_xml)
+            got = outcome(fold, doc, host, mode)
+            assert got == outcome(oracle_fold, doc, host, mode)
+            if not isinstance(got, str):
+                break
+            doc = parse_xml(got)
+            assert_same_unfolds(doc)
+
+
+# slots the parent already handled, some malformed, where nothing changes
+ODD_SLOTS = [
+    "<XSTRING/>",
+    '<XSTRING LENGTH="" TEXT=""/>',
+    '<XSTRING LENGTH="" TEXT="/X"/>',
+    '<XSTRING LENGTH="2" TEXT="/X" LENGTH_0="9"/>',
+    '<XSTRING COUNT="0"/>',
+    '<XSTRING COUNT="0" keep="1"/>',
+    '<XSTRING COUNT="x" LENGTH_0="2" TEXT_0="/X"/>',
+    '<XSTRING COUNT="-1"/>',
+    '<XSTRING COUNT="1" LENGTH_0="" TEXT_0=""/>',
+    '<XSTRING COUNT="1" LENGTH_0="2" TEXT_0="/X" TEXT_x_3="y" TEXT_٣="z"/>',
+    '<XSTRING COUNT="2" LENGTH_0="" TEXT_0="" LENGTH_1="13"'
+    ' TEXT_1="/PAGE/XSTRING"/>',
+    '<XSTRING COUNT="2" LENGTH_0="2" TEXT_0="/X" LENGTH_1="13"'
+    ' TEXT_1="/PAGE/XSTRING" LENGTH_2="9"/>',
+    '<XSTRING COUNT="2" LENGTH_0="2" TEXT_0="/X" LENGTH_1="2"'
+    ' TEXT_1="/Y"/>',
+    '<XSTRING LENGTH_0="2" TEXT_0="/X"/>',
+]
+
+
+@pytest.mark.parametrize("slot", ODD_SLOTS)
+def test_odd_slots_match_oracle(slot):
+    doc = parse_xml(f"<PAGE><A/>{slot}</PAGE>")
+    assert_same_unfolds(doc)
+    for mode in (FoldMode.NESTED, FoldMode.MULTI):
+        for inner, host in ((doc, parse_xml("<P><XSTRING/></P>")),
+                            (parse_xml("<X/>"), doc)):
+            assert (outcome(fold, inner, host, mode)
+                    == outcome(oracle_fold, inner, host, mode))
+
+
+@pytest.mark.parametrize("slot, missing", [
+    ('<XSTRING COUNT="2" LENGTH_1="13" TEXT_1="/PAGE/XSTRING"/>',
+     "LENGTH_0"),
+    ('<XSTRING COUNT="2" LENGTH_0="2" LENGTH_1="13"'
+     ' TEXT_1="/PAGE/XSTRING"/>', "TEXT_0"),
+    ('<XSTRING COUNT="3" LENGTH_0="2" TEXT_0="/X" LENGTH_1="13"'
+     ' TEXT_1="/PAGE/XSTRING"/>', "LENGTH_2"),
+])
+def test_missing_pair_below_count_is_named(slot, missing):
+    # the oracle reads a missing layer as empty when unfolding and invents
+    # a ("0", "") pair for it when folding
+    doc = parse_xml(f"<PAGE>{slot}</PAGE>")
+    oracle_fold(doc, parse_xml("<P><XSTRING/></P>"), FoldMode.MULTI)
+    error = f"COUNT says {slot_attrs(doc)['COUNT']} layers but the slot " \
+            f"has no {missing}"
+    with pytest.raises(LengthMismatch, match=f"^{error}$"):
+        unfold(doc)
+    with pytest.raises(LengthMismatch, match=f"^{error}$"):
+        fold(doc, parse_xml("<P><XSTRING/></P>"), FoldMode.MULTI)
+
+
+@pytest.mark.parametrize("slot", [
+    '<XSTRING COUNT="1" LENGTH="2" TEXT="/X" LENGTH_0="2" TEXT_0="/X"/>',
+    '<XSTRING COUNT="1" TEXT="" LENGTH_0="2" TEXT_0="/X"/>',
+])
+def test_multi_fold_rejects_mixed_inner_slot(slot):
+    # the rule unfold applies; the oracle lifts the pairs and drops the
+    # nested attributes
+    inner = parse_xml(f"<D>{slot}</D>")
+    host = parse_xml("<P><XSTRING/></P>")
+    assert_same_unfolds(inner)
+    oracle_fold(inner, host, FoldMode.MULTI)
+    with pytest.raises(MixedSlot, match="^slot mixes nested and multi fold"
+                                        " attributes$"):
+        fold(inner, host, FoldMode.MULTI)
+
+
+SLOT_NAMES = ["COUNT", "LENGTH", "TEXT", "LENGTH_0", "TEXT_0", "LENGTH_1",
+              "TEXT_1", "LENGTH_2", "TEXT_2", "TEXT_x_1", "LENGTH_01", "a"]
+SLOT_VALUES = ["", "0", "1", "2", "3", "13", "x", "-1", "/X", "/PAGE/XSTRING"]
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(SLOT_NAMES),
+                          st.sampled_from(SLOT_VALUES)),
+                max_size=8, unique_by=lambda attr: attr[0]))
+def test_random_slots_match_oracle_but_for_the_new_errors(attrs):
+    slot = "".join(f' {name}="{value}"' for name, value in attrs)
+    doc = parse_xml(f"<PAGE><A/><XSTRING{slot}/></PAGE>")
+    bare = parse_xml("<P><XSTRING/></P>")
+    calls = [(unfold, oracle_unfold, (doc, i)) for i in (None, 0, 1, 2, 3)]
+    for mode in (FoldMode.NESTED, FoldMode.MULTI):
+        calls.append((fold, oracle_fold, (doc, bare, mode)))
+        calls.append((fold, oracle_fold, (parse_xml("<X/>"), doc, mode)))
+    for new, old, args in calls:
+        got = outcome(new, *args)
+        if got == outcome(old, *args):
+            continue
+        missing_pair = (isinstance(got, tuple) and got[0] is LengthMismatch
+                        and "layers but the slot has no" in got[1])
+        mixed_inner = (args[0] is doc and args[-1] == FoldMode.MULTI
+                       and got == (MixedSlot, "slot mixes nested and multi"
+                                              " fold attributes"))
+        assert missing_pair or mixed_inner, (args, got)
+
+
+# cost: reading a slot is bounded by its attributes, whatever COUNT says
+
+def layer_pairs(n):
+    return "".join(f' LENGTH_{i}="2" TEXT_{i}="/X"' for i in range(n))
+
+
+def folded_layers(n, claimed=None, below=None):
+    """A multi fold of n layers whose top layer holds a slot; claimed
+    overrides COUNT and below the number of pairs under the top one."""
+    below = n - 1 if below is None else below
+    return parse_xml(f'<P><XSTRING COUNT="{claimed or n}"{layer_pairs(below)}'
+                     f' LENGTH_{n - 1}="10" TEXT_{n - 1}="/P/XSTRING"/></P>')
+
+
+def test_fold_takes_linear_steps_in_layers():
+    host = parse_xml("<PAGE><XSTRING/></PAGE>")
+
+    def steps(n):
+        inner = parse_xml(f'<DOC><XSTRING COUNT="{n}"{layer_pairs(n)}/></DOC>')
+        return lines_run(fold, inner, host, FoldMode.MULTI)
+
+    assert steps(1000) < 2.2 * steps(500)
+
+
+def test_unfold_takes_linear_steps_in_layers():
+    def steps(n):
+        return lines_run(unfold, folded_layers(n))
+
+    assert steps(1000) < 2.2 * steps(500)
+
+
+# enough for a few pairs and the encode or decode of a small layer
+FEW_STEPS = 5000
+
+
+@pytest.mark.parametrize("claimed", ["100000", "1000000000"])
+def test_unfold_reads_no_more_than_the_slot_holds(claimed):
+    doc = folded_layers(int(claimed), below=0)
+    with pytest.raises(LengthMismatch, match="has no LENGTH_0$"):
+        lines_run(unfold, doc, limit=FEW_STEPS)
+
+
+@pytest.mark.parametrize("claimed", ["300", "1000000000"])
+def test_fold_reads_no_more_than_the_inner_slot_holds(claimed):
+    inner = parse_xml(f'<DOC><XSTRING COUNT="{claimed}"/></DOC>')
+    host = parse_xml("<PAGE><XSTRING/></PAGE>")
+    with pytest.raises(LengthMismatch, match="has no LENGTH_0$"):
+        lines_run(fold, inner, host, FoldMode.MULTI, limit=FEW_STEPS)

@@ -1,11 +1,6 @@
 """Parser, well-formedness checking, and serialization."""
 
-import sys
-from pathlib import Path
-
 import pytest
-
-import xstring
 
 from xstring import (
     NodeKind,
@@ -21,6 +16,7 @@ from xstring import (
 )
 
 from corpus import PROPERTIES_XML, RECORDS_XML, XHTML_PAGE_XML
+from steps import lines_run
 
 
 def test_parse_basic_tree():
@@ -220,31 +216,9 @@ def test_node_copy_is_deep():
     assert doc.root.children[0].name == "B"
 
 
-def _lines_run(fn, *args) -> int:
-    """Line events in the package's own code while fn runs: a count of
-    steps that does not depend on the speed of the machine."""
-    package = str(Path(xstring.__file__).parent)
-    lines = 0
-
-    def tracer(frame, event, arg):
-        nonlocal lines
-        if not frame.f_code.co_filename.startswith(package):
-            return None
-        lines += event == "line"
-        return tracer
-
-    before = sys.gettrace()
-    sys.settrace(tracer)
-    try:
-        fn(*args)
-    finally:
-        sys.settrace(before)
-    return lines
-
-
 def test_mismatched_close_tags_take_linear_steps():
     def steps(n):
-        return _lines_run(check_well_formed, "<r>" + "<a>" * n + "</b>" * n)
+        return lines_run(check_well_formed, "<r>" + "<a>" * n + "</b>" * n)
 
     assert steps(1000) < 2.2 * steps(500)
 
@@ -256,6 +230,6 @@ def test_mismatched_close_tags_take_linear_steps():
 ], ids=["attributes", "unquoted_value", "whitespace"])
 def test_start_tag_takes_linear_steps(tag):
     def steps(n):
-        return _lines_run(check_well_formed, tag(n))
+        return lines_run(check_well_formed, tag(n))
 
     assert steps(1000) < 2.2 * steps(500)
