@@ -10,8 +10,7 @@ attributes, and size accounting.
 from .errors import XStringError
 from .xml_model import (Attribute, NodeKind, Violation, WellFormednessError,
                         WellFormednessReport, XmlDocument, XmlNode,
-                        XmlSyntaxError, check_well_formed,
-                        drop_insignificant_whitespace, parse_xml,
+                        XmlSyntaxError, check_well_formed, parse_xml,
                         serialize_xml, structural_equal)
 from .grammar import (BadDepth, BadKey, DanglingEscape, EmptyName, EscapeMode,
                       MalformedEntity, PREFIX_CHARS, PrefixKind, StrayData,
@@ -23,8 +22,8 @@ from .codec import (AttrAfterContent, BadStreamStart, BadToken, BudgetConflict,
                     EncodeOptions, Unencodable, UnknownKey, decode,
                     descendant_count, encode)
 from .transforms import (NumericNameClash, SubstitutionTable,
-                         attrs_to_elements, build_substitution,
-                         expand_substitution, is_canonical, to_child_depth)
+                         build_substitution, expand_substitution,
+                         to_child_depth)
 from .binary import (BadMagic, BadNibble, BadPayload, BadVersion,
                      MalformedVarint, PackError, StrayMarker, TrailingBytes,
                      Truncated, pack, pack_envelope, unpack, unpack_envelope)
@@ -41,8 +40,7 @@ __all__ = [
     # xml model
     "Attribute", "NodeKind", "Violation", "WellFormednessError",
     "WellFormednessReport", "XmlDocument", "XmlNode", "XmlSyntaxError",
-    "check_well_formed", "drop_insignificant_whitespace", "parse_xml",
-    "serialize_xml", "structural_equal",
+    "check_well_formed", "parse_xml", "serialize_xml", "structural_equal",
     # token grammar
     "BadDepth", "BadKey", "DanglingEscape", "EmptyName", "EscapeMode",
     "MalformedEntity", "PREFIX_CHARS", "PrefixKind", "StrayData",
@@ -55,9 +53,8 @@ __all__ = [
     "EncodeOptions", "Unencodable", "UnknownKey", "decode",
     "descendant_count", "encode",
     # transforms
-    "NumericNameClash", "SubstitutionTable", "attrs_to_elements",
-    "build_substitution", "expand_substitution", "is_canonical",
-    "to_child_depth",
+    "NumericNameClash", "SubstitutionTable", "build_substitution",
+    "expand_substitution", "to_child_depth",
     # binary
     "BadMagic", "BadNibble", "BadPayload", "BadVersion", "MalformedVarint",
     "PackError", "StrayMarker", "TrailingBytes", "Truncated", "pack",

@@ -1,10 +1,11 @@
 """Command line front end.
 
 Commands read from a file argument or stdin and write to --output or
-stdout.  Encoded text is written byte-exact, without a trailing newline,
-since trailing whitespace would become part of the last payload on the
-way back in; XML output gets a newline.  The packed form is refused on a
-terminal.
+stdout.  Text is read and written as UTF-8 bytes whatever the locale, so
+a file argument and stdin read the same, CR and CRLF included.  Encoded
+text is written byte-exact, without a trailing newline, since trailing
+whitespace would become part of the last payload on the way back in;
+XML output gets a newline.  The packed form is refused on a terminal.
 """
 
 from __future__ import annotations
@@ -48,26 +49,25 @@ def _label(err: XStringError) -> str:
     return "error"
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
-
-
 def _read_bytes(path: str) -> bytes:
     if path == "-":
         return sys.stdin.buffer.read()
     return Path(path).read_bytes()
 
 
+def _read_text(path: str) -> str:
+    return _read_bytes(path).decode("utf-8")
+
+
 def _write_text(path: str, text: str, exact: bool = False) -> None:
     if not exact and not text.endswith("\n"):
         text += "\n"
+    data = text.encode("utf-8")
     if path == "-":
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        Path(path).write_bytes(data)
 
 
 def _write_bytes(path: str, data: bytes) -> int:

@@ -1,4 +1,4 @@
-"""Stream rewrites: canonical form, name substitution, attribute promotion."""
+"""Stream rewrites: canonical form and name substitution."""
 
 from __future__ import annotations
 
@@ -7,9 +7,8 @@ from typing import Optional
 
 from .codec import EncodeMode, EncodeOptions, UnknownKey, decode, encode
 from .errors import XStringError
-from .grammar import (NAME_KINDS, EscapeMode, PrefixKind, XsDocument, XsToken,
-                      escape_data, reads_as_key)
-from .xml_model import XmlNode, walk
+from .grammar import (NAME_KINDS, EscapeMode, XsDocument, XsToken, escape_data,
+                      reads_as_key)
 
 
 class NumericNameClash(XStringError):
@@ -20,19 +19,6 @@ class NumericNameClash(XStringError):
 class SubstitutionTable:
     """Names keyed by position; key k stands for names[k]."""
     names: list[str] = field(default_factory=list)
-
-    def key_of(self, name: str) -> int:
-        return self.names.index(name)
-
-
-def is_canonical(doc: XsDocument) -> bool:
-    """True when every element token is a child with an explicit depth."""
-    for tok in doc.tokens:
-        if tok.kind is PrefixKind.SIBLING:
-            return False
-        if tok.kind is PrefixKind.CHILD and tok.depth is None:
-            return False
-    return True
 
 
 def to_child_depth(doc: XsDocument) -> XsDocument:
@@ -139,29 +125,3 @@ def expand_substitution(doc: XsDocument,
         else:
             raise UnknownKey(f"key {key} was never bound")
     return XsDocument(out, doc.escaping)
-
-
-def attrs_to_elements(doc: XsDocument) -> XsDocument:
-    """Turn every attribute into a leading child element of its owner.
-
-    A valueless attribute becomes an empty element; a valued one gets the
-    value as a text child.  The rewritten stream keeps the input's escape
-    mode and stays canonical when the input was.
-    """
-    tree = decode(doc)
-
-    for node, entering in walk(tree.root):
-        if entering or not node.attributes:
-            continue
-        lifted = []
-        for name, value in node.attributes:
-            elem = XmlNode.element(name)
-            if value is not None:
-                elem.children.append(XmlNode.text(value))
-            lifted.append(elem)
-        node.attributes = []
-        node.children = lifted + node.children
-    mode = EncodeMode.CANONICAL if is_canonical(doc) else EncodeMode.SAFE_SIBLING
-    opts = EncodeOptions(mode=mode, escaping=doc.escaping,
-                         drop_insignificant_whitespace=False)
-    return encode(tree, opts)

@@ -85,7 +85,16 @@ class XmlNode:
         return self.kind is NodeKind.TEXT and self.content.strip(_WS) == ""
 
     def copy(self) -> "XmlNode":
-        return _copy_tree(self, keep_whitespace=True)
+        stack = [XmlNode(NodeKind.ELEMENT)]  # its one child is the copy
+        for node, entering in walk(self):
+            if entering:
+                dup = XmlNode(node.kind, node.name, list(node.attributes),
+                              node.content)
+                stack[-1].children.append(dup)
+                stack.append(dup)
+            else:
+                stack.pop()
+        return stack[0].children[0]
 
 
 def walk(root: XmlNode) -> Iterator[tuple[XmlNode, bool]]:
@@ -106,21 +115,6 @@ def walk(root: XmlNode) -> Iterator[tuple[XmlNode, bool]]:
         else:
             stack.pop()
             yield node, False
-
-
-def _copy_tree(root: XmlNode, keep_whitespace: bool) -> XmlNode:
-    stack = [XmlNode(NodeKind.ELEMENT)]  # its one child is the copy of root
-    for node, entering in walk(root):
-        if not keep_whitespace and node.is_whitespace_text():
-            continue  # a leaf, so skipping both its events skips it
-        if entering:
-            dup = XmlNode(node.kind, node.name, list(node.attributes),
-                          node.content)
-            stack[-1].children.append(dup)
-            stack.append(dup)
-        else:
-            stack.pop()
-    return stack[0].children[0]
 
 
 class OpenStack(list):
@@ -535,9 +529,3 @@ def structural_equal(a: XmlDocument, b: XmlDocument,
                                                  whitespace_significant):
         return False
     return _nodes_equal(a.root, b.root, whitespace_significant)
-
-
-def drop_insignificant_whitespace(doc: XmlDocument) -> XmlDocument:
-    """Copy of doc with whitespace-only text nodes removed."""
-    return XmlDocument(_copy_tree(doc.root, keep_whitespace=False),
-                       doc.prolog.copy() if doc.prolog else None)

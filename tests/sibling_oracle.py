@@ -7,6 +7,8 @@ starts from the plain child/sibling emission, decodes its own output and
 repairs the leftmost divergence until the round trip is exact, up to 2n+4
 rounds.  _check_encodable is the check the encoder ran over the whole tree
 before emitting; the encoder now checks each node as it emits it.
+drop_insignificant_whitespace is the tree copy the encoders took first;
+they now skip whitespace-only text as they walk.
 """
 
 from xstring.codec import (BudgetConflict, DecodeState, Unencodable,
@@ -14,8 +16,7 @@ from xstring.codec import (BudgetConflict, DecodeState, Unencodable,
 from xstring.grammar import (NUL, PREFIX_CHARS, WHITESPACE, EscapeMode,
                              PrefixKind, XsDocument, XsToken, reads_as_key)
 from xstring.xml_model import (NodeKind, XmlDocument, XmlNode,
-                               drop_insignificant_whitespace, structural_equal,
-                               walk)
+                               structural_equal, walk)
 
 
 def _pi_payload(node: XmlNode) -> str:
@@ -36,6 +37,23 @@ def _data_token(node: XmlNode, escaping: EscapeMode) -> XsToken:
     if node.kind is NodeKind.DTD:
         return XsToken(PrefixKind.DTD, node.content)
     return XsToken(PrefixKind.PROC_INSTR, _pi_payload(node))
+
+
+def drop_insignificant_whitespace(doc: XmlDocument) -> XmlDocument:
+    """Copy of doc with whitespace-only text nodes removed."""
+    stack = [XmlNode(NodeKind.ELEMENT)]  # its one child is the copy of root
+    for node, entering in walk(doc.root):
+        if node.is_whitespace_text():
+            continue  # a leaf, so skipping both its events skips it
+        if entering:
+            dup = XmlNode(node.kind, node.name, list(node.attributes),
+                          node.content)
+            stack[-1].children.append(dup)
+            stack.append(dup)
+        else:
+            stack.pop()
+    return XmlDocument(stack[0].children[0],
+                       doc.prolog.copy() if doc.prolog else None)
 
 
 def _check_encodable(doc: XmlDocument) -> None:

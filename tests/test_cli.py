@@ -1,9 +1,16 @@
 """Tests for the command line front end, driven through main()."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import xstring
+from xstring import (decode, encode, pack_envelope, parse_xml, render,
+                     serialize_xml, tokenize)
 from xstring.cli import main
 
 from corpus import (
@@ -24,6 +31,10 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+def stdin_of(data: bytes):
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
 def test_encode_to_file_is_byte_exact(tmp_path):
     src = write(tmp_path, "in.xml", PROPERTIES_XML)
     out = tmp_path / "out.xs"
@@ -38,9 +49,43 @@ def test_encode_to_stdout_has_no_trailing_newline(tmp_path, capsys):
 
 
 def test_encode_reads_stdin(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO(PROPERTIES_XML))
+    monkeypatch.setattr("sys.stdin", stdin_of(PROPERTIES_XML.encode()))
     assert main(["encode"]) == 0
     assert capsys.readouterr().out == PROPERTIES_XS
+
+
+# CR, CRLF and text outside ASCII and Latin-1 in one stream
+CR_STREAM = "/r'a\rb\r\nc \u00e9\u20ac"
+CR_XML = serialize_xml(decode(tokenize(CR_STREAM)))
+# command -> (its input, the library's output for it)
+CR_CASES = {
+    "decode": (CR_STREAM, (CR_XML + "\n").encode()),
+    "pack": (CR_STREAM, pack_envelope(tokenize(CR_STREAM))),
+    "encode": (CR_XML, render(encode(parse_xml(CR_XML))).encode()),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CR_CASES))
+def test_file_stdin_and_locale_read_the_same_bytes(command, tmp_path,
+                                                   monkeypatch, capsysbinary):
+    text, want = CR_CASES[command]
+    data = text.encode()
+    assert "\r" in text and want.count(b"\r") == 2
+    src = tmp_path / "in"
+    src.write_bytes(data)
+    assert main([command, str(src)]) == 0
+    assert capsysbinary.readouterr().out == want
+    monkeypatch.setattr("sys.stdin", stdin_of(data))
+    assert main([command]) == 0
+    assert capsysbinary.readouterr().out == want
+    # a real process whose stdin and stdout default to another codec
+    env = dict(os.environ, PYTHONIOENCODING="latin-1",
+               PYTHONPATH=str(Path(xstring.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-m", "xstring", command],
+                         input=data, capture_output=True, env=env,
+                         timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == want
 
 
 def test_encode_canonical_mode(tmp_path, capsys):

@@ -19,12 +19,9 @@ from xstring import (
     EncodeOptions,
     EscapeMode,
     PrefixKind,
-    attrs_to_elements,
     decode,
-    drop_insignificant_whitespace,
     encode,
     fold,
-    is_canonical,
     measure,
     parse_xml,
     render,
@@ -107,11 +104,6 @@ def test_copy(deep):
     assert structural_equal(dup, deep, whitespace_significant=True)
 
 
-def test_drop_insignificant_whitespace(deep):
-    assert structural_equal(drop_insignificant_whitespace(deep), deep,
-                            whitespace_significant=True)
-
-
 def test_serialize_xml(deep):
     assert serialize_xml(deep) == DEEP_XML
 
@@ -124,13 +116,10 @@ def test_measure(deep_xs):
 
 def test_to_child_depth(deep, deep_xs):
     canon = to_child_depth(deep_xs)
-    assert is_canonical(canon)
+    assert not any(t.kind is PrefixKind.SIBLING for t in canon.tokens)
+    assert all(t.depth is not None for t in canon.tokens
+               if t.kind is PrefixKind.CHILD)
     assert structural_equal(decode(canon), deep)
-
-
-def test_attrs_to_elements(deep_xs):
-    promoted = attrs_to_elements(deep_xs)
-    assert serialize_xml(decode(promoted)) == PROMOTED_XML
 
 
 def test_fold_deep_inner(deep):

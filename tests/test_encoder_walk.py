@@ -14,7 +14,6 @@ from xstring import (
     XmlDocument,
     XmlNode,
     decode,
-    drop_insignificant_whitespace,
     encode,
     parse_xml,
     render,
@@ -24,7 +23,7 @@ from xstring import (
 from xstring.xml_model import walk
 
 import corpus as fixtures
-from sibling_oracle import _check_encodable
+from sibling_oracle import _check_encodable, drop_insignificant_whitespace
 
 MODES = (EncodeMode.SAFE_SIBLING, EncodeMode.CANONICAL)
 BAD_NAMES = ("", "a b", "a\tb", "a\x00b", "12", "007")

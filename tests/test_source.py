@@ -2,6 +2,7 @@
 
 import ast
 import graphlib
+import types
 from pathlib import Path
 
 import xstring
@@ -19,6 +20,16 @@ def test_no_private_names_across_modules():
             crossing += [f"{path.name}: {node.module}.{alias.name}"
                          for alias in node.names if alias.name.startswith("_")]
     assert crossing == []
+
+
+def test_all_lists_each_public_name_once():
+    # a name dropped from only one of the import and __all__ fails here,
+    # not first at `from xstring import *`
+    public = {name for name, value in vars(xstring).items()
+              if not name.startswith("_")
+              and not isinstance(value, types.ModuleType)}
+    assert len(xstring.__all__) == len(set(xstring.__all__))
+    assert set(xstring.__all__) == public
 
 
 def test_no_whitespace_calls_without_characters():

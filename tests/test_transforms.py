@@ -1,4 +1,4 @@
-"""Canonicalizer, name-table substitution, attribute promotion."""
+"""Canonicalizer and name-table substitution."""
 
 import pytest
 
@@ -10,12 +10,10 @@ from xstring import (
     UnknownKey,
     XsDocument,
     XsToken,
-    attrs_to_elements,
     build_substitution,
     decode,
     encode,
     expand_substitution,
-    is_canonical,
     parse_xml,
     render,
     structural_equal,
@@ -24,8 +22,6 @@ from xstring import (
 )
 
 from corpus import (
-    RECORDS_XML,
-    RECORDS_XS,
     ROWS_XS,
     ROWS_XS_CANONICAL,
     SUBST_KEYED_XS,
@@ -63,13 +59,8 @@ def test_to_child_depth_decode_equal():
 def test_to_child_depth_no_siblings():
     out = to_child_depth(tokenize(ROWS_XS))
     assert all(t.kind is not PrefixKind.SIBLING for t in out.tokens)
-    assert is_canonical(out)
-
-
-def test_is_canonical():
-    assert not is_canonical(tokenize(ROWS_XS))
-    assert is_canonical(tokenize(ROWS_XS_CANONICAL))
-    assert not is_canonical(tokenize("/A/B"))  # no depth markers
+    assert all(t.depth is not None for t in out.tokens
+               if t.kind is PrefixKind.CHILD)
 
 
 def test_to_child_depth_keeps_escaping():
@@ -97,7 +88,6 @@ def test_build_substitution_golden():
     table, out = build_substitution(tokenize(SUBST_PLAIN_XS))
     assert render(out) == SUBST_KEYED_XS
     assert table.names == ["AVERYLONGTAGNAME"]
-    assert table.key_of("AVERYLONGTAGNAME") == 0
 
 
 def test_expand_substitution_inverse():
@@ -176,33 +166,3 @@ def test_substituted_stream_decodes_after_expansion():
     assert structural_equal(decode(expand_substitution(out)), decode(src))
     # the decoder also resolves binders and references directly
     assert structural_equal(decode(out), decode(src))
-
-
-# attribute promotion
-
-def test_attrs_to_elements_records():
-    doc = attrs_to_elements(tokenize(RECORDS_XS))
-    want = parse_xml("<EMP><REC><FNAME>John</FNAME><LNAME>Doe</LNAME></REC>"
-                     "<REC><FNAME>Jane</FNAME><LNAME>Doh</LNAME></REC></EMP>")
-    assert structural_equal(decode(doc), want)
-
-
-def test_attrs_to_elements_valueless():
-    out = attrs_to_elements(tokenize("/X@NAME"))
-    assert render(out) == "/X/NAME"
-    assert decode(out).root.children[0].children == []
-
-
-def test_attrs_to_elements_canonical_stays_canonical():
-    src = to_child_depth(tokenize(RECORDS_XS))
-    out = attrs_to_elements(src)
-    assert is_canonical(out)
-
-
-def test_attrs_to_elements_matches_parsed_records():
-    # the promoted record stream matches the nested markup of the same table
-    promoted = decode(attrs_to_elements(tokenize(RECORDS_XS)))
-    records = parse_xml(RECORDS_XML)
-    for rec, row in zip(records.root.children, promoted.root.children):
-        names = [c.name for c in row.children]
-        assert names == [n for n, _ in rec.attributes]

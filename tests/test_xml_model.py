@@ -3,13 +3,16 @@
 import pytest
 
 from xstring import (
+    EncodeMode,
+    EncodeOptions,
     NodeKind,
+    PrefixKind,
     WellFormednessError,
     XmlDocument,
     XmlNode,
     XmlSyntaxError,
     check_well_formed,
-    drop_insignificant_whitespace,
+    encode,
     parse_xml,
     serialize_xml,
     structural_equal,
@@ -65,22 +68,31 @@ def test_attributes_preserve_order_and_quotes():
                                    ("bare", None)]
 
 
+def _encoded_texts(doc):
+    """The text payloads each encode mode writes for doc."""
+    texts = []
+    for mode in (EncodeMode.SAFE_SIBLING, EncodeMode.CANONICAL):
+        xs = encode(doc, EncodeOptions(mode=mode))
+        texts.append([t.payload for t in xs.tokens
+                      if t.kind in (PrefixKind.TEXT, PrefixKind.TEXT_DUAL)])
+    return texts
+
+
 def test_whitespace_text_kept_in_tree():
-    doc = parse_xml("<A>\n  <B/>\n</A>")
+    text = "<A>\n  <B/>\n</A>"
+    doc = parse_xml(text)
     kinds = [n.kind for n in doc.root.children]
     assert kinds == [NodeKind.TEXT, NodeKind.ELEMENT, NodeKind.TEXT]
-    dropped = drop_insignificant_whitespace(doc)
-    assert [n.kind for n in dropped.root.children] == [NodeKind.ELEMENT]
-    # the original document is untouched
-    assert len(doc.root.children) == 3
+    # encode leaves the whitespace out of the stream, not out of the tree
+    assert _encoded_texts(doc) == [[], []]
+    assert serialize_xml(doc) == text
 
 
 def test_mixed_content_whitespace_is_significant():
-    doc = parse_xml("<A>one <B/> two</A>")
-    dropped = drop_insignificant_whitespace(doc)
-    contents = [n.content for n in dropped.root.children
-                if n.kind is NodeKind.TEXT]
-    assert contents == ["one ", " two"]
+    text = "<A>one <B/> two</A>"
+    doc = parse_xml(text)
+    assert _encoded_texts(doc) == [["one ", " two"]] * 2
+    assert serialize_xml(doc) == text
 
 
 @pytest.mark.parametrize("text", [
