@@ -172,7 +172,9 @@ class DecodeState:
     attribute list of the element opened last.  Two sink methods take it
     from there: _node(kind, name, content, attrs) makes the node, with
     attrs the list the core goes on filling, and _attach(node) places it
-    under the innermost open element.  The ones here build the tree decode
+    under the innermost open element.  A sink sees a node only once the
+    core has accepted its token, so on the token the core rejects, the
+    core's error comes first.  The ones here build the tree decode
     returns."""
 
     def __init__(self):
@@ -301,25 +303,23 @@ class DecodeState:
 
     def _feed_data(self, tok: XsToken) -> None:
         kind = _NODE_KINDS.get(tok.kind)
+        name, content = "", tok.payload
         if kind is None:
             # an instruction: its target runs to its first whitespace
-            payload = tok.payload
-            cut = _target_end(payload)
+            cut = _target_end(content)
             if cut == 0:
                 raise BadToken("instruction without a target")
-            node = self._node(NodeKind.PROC_INSTR, payload[:cut],
-                              payload[cut + 1:], [])
-        else:
-            node = self._node(kind, "", tok.payload, [])
+            kind, name, content = (NodeKind.PROC_INSTR, content[:cut],
+                                   content[cut + 1:])
         self._close_exhausted()
         if not self.open_stack:
             if self.root is None:
-                if kind is None and self.prolog is None:
-                    self.prolog = node
+                if kind is NodeKind.PROC_INSTR and self.prolog is None:
+                    self.prolog = self._node(kind, name, content, [])
                     return
                 raise BadStreamStart("stream must start with a child element")
             raise ContentAfterRoot("data after the root closed")
-        self._attach(node)
+        self._attach(self._node(kind, name, content, []))
         self._attached += 1
 
     def feed(self, tok: XsToken) -> None:
@@ -354,8 +354,8 @@ def decode(doc: XsDocument) -> XmlDocument:
 _NOT_DECODED = "encoded stream does not decode to the document"
 
 
-def _written(doc: XmlDocument, drop: bool
-             ) -> Iterator[tuple[XmlNode, Optional[XmlNode]]]:
+def written_nodes(doc: XmlDocument, drop: bool
+                  ) -> Iterator[tuple[XmlNode, Optional[XmlNode]]]:
     """Each node an encoding of doc writes, in document order, with its
     parent in doc (None for the prolog and the root)."""
     if doc.prolog is not None:
@@ -375,8 +375,9 @@ def _written(doc: XmlDocument, drop: bool
             stack.pop()
 
 
-class _Verifier(DecodeState):
-    """Decodes a sibling stream onto the caller's own tree, building none.
+class Verifier(DecodeState):
+    """Decodes a stream onto the caller's own tree, building none; encode
+    checks its sibling form with it and metrics.measure any stream.
 
     Each element and data token takes the next node the caller's tree
     writes, in document order, and must carry its kind, name and content;
@@ -387,7 +388,7 @@ class _Verifier(DecodeState):
 
     def __init__(self, doc: XmlDocument, drop: bool):
         super().__init__()
-        self._written = _written(doc, drop)
+        self._written = written_nodes(doc, drop)
         self._parent: Optional[XmlNode] = None
         # the attributes the stream gave the last node, and the node's own
         self._got: list[Attribute] = []
@@ -415,7 +416,7 @@ class _Verifier(DecodeState):
 
 def _verify(doc: XmlDocument, drop: bool, tokens: list[XsToken]) -> None:
     """Raise Unencodable unless tokens decode to doc."""
-    state = _Verifier(doc, drop)
+    state = Verifier(doc, drop)
     try:
         for tok in tokens:
             state.feed(tok)

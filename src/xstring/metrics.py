@@ -6,20 +6,26 @@ of the rows below.  A nested pair of tags costs 2n+5 markup characters
 against n+1 encoded ones, which bounds the ratio of element-only
 documents below by (n+1)/(2n+5) and pushes it toward one half as names
 grow.
+
+measure checks a stream with the sibling encoder's verifier against the
+parsed markup, building no second tree: the stream must be one that encode
+can write for it, with all whitespace-only text dropped or all of it kept.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import chain, pairwise
+from typing import Iterator
 
 from .binary import pack_envelope
-from .codec import decode, encode
+from .codec import Unencodable, Verifier, encode, written_nodes
 from .errors import XStringError
-from .grammar import PrefixKind, XsDocument, XsToken, render, render_token
-from .xml_model import (NodeKind, XmlDocument, XmlNode, parse_xml,
-                        serialize_attribute, serialize_xml, structural_equal,
-                        walk)
+from .grammar import (WHITESPACE, PrefixKind, XsDocument, XsToken, render,
+                      render_token)
+from .xml_model import (Attribute, NodeKind, XmlDocument, XmlNode, parse_xml,
+                        serialize_attribute, serialize_xml)
 
 
 class ConstructKind(enum.Enum):
@@ -85,6 +91,10 @@ class SizeReport:
     def ratio(self) -> float:
         return self.xs_chars / self.xml_chars
 
+    def _stats(self) -> list[tuple[str, ConstructStat]]:
+        return [(kind.value, self.constructs[kind]) for kind in ConstructKind
+                if kind in self.constructs]
+
     def as_kv(self) -> str:
         lines = [f"xml_chars={self.xml_chars}",
                  f"xml_chars_raw={self.xml_chars_raw}",
@@ -92,23 +102,16 @@ class SizeReport:
                  f"xsb_bytes={self.xsb_bytes}",
                  f"ratio={self.ratio:.4f}",
                  f"xml_overhead={self.xml_overhead}"]
-        for kind in ConstructKind:
-            stat = self.constructs.get(kind)
-            if stat is None:
-                continue
-            key = kind.value
-            lines.append(f"{key}.count={stat.count}")
-            lines.append(f"{key}.xml_chars={stat.xml_chars}")
-            lines.append(f"{key}.xs_chars={stat.xs_chars}")
+        for key, stat in self._stats():
+            lines += [f"{key}.count={stat.count}",
+                      f"{key}.xml_chars={stat.xml_chars}",
+                      f"{key}.xs_chars={stat.xs_chars}"]
         return "\n".join(lines)
 
     def as_table(self) -> str:
         rows = [("construct", "count", "xml", "xs")]
-        for kind in ConstructKind:
-            stat = self.constructs.get(kind)
-            if stat is not None:
-                rows.append((kind.value, str(stat.count),
-                             str(stat.xml_chars), str(stat.xs_chars)))
+        rows += [(key, str(s.count), str(s.xml_chars), str(s.xs_chars))
+                 for key, s in self._stats()]
         rows.append(("separators", "", str(self.xml_overhead), "0"))
         rows.append(("total", "", str(self.xml_chars), str(self.xs_chars)))
         widths = [max(len(r[i]) for r in rows) for i in range(4)]
@@ -121,76 +124,73 @@ class Mismatch(XStringError):
     pass
 
 
-def _node_construct(node: XmlNode, tok: XsToken) -> tuple[ConstructKind, int]:
-    """Construct kind and exact markup character count for one node."""
+_DATA_CONSTRUCTS = {NodeKind.COMMENT: ConstructKind.COMMENT_TAG,
+                    NodeKind.CDATA: ConstructKind.CDATA_TAG,
+                    NodeKind.DTD: ConstructKind.DTD_ELEMENT}
+
+
+def _node_construct(node: XmlNode, tok: XsToken,
+                    nested: bool) -> tuple[ConstructKind, int]:
+    """Construct kind and name or body length n for one written node."""
     if node.kind is NodeKind.ELEMENT:
-        if node.children:
-            return ConstructKind.NESTED_TAG, 2 * len(node.name) + 5
-        return ConstructKind.EMPTY_TAG, len(node.name) + 3
+        return (ConstructKind.NESTED_TAG if nested
+                else ConstructKind.EMPTY_TAG), len(node.name)
     if node.kind is NodeKind.TEXT:
         kind = (ConstructKind.TEXT_DUAL if tok.kind is PrefixKind.TEXT_DUAL
                 else ConstructKind.TEXT)
         return kind, len(node.content)
-    if node.kind is NodeKind.COMMENT:
-        return ConstructKind.COMMENT_TAG, len(node.content) + 7
-    if node.kind is NodeKind.CDATA:
-        return ConstructKind.CDATA_TAG, len(node.content) + 12
-    if node.kind is NodeKind.DTD:
-        return ConstructKind.DTD_ELEMENT, len(node.content) + 3
-    body = len(node.name) + (1 + len(node.content) if node.content else 0)
-    return ConstructKind.PI_TAG, body + 4
+    if node.kind is NodeKind.PROC_INSTR:
+        return ConstructKind.PI_TAG, len(node.name) + (
+            1 + len(node.content) if node.content else 0)
+    return _DATA_CONSTRUCTS[node.kind], len(node.content)
 
 
 def measure(xml_text: str, xs: XsDocument) -> SizeReport:
     """Compare the sizes of a markup document and its encoded form.
 
-    The stream must decode to the same tree the markup parses to, ignoring
-    whitespace-only text.  Markup characters are attributed to the
-    construct they belong to; the space before each attribute is counted
-    as separator overhead so the per-construct columns add up exactly.
+    The stream must be one that encode can write for the markup, with all
+    of its whitespace-only text dropped or all of it kept.  Any other
+    stream raises Mismatch, or the decoder's DecodeError if the decoder
+    rejects it no later than it stops matching.  Markup characters are
+    attributed to the construct they belong to; the space before each
+    attribute is counted as separator overhead so the columns add up.
     """
     source = parse_xml(xml_text)
-    tree = decode(xs)
-    if not structural_equal(tree, source):
-        raise Mismatch("the stream does not encode this document")
+    drop = all(WHITESPACE.sub("", tok.payload) for tok in xs.tokens
+               if tok.kind in (PrefixKind.TEXT, PrefixKind.TEXT_DUAL))
+    state = Verifier(source, drop)
+    try:
+        for tok in xs.tokens:
+            state.feed(tok)
+        state.finish()
+    except Unencodable as e:
+        raise Mismatch("the stream does not encode this document") from e
 
-    report = SizeReport(xml_chars=len(serialize_xml(tree)),
-                        xml_chars_raw=len(xml_text),
-                        xs_chars=len(render(xs)),
-                        xsb_bytes=len(pack_envelope(xs)),
-                        xml_overhead=0)
-
-    def stat(kind: ConstructKind) -> ConstructStat:
-        return report.constructs.setdefault(kind, ConstructStat())
-
-    nodes = [] if tree.prolog is None else [tree.prolog]
-    nodes.extend(node for node, entering in walk(tree.root) if entering)
-
-    node_i = 0
-    owner: XmlNode | None = None
-    attr_i = 0
+    report = SizeReport(xml_chars=0, xml_chars_raw=len(xml_text), xs_chars=0,
+                        xsb_bytes=len(pack_envelope(xs)), xml_overhead=0)
+    # each node the stream holds, in order, with the parent of the next
+    # one, which is the node itself exactly when it has a child
+    written = pairwise(chain(written_nodes(source, drop), [(None, None)]))
+    attrs: Iterator[Attribute] = iter(())
     for tok in xs.tokens:
-        piece = len(render_token(tok, xs.escaping))
-        if tok.kind is PrefixKind.ATTR_NAME:
-            attr = owner.attributes[attr_i]
-            attr_i += 1
-            s = stat(ConstructKind.ATTRIBUTE)
-            s.count += 1
-            s.xml_chars += len(serialize_attribute(attr)) - 1
-            s.xs_chars += piece
+        if tok.kind is PrefixKind.ATTR_VALUE:
+            kind, count, xml_chars = ConstructKind.ATTRIBUTE, 0, 0
+        elif tok.kind is PrefixKind.ATTR_NAME:
+            kind, count = ConstructKind.ATTRIBUTE, 1
+            xml_chars = len(serialize_attribute(next(attrs))) - 1
             report.xml_overhead += 1
-        elif tok.kind is PrefixKind.ATTR_VALUE:
-            stat(ConstructKind.ATTRIBUTE).xs_chars += piece
         else:
-            node = nodes[node_i]
-            node_i += 1
-            if node.kind is NodeKind.ELEMENT:
-                owner, attr_i = node, 0
-            kind, xml_chars = _node_construct(node, tok)
-            s = stat(kind)
-            s.count += 1
-            s.xml_chars += xml_chars
-            s.xs_chars += piece
+            (node, _), (_, next_parent) = next(written)
+            attrs = iter(node.attributes)
+            kind, n = _node_construct(node, tok, next_parent is node)
+            count, xml_chars = 1, _FORMULAS[kind][0](n, 0)
+        stat = report.constructs.setdefault(kind, ConstructStat())
+        stat.count += count
+        stat.xml_chars += xml_chars
+        stat.xs_chars += len(render_token(tok, xs.escaping))
+    stats = report.constructs.values()
+    report.xml_chars = report.xml_overhead + sum(s.xml_chars for s in stats)
+    report.xs_chars = sum(s.xs_chars for s in stats)
     return report
 
 
@@ -220,6 +220,6 @@ def asymptote_check(name_len: int, depth: int) -> AsymptoteProbe:
     doc = XmlDocument(node)
     xml_chars = len(serialize_xml(doc))
     xs_chars = len(render(encode(doc)))
+    pair_xml, pair_xs = predict_size(ConstructKind.NESTED_TAG, name_len)
     return AsymptoteProbe(name_len, depth, xml_chars, xs_chars,
-                          xs_chars / xml_chars,
-                          (name_len + 1) / (2 * name_len + 5))
+                          xs_chars / xml_chars, pair_xs / pair_xml)

@@ -1,11 +1,12 @@
-"""Step counts: a measure of the package's work that does not depend on
-the speed of the machine, shared by the linearity tests."""
+"""Step and node counts: measures of the package's work that do not depend
+on the speed of the machine, shared by the linearity and no-tree tests."""
 
 import sys
 from pathlib import Path
 from typing import Optional
 
 import xstring
+from xstring.xml_model import XmlNode
 
 
 class TooManySteps(AssertionError):
@@ -37,3 +38,19 @@ def lines_run(fn, *args, limit: Optional[int] = None) -> int:
     finally:
         sys.settrace(before)
     return lines
+
+
+def nodes_built(monkeypatch, fn) -> int:
+    """XmlNode constructions while fn runs."""
+    built = 0
+    init = XmlNode.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(XmlNode, "__init__", counted)
+        fn()
+    return built

@@ -213,6 +213,27 @@ def test_stats_table(tmp_path, capsys):
     assert lines[-1].split() == ["total", "107", "54"]
 
 
+SPACED_XML = '<LIST>\n  <ITEM id="1">one</ITEM>\n  <ITEM id="2"/>\n</LIST>\n'
+
+
+@pytest.mark.parametrize("flags, totals", [
+    ([], ("xml_chars=50", "xs_chars=29", "text.count=1")),
+    (["--keep-whitespace"], ("xml_chars=57", "xs_chars=43", "text.count=4")),
+    (["--mode", "canonical", "--escape", "sentinel"],
+     ("xml_chars=50", "xs_chars=46", "text.count=1")),
+    (["--mode", "canonical", "--escape", "sentinel", "--keep-whitespace"],
+     ("xml_chars=57", "xs_chars=59", "text.count=4")),
+], ids=["default", "keep", "canonical_sentinel", "canonical_sentinel_keep"])
+def test_stats_whitespace_and_mode_flags(tmp_path, capsys, flags, totals):
+    # the encode flags decide whether the stream holds the three
+    # whitespace-only text nodes between the elements
+    src = write(tmp_path, "in.xml", SPACED_XML)
+    assert main(["stats", src, *flags]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert tuple(line for line in lines if line.startswith(
+        ("xml_chars=", "xs_chars=", "text.count="))) == totals
+
+
 def test_check_ok(tmp_path, capsys):
     src = write(tmp_path, "in.xml", "<A><B/></A>")
     assert main(["check", src]) == 0

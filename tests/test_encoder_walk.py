@@ -24,6 +24,7 @@ from xstring.xml_model import walk
 
 import corpus as fixtures
 from sibling_oracle import _check_encodable, drop_insignificant_whitespace
+from steps import nodes_built
 
 MODES = (EncodeMode.SAFE_SIBLING, EncodeMode.CANONICAL)
 BAD_NAMES = ("", "a b", "a\tb", "a\x00b", "12", "007")
@@ -81,21 +82,6 @@ def test_skipping_whitespace_matches_dropping_it_first(mode):
         assert render(skipped) == render(dropped)
 
 
-def _nodes_built(monkeypatch, fn) -> int:
-    built = 0
-    init = XmlNode.__init__
-
-    def counted(self, *args, **kwargs):
-        nonlocal built
-        built += 1
-        init(self, *args, **kwargs)
-
-    with monkeypatch.context() as m:
-        m.setattr(XmlNode, "__init__", counted)
-        fn()
-    return built
-
-
 @pytest.mark.parametrize("drop", [True, False])
 def test_no_tree_copy(monkeypatch, drop):
     # neither form builds a node: the sibling form is verified on the
@@ -103,7 +89,7 @@ def test_no_tree_copy(monkeypatch, drop):
     for doc in fixtures.corpus()[:100]:
         for mode in MODES:
             opts = EncodeOptions(mode=mode, drop_insignificant_whitespace=drop)
-            assert _nodes_built(monkeypatch, lambda: encode(doc, opts)) == 0
+            assert nodes_built(monkeypatch, lambda: encode(doc, opts)) == 0
 
 
 @pytest.mark.parametrize("mode", MODES)
