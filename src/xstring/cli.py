@@ -24,8 +24,8 @@ from .grammar import EscapeMode, TokenizeError, XsDocument, render, tokenize
 from .metrics import Mismatch, measure
 from .transforms import (NumericNameClash, build_substitution,
                          expand_substitution, to_child_depth)
-from .xml_model import (WellFormednessError, XmlSyntaxError, check_well_formed,
-                        parse_xml, serialize_xml)
+from .xml_model import (WellFormednessError, XmlDocument, XmlSyntaxError,
+                        check_well_formed, parse_xml, serialize_xml)
 
 _ESCAPE_MODES = {"entity": EscapeMode.ENTITY, "sentinel": EscapeMode.SENTINEL}
 
@@ -96,11 +96,12 @@ def _write_stream(args: argparse.Namespace, doc) -> int:
     return 0
 
 
-def _encode(args: argparse.Namespace, text: str) -> XsDocument:
-    """Encode XML text as the encode options on the command line ask."""
+def _encode(args: argparse.Namespace, doc: XmlDocument) -> XsDocument:
+    """Encode a parsed document as the encode options on the command line
+    ask."""
     opts = EncodeOptions(mode=args.mode, escaping=_escape(args),
                          drop_insignificant_whitespace=not args.keep_whitespace)
-    stream = encode(parse_xml(text), opts)
+    stream = encode(doc, opts)
     if args.subst_threshold is not None:
         _, stream = build_substitution(stream, args.subst_threshold)
     return stream
@@ -116,7 +117,8 @@ def _threshold(text: str) -> int:
 # -- commands ---------------------------------------------------------------
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    return _write_stream(args, _encode(args, _read_text(args.input)))
+    doc = parse_xml(_read_text(args.input))
+    return _write_stream(args, _encode(args, doc))
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
@@ -167,7 +169,8 @@ def cmd_unfold(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     text = _read_text(args.input)
-    report = measure(text, _encode(args, text))
+    source = parse_xml(text)
+    report = measure(text, _encode(args, source), source)
     body = report.as_table() if args.format == "table" else report.as_kv()
     _write_text(args.output, body)
     return 0

@@ -15,6 +15,14 @@ Decoding is a single pass over the tokens with a stack of open elements:
   its close count, the count when it opened plus N;
 * the end of the stream closes everything still open.
 
+DecodeState.feed reads each token in its own frame: it resolves key
+references, applies the attribute rules, builds a data node's fields and
+opens an element inline.  Of its own methods, a node costs only its
+sink's _node and _attach.  The rare paths are helpers: the pop of elements
+whose depth ran out, called only when the top's lowest close count is due,
+and the close-back checks, called only when some open element has a depth
+marker.
+
 Safe-sibling encoding emits the tree in one pass, writing every later
 element child as a sibling token, and keeps the stack of open elements the
 decoder will hold.  Every node already emitted decodes under its true
@@ -143,18 +151,16 @@ class OpenEntry:
     low: float  # smallest close at or below this entry, inf when none
 
 
-def _target_end(payload: str) -> int:
-    """Where an instruction's target ends: its first whitespace, or the end."""
-    ws = WHITESPACE.search(payload)
-    return ws.start() if ws else len(payload)
-
-
 _DATA_KINDS = {NodeKind.COMMENT: PrefixKind.COMMENT,
                NodeKind.CDATA: PrefixKind.CDATA, NodeKind.DTD: PrefixKind.DTD}
 # the node kind of each data token but an instruction
 _NODE_KINDS = {PrefixKind.TEXT: NodeKind.TEXT,
                PrefixKind.TEXT_DUAL: NodeKind.TEXT,
                **{tok: node for node, tok in _DATA_KINDS.items()}}
+# the kinds feed compares against, bound once as module globals
+_CHILD, _SIBLING = PrefixKind.CHILD, PrefixKind.SIBLING
+_ATTR_NAME, _ATTR_VALUE = PrefixKind.ATTR_NAME, PrefixKind.ATTR_VALUE
+_ELEMENT, _PROC_INSTR = NodeKind.ELEMENT, NodeKind.PROC_INSTR
 
 
 class DecodeState:
@@ -166,16 +172,19 @@ class DecodeState:
     open_stack.nearest finds the element a sibling token closes back to.
     Each node costs O(1) amortized at any depth.
 
-    This core reads every token: it keeps the stack, the budgets, the
-    sibling close-back and the attribute rules, raises every DecodeError,
-    and works out the kind, name and content of each node and the
-    attribute list of the element opened last.  Two sink methods take it
-    from there: _node(kind, name, content, attrs) makes the node, with
-    attrs the list the core goes on filling, and _attach(node) places it
-    under the innermost open element.  A sink sees a node only once the
-    core has accepted its token, so on the token the core rejects, the
-    core's error comes first.  The ones here build the tree decode
-    returns."""
+    This core reads every token, each in one frame of feed: it keeps the
+    stack, the budgets, the sibling close-back and the attribute rules,
+    resolves key references, raises every DecodeError, and works out the
+    kind, name and content of each node and the attribute list of the
+    element opened last.  Only the rare paths leave that frame:
+    _close_exhausted when the top's low is due, _check_close_back when a
+    sibling may cut a depth short, and _unfilled for their messages.  Two
+    sink methods, the only ones a node calls, take it from there:
+    _node(kind, name, content, attrs) makes the node, with attrs the list
+    the core goes on filling, and _attach(node) places it under the
+    innermost open element.  A sink sees a node only once the core has
+    accepted its token, so on the token the core rejects, the core's error
+    comes first.  The ones here build the tree decode returns."""
 
     def __init__(self):
         self.open_stack = OpenStack()
@@ -202,17 +211,7 @@ class DecodeState:
     def _attach(self, node: XmlNode) -> None:
         self.open_stack[-1].node.children.append(node)
 
-    # -- helpers ------------------------------------------------------------
-
-    def _resolve_name(self, tok: XsToken) -> str:
-        if tok.is_reference():
-            name = self._keys.get(tok.subst_key)
-            if name is None:
-                raise UnknownKey(f"key {tok.subst_key} was never bound")
-            return name
-        if tok.subst_key is not None:
-            self._keys[tok.subst_key] = tok.payload
-        return tok.payload
+    # -- rare paths ---------------------------------------------------------
 
     def _unfilled(self, entry: OpenEntry) -> int:
         return 0 if entry.close is None else entry.close - self._attached
@@ -229,110 +228,132 @@ class DecodeState:
                     f"{self._unfilled(popped)} nodes when an enclosing "
                     "depth ran out")
 
-    # -- token handlers -----------------------------------------------------
+    def _check_close_back(self, name: str, idx: int) -> None:
+        # a sibling closing back to stack[idx], or to the innermost element
+        # when idx < 0, must leave no depth unfilled; the root check sits
+        # between the two in feed's order, so idx == 0 is left to it
+        stack = self.open_stack
+        if idx < 0:
+            top = stack[-1]
+            unfilled = self._unfilled(top)
+            if unfilled > 0:
+                raise BudgetConflict(
+                    f"sibling <{name}> would close <{top.node.name}> "
+                    f"with {unfilled} nodes of its depth unfilled")
+        elif idx > 0:
+            # the entries scanned are closed next: paid for by their pushes
+            for e in stack[idx:]:
+                unfilled = self._unfilled(e)
+                if unfilled > 0:
+                    raise BudgetConflict(
+                        f"sibling <{name}> closure crosses <{e.node.name}> "
+                        f"with {unfilled} nodes of its depth unfilled")
 
-    def _feed_attr(self, tok: XsToken) -> None:
-        if not self.open_stack:
-            raise DanglingAttr("attribute outside any open element")
-        if tok.kind is PrefixKind.ATTR_NAME:
+    # -- the token reader ---------------------------------------------------
+
+    def feed(self, tok: XsToken) -> None:
+        kind = tok.kind
+        stack = self.open_stack
+        if kind is _ATTR_VALUE:
+            if not stack:
+                raise DanglingAttr("attribute outside any open element")
+            if not self._pending_attr:
+                raise DanglingAttr("attribute value without a preceding name")
+            attrs = self._attrs
+            attrs[-1] = (attrs[-1][0], tok.payload)
+            self._pending_attr = False
+            return
+        if kind is _ATTR_NAME:
+            if not stack:
+                raise DanglingAttr("attribute outside any open element")
             if self._attached > self._opened_at:
                 raise AttrAfterContent("attribute after content in "
-                                       f"<{self.open_stack[-1].node.name}>")
-            name = self._resolve_name(tok)
+                                       f"<{stack[-1].node.name}>")
+        else:
+            self._pending_attr = False
+            if kind is not _CHILD and kind is not _SIBLING:
+                # a data node; an instruction's target runs to its first
+                # whitespace
+                node_kind = _NODE_KINDS.get(kind)
+                name, content = "", tok.payload
+                if node_kind is None:
+                    ws = WHITESPACE.search(content)
+                    cut = ws.start() if ws else len(content)
+                    if cut == 0:
+                        raise BadToken("instruction without a target")
+                    node_kind, name, content = (_PROC_INSTR, content[:cut],
+                                                content[cut + 1:])
+                if stack and stack[-1].low == self._attached:
+                    self._close_exhausted()
+                if not stack:
+                    if self.root is None:
+                        if node_kind is _PROC_INSTR and self.prolog is None:
+                            self.prolog = self._node(node_kind, name, content,
+                                                     [])
+                            return
+                        raise BadStreamStart(
+                            "stream must start with a child element")
+                    raise ContentAfterRoot("data after the root closed")
+                self._attach(self._node(node_kind, name, content, []))
+                self._attached += 1
+                return
+        # a name: a key binder stores it, a key reference looks it up
+        name = tok.payload
+        key = tok.subst_key
+        if key is not None:
+            if name:
+                self._keys[key] = name
+            else:
+                name = self._keys.get(key)
+                if name is None:
+                    raise UnknownKey(f"key {key} was never bound")
+        if kind is _ATTR_NAME:
             if name in self._attr_names:
                 raise DuplicateAttr(f"duplicate attribute {name!r}")
             self._attr_names.add(name)
             self._attrs.append((name, None))
             self._pending_attr = True
+            return
+        if stack and stack[-1].low == self._attached:
+            self._close_exhausted()
+        if kind is _CHILD:
+            if not stack and self.root is not None:
+                raise ContentAfterRoot("second root element")
         else:
-            if not self._pending_attr:
-                raise DanglingAttr("attribute value without a preceding name")
-            self._attrs[-1] = (self._attrs[-1][0], tok.payload)
-            self._pending_attr = False
-
-    def _open(self, tok: XsToken, name: str) -> None:
+            if not stack:
+                if self.root is None:
+                    raise BadStreamStart(
+                        "stream must start with a child element")
+                raise ContentAfterRoot("sibling after the root closed")
+            idx = stack.nearest.get(name, -1)
+            if stack[-1].low != inf:
+                # some open element has a depth the close-back may cut short
+                self._check_close_back(name, idx)
+            if idx < 0:
+                # no open element has the name: close just the innermost one
+                idx = len(stack) - 1
+            if idx == 0:
+                raise BudgetConflict(f"sibling <{name}> would close the root")
+            stack.truncate(idx)
+        # open the element
         attrs: list[Attribute] = []
-        elem = self._node(NodeKind.ELEMENT, name, "", attrs)
-        stack = self.open_stack
+        elem = self._node(_ELEMENT, name, "", attrs)
         if stack:
             self._attach(elem)
             self._attached += 1
+            low = stack[-1].low
         else:
             self.root = elem
-        close = None if tok.depth is None else self._attached + tok.depth
-        low = min(inf if close is None else close, stack[-1].low if stack else inf)
+            low = inf
+        close = tok.depth
+        if close is not None:
+            close += self._attached
+            if close < low:
+                low = close
         stack.push(name, OpenEntry(elem, close, low))
         self._opened_at = self._attached
         self._attrs = attrs
         self._attr_names.clear()
-
-    def _feed_child(self, tok: XsToken) -> None:
-        name = self._resolve_name(tok)
-        self._close_exhausted()
-        if not self.open_stack and self.root is not None:
-            raise ContentAfterRoot("second root element")
-        self._open(tok, name)
-
-    def _feed_sibling(self, tok: XsToken) -> None:
-        name = self._resolve_name(tok)
-        self._close_exhausted()
-        stack = self.open_stack
-        if not stack:
-            if self.root is None:
-                raise BadStreamStart("stream must start with a child element")
-            raise ContentAfterRoot("sibling after the root closed")
-        idx = stack.nearest.get(name, -1)
-        if idx < 0:
-            # no open element has the name: close just the innermost one
-            top = stack[-1]
-            if self._unfilled(top) > 0:
-                raise BudgetConflict(
-                    f"sibling <{name}> would close <{top.node.name}> "
-                    f"with {self._unfilled(top)} nodes of its depth unfilled")
-            idx = len(stack) - 1
-        if idx == 0:
-            raise BudgetConflict(f"sibling <{name}> would close the root")
-        # the entries scanned are closed below: paid for by their pushes
-        for e in stack[idx:]:
-            if self._unfilled(e) > 0:
-                raise BudgetConflict(
-                    f"sibling <{name}> closure crosses <{e.node.name}> "
-                    f"with {self._unfilled(e)} nodes of its depth unfilled")
-        stack.truncate(idx)
-        self._open(tok, name)
-
-    def _feed_data(self, tok: XsToken) -> None:
-        kind = _NODE_KINDS.get(tok.kind)
-        name, content = "", tok.payload
-        if kind is None:
-            # an instruction: its target runs to its first whitespace
-            cut = _target_end(content)
-            if cut == 0:
-                raise BadToken("instruction without a target")
-            kind, name, content = (NodeKind.PROC_INSTR, content[:cut],
-                                   content[cut + 1:])
-        self._close_exhausted()
-        if not self.open_stack:
-            if self.root is None:
-                if kind is NodeKind.PROC_INSTR and self.prolog is None:
-                    self.prolog = self._node(kind, name, content, [])
-                    return
-                raise BadStreamStart("stream must start with a child element")
-            raise ContentAfterRoot("data after the root closed")
-        self._attach(self._node(kind, name, content, []))
-        self._attached += 1
-
-    def feed(self, tok: XsToken) -> None:
-        if tok.kind in (PrefixKind.ATTR_NAME, PrefixKind.ATTR_VALUE):
-            self._feed_attr(tok)
-            return
-        self._pending_attr = False
-        if tok.kind is PrefixKind.CHILD:
-            self._feed_child(tok)
-        elif tok.kind is PrefixKind.SIBLING:
-            self._feed_sibling(tok)
-        else:
-            self._feed_data(tok)
 
     def finish(self) -> XmlDocument:
         if self.root is None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from itertools import chain, pairwise
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .binary import pack_envelope
 from .codec import Unencodable, Verifier, encode, written_nodes
@@ -145,7 +145,8 @@ def _node_construct(node: XmlNode, tok: XsToken,
     return _DATA_CONSTRUCTS[node.kind], len(node.content)
 
 
-def measure(xml_text: str, xs: XsDocument) -> SizeReport:
+def measure(xml_text: str, xs: XsDocument,
+            source: Optional[XmlDocument] = None) -> SizeReport:
     """Compare the sizes of a markup document and its encoded form.
 
     The stream must be one that encode can write for the markup, with all
@@ -154,8 +155,11 @@ def measure(xml_text: str, xs: XsDocument) -> SizeReport:
     rejects it no later than it stops matching.  Markup characters are
     attributed to the construct they belong to; the space before each
     attribute is counted as separator overhead so the columns add up.
+    source is parse_xml(xml_text) when the caller has already parsed it,
+    and is not changed; None parses xml_text here.
     """
-    source = parse_xml(xml_text)
+    if source is None:
+        source = parse_xml(xml_text)
     drop = all(WHITESPACE.sub("", tok.payload) for tok in xs.tokens
                if tok.kind in (PrefixKind.TEXT, PrefixKind.TEXT_DUAL))
     state = Verifier(source, drop)

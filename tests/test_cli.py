@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import xstring
+from xstring import cli, metrics
 from xstring import (decode, encode, pack_envelope, parse_xml, render,
                      serialize_xml, tokenize)
 from xstring.cli import main
@@ -232,6 +233,23 @@ def test_stats_whitespace_and_mode_flags(tmp_path, capsys, flags, totals):
     lines = capsys.readouterr().out.splitlines()
     assert tuple(line for line in lines if line.startswith(
         ("xml_chars=", "xs_chars=", "text.count="))) == totals
+
+
+def test_stats_parses_its_input_once(tmp_path, capsys, monkeypatch):
+    # measure checks the stream against the tree the encoder read
+    calls = 0
+
+    def counted(text):
+        nonlocal calls
+        calls += 1
+        return parse_xml(text)
+
+    monkeypatch.setattr(cli, "parse_xml", counted)
+    monkeypatch.setattr(metrics, "parse_xml", counted)
+    src = write(tmp_path, "in.xml", SPACED_XML)
+    assert main(["stats", src]) == 0
+    assert "xml_chars=50" in capsys.readouterr().out
+    assert calls == 1
 
 
 def test_check_ok(tmp_path, capsys):
