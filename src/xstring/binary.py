@@ -8,6 +8,22 @@ depth and key bodies are a bare varint, and a varint holds at most 64
 bits.  An odd unit count is completed with the bodiless pad code in the
 low nibble of the last pair byte.
 
+pack writes each unit where it meets it: the first unit of a pair appends
+its pair byte with the low nibble still open and its body; the second sets
+that nibble and appends its own body.  A value below 0x80 is its own
+one-byte varint and is appended as it is.
+
+unpack reads in two loops.  The first reads the units into a list of codes
+and a list of values, each body where it is read: a varint below 0x80 is
+one byte, a longer one goes to _read_varint, and a string body is sliced
+and decoded in place.  The second builds the tokens with XsToken.unchecked
+and applies, as BadPayload, the constructor's checks that a unit stream
+can fail.  So every byte-level error (BadNibble, TrailingBytes, Truncated,
+MalformedVarint, a body that is not UTF-8) anywhere in the input wins over
+every token-level error (StrayMarker, a failed check), and token-level
+errors come in unit order: a name is checked when the next unit that is not
+a marker, or the end, arrives, since a marker may still give it a key.
+
 pack and unpack work on the bare payload; pack_envelope and
 unpack_envelope add and check the magic and format version.
 """
@@ -15,7 +31,8 @@ unpack_envelope add and check the magic and format version.
 from __future__ import annotations
 
 from .errors import XStringError
-from .grammar import EscapeMode, PrefixKind, XsDocument, XsToken
+from .grammar import (NUL, WHITESPACE, EscapeMode, PrefixKind, XsDocument,
+                      XsToken, reads_as_key)
 
 MAGIC = b"XSB1"
 VERSION = 1
@@ -46,8 +63,16 @@ _KIND_TO_CODE = {
     PrefixKind.ATTR_VALUE: _ATTR_VALUE,
     PrefixKind.TEXT: _TEXT,
 }
+# pack looks codes up by the prefix character: a lookup by the member
+# would call Enum.__hash__, a Python function, for every token
+_CHAR_TO_CODE = {k.value: code for k, code in _KIND_TO_CODE.items()}
 _CODE_TO_KIND = {v: k for k, v in _KIND_TO_CODE.items()}
 _NAME_CODES = (_CHILD, _SIBLING, _ATTR_NAME)
+_UNASSIGNED = (0xB, 0xC, 0xD)
+# the pair bytes unpack refuses: an unassigned code in either nibble, or
+# the pad in the high one
+_BAD_PAIR = bytes(hi in _UNASSIGNED or lo in _UNASSIGNED or hi == _PAD
+                  for hi in range(16) for lo in range(16))
 
 
 class PackError(XStringError):
@@ -115,60 +140,51 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
         shift += 7
 
 
-def _expand(tokens: list[XsToken]) -> list[tuple[int, object]]:
-    units: list[tuple[int, object]] = []
-    for tok in tokens:
-        units.append((_KIND_TO_CODE[tok.kind], tok.payload))
-        if tok.depth is not None:
-            units.append((_DEPTH, tok.depth))
-        if tok.subst_key is not None:
-            units.append((_SUBST_KEY, tok.subst_key))
-    return units
-
-
-def _write_body(code: int, value: object, out: bytearray) -> None:
-    if code in (_DEPTH, _SUBST_KEY):
-        if value >> 64:  # also true of a negative value
-            raise MalformedVarint(f"{value} does not fit in 64 bits")
-        _write_varint(value, out)
-    elif code != _PAD:
-        raw = value.encode("utf-8")
-        _write_varint(len(raw), out)
-        out.extend(raw)
-
-
 def pack(doc: XsDocument) -> bytes:
     """Pack a stream into the bare binary payload."""
-    units = _expand(doc.tokens)
-    if len(units) % 2:
-        units.append((_PAD, None))
     out = bytearray()
-    for i in range(0, len(units), 2):
-        (hi, hv), (lo, lv) = units[i], units[i + 1]
-        out.append(hi << 4 | lo)
-        _write_body(hi, hv, out)
-        _write_body(lo, lv, out)
+    held = -1  # where the pair byte waiting for its low unit sits
+    for tok in doc.tokens:
+        code = _CHAR_TO_CODE[tok.kind._value_]
+        if held < 0:
+            held = len(out)
+            out.append(code << 4)
+        else:
+            out[held] |= code
+            held = -1
+        raw = tok.payload.encode("utf-8")
+        if len(raw) < 0x80:
+            out.append(len(raw))
+        else:
+            _write_varint(len(raw), out)
+        out += raw
+        if tok.depth is None and tok.subst_key is None:
+            continue
+        for code, value in ((_DEPTH, tok.depth), (_SUBST_KEY, tok.subst_key)):
+            if value is None:
+                continue
+            if held < 0:
+                held = len(out)
+                out.append(code << 4)
+            else:
+                out[held] |= code
+                held = -1
+            if value >> 64:  # also true of a negative value
+                raise MalformedVarint(f"{value} does not fit in 64 bits")
+            if value < 0x80:
+                out.append(value)
+            else:
+                _write_varint(value, out)
+    if held >= 0:
+        out[held] |= _PAD
     return bytes(out)
 
 
-def _read_body(code: int, data: bytes, pos: int) -> tuple[object, int]:
-    if code in (_DEPTH, _SUBST_KEY):
-        return _read_varint(data, pos)
-    length, pos = _read_varint(data, pos)
-    if pos + length > len(data):
-        raise Truncated("input ends inside a string body")
-    try:
-        text = data[pos:pos + length].decode("utf-8")
-    except UnicodeDecodeError as err:
-        raise BadPayload(f"string body is not UTF-8: {err}") from None
-    return text, pos + length
-
-
-def _make_token(kind: PrefixKind, payload: str, depth, key) -> XsToken:
-    try:
-        return XsToken(kind, payload, depth=depth, subst_key=key)
-    except ValueError as err:
-        raise BadPayload(str(err)) from None
+def _bad_pair(byte: int) -> BadNibble:
+    for code in (byte >> 4, byte & 0xF):
+        if code in _UNASSIGNED:
+            return BadNibble(f"code {code:#x} is not assigned")
+    return BadNibble("pad may only fill the second slot of a pair")
 
 
 def unpack(data: bytes, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
@@ -176,53 +192,87 @@ def unpack(data: bytes, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
 
     Any byte sequence either unpacks or raises a PackError subclass.
     """
-    units: list[tuple[int, object]] = []
+    codes: list[int] = []
+    values: list = []
+    add_code, add_value = codes.append, values.append
+    end = len(data)
     pos = 0
-    while pos < len(data):
-        byte = data[pos]
-        pos += 1
-        hi, lo = byte >> 4, byte & 0xF
-        for nib in (hi, lo):
-            if nib in (0xB, 0xC, 0xD):
-                raise BadNibble(f"code {nib:#x} is not assigned")
-        if hi == _PAD:
-            raise BadNibble("pad may only fill the second slot of a pair")
-        value, pos = _read_body(hi, data, pos)
-        units.append((hi, value))
-        if lo == _PAD:
-            if pos != len(data):
+    low = None  # the code in the low nibble of the pair being read
+    while True:
+        if low is None:
+            if pos == end:
+                break
+            byte = data[pos]
+            if _BAD_PAIR[byte]:
+                raise _bad_pair(byte)
+            pos += 1
+            code, low = byte >> 4, byte & 0xF
+        elif low == _PAD:
+            if pos != end:
                 raise TrailingBytes("data continues after the pad code")
+            break
         else:
-            value, pos = _read_body(lo, data, pos)
-            units.append((lo, value))
+            code, low = low, None
+        if pos < end and data[pos] < 0x80:
+            value = data[pos]
+            pos += 1
+        else:
+            value, pos = _read_varint(data, pos)
+        if code != _DEPTH and code != _SUBST_KEY:
+            stop = pos + value
+            if stop > end:
+                raise Truncated("input ends inside a string body")
+            try:
+                value = data[pos:stop].decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise BadPayload(f"string body is not UTF-8: {err}") from None
+            pos = stop
+        add_code(code)
+        add_value(value)
+    # the end stands in for one more unit, so the last name gets checked
+    add_code(_PAD)
+    add_value(None)
 
+    # The checks of XsToken(...) that a unit stream can fail, in its order
+    # and words.  The others cannot: no code maps to a marker kind, a depth
+    # or key that would sit on the wrong token is a StrayMarker, and a
+    # varint is never negative.
     tokens: list[XsToken] = []
-    pending: list | None = None
-
-    def flush() -> None:
-        nonlocal pending
-        if pending is not None:
-            tokens.append(_make_token(*pending))
-            pending = None
-
-    for code, value in units:
+    add, new, space = tokens.append, XsToken.unchecked, WHITESPACE.search
+    name = None  # the last name token while markers may still follow it
+    for code, value in zip(codes, values):
         if code == _DEPTH:
-            if (pending is None or pending[0] not in (PrefixKind.CHILD,
-                                                      PrefixKind.SIBLING)
-                    or pending[2] is not None):
+            if name is None or name.kind is PrefixKind.ATTR_NAME or (
+                    name.depth is not None):
                 raise StrayMarker("depth without an element to attach to")
-            pending[2] = value
-        elif code == _SUBST_KEY:
-            if pending is None or pending[3] is not None:
+            name.depth = value
+            continue
+        if code == _SUBST_KEY:
+            if name is None or name.subst_key is not None:
                 raise StrayMarker("key without a name to attach to")
-            pending[3] = value
-        elif code in _NAME_CODES:
-            flush()
-            pending = [_CODE_TO_KIND[code], value, None, None]
-        else:
-            flush()
-            tokens.append(_make_token(_CODE_TO_KIND[code], value, None, None))
-    flush()
+            name.subst_key = value
+            continue
+        if name is not None:
+            payload = name.payload
+            if NUL in payload:
+                raise BadPayload("payload must not contain NUL")
+            if space(payload):
+                raise BadPayload("names must not contain whitespace")
+            if not payload and name.subst_key is None:
+                raise BadPayload("empty name")
+            # isdigit first spares most names the call
+            if payload.isdigit() and reads_as_key(payload):
+                raise BadPayload(
+                    "purely numeric names collide with key references")
+            name = None
+        if code == _PAD:
+            break
+        tok = new(_CODE_TO_KIND[code], value)
+        add(tok)
+        if code in _NAME_CODES:
+            name = tok
+        elif NUL in value:
+            raise BadPayload("payload must not contain NUL")
     return XsDocument(tokens, escaping)
 
 

@@ -474,7 +474,7 @@ def _element_tokens(node: XmlNode, kind: PrefixKind,
     """Check an element and append its token and attribute tokens."""
     if node.content:
         raise Unencodable("element content cannot be written")
-    tok = XsToken.unchecked(kind, _writable_name(node.name, node.kind.value))
+    tok = XsToken.unchecked(kind, _writable_name(node.name, "element"))
     tokens.append(tok)
     for name, value in node.attributes:
         tokens.append(XsToken.unchecked(PrefixKind.ATTR_NAME,

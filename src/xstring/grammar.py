@@ -247,14 +247,17 @@ def render_token(t: XsToken, escaping: EscapeMode) -> str:
                 else _ESCAPE)(t.payload)
     if kind is PrefixKind.TEXT_DUAL:
         return f'{mark}"{body}{mark}"'
+    # the member's plain attribute: Enum.value is a property, two Python
+    # calls per read
+    prefix = kind._value_
     if kind not in NAME_KINDS:
-        return mark + kind.value + body
+        return mark + prefix + body
     if not body:
-        out = f"{mark}{kind.value}{t.subst_key}"
+        out = f"{mark}{prefix}{t.subst_key}"
     elif t.subst_key is None:
-        out = mark + kind.value + body
+        out = mark + prefix + body
     else:
-        out = f"{mark}{kind.value}{body}{mark}#{t.subst_key}"
+        out = f"{mark}{prefix}{body}{mark}#{t.subst_key}"
     if t.depth is not None:
         out += f"{mark}+{t.depth}"
     return out

@@ -1,5 +1,11 @@
-"""Tests for the nibble-packed binary form."""
+"""Tests for the nibble-packed binary form.
 
+The one-pass pack and unpack are compared with the reader and writer they
+replaced, kept in binary_oracle.py: the same bytes or tokens, or the same
+error class and message.
+"""
+
+import functools
 import random
 
 import pytest
@@ -24,8 +30,12 @@ from xstring.binary import (
 )
 from xstring.codec import EncodeMode, EncodeOptions, encode
 from xstring.grammar import EscapeMode, PrefixKind, XsDocument, XsToken
+from xstring.transforms import build_substitution
 
+from binary_oracle import oracle_pack, oracle_unpack
 from corpus import corpus
+from test_grammar import _token_lists
+from test_token_invariants import python_calls
 
 
 def doc_of(*tokens):
@@ -285,5 +295,144 @@ def test_fuzz_never_crashes():
             unpack_envelope(data)
         except PackError:
             pass
-        except ValueError:
-            pass
+
+
+# ---------------------------------------------------------------------------
+# the one-pass reader and writer against the oracle
+
+def outcome(fn, arg):
+    """What fn makes of arg: its tokens or bytes, or its error."""
+    try:
+        got = fn(arg)
+    except Exception as err:
+        return None, (type(err), str(err))
+    if isinstance(got, XsDocument):
+        got = [(t.kind, t.payload, t.depth, t.subst_key) for t in got.tokens]
+    return got, None
+
+
+def assert_unpacks_as_oracle(data):
+    assert outcome(unpack, data) == outcome(oracle_unpack, data), data
+
+
+def assert_packs_as_oracle(doc):
+    assert outcome(pack, doc) == outcome(oracle_pack, doc), doc.tokens
+
+
+@functools.cache
+def corpus_streams():
+    """Every corpus document, sibling and canonical, in both escape modes,
+    plain and keyed at threshold 4."""
+    streams = []
+    for mode in (EncodeMode.SAFE_SIBLING, EncodeMode.CANONICAL):
+        for escaping in EscapeMode:
+            opts = EncodeOptions(mode=mode, escaping=escaping)
+            for doc in corpus():
+                xs = encode(doc, opts)
+                streams += [xs, build_substitution(xs, 4)[1]]
+    return tuple(streams)
+
+
+def test_corpus_streams_match_oracle():
+    for xs in corpus_streams():
+        assert_packs_as_oracle(xs)
+        assert_unpacks_as_oracle(pack(xs))
+
+
+# the pair bytes of names, markers, the pad and text; a continued varint
+# byte, a byte of no UTF-8 sequence, short lengths and payload characters
+_UNIT_BYTES = bytes([0x0E, 0x09, 0x0A, 0x7E, 0x9E, 0xAE, 0xFE, 0x00, 0x01,
+                     0x02, 0x03, 0x80, 0xFF]) + b"a 1\t"
+
+
+def test_mutated_and_random_bytes_match_oracle():
+    rng = random.Random(1414)
+    blobs = [pack(xs) for xs in corpus_streams()]
+    for trial in range(20000):
+        if trial % 4 == 0:
+            data = bytes(rng.choice(_UNIT_BYTES)
+                         for _ in range(rng.randrange(12)))
+        else:
+            data = bytearray(rng.choice(blobs))
+            for _ in range(rng.randrange(1, 4)):
+                at = rng.randrange(len(data))
+                if rng.randrange(2):
+                    data[at] = rng.randrange(256)
+                else:
+                    data[at] = rng.choice(_UNIT_BYTES)
+            if trial % 4 == 1:
+                del data[rng.randrange(len(data) + 1):]
+            data = bytes(data)
+        assert_unpacks_as_oracle(data)
+
+
+@given(st.binary(max_size=40))
+def test_random_bytes_match_oracle(data):
+    assert_unpacks_as_oracle(data)
+
+
+@given(st.lists(st.sampled_from(list(_UNIT_BYTES)), max_size=24).map(bytes))
+def test_unit_byte_strings_match_oracle(data):
+    assert_unpacks_as_oracle(data)
+
+
+@given(_token_lists())
+def test_generated_streams_match_oracle(tokens):
+    doc = XsDocument(tokens)
+    assert_packs_as_oracle(doc)
+    assert_unpacks_as_oracle(pack(doc))
+
+
+_MARKER_VALUES = st.one_of(
+    st.none(), st.integers(0, 300),
+    st.sampled_from([-1, 2 ** 63, 2 ** 64 - 1, 2 ** 64, 2 ** 70]))
+
+
+@given(st.lists(st.tuples(st.sampled_from([PrefixKind.CHILD,
+                                          PrefixKind.ATTR_NAME,
+                                          PrefixKind.TEXT]),
+                          st.text(max_size=200), _MARKER_VALUES,
+                          _MARKER_VALUES), max_size=6))
+def test_unchecked_streams_pack_as_oracle(fields):
+    # unchecked tokens may hold any depth or key, in or out of 64 bits
+    doc = XsDocument([XsToken.unchecked(*f) for f in fields])
+    assert_packs_as_oracle(doc)
+
+
+def test_out_of_range_markers_pack_as_oracle():
+    for field in ("depth", "subst_key"):
+        for value in (2 ** 64, -1, 2 ** 64 - 1, 0x7F, 0x80):
+            # the marker unit in either slot of its pair
+            for lead in ([], [XsToken(PrefixKind.TEXT, "t")]):
+                doc = XsDocument(lead + [XsToken.unchecked(
+                    PrefixKind.CHILD, "X", **{field: value})])
+                assert_packs_as_oracle(doc)
+
+
+# ---------------------------------------------------------------------------
+# cost guards, which count calls and read no clock
+
+def keyed_corpus_streams():
+    return [build_substitution(encode(doc, EncodeOptions(escaping=e)), 4)[1]
+            for e in EscapeMode for doc in corpus()]
+
+
+def test_unpack_makes_few_python_calls_per_token():
+    # one XsToken.unchecked per token and the body of each unit read where
+    # it lies: about 1.1 calls per token on these streams, where a helper
+    # per unit and a checked constructor per token made 6.8
+    blobs = [(pack(xs), xs.escaping) for xs in keyed_corpus_streams()]
+    read = []
+    calls = python_calls(lambda: [read.append(unpack(b, e)) for b, e in blobs])
+    tokens = sum(len(doc.tokens) for doc in read)
+    assert calls / tokens <= 3.0
+
+
+def test_pack_makes_few_python_calls_per_token():
+    # every unit written inline, a call only for a varint of two bytes or
+    # more: about 0.05 calls per token, where a list of unit tuples and a
+    # helper per unit made 3.25
+    streams = keyed_corpus_streams()
+    calls = python_calls(lambda: [pack(xs) for xs in streams])
+    tokens = sum(len(xs.tokens) for xs in streams)
+    assert calls / tokens <= 2.5

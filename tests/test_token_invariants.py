@@ -2,8 +2,9 @@
 
 The tokenizer, the encoders and the substitution passes build tokens with
 XsToken.unchecked; each token they return must be one that XsToken(...)
-accepts and rebuilds equal.  A last test bounds the Python calls the
-tokenizer makes per token, a cost guard that does not read a clock.
+accepts and rebuilds equal.  The last two tests bound the Python calls
+the tokenizer and the renderer make per token: cost guards that read no
+clock.
 """
 
 import sys
@@ -97,3 +98,14 @@ def test_tokenize_makes_few_python_calls_per_token():
     calls = python_calls(tokenize_all)
     tokens = sum(len(doc.tokens) for doc in read)
     assert calls / tokens <= 2.5
+
+
+def test_render_makes_few_python_calls_per_token():
+    # render_token and, in entity mode, the escaper per token: about 1.6
+    # calls per token on these streams, where reading each prefix
+    # character through Enum.value made 3.6
+    streams = [encode(doc, EncodeOptions(escaping=escaping))
+               for escaping in EscapeMode for doc in fixtures.corpus()]
+    calls = python_calls(lambda: [render(xs) for xs in streams])
+    tokens = sum(len(xs.tokens) for xs in streams)
+    assert calls / tokens <= 3.0
