@@ -152,7 +152,11 @@ def pack(doc: XsDocument) -> bytes:
         else:
             out[held] |= code
             held = -1
-        raw = tok.payload.encode("utf-8")
+        try:
+            raw = tok.payload.encode("utf-8")
+        except UnicodeEncodeError as err:  # a lone surrogate
+            raise BadPayload(
+                f"payload is not encodable as UTF-8: {err}") from None
         if len(raw) < 0x80:
             out.append(len(raw))
         else:

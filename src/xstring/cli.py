@@ -6,6 +6,13 @@ a file argument and stdin read the same, CR and CRLF included.  Encoded
 text is written byte-exact, without a trailing newline, since trailing
 whitespace would become part of the last payload on the way back in;
 XML output gets a newline.  The packed form is refused on a terminal.
+
+A command that reads an encoded string takes its escape mode from the
+string: a sentinel-mode stream opens with NUL after any padding, and an
+entity-mode stream holds no NUL.  canon, subst and expand write in the
+mode they read.  --escape belongs to the commands that write a stream
+from something else: encode and stats from XML, unpack from XSB1 bytes,
+which do not record the mode.  $XSTRING_ESCAPE sets its default.
 """
 
 from __future__ import annotations
@@ -20,7 +27,8 @@ from .codec import (DecodeError, EncodeMode, EncodeOptions, Unencodable,
                     decode, encode)
 from .errors import XStringError
 from .folding import FoldError, FoldMode, fold, unfold
-from .grammar import EscapeMode, TokenizeError, XsDocument, render, tokenize
+from .grammar import (EscapeMode, TokenizeError, XsDocument, render,
+                      stream_escaping, tokenize)
 from .metrics import Mismatch, measure
 from .transforms import (NumericNameClash, build_substitution,
                          expand_substitution, to_child_depth)
@@ -57,6 +65,12 @@ def _read_bytes(path: str) -> bytes:
 
 def _read_text(path: str) -> str:
     return _read_bytes(path).decode("utf-8")
+
+
+def _read_stream(path: str) -> XsDocument:
+    """Tokenize an encoded string in the escape mode it is written in."""
+    text = _read_text(path)
+    return tokenize(text, stream_escaping(text))
 
 
 def _write_text(path: str, text: str, exact: bool = False) -> None:
@@ -122,29 +136,29 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
-    stream = tokenize(_read_text(args.input), _escape(args))
+    stream = _read_stream(args.input)
     _write_text(args.output, serialize_xml(decode(stream)))
     return 0
 
 
 def cmd_canon(args: argparse.Namespace) -> int:
-    stream = tokenize(_read_text(args.input), _escape(args))
+    stream = _read_stream(args.input)
     return _write_stream(args, to_child_depth(stream))
 
 
 def cmd_subst(args: argparse.Namespace) -> int:
-    stream = tokenize(_read_text(args.input), _escape(args))
+    stream = _read_stream(args.input)
     _, out = build_substitution(stream, args.threshold)
     return _write_stream(args, out)
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
-    stream = tokenize(_read_text(args.input), _escape(args))
+    stream = _read_stream(args.input)
     return _write_stream(args, expand_substitution(stream))
 
 
 def cmd_pack(args: argparse.Namespace) -> int:
-    stream = tokenize(_read_text(args.input), _escape(args))
+    stream = _read_stream(args.input)
     return _write_bytes(args.output, pack_envelope(stream))
 
 
@@ -202,7 +216,9 @@ def _add_escape(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--escape", choices=sorted(_ESCAPE_MODES),
                      default=os.environ.get("XSTRING_ESCAPE", "entity"),
                      help="how structural characters in data are protected "
-                          "(default entity, or $XSTRING_ESCAPE)")
+                          "in the stream written (default entity, or "
+                          "$XSTRING_ESCAPE); commands that read a stream "
+                          "take its mode from it")
 
 
 def _add_encode_opts(sub: argparse.ArgumentParser) -> None:
@@ -232,30 +248,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode", help="encoded string in, XML out")
     _add_io(p)
-    _add_escape(p)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("canon",
                        help="rewrite a stream to child tokens with depths")
     _add_io(p)
-    _add_escape(p)
     p.set_defaults(func=cmd_canon)
 
     p = sub.add_parser("subst", help="replace repeated long names with keys")
     _add_io(p)
-    _add_escape(p)
     p.add_argument("--threshold", type=_threshold, default=8, metavar="N",
                    help="minimum name length to consider (default 8)")
     p.set_defaults(func=cmd_subst)
 
     p = sub.add_parser("expand", help="resolve substitution keys back to names")
     _add_io(p)
-    _add_escape(p)
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("pack", help="encoded string in, packed bytes out")
     _add_io(p)
-    _add_escape(p)
     p.set_defaults(func=cmd_pack)
 
     p = sub.add_parser("unpack", help="packed bytes in, encoded string out")

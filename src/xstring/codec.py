@@ -546,9 +546,11 @@ def _emit_safe_sibling(root: XmlNode, escaping: EscapeMode, drop: bool,
     # under its true parent, so the stack holds the ancestors of the next
     # node plus the chain of the last finished element child above them.
     stack = OpenStack()
-    # per open ancestor in the tree, under one for the document itself:
-    # has it an element child yet
-    seen_element = [False]
+    # elements the walk is inside; the node's parent is at depth - 1 on
+    # the stack, the document itself at -1.  Until the parent has an
+    # element child the stack ends at the parent, so a sibling token
+    # needs no check that one came before
+    depth = 0
     attached = 0
 
     def close_above(p: int) -> None:
@@ -560,7 +562,7 @@ def _emit_safe_sibling(root: XmlNode, escaping: EscapeMode, drop: bool,
             stack.truncate(p + 1)
 
     for node, entering in walk(root):
-        p = len(seen_element) - 2  # stack index of the node's parent
+        p = depth - 1  # stack index of the node's parent
         if node.kind is not NodeKind.ELEMENT:
             if entering and not (drop and node.is_whitespace_text()):
                 close_above(p)
@@ -568,11 +570,10 @@ def _emit_safe_sibling(root: XmlNode, escaping: EscapeMode, drop: bool,
                 _data_token(node, escaping, tokens)
             continue
         if not entering:
-            seen_element.pop()
+            depth -= 1
             continue
         at = stack.nearest.get(node.name, -1)
-        if seen_element[-1] and (at == p + 1
-                                 or (at < 0 and len(stack) == p + 2)):
+        if at == p + 1 or (at < 0 and len(stack) == p + 2):
             kind = PrefixKind.SIBLING
             stack.truncate(p + 1)
         else:
@@ -581,8 +582,7 @@ def _emit_safe_sibling(root: XmlNode, escaping: EscapeMode, drop: bool,
         tok = _element_tokens(node, kind, tokens)
         attached += 1
         stack.push(node.name, (tok, attached))
-        seen_element[-1] = True
-        seen_element.append(False)
+        depth += 1
 
 
 def encode(doc: XmlDocument, opts: Optional[EncodeOptions] = None) -> XsDocument:

@@ -305,6 +305,16 @@ _DUAL, _MARKER, _NAME, _DATA = 2, 5, 7, 9
 _LEADS = {lead: kind for c, kind in _CHAR_TO_KIND.items()
           for lead in (c, NUL + c)}
 _LEADS['="'] = PrefixKind.ATTR_VALUE
+# a sentinel-mode token opens with NUL; an entity-mode stream holds none
+_SENTINEL_LEAD = re.compile(f"[{_WS}]*\\x00")
+
+
+def stream_escaping(text: str) -> EscapeMode:
+    """The escape mode text is written in: sentinel when its first
+    character after padding is NUL, entity otherwise."""
+    if _SENTINEL_LEAD.match(text):
+        return EscapeMode.SENTINEL
+    return EscapeMode.ENTITY
 
 
 def _no_token(text: str, i: int, sentinel: bool) -> NoReturn:

@@ -168,6 +168,15 @@ def test_pack_refuses_what_unpack_refuses():
         assert unpack(pack(XsDocument([top]))).tokens == [top]
 
 
+def test_pack_refuses_a_payload_utf8_cannot_hold():
+    # XsToken(...) accepts a lone surrogate, which has no UTF-8 form
+    doc = XsDocument([XsToken(PrefixKind.CHILD, "X"),
+                      XsToken(PrefixKind.TEXT, "a\ud800")])
+    for fn in (pack, pack_envelope):
+        with pytest.raises(BadPayload, match="not encodable as UTF-8"):
+            fn(doc)
+
+
 def test_stray_depth_marker():
     # depth unit with nothing before it
     with pytest.raises(StrayMarker):

@@ -10,8 +10,9 @@ import pytest
 
 import xstring
 from xstring import cli, metrics
-from xstring import (decode, encode, pack_envelope, parse_xml, render,
-                     serialize_xml, tokenize)
+from xstring import (EncodeOptions, EscapeMode, build_substitution, decode,
+                     encode, expand_substitution, pack_envelope, parse_xml,
+                     render, serialize_xml, to_child_depth, tokenize)
 from xstring.cli import main
 
 from corpus import (
@@ -352,9 +353,69 @@ def test_sentinel_escape_flag_round_trip(tmp_path):
     assert main(["encode", src, "--escape", "sentinel",
                  "-o", str(mid)]) == 0
     assert mid.read_bytes() == b"\x00/X\x00'a/b"
-    assert main(["decode", str(mid), "--escape", "sentinel",
-                 "-o", str(back)]) == 0
+    assert main(["decode", str(mid), "-o", str(back)]) == 0
     assert back.read_text() == "<X>a/b</X>\n"
+
+
+# the commands that read a stream: command -> (its flags, the library's
+# output for the stream it reads)
+READERS = {
+    "decode": ([], lambda xs: (serialize_xml(decode(xs)) + "\n").encode()),
+    "canon": ([], lambda xs: render(to_child_depth(xs)).encode()),
+    "subst": (["--threshold", "2"],
+              lambda xs: render(build_substitution(xs, 2)[1]).encode()),
+    "expand": ([], lambda xs: render(expand_substitution(xs)).encode()),
+    "pack": ([], pack_envelope),
+}
+READER_XML = '<list><item id="1">a/b</item><item id="2"/></list>'
+
+
+def reader_input(command, mode):
+    """READER_XML encoded in mode, and keyed for expand."""
+    xs = encode(parse_xml(READER_XML), EncodeOptions(escaping=mode))
+    if command == "expand":
+        _, xs = build_substitution(xs, 2)
+    return render(xs)
+
+
+@pytest.mark.parametrize("pad", ["", " \n"], ids=["bare", "padded"])
+@pytest.mark.parametrize("mode", list(EscapeMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("command", sorted(READERS))
+def test_stream_readers_take_the_mode_from_the_stream(command, mode, pad,
+                                                      tmp_path,
+                                                      capsysbinary):
+    flags, library = READERS[command]
+    text = pad + reader_input(command, mode)
+    src = tmp_path / "in.xs"
+    src.write_bytes(text.encode())
+    assert main([command, str(src), *flags]) == 0
+    out = capsysbinary.readouterr().out
+    assert out == library(tokenize(text, mode))
+    if command in ("canon", "subst", "expand"):
+        # written in the mode read
+        assert (b"\0" in out) == (mode is EscapeMode.SENTINEL)
+
+
+@pytest.mark.parametrize("command", sorted(READERS))
+def test_stream_readers_have_no_escape_flag(command, tmp_path, capsys):
+    src = write(tmp_path, "in.xs", "/r")
+    for mode in ("entity", "sentinel"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, src, "--escape", mode])
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", sorted(READERS))
+def test_escape_environment_leaves_stream_readers_alone(command, tmp_path,
+                                                        monkeypatch,
+                                                        capsysbinary):
+    flags, library = READERS[command]
+    text = reader_input(command, EscapeMode.ENTITY)
+    src = tmp_path / "in.xs"
+    src.write_bytes(text.encode())
+    monkeypatch.setenv("XSTRING_ESCAPE", "sentinel")
+    assert main([command, str(src), *flags]) == 0
+    assert capsysbinary.readouterr().out == library(tokenize(text))
 
 
 def test_sentinel_escape_from_environment(tmp_path, monkeypatch):

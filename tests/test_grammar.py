@@ -22,6 +22,8 @@ from xstring import (
     unescape_data,
 )
 
+from xstring.grammar import stream_escaping
+
 from corpus import PROPERTIES_XS
 
 
@@ -118,6 +120,27 @@ def test_tokenize_sentinel_stream():
         (PrefixKind.TEXT, "'Hello World!!!'"),
     ]
     assert render(doc) == text
+
+
+@pytest.mark.parametrize("text, mode", [
+    ("", EscapeMode.ENTITY),
+    (" \t\r\n", EscapeMode.ENTITY),
+    ("\0/r", EscapeMode.SENTINEL),
+    (" \r\n\0/r", EscapeMode.SENTINEL),
+    ("/r", EscapeMode.ENTITY),
+], ids=["empty", "padding", "sentinel", "padded-sentinel", "entity"])
+def test_stream_escaping(text, mode):
+    assert stream_escaping(text) is mode
+
+
+def test_stream_escaping_reads_only_the_first_lead():
+    # a NUL after an entity-mode token is stray data, as it always was
+    text = "/r\0/x"
+    assert stream_escaping(text) is EscapeMode.ENTITY
+    with pytest.raises(StrayData) as info:
+        tokenize(text, stream_escaping(text))
+    assert info.value.offset == 2
+    assert info.value.reason == "NUL in entity-mode stream"
 
 
 def test_sentinel_names_may_hold_prefix_characters():
