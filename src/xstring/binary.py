@@ -31,8 +31,8 @@ unpack_envelope add and check the magic and format version.
 from __future__ import annotations
 
 from .errors import XStringError
-from .grammar import (NUL, WHITESPACE, EscapeMode, PrefixKind, XsDocument,
-                      XsToken, reads_as_key)
+from .grammar import (NUL, EscapeMode, PrefixKind, XsDocument, XsToken,
+                      name_fault)
 
 MAGIC = b"XSB1"
 VERSION = 1
@@ -237,12 +237,11 @@ def unpack(data: bytes, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
     add_code(_PAD)
     add_value(None)
 
-    # The checks of XsToken(...) that a unit stream can fail, in its order
-    # and words.  The others cannot: no code maps to a marker kind, a depth
-    # or key that would sit on the wrong token is a StrayMarker, and a
-    # varint is never negative.
+    # The checks of XsToken(...) that a unit stream can fail, in its words.
+    # No code maps to a marker kind, a misplaced depth or key is a
+    # StrayMarker, and a varint is never negative, so no other can fail.
     tokens: list[XsToken] = []
-    add, new, space = tokens.append, XsToken.unchecked, WHITESPACE.search
+    add, new = tokens.append, XsToken.unchecked
     name = None  # the last name token while markers may still follow it
     for code, value in zip(codes, values):
         if code == _DEPTH:
@@ -257,17 +256,9 @@ def unpack(data: bytes, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
             name.subst_key = value
             continue
         if name is not None:
-            payload = name.payload
-            if NUL in payload:
-                raise BadPayload("payload must not contain NUL")
-            if space(payload):
-                raise BadPayload("names must not contain whitespace")
-            if not payload and name.subst_key is None:
-                raise BadPayload("empty name")
-            # isdigit first spares most names the call
-            if payload.isdigit() and reads_as_key(payload):
-                raise BadPayload(
-                    "purely numeric names collide with key references")
+            fault = name_fault(name.payload, name.subst_key)
+            if fault is not None:
+                raise BadPayload(fault)
             name = None
         if code == _PAD:
             break

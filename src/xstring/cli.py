@@ -30,7 +30,7 @@ from .folding import FoldError, FoldMode, fold, unfold
 from .grammar import (EscapeMode, TokenizeError, XsDocument, render,
                       stream_escaping, tokenize)
 from .metrics import Mismatch, measure
-from .transforms import (NumericNameClash, build_substitution,
+from .transforms import (AlreadyKeyed, NumericNameClash, build_substitution,
                          expand_substitution, to_child_depth)
 from .xml_model import (WellFormednessError, XmlDocument, XmlSyntaxError,
                         check_well_formed, parse_xml, serialize_xml)
@@ -47,6 +47,7 @@ _LABELS = [
     (FoldError, "fold"),
     (Mismatch, "measure"),
     (NumericNameClash, "substitution"),
+    (AlreadyKeyed, "substitution"),
 ]
 
 

@@ -37,34 +37,37 @@ subtree still open above p.  Two local rules keep it so:
   child is the innermost; otherwise it becomes a child token.
 
 Canonical encoding skips sibling tokens entirely and gives every element
-an explicit depth, set when the walk leaves the element.
+an explicit depth, set when the first node not below it comes.
 
-Either form is emitted in one walk of the caller's tree.  Each node is
-checked when the walk first reaches it (the prolog before everything), so
-the first node in document order that cannot be written raises
-Unencodable.  Whitespace-only text is skipped in the walk when it is
-insignificant.  A text token takes the dual form when it ends in a prefix
-character, unless it follows a bare =, where a dual would read back as a
-quoted value.  A node holding a field its kind has no token for (content
-on an element; a name, attributes or children on a data node other than
-an instruction's name) cannot be written either.
+written_nodes is the one statement of what an encoding writes and in what
+order: the prolog, the root, then every node in document order, less the
+insignificant whitespace-only text, each with its parent and its number
+of element ancestors.  Both emitters and the verifier read it.  encode
+refuses a prolog that is not an instruction and a root that is not an
+element; the emitters check each other node as they write it, so the
+first node in document order that cannot be written raises Unencodable.
+A text token takes the dual form when it ends in a prefix character,
+unless it follows a bare =, where a dual would read back as a quoted
+value.  A node holding a field its kind has no token for (content on an
+element; a name, attributes or children on a data node other than an
+instruction's name) cannot be written either.
 
 The sibling form is then checked without building a tree.  The decoder's
 core reads the stream and hands each node's kind, name, content and
 attribute list to a two-method sink whose open elements are the caller's
-own nodes.  Its _node takes the next node the walk writes, in document
-order, which must have the kind, name and content the core read, and the
-attributes the core gave it by the next node or the end; its _attach
-requires that node's parent in the caller's tree to be the innermost open
-element.  The check needs nothing from the emitter but its tokens, and it
-is exact.  Decoding makes one node per element or data token, in stream
-order, from that token and the attribute tokens after it, and puts it
-under the innermost open element, so the decoded nodes come out in
-document order.  The check pairs them one to one with the caller's nodes
-in document order, with equal fields and corresponding parents, and leaves
-no node unpaired.  That holds exactly when the stream decodes to the
-caller's tree, less the whitespace the walk skips.  A stream the core
-rejects raises Unencodable as well.
+own nodes.  Its _node takes the next node written_nodes yields, in
+document order, which must have the kind, name and content the core read,
+and the attributes the core gave it by the next node or the end; its
+_attach requires that node's parent in the caller's tree to be the
+innermost open element.  The check needs nothing from the emitter but its
+tokens, and it is exact.  Decoding makes one node per element or data
+token, in stream order, from that token and the attribute tokens after
+it, and puts it under the innermost open element, so the decoded nodes
+come out in document order.  The check pairs them one to one with the
+caller's nodes in document order, with equal fields and corresponding
+parents, and leaves no node unpaired.  That holds exactly when the stream
+decodes to the caller's tree, less the whitespace written_nodes skips.  A
+stream the core rejects raises Unencodable as well.
 """
 
 from __future__ import annotations
@@ -376,21 +379,23 @@ _NOT_DECODED = "encoded stream does not decode to the document"
 
 
 def written_nodes(doc: XmlDocument, drop: bool
-                  ) -> Iterator[tuple[XmlNode, Optional[XmlNode]]]:
+                  ) -> Iterator[tuple[XmlNode, Optional[XmlNode], int]]:
     """Each node an encoding of doc writes, in document order, with its
-    parent in doc (None for the prolog and the root)."""
+    parent in doc (None for the prolog and the root) and its number of
+    element ancestors.  Whitespace-only text is skipped when drop is set."""
     if doc.prolog is not None:
-        yield doc.prolog, None
-    yield doc.root, None
-    # walk's order, with each node's parent at hand and no leave events
-    stack = [(doc.root, iter(doc.root.children))]
+        yield doc.prolog, None, 0
+    yield doc.root, None, 0
+    # walk's order without leave events; an entry holds its children's depth
+    stack = [(doc.root, iter(doc.root.children), 1)]
     while stack:
-        parent, children = stack[-1]
+        parent, children, depth = stack[-1]
         for node in children:
             if not (drop and node.is_whitespace_text()):
-                yield node, parent
+                yield node, parent, depth
             if node.children:
-                stack.append((node, iter(node.children)))
+                stack.append((node, iter(node.children),
+                              depth + (node.kind is _ELEMENT)))
                 break
         else:
             stack.pop()
@@ -417,7 +422,7 @@ class Verifier(DecodeState):
 
     def _node(self, kind: NodeKind, name: str, content: str,
               attrs: list[Attribute]) -> XmlNode:
-        node, self._parent = next(self._written, (None, None))
+        node, self._parent, _ = next(self._written, (None, None, 0))
         if (self._got != self._want or node is None or node.kind is not kind
                 or node.name != name or node.content != content):
             raise Unencodable(_NOT_DECODED)
@@ -519,38 +524,35 @@ def _data_token(node: XmlNode, escaping: EscapeMode,
     tokens.append(XsToken.unchecked(kind, content))
 
 
-def _emit_canonical(root: XmlNode, escaping: EscapeMode, drop: bool,
+def _emit_canonical(doc: XmlDocument, escaping: EscapeMode, drop: bool,
                     tokens: list[XsToken]) -> None:
     # (token, nodes emitted up to and including it) per open element; its
-    # depth is the number of nodes emitted between its enter and leave
+    # depth is the number of nodes emitted before the first one not below it
     open_elems: list[tuple[XsToken, int]] = []
     emitted = 0
-    for node, entering in walk(root):
-        if node.kind is not NodeKind.ELEMENT:
-            if entering and not (drop and node.is_whitespace_text()):
-                emitted += 1
-                _data_token(node, escaping, tokens)
-        elif entering:
-            emitted += 1
+    for node, _, depth in written_nodes(doc, drop):
+        while len(open_elems) > depth:
+            tok, start = open_elems.pop()
+            tok.depth = emitted - start
+        emitted += 1
+        if node.kind is _ELEMENT:
             tok = _element_tokens(node, PrefixKind.CHILD, tokens)
             open_elems.append((tok, emitted))
         else:
-            tok, start = open_elems.pop()
-            tok.depth = emitted - start
+            _data_token(node, escaping, tokens)
+    for tok, start in open_elems:
+        tok.depth = emitted - start
 
 
-def _emit_safe_sibling(root: XmlNode, escaping: EscapeMode, drop: bool,
+def _emit_safe_sibling(doc: XmlDocument, escaping: EscapeMode, drop: bool,
                        tokens: list[XsToken]) -> None:
     # The decoder's stack of open elements, as (token, nodes attached up
     # to and including the element).  Every node emitted so far decodes
     # under its true parent, so the stack holds the ancestors of the next
     # node plus the chain of the last finished element child above them.
+    # Until the parent has an element child the stack ends at the parent,
+    # so a sibling token needs no check that one came before.
     stack = OpenStack()
-    # elements the walk is inside; the node's parent is at depth - 1 on
-    # the stack, the document itself at -1.  Until the parent has an
-    # element child the stack ends at the parent, so a sibling token
-    # needs no check that one came before
-    depth = 0
     attached = 0
 
     def close_above(p: int) -> None:
@@ -561,16 +563,12 @@ def _emit_safe_sibling(root: XmlNode, escaping: EscapeMode, drop: bool,
             tok.depth = attached - start
             stack.truncate(p + 1)
 
-    for node, entering in walk(root):
-        p = depth - 1  # stack index of the node's parent
-        if node.kind is not NodeKind.ELEMENT:
-            if entering and not (drop and node.is_whitespace_text()):
-                close_above(p)
-                attached += 1
-                _data_token(node, escaping, tokens)
-            continue
-        if not entering:
-            depth -= 1
+    for node, _, depth in written_nodes(doc, drop):
+        p = depth - 1  # stack index of the node's parent, -1 for none
+        if node.kind is not _ELEMENT:
+            close_above(p)
+            attached += 1
+            _data_token(node, escaping, tokens)
             continue
         at = stack.nearest.get(node.name, -1)
         if at == p + 1 or (at < 0 and len(stack) == p + 2):
@@ -582,23 +580,23 @@ def _emit_safe_sibling(root: XmlNode, escaping: EscapeMode, drop: bool,
         tok = _element_tokens(node, kind, tokens)
         attached += 1
         stack.push(node.name, (tok, attached))
-        depth += 1
 
 
 def encode(doc: XmlDocument, opts: Optional[EncodeOptions] = None) -> XsDocument:
     """Encode a document; decode(encode(d)) is structurally equal to d."""
     opts = opts or EncodeOptions()
     drop = opts.drop_insignificant_whitespace
+    if doc.prolog is not None and doc.prolog.kind is not _PROC_INSTR:
+        raise Unencodable(
+            f"prolog {doc.prolog.kind.value} node cannot be written: only "
+            "a processing instruction can precede the root")
+    if doc.root.kind is not _ELEMENT:
+        raise Unencodable(f"root {doc.root.kind.value} node cannot be "
+                          "written: the root must be an element")
     tokens: list[XsToken] = []
-    if doc.prolog is not None:
-        if doc.prolog.kind is not NodeKind.PROC_INSTR:
-            raise Unencodable(
-                f"prolog {doc.prolog.kind.value} node cannot be written: only "
-                "a processing instruction can precede the root")
-        _data_token(doc.prolog, opts.escaping, tokens)
     if opts.mode == EncodeMode.CANONICAL:
-        _emit_canonical(doc.root, opts.escaping, drop, tokens)
+        _emit_canonical(doc, opts.escaping, drop, tokens)
     else:
-        _emit_safe_sibling(doc.root, opts.escaping, drop, tokens)
+        _emit_safe_sibling(doc, opts.escaping, drop, tokens)
         _verify(doc, drop, tokens)
     return XsDocument(tokens, opts.escaping)

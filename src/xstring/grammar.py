@@ -58,6 +58,18 @@ def reads_as_key(s: str) -> bool:
     return s.isascii() and s.isdigit()
 
 
+def name_fault(name: str, key: Optional[int]) -> Optional[str]:
+    """XsToken(...)'s message for a name token it refuses, else None."""
+    if NUL in name:
+        return "payload must not contain NUL"
+    if WHITESPACE.search(name):
+        return "names must not contain whitespace"
+    if not name and key is None:
+        return "empty name"
+    if name.isdigit() and reads_as_key(name):  # isdigit spares most a call
+        return "purely numeric names collide with key references"
+
+
 class PrefixKind(Enum):
     CHILD = "/"
     SIBLING = "|"
@@ -129,16 +141,13 @@ class XsToken:
     def __post_init__(self):
         if self.kind in _MARKER_KINDS:
             raise ValueError(f"{self.kind.name} is a marker, not a token kind")
-        if NUL in self.payload:
-            raise ValueError("payload must not contain NUL")
         if self.kind in NAME_KINDS:
-            if WHITESPACE.search(self.payload):
-                raise ValueError("names must not contain whitespace")
-            if not self.payload and self.subst_key is None:
-                raise ValueError("empty name")
-            if reads_as_key(self.payload):
-                raise ValueError("purely numeric names collide with key references")
+            fault = name_fault(self.payload, self.subst_key)
+            if fault is not None:
+                raise ValueError(fault)
         else:
+            if NUL in self.payload:
+                raise ValueError("payload must not contain NUL")
             if self.subst_key is not None:
                 raise ValueError("key on a non-name token")
             if self.depth is not None:

@@ -174,7 +174,7 @@ def measure(xml_text: str, xs: XsDocument,
                         xsb_bytes=len(pack_envelope(xs)), xml_overhead=0)
     # each node the stream holds, in order, with the parent of the next
     # one, which is the node itself exactly when it has a child
-    written = pairwise(chain(written_nodes(source, drop), [(None, None)]))
+    written = pairwise(chain(written_nodes(source, drop), [(None, None, 0)]))
     attrs: Iterator[Attribute] = iter(())
     for tok in xs.tokens:
         if tok.kind is PrefixKind.ATTR_VALUE:
@@ -184,7 +184,7 @@ def measure(xml_text: str, xs: XsDocument,
             xml_chars = len(serialize_attribute(next(attrs))) - 1
             report.xml_overhead += 1
         else:
-            (node, _), (_, next_parent) = next(written)
+            (node, _, _), (_, next_parent, _) = next(written)
             attrs = iter(node.attributes)
             kind, n = _node_construct(node, tok, next_parent is node)
             count, xml_chars = 1, _FORMULAS[kind][0](n, 0)

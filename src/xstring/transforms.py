@@ -15,6 +15,10 @@ class NumericNameClash(XStringError):
     pass
 
 
+class AlreadyKeyed(XStringError, ValueError):
+    pass
+
+
 @dataclass
 class SubstitutionTable:
     """Names keyed by position; key k stands for names[k]."""
@@ -58,7 +62,7 @@ def build_substitution(doc: XsDocument,
             raise NumericNameClash(
                 f"name {tok.subst_key} is indistinguishable from a key")
         if tok.subst_key is not None:
-            raise ValueError("stream already carries substitution keys")
+            raise AlreadyKeyed("stream already carries substitution keys")
         if tok.kind in NAME_KINDS:
             if reads_as_key(tok.payload):
                 raise NumericNameClash(

@@ -299,6 +299,14 @@ def test_substitution_error_label(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("substitution: ")
 
 
+def test_subst_of_a_keyed_stream_label(tmp_path, capsys):
+    # a stream that already binds keys is refused with one labelled line
+    src = write(tmp_path, "in.xs", SUBST_KEYED_XS)
+    assert main(["subst", "--threshold", "2", src]) == 1
+    assert capsys.readouterr().err == (
+        "substitution: stream already carries substitution keys\n")
+
+
 def test_fold_error_label(tmp_path, capsys):
     inner = write(tmp_path, "inner.xml", "<X/>")
     host = write(tmp_path, "host.xml", "<PAGE/>")
