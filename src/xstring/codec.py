@@ -40,12 +40,15 @@ Canonical encoding skips sibling tokens entirely and gives every element
 an explicit depth, set when the first node not below it comes.
 
 written_nodes is the one statement of what an encoding writes and in what
-order: the prolog, the root, then every node in document order, less the
-insignificant whitespace-only text, each with its parent and its number
-of element ancestors.  Both emitters and the verifier read it.  encode
-refuses a prolog that is not an instruction and a root that is not an
-element; the emitters check each other node as they write it, so the
-first node in document order that cannot be written raises Unencodable.
+order: the prolog, then what xml_model.walk yields from the root, every
+node in document order less the insignificant whitespace-only text
+leaves, each with its parent and its number of ancestors.  Both emitters
+and the verifier read it.  encode refuses a prolog that is not an
+instruction and a root that is not an element; the emitters check each
+other node as they write it, so the first node in document order that
+cannot be written raises Unencodable.  A data node with children raises
+before any of its children come, so every node an emitter reaches has
+only element ancestors.
 A text token takes the dual form when it ends in a prefix character,
 unless it follows a bare =, where a dual would read back as a quoted
 value.  A node holding a field its kind has no token for (content on an
@@ -78,7 +81,7 @@ from typing import Iterator, Optional
 
 from .errors import XStringError
 from .grammar import (NUL, PREFIX_CHARS, WHITESPACE, EscapeMode, PrefixKind,
-                      XsDocument, XsToken, reads_as_key)
+                      XsDocument, XsToken, name_fault, reads_as_key)
 from .xml_model import (Attribute, NodeKind, OpenStack, XmlDocument, XmlNode,
                         walk)
 
@@ -382,23 +385,11 @@ def written_nodes(doc: XmlDocument, drop: bool
                   ) -> Iterator[tuple[XmlNode, Optional[XmlNode], int]]:
     """Each node an encoding of doc writes, in document order, with its
     parent in doc (None for the prolog and the root) and its number of
-    element ancestors.  Whitespace-only text is skipped when drop is set."""
+    ancestors.  Whitespace-only text without children is skipped when drop
+    is set; with children it is written, and refused as a data node."""
     if doc.prolog is not None:
         yield doc.prolog, None, 0
-    yield doc.root, None, 0
-    # walk's order without leave events; an entry holds its children's depth
-    stack = [(doc.root, iter(doc.root.children), 1)]
-    while stack:
-        parent, children, depth = stack[-1]
-        for node in children:
-            if not (drop and node.is_whitespace_text()):
-                yield node, parent, depth
-            if node.children:
-                stack.append((node, iter(node.children),
-                              depth + (node.kind is _ELEMENT)))
-                break
-        else:
-            stack.pop()
+    yield from walk(doc.root, drop)
 
 
 class Verifier(DecodeState):
@@ -456,7 +447,7 @@ def _verify(doc: XmlDocument, drop: bool, tokens: list[XsToken]) -> None:
 
 def descendant_count(node: XmlNode) -> int:
     """Nodes in the subtree below node, attributes excluded."""
-    return sum(entering for _, entering in walk(node)) - 1
+    return sum(1 for _ in walk(node)) - 1
 
 
 def _nul_free(s: str) -> str:
@@ -466,11 +457,10 @@ def _nul_free(s: str) -> str:
 
 
 def _writable_name(name: str, what: str) -> str:
-    if not name or WHITESPACE.search(name) or NUL in name:
-        raise Unencodable(f"{what} name {name!r} cannot be written")
-    if reads_as_key(name):
-        raise Unencodable(
-            f"{what} name {name!r} would read back as a key reference")
+    if name_fault(name, None):
+        raise Unencodable(f"{what} name {name!r} " + (
+            "would read back as a key reference" if reads_as_key(name)
+            else "cannot be written"))
     return name
 
 

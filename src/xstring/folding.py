@@ -86,9 +86,8 @@ def unescape_fold_attr(s: str) -> str:
 
 def _slot(doc: XmlDocument, what: str) -> Optional[XmlNode]:
     """The single slot element of doc, or None when it has none."""
-    slots = [node for node, entering in walk(doc.root)
-             if entering and node.kind is NodeKind.ELEMENT
-             and node.name == SLOT_NAME]
+    slots = [node for node, _, _ in walk(doc.root)
+             if node.kind is NodeKind.ELEMENT and node.name == SLOT_NAME]
     if len(slots) > 1:
         raise MultipleSlots(f"{what} has {len(slots)} {SLOT_NAME} elements")
     return slots[0] if slots else None

@@ -85,36 +85,39 @@ class XmlNode:
         return self.kind is NodeKind.TEXT and self.content.strip(_WS) == ""
 
     def copy(self) -> "XmlNode":
-        stack = [XmlNode(NodeKind.ELEMENT)]  # its one child is the copy
-        for node, entering in walk(self):
-            if entering:
-                dup = XmlNode(node.kind, node.name, list(node.attributes),
-                              node.content)
-                stack[-1].children.append(dup)
-                stack.append(dup)
-            else:
-                stack.pop()
-        return stack[0].children[0]
+        dups: list[XmlNode] = []  # the copies of the node's ancestors
+        for node, _, depth in walk(self):
+            del dups[depth:]
+            dup = XmlNode(node.kind, node.name, list(node.attributes),
+                          node.content)
+            if dups:
+                dups[-1].children.append(dup)
+            dups.append(dup)
+        return dups[0]
 
 
-def walk(root: XmlNode) -> Iterator[tuple[XmlNode, bool]]:
-    """Yield (node, True) on entering and (node, False) on leaving each
-    node of the subtree at root, in document order, keeping the open nodes
-    on an explicit stack instead of recursing.  A node's children are read
-    between its two events, so a consumer may replace them on leave."""
-    yield root, True
+def walk(root: XmlNode, drop: bool = False
+         ) -> Iterator[tuple[XmlNode, Optional[XmlNode], int]]:
+    """Yield (node, parent, depth) for each node of the subtree at root, in
+    document order: parent is None and depth 0 for root, and depth counts
+    the node's ancestors up to root.  When drop is set, whitespace-only
+    text without children is skipped; a node with children never is.  The
+    open nodes are kept on an explicit stack instead of recursing."""
+    if root.children or not (drop and root.is_whitespace_text()):
+        yield root, None, 0
     stack = [(root, iter(root.children))]
     while stack:
-        node, children = stack[-1]
-        for child in children:
-            yield child, True
-            if child.children:
-                stack.append((child, iter(child.children)))
+        parent, children = stack[-1]
+        depth = len(stack)
+        for node in children:
+            if node.children:
+                yield node, parent, depth
+                stack.append((node, iter(node.children)))
                 break
-            yield child, False
+            if not (drop and node.is_whitespace_text()):
+                yield node, parent, depth
         else:
             stack.pop()
-            yield node, False
 
 
 class OpenStack(list):
@@ -471,11 +474,14 @@ def serialize_attribute(attr: Attribute) -> str:
 
 
 def _serialize_node(root: XmlNode, out: list[str]) -> None:
-    for node, entering in walk(root):
-        if not entering:
-            if node.kind is NodeKind.ELEMENT and node.children:
-                out.append(f"</{node.name}>")
-        elif node.kind is NodeKind.ELEMENT:
+    ends: list[str] = []  # per open node its end tag, "" for a data node
+    for node, _, depth in walk(root):
+        while len(ends) > depth:
+            out.append(ends.pop())
+        if node.children:
+            ends.append(f"</{node.name}>" if node.kind is NodeKind.ELEMENT
+                        else "")
+        if node.kind is NodeKind.ELEMENT:
             end = ">" if node.children else "/>"
             attrs = "".join(map(serialize_attribute, node.attributes))
             out.append(f"<{node.name}{attrs}{end}")
@@ -490,6 +496,7 @@ def _serialize_node(root: XmlNode, out: list[str]) -> None:
             out.append(f"<![CDATA[{node.content}]]>")
         elif node.kind is NodeKind.DTD:
             out.append(f"<!{node.content}>")
+    out.extend(reversed(ends))
 
 
 def serialize_xml(doc: XmlDocument) -> str:
@@ -504,25 +511,18 @@ def serialize_xml(doc: XmlDocument) -> str:
 
 
 def _nodes_equal(a: XmlNode, b: XmlNode, ws: bool) -> bool:
-    # the enter/leave events spell out the nesting, so compare those; a
-    # whitespace-only text node is a leaf, so skipping its events skips it
-    ea, eb = (((n, e) for n, e in walk(top) if ws or not n.is_whitespace_text())
-              for top in (a, b))
-    for (x, x_in), (y, y_in) in zip_longest(ea, eb, fillvalue=(None, None)):
-        if x_in is not y_in:
-            return False
-        if x_in and (x.kind is not y.kind or x.name != y.name
-                     or x.content != y.content
-                     or x.attributes != y.attributes):
-            return False
-    return True
+    # the nodes in document order with their depths spell out the nesting
+    fa, fb = (((n.kind, n.name, n.content, n.attributes, depth)
+               for n, _, depth in walk(top, drop=not ws)) for top in (a, b))
+    return all(x == y for x, y in zip_longest(fa, fb))
 
 
 def structural_equal(a: XmlDocument, b: XmlDocument,
                      whitespace_significant: bool = False) -> bool:
     """Compare two documents node by node.
 
-    Whitespace-only text nodes are ignored unless whitespace_significant."""
+    Whitespace-only text leaves are ignored unless whitespace_significant;
+    a whitespace-only text node with children is compared like any other."""
     if (a.prolog is None) != (b.prolog is None):
         return False
     if a.prolog is not None and not _nodes_equal(a.prolog, b.prolog,

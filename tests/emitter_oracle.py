@@ -16,7 +16,9 @@ from typing import Optional
 from xstring.codec import (EncodeMode, EncodeOptions, Unencodable,
                            _data_token, _element_tokens, _verify)
 from xstring.grammar import EscapeMode, PrefixKind, XsDocument, XsToken
-from xstring.xml_model import NodeKind, OpenStack, XmlDocument, XmlNode, walk
+from xstring.xml_model import NodeKind, OpenStack, XmlDocument, XmlNode
+
+from walk_oracle import walk
 
 
 def _emit_canonical(root: XmlNode, escaping: EscapeMode, drop: bool,

@@ -461,3 +461,19 @@ def test_bad_threshold_is_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["subst", src, "--threshold", "1"])
     assert exc.value.code == 2
+
+
+def test_cli_smoke_script(tmp_path):
+    # the installed-package checks, with an xstring on PATH that runs this
+    # source tree
+    script = Path(__file__).with_name("cli_smoke.sh")
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    shim = bin_dir / "xstring"
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m xstring "$@"\n')
+    shim.chmod(0o755)
+    env = dict(os.environ, PATH=f"{bin_dir}{os.pathsep}{os.environ['PATH']}",
+               PYTHONPATH=str(Path(xstring.__file__).parents[1]))
+    run = subprocess.run(["bash", str(script)], cwd=tmp_path, env=env,
+                         capture_output=True, timeout=300)
+    assert run.returncode == 0, (run.stdout, run.stderr)

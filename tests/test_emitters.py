@@ -1,9 +1,13 @@
 """The emitters that read codec.written_nodes against the walk-based ones
 they replaced, kept in emitter_oracle.py: the same tokens (kind, payload,
 depth, key), or the same error class and message, in both modes, with
-whitespace dropped and kept, in both escape modes.  A root that is not an
-element is the one difference: encode now refuses it up front."""
+whitespace dropped and kept, in both escape modes.  Two differences: a
+root that is not an element is refused up front, and with whitespace
+dropped, whitespace-only text with children is refused as a data node
+with children, where the oracle skipped the node and wrote its children
+one level up."""
 
+import copy
 import random
 
 import pytest
@@ -20,11 +24,11 @@ from xstring import (
     encode,
 )
 from xstring.codec import written_nodes
-from xstring.xml_model import walk
 
 import corpus as fixtures
 from emitter_oracle import oracle_encode
 from test_encoder_walk import _inject
+from walk_oracle import walk
 
 OPTIONS = [EncodeOptions(mode=mode, escaping=escaping,
                          drop_insignificant_whitespace=drop)
@@ -42,9 +46,27 @@ def outcome(fn, doc, opts):
             for t in got.tokens], None
 
 
+def _whitespace_parents(doc):
+    return [node for top in (doc.prolog, doc.root) if top is not None
+            for node, entering in walk(top)
+            if entering and node.children and node.is_whitespace_text()]
+
+
+def written_as_data(doc):
+    """A copy of doc whose whitespace-only text nodes with children hold
+    text that is not whitespace, so that the oracle writes each of them,
+    and refuses it, even when whitespace is dropped."""
+    doc = copy.deepcopy(doc)
+    for node in _whitespace_parents(doc):
+        node.content = "x"
+    return doc
+
+
 def assert_encodes_as_oracle(doc):
+    marked = written_as_data(doc) if _whitespace_parents(doc) else doc
     for opts in OPTIONS:
-        assert outcome(encode, doc, opts) == outcome(oracle_encode, doc,
+        want = marked if opts.drop_insignificant_whitespace else doc
+        assert outcome(encode, doc, opts) == outcome(oracle_encode, want,
                                                      opts), (doc, opts)
 
 
@@ -155,12 +177,31 @@ def test_root_must_be_an_element(mode, root):
                               "written: the root must be an element")
 
 
-def test_written_nodes_count_element_ancestors():
-    doc = XmlDocument(XmlNode.element("r", children=[
-        XmlNode.element("a", children=[XmlNode.text(" "),
-                                       XmlNode.element("b")]),
-        XmlNode(NodeKind.TEXT, content=" ", children=[XmlNode.element("c")]),
-    ]), XmlNode.pi("p"))
-    got = [(node.name or node.kind.value, depth)
-           for node, _, depth in written_nodes(doc, drop=True)]
-    assert got == [("p", 0), ("r", 0), ("a", 1), ("b", 2), ("c", 1)]
+def test_whitespace_parent_is_refused_when_dropped():
+    # whitespace-only or empty text with a child: skipping the text wrote
+    # its child one level up, /r+1/A+0 in canonical mode
+    for content in (" ", "\n\t", ""):
+        doc = XmlDocument(XmlNode.element("r", children=[
+            XmlNode(NodeKind.TEXT, content=content,
+                    children=[XmlNode.element("A")])]))
+        for opts in OPTIONS:
+            with pytest.raises(Unencodable) as got:
+                encode(doc, opts)
+            assert str(got.value) == ("text node with a name, attributes or "
+                                      "children cannot be written")
+
+
+def test_written_nodes_yield_parent_and_ancestor_count():
+    c = XmlNode.element("c")
+    ws_parent = XmlNode(NodeKind.TEXT, content=" ", children=[c])
+    b = XmlNode.element("b")
+    a = XmlNode.element("a", children=[XmlNode.text(" "), b])
+    r = XmlNode.element("r", children=[a, ws_parent, XmlNode.text("\n")])
+    p = XmlNode.pi("p")
+    got = list(written_nodes(XmlDocument(r, p), drop=True))
+    assert got == [(p, None, 0), (r, None, 0), (a, r, 1), (b, a, 2),
+                   (ws_parent, r, 1), (c, ws_parent, 2)]
+    kept = list(written_nodes(XmlDocument(r), drop=False))
+    assert [(n.name or n.content, depth) for n, _, depth in kept] == [
+        ("r", 0), ("a", 1), (" ", 2), ("b", 2), (" ", 1), ("c", 2),
+        ("\n", 1)]

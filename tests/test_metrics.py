@@ -20,12 +20,12 @@ from xstring.metrics import (
     predict_size,
 )
 from xstring.transforms import build_substitution
-from xstring.xml_model import (XmlNode, serialize_xml, structural_equal,
-                               walk)
+from xstring.xml_model import XmlNode, serialize_xml, structural_equal
 
 import metrics_oracle
 from corpus import RECORDS_XML, ROWS_MIXED_XML, corpus
 from steps import lines_run, nodes_built
+from walk_oracle import walk
 
 NS = (1, 5, 50)
 MS = (1, 5)
