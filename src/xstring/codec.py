@@ -79,7 +79,7 @@ from dataclasses import dataclass
 from math import inf
 from typing import Iterator, Optional
 
-from .errors import XStringError
+from .errors import BadArgument, XStringError
 from .grammar import (NUL, PREFIX_CHARS, WHITESPACE, EscapeMode, PrefixKind,
                       XsDocument, XsToken, name_fault, reads_as_key)
 from .xml_model import (Attribute, NodeKind, OpenStack, XmlDocument, XmlNode,
@@ -99,7 +99,7 @@ class EncodeOptions:
 
     def __post_init__(self):
         if self.mode not in (EncodeMode.SAFE_SIBLING, EncodeMode.CANONICAL):
-            raise ValueError(f"unknown encode mode {self.mode!r}")
+            raise BadArgument(f"unknown encode mode {self.mode!r}")
 
 
 class DecodeError(XStringError):

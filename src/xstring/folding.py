@@ -23,7 +23,7 @@ import re
 from typing import Optional
 
 from .codec import EncodeOptions, decode, encode
-from .errors import XStringError
+from .errors import BadArgument, XStringError
 from .grammar import EscapeMode, escaper, render, tokenize
 from .xml_model import NodeKind, XmlDocument, XmlNode, walk
 
@@ -170,7 +170,7 @@ def fold(inner: XmlDocument, host: XmlDocument,
         _write_slot(slot, LENGTH=str(len(text)), TEXT=escape_fold_attr(text))
         return out
     if mode != FoldMode.MULTI:
-        raise ValueError(f"unknown fold mode {mode!r}")
+        raise BadArgument(f"unknown fold mode {mode!r}")
 
     # the host slot must be fresh; an explicit COUNT="0" counts as fresh
     taken = [name for name in attrs if _LAYOUT_NAME.fullmatch(name)]

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NoReturn, Optional
 
-from .errors import XStringError
+from .errors import BadArgument, XStringError
 
 NUL = "\x00"
 _WS = r" \t\r\n"
@@ -140,25 +140,25 @@ class XsToken:
 
     def __post_init__(self):
         if self.kind in _MARKER_KINDS:
-            raise ValueError(f"{self.kind.name} is a marker, not a token kind")
+            raise BadArgument(f"{self.kind.name} is a marker, not a token kind")
         if self.kind in NAME_KINDS:
             fault = name_fault(self.payload, self.subst_key)
             if fault is not None:
-                raise ValueError(fault)
+                raise BadArgument(fault)
         else:
             if NUL in self.payload:
-                raise ValueError("payload must not contain NUL")
+                raise BadArgument("payload must not contain NUL")
             if self.subst_key is not None:
-                raise ValueError("key on a non-name token")
+                raise BadArgument("key on a non-name token")
             if self.depth is not None:
-                raise ValueError("depth on a non-element token")
+                raise BadArgument("depth on a non-element token")
         if self.depth is not None:
             if self.kind not in (PrefixKind.CHILD, PrefixKind.SIBLING):
-                raise ValueError("depth on a non-element token")
+                raise BadArgument("depth on a non-element token")
             if self.depth < 0:
-                raise ValueError("negative depth")
+                raise BadArgument("negative depth")
         if self.subst_key is not None and self.subst_key < 0:
-            raise ValueError("negative key")
+            raise BadArgument("negative key")
 
     @classmethod
     def unchecked(cls, kind: PrefixKind, payload: str = "",

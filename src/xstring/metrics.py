@@ -21,7 +21,7 @@ from typing import Iterator, Optional
 
 from .binary import pack_envelope
 from .codec import Unencodable, Verifier, encode, written_nodes
-from .errors import XStringError
+from .errors import BadArgument, XStringError
 from .grammar import (WHITESPACE, PrefixKind, XsDocument, XsToken, render,
                       render_token)
 from .xml_model import (Attribute, NodeKind, XmlDocument, XmlNode, parse_xml,
@@ -64,9 +64,9 @@ def predict_size(kind: ConstructKind, n: int, m: int = 0) -> tuple[int, int]:
     payload contains no characters that need it.
     """
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise BadArgument("n must be at least 1")
     if kind is ConstructKind.ATTRIBUTE and m < 1:
-        raise ValueError("attributes need the name length m")
+        raise BadArgument("attributes need the name length m")
     xml_f, xs_f = _FORMULAS[kind]
     return xml_f(n, m), xs_f(n, m)
 
@@ -216,7 +216,7 @@ def asymptote_check(name_len: int, depth: int) -> AsymptoteProbe:
     innermost empty element deviates from the nested-pair formula.
     """
     if name_len < 1 or depth < 1:
-        raise ValueError("name_len and depth must be positive")
+        raise BadArgument("name_len and depth must be positive")
     name = "A" * name_len
     node = XmlNode.element(name)
     for _ in range(depth - 1):

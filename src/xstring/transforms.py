@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .codec import EncodeMode, EncodeOptions, UnknownKey, decode, encode
-from .errors import XStringError
+from .errors import BadArgument, XStringError
 from .grammar import (NAME_KINDS, EscapeMode, XsDocument, XsToken, escape_data,
                       reads_as_key)
 
@@ -15,7 +15,7 @@ class NumericNameClash(XStringError):
     pass
 
 
-class AlreadyKeyed(XStringError, ValueError):
+class AlreadyKeyed(BadArgument):
     pass
 
 
@@ -52,7 +52,7 @@ def build_substitution(doc: XsDocument,
     keeps the name and binds the key, later ones carry the bare key.
     """
     if threshold < 2:
-        raise ValueError("substitution threshold must be at least 2")
+        raise BadArgument("substitution threshold must be at least 2")
 
     counts: dict[str, int] = {}
     for tok in doc.tokens:

@@ -7,6 +7,14 @@ elements, text, comments, processing instructions, CDATA sections, and opaque
 expanded; text is carried verbatim so that a parse/serialize round trip is
 byte-faithful for the data it touches.
 
+One scanner serves both parse_xml, which raises at the first error, and
+check_well_formed, which collects them.  Its loop reads text runs, start
+and close tags with their attributes, comments, CDATA sections,
+processing instructions and declarations in its own frame, building each
+node with one constructor call; only errors, data holding an '&', nodes
+at the top level and a close tag that does not close the innermost open
+element leave it.
+
 Well-formedness violations are reported against a fixed eight-rule list:
 
 1. one unique root element, nothing else at the top level
@@ -24,9 +32,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 from itertools import zip_longest
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .errors import XStringError
 
@@ -123,7 +130,8 @@ def walk(root: XmlNode, drop: bool = False
 class OpenStack(list):
     """Open elements, outermost first, plus nearest: name -> index of the
     topmost open element with that name, or -1.  The parser and the decoder
-    keep one, and the sibling encoder keeps the one the decoder will hold."""
+    keep one, and the sibling encoder keeps the one the decoder will hold.
+    _Parser.run does push's and pop's work inline, so it changes with them."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -191,8 +199,8 @@ _WS = " \t\r\n"
 # plus ".-:" (\w already holds the underscore)
 _NAME = r"[\w.\-:]*"
 _NAME_RUN = re.compile(_NAME)
-# what can follow '<': the construct's opener, or none for a start tag
-_LEAD = re.compile(r"<(?:!--|!\[CDATA\[|!|\?|/)?")
+# a start tag's name (1), then the tag's end (2) when no attribute follows
+_OPEN_TAG = re.compile(f"<({_NAME})[{_WS}]*(/?>)?")
 # one step of a start tag: the tag's end (1), or a name (2), then after
 # '=' the opening quote or the end of input (3), or an unquoted value (4)
 _ATTR = re.compile(f"[{_WS}]*(?:(/?>)|({_NAME})[{_WS}]*"
@@ -202,25 +210,28 @@ _CLOSE_TAG = re.compile(f"</({_NAME})[{_WS}]*(>)?")
 # then ';'
 _BARE_AMP = re.compile(r"&(?!#?[\w.\-]+;)")
 _ANGLES = re.compile("[<>]")
-
-
-def _valid_name(name: str) -> bool:
-    return (name[:1].isalpha() or name[:1] in ("_", ":")) \
-        and _NAME_RUN.fullmatch(name) is not None
+_ELEMENT, _TEXT = NodeKind.ELEMENT, NodeKind.TEXT
 
 
 class _Parser:
     """Single-pass scanner shared by parse_xml (strict) and
     check_well_formed (collecting).
 
-    One lead pattern at each '<' picks the construct, and each construct is
-    read by a pattern of its own or a find for its closer; a start tag
-    takes one _ATTR match per attribute.  After a syntax error the
-    collecting scan stops at the end of the construct it is in."""
+    run reads every construct in its own frame: a text run, a start tag
+    with its attributes (one _ATTR match per attribute after the name), a
+    close tag, and a comment, CDATA section, processing instruction or
+    declaration, each by one find or scan for its closer.  It builds each
+    node with one XmlNode(...) call and pushes and pops the open stack
+    itself.  Names are runs of _NAME_RUN's class, so a name is valid
+    exactly when its first character may start one.  Only the rare paths
+    leave the frame: syntax and violate for each error, scan_amps for data
+    holding an '&', attach for a node at the top level, and close_unmatched
+    for a close tag that does not close the innermost open element.  After
+    a syntax error the collecting scan stops at the end of the construct
+    it is in."""
 
     def __init__(self, text: str, collect: bool):
         self.text = text
-        self.pos = 0
         self.collect = collect
         self.violations: list[Violation] = []
         self.prolog: Optional[XmlNode] = None
@@ -243,200 +254,205 @@ class _Parser:
         else:
             raise XmlSyntaxError(offset, message)
 
-    # -- low level ----------------------------------------------------------
-
-    def read_until(self, marker: str) -> Optional[str]:
-        end = self.text.find(marker, self.pos)
-        if end < 0:
-            return None
-        out = self.text[self.pos:end]
-        self.pos = end + len(marker)
-        return out
-
-    # -- entity scan (rule 8) ----------------------------------------------
+    # -- rare paths ---------------------------------------------------------
 
     def scan_amps(self, data: str, base: int) -> None:
         for m in _BARE_AMP.finditer(data):
             self.violate(8, base + m.start(),
                          "bare '&' must be an entity reference")
 
-    # -- node attachment ----------------------------------------------------
-
     def attach(self, node: XmlNode, offset: int) -> None:
-        if self.stack:
-            self.stack[-1].children.append(node)
-            return
         # top level: only the declaration and a single root element belong here
-        if node.kind is NodeKind.ELEMENT and self.root is None:
+        if node.kind is _ELEMENT and self.root is None:
             self.root = node
             return
-        if node.kind is NodeKind.TEXT and node.is_whitespace_text():
+        if node.kind is _TEXT and node.is_whitespace_text():
             return
         self.violate(1, offset, "content outside the single root element")
 
-    # -- constructs: each reads from its lead match -------------------------
-
-    def parse_text_run(self) -> None:
-        start = self.pos
-        end = self.text.find("<", self.pos)
-        if end < 0:
-            end = len(self.text)
-        data = self.text[start:end]
-        self.pos = end
-        if not data:
-            return
-        self.scan_amps(data, start)
-        self.attach(XmlNode.text(data), start)
-
-    def parse_delimited(self, closer: str, node: Callable[[str], XmlNode],
-                        message: str, lead: re.Match) -> None:
-        """A comment or CDATA section: its body runs to the first closer."""
-        self.pos = lead.end()
-        body = self.read_until(closer)
-        if body is None:
-            self.syntax(lead.start(), message)
-            return
-        self.attach(node(body), lead.start())
-
-    def parse_dtd(self, lead: re.Match) -> None:
-        # opaque <!...> capture; '<'/'>' depth covers internal subsets
-        start = lead.start()
-        depth = 1
-        for m in _ANGLES.finditer(self.text, lead.end()):
-            depth += 1 if m[0] == "<" else -1
-            if depth == 0:
-                self.pos = m.end()
-                if not self.stack:
-                    # no slot for a doctype in the document model
-                    self.violate(1, start,
-                                 "declaration outside the root element")
-                    return
-                self.attach(XmlNode.dtd(self.text[start + 2:m.start()]), start)
-                return
-        self.syntax(start, "unterminated '<!' declaration")
-
-    def parse_pi(self, lead: re.Match) -> None:
-        start = lead.start()
-        m = _NAME_RUN.match(self.text, lead.end())
-        target = m[0]
-        if not target:
-            self.syntax(start, "processing instruction without a target")
-            return
-        self.pos = m.end()
-        rest = self.read_until("?>")
-        if rest is None:
-            self.syntax(start, "unterminated processing instruction")
-            return
-        # exactly one separator char, so leading whitespace in data survives
-        content = rest[1:] if rest[:1] and rest[0] in _WS else rest
-        node = XmlNode.pi(target, content)
-        if target.lower() == "xml":
-            if start == 0 and self.prolog is None:
-                self.prolog = node
-            else:
-                self.violate(3, start,
-                             "XML declaration must be at the start of the document")
-            return
-        if not _valid_name(target):
-            self.violate(7, start, f"invalid instruction target {target!r}")
-        self.attach(node, start)
-
-    def parse_attributes(self, owner: XmlNode) -> bool:
-        """Read attributes up to '>' or '/>'.  Returns True for self-closing."""
-        text = self.text
-        seen: set[str] = set()
-        while True:
-            m = _ATTR.match(text, self.pos)
-            if m[1]:
-                self.pos = m.end()
-                return m[1] == "/>"
-            name, name_off = m[2], m.start(2)
-            if not name:
-                if name_off == len(text):
-                    self.syntax(name_off, "unterminated start tag")
-                    return True
-                # in collecting mode, skip the character and read on
-                self.syntax(name_off, f"unexpected {text[name_off]!r} in tag")
-                self.pos = name_off + 1
-                continue
-            if not _valid_name(name):
-                self.violate(7, name_off, f"invalid attribute name {name!r}")
-            self.pos = m.end()
-            quote, value = m[3], m[4]
-            if quote is not None:
-                # an empty quote is '=' at the end of input
-                close = text.find(quote, self.pos) if quote else -1
-                if close < 0:
-                    self.syntax(name_off, "unterminated attribute value")
-                    return True
-                value = text[self.pos:close]
-                self.scan_amps(value, self.pos)
-                self.pos = close + 1
-            elif value is not None:
-                self.violate(6, m.start(4), "attribute value must be quoted")
-            if name in seen:
-                self.violate(6, name_off, f"duplicate attribute {name!r}")
-                continue
-            seen.add(name)
-            owner.attributes.append((name, value))
-
-    def parse_close_tag(self, lead: re.Match) -> None:
-        start = lead.start()
-        m = _CLOSE_TAG.match(self.text, start)
-        name = m[1]
-        self.pos = m.end()
-        if m[2] is None:
-            self.violate(5, self.pos, "attributes are not allowed on close tags")
-            end = self.text.find(">", self.pos)
-            self.pos = len(self.text) if end < 0 else end + 1
-        if self.stack and self.stack[-1].name == name:
-            self.stack.pop()
-            return
-        at = self.stack.nearest.get(name, -1)
+    def close_unmatched(self, name: str, offset: int) -> None:
+        stack = self.stack
+        at = stack.nearest.get(name, -1)
         if at >= 0:
-            self.violate(4, start,
-                         f"close tag </{name}> overlaps <{self.stack[-1].name}>")
-            self.stack.truncate(at)
+            self.violate(4, offset,
+                         f"close tag </{name}> overlaps <{stack[-1].name}>")
+            stack.truncate(at)
         else:
-            self.violate(2, start, f"close tag </{name}> matches no open tag")
+            self.violate(2, offset, f"close tag </{name}> matches no open tag")
 
-    def parse_open_tag(self, lead: re.Match) -> None:
-        start = lead.start()
-        m = _NAME_RUN.match(self.text, lead.end())
-        name = m[0]
-        if not name:
-            self.syntax(start, "bare '<' does not start markup")
-            return
-        if not _valid_name(name):
-            self.violate(7, m.start(), f"invalid element name {name!r}")
-        self.pos = m.end()
-        node = XmlNode.element(name)
-        closed = self.parse_attributes(node)
-        self.attach(node, start)
-        if not closed:
-            self.stack.push(name, node)
-
-    # -- driver -------------------------------------------------------------
+    # -- the scan -----------------------------------------------------------
 
     def run(self) -> None:
         text = self.text
-        read = {"<": self.parse_open_tag, "</": self.parse_close_tag,
-                "<?": self.parse_pi, "<!": self.parse_dtd,
-                "<!--": partial(self.parse_delimited, "-->", XmlNode.comment,
-                                "unterminated comment"),
-                "<![CDATA[": partial(self.parse_delimited, "]]>",
-                                     XmlNode.cdata,
-                                     "unterminated CDATA section")}
-        while self.pos < len(text) and not self.fatal:
-            lead = _LEAD.match(text, self.pos)
-            if lead is None:
-                self.parse_text_run()
+        n = len(text)
+        stack = self.stack
+        # OpenStack.push and pop, inline
+        nearest, below = stack.nearest, stack._below
+        open_tag, attr = _OPEN_TAG.match, _ATTR.match
+        close_tag = _CLOSE_TAG.match
+        pos = 0
+        while pos < n and not self.fatal:
+            start = pos
+            lead = text[pos:pos + 2]
+            if lead[0] != "<":
+                pos = text.find("<", pos)
+                if pos < 0:
+                    pos = n
+                content = text[start:pos]
+                if "&" in content:
+                    self.scan_amps(content, start)
+                node = XmlNode(_TEXT, "", [], content, [])
+            elif lead == "</":
+                m = close_tag(text, pos)
+                name = m[1]
+                pos = m.end()
+                if m[2] is None:
+                    self.violate(5, pos,
+                                 "attributes are not allowed on close tags")
+                    end = text.find(">", pos)
+                    pos = n if end < 0 else end + 1
+                if stack and stack[-1].name == name:
+                    nearest[name] = below.pop()[1]
+                    del stack[-1]
+                else:
+                    self.close_unmatched(name, start)
+                continue
+            elif lead == "<?":
+                m = _NAME_RUN.match(text, pos + 2)
+                target = m[0]
+                if not target:
+                    self.syntax(start, "processing instruction without a target")
+                    continue
+                cut = m.end()
+                end = text.find("?>", cut)
+                if end < 0:
+                    self.syntax(start, "unterminated processing instruction")
+                    continue
+                pos = end + 2
+                # exactly one separator char, so leading whitespace in data
+                # survives; an empty instruction has its '?' there
+                if text[cut] in _WS:
+                    cut += 1
+                node = XmlNode(NodeKind.PROC_INSTR, target, [], text[cut:end],
+                               [])
+                if target.lower() == "xml":
+                    if start == 0:
+                        self.prolog = node
+                    else:
+                        self.violate(3, start, "XML declaration must be at "
+                                     "the start of the document")
+                    continue
+                if not (target[0].isalpha() or target[0] in "_:"):
+                    self.violate(7, start,
+                                 f"invalid instruction target {target!r}")
+            elif lead == "<!":
+                if text.startswith("--", pos + 2):
+                    end = text.find("-->", pos + 4)
+                    if end < 0:
+                        self.syntax(start, "unterminated comment")
+                        continue
+                    pos = end + 3
+                    node = XmlNode(NodeKind.COMMENT, "", [],
+                                   text[start + 4:end], [])
+                elif text.startswith("[CDATA[", pos + 2):
+                    end = text.find("]]>", pos + 9)
+                    if end < 0:
+                        self.syntax(start, "unterminated CDATA section")
+                        continue
+                    pos = end + 3
+                    node = XmlNode(NodeKind.CDATA, "", [],
+                                   text[start + 9:end], [])
+                else:
+                    # an opaque declaration; '<'/'>' depth covers internal
+                    # subsets
+                    depth = 1
+                    for m in _ANGLES.finditer(text, pos + 2):
+                        depth += 1 if m[0] == "<" else -1
+                        if not depth:
+                            break
+                    else:
+                        self.syntax(start, "unterminated '<!' declaration")
+                        continue
+                    pos = m.end()
+                    if not stack:
+                        # no slot for a doctype in the document model
+                        self.violate(1, start,
+                                     "declaration outside the root element")
+                        continue
+                    node = XmlNode(NodeKind.DTD, "", [],
+                                   text[start + 2:m.start()], [])
             else:
-                read[lead[0]](lead)
-        for node in reversed(self.stack):
-            self.violate(2, len(text), f"<{node.name}> is never closed")
+                m = open_tag(text, pos)
+                name = m[1]
+                if not name:
+                    self.syntax(start, "bare '<' does not start markup")
+                    continue
+                if not (name[0].isalpha() or name[0] in "_:"):
+                    self.violate(7, pos + 1, f"invalid element name {name!r}")
+                pos = m.end()
+                attrs: list[Attribute] = []
+                seen: Optional[set[str]] = None  # made at a second attribute
+                end = m[2]  # '>' or '/>' once read
+                while end is None:
+                    m = attr(text, pos)
+                    end, aname, quote, value = m.groups()
+                    pos = m.end()
+                    if end:
+                        break
+                    off = m.start(2)
+                    if not aname:
+                        if off == n:
+                            # attached but not opened, as after '/>'
+                            self.syntax(off, "unterminated start tag")
+                            end = "/>"
+                            break
+                        # in collecting mode, skip the character and read on
+                        self.syntax(off, f"unexpected {text[off]!r} in tag")
+                        pos = off + 1
+                        continue
+                    if not (aname[0].isalpha() or aname[0] in "_:"):
+                        self.violate(7, off, f"invalid attribute name {aname!r}")
+                    if quote is not None:
+                        # an empty quote is '=' at the end of input
+                        close = text.find(quote, pos) if quote else -1
+                        if close < 0:
+                            self.syntax(off, "unterminated attribute value")
+                            end = "/>"
+                            break
+                        value = text[pos:close]
+                        if "&" in value:
+                            self.scan_amps(value, pos)
+                        pos = close + 1
+                    elif value is not None:
+                        self.violate(6, m.start(4),
+                                     "attribute value must be quoted")
+                    if attrs:
+                        if seen is None:
+                            seen = {attrs[0][0]}
+                        if aname in seen:
+                            self.violate(6, off,
+                                         f"duplicate attribute {aname!r}")
+                            continue
+                        seen.add(aname)
+                    attrs.append((aname, value))
+                node = XmlNode(_ELEMENT, name, attrs, "", [])
+                if stack:
+                    stack[-1].children.append(node)
+                else:
+                    self.attach(node, start)
+                if end == ">":
+                    below.append((name, nearest.get(name, -1)))
+                    nearest[name] = len(stack)
+                    stack.append(node)
+                continue
+            if stack:
+                stack[-1].children.append(node)
+            else:
+                self.attach(node, start)
+        for node in reversed(stack):
+            self.violate(2, n, f"<{node.name}> is never closed")
         if self.root is None and not self.fatal:
-            self.violate(1, len(text), "no root element")
+            self.violate(1, n, "no root element")
 
 
 def parse_xml(text: str) -> XmlDocument:

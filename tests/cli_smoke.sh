@@ -51,3 +51,11 @@ printf 'XSB1\001\016' | xstring unpack 2> err.txt || status=$?
 test "$status" = 1
 test "$(wc -l < err.txt)" = 1
 grep -q '^pack: ' err.txt
+# check, the parser's collecting mode: ok on a well-formed document; a
+# violation is reported on stdout, exit 1, with nothing on stderr
+test "$(printf '<a/>' | xstring check)" = ok
+status=0
+printf '<a><b></a>' | xstring check > report.txt 2> err.txt || status=$?
+test "$status" = 1
+test "$(cat report.txt)" = 'rule 4 at offset 6: close tag </a> overlaps <b>'
+test ! -s err.txt

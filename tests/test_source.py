@@ -1,11 +1,18 @@
-"""Checks on the source of the xstring package itself."""
+"""Checks on the source of the xstring package itself, and on the errors
+it raises for a caller's arguments."""
 
 import ast
 import graphlib
 import types
 from pathlib import Path
 
+import pytest
+
 import xstring
+from xstring import (ConstructKind, EncodeOptions, FoldMode, PrefixKind,
+                     XStringError, XsToken, asymptote_check,
+                     build_substitution, fold, parse_xml, predict_size,
+                     tokenize)
 
 
 def test_no_private_names_across_modules():
@@ -71,3 +78,20 @@ def test_module_imports_form_no_cycle():
     graph = {path.stem: _imported_modules(path)
              for path in sorted(package.glob("*.py"))}
     graphlib.TopologicalSorter(graph).prepare()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: EncodeOptions(mode="bogus"),
+    lambda: fold(parse_xml("<a/>"), parse_xml("<h><XSTRING/></h>"), "bogus"),
+    lambda: predict_size(ConstructKind.TEXT, 0),
+    lambda: predict_size(ConstructKind.ATTRIBUTE, 3, 0),
+    lambda: asymptote_check(0, 5),
+    lambda: build_substitution(tokenize("/a"), 1),
+    lambda: XsToken(PrefixKind.TEXT, "a\0"),
+], ids=["encode_mode", "fold_mode", "size_n", "size_m", "asymptote",
+        "threshold", "token"])
+def test_argument_errors_are_typed(call):
+    # each is both: existing callers catch ValueError, the CLI XStringError
+    with pytest.raises(XStringError) as err:
+        call()
+    assert isinstance(err.value, ValueError)

@@ -1,33 +1,59 @@
-"""The pattern-driven XML parser against the per-character one it replaced."""
+"""The one-frame XML parser against the per-character one it replaced."""
 
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xstring import (check_well_formed, parse_xml, serialize_xml,
+from xstring import (WellFormednessError, XmlDocument, XmlSyntaxError,
+                     check_well_formed, parse_xml, serialize_xml,
                      structural_equal)
-from xstring.xml_model import _NAME_RUN
+from xstring.xml_model import _NAME_RUN, walk
 
 import corpus as fixtures
 from parser_oracle import (_is_name_char, oracle_check_well_formed,
                            oracle_parse_xml)
+from test_token_invariants import python_calls
 
 # XML whitespace, a non-ASCII letter and a non-XML space test the patterns'
 # whitespace and name classes
 ALPHABET = "<>/!?-[]&;#=\"' a1:\t\n\ré\xa0"
 # whole markup openers make comments, CDATA and declarations likelier
 PIECES = list(ALPHABET) + ["<!--", "-->", "<![CDATA[", "]]>", "<?", "?>",
-                           "</", "/>", "&a;", "&#1;"]
+                           "</", "/>", "&a;", "&#1;",
+                           # duplicate, unquoted and misnamed attributes,
+                           # digit-led and non-ASCII element names
+                           "<b x='1' x='2'>", " y=2", "<1a>", "<é/>",
+                           # what may and may not stand at the top level
+                           "<!--c-->", "<?p d?>", "<?xml v?>", "<!DOCTYPE a>"]
 
 
 def report(check, text):
     return [(v.rule, v.offset, v.message) for v in check(text).violations]
 
 
+def parsed(parse, text):
+    """The document parse reads from text, or its error's class, offset
+    and message."""
+    try:
+        return parse(text)
+    except (XmlSyntaxError, WellFormednessError) as e:
+        return type(e), e.offset, str(e)
+
+
 def assert_same(text):
+    """check_well_formed gives the oracle's report, and parse_xml the
+    oracle's tree and bytes or its error; structural_equal compares each
+    node's kind, name, content, attribute list and depth."""
     got = report(check_well_formed, text)
     assert got == report(oracle_check_well_formed, text), text
+    doc, want = parsed(parse_xml, text), parsed(oracle_parse_xml, text)
+    if isinstance(want, XmlDocument):
+        assert isinstance(doc, XmlDocument), (text, doc)
+        assert structural_equal(doc, want, whitespace_significant=True), text
+        assert serialize_xml(doc) == serialize_xml(want), text
+    else:
+        assert doc == want, text
     return got
 
 
@@ -43,11 +69,24 @@ def test_random_markup_pieces_match_oracle(text):
     assert_same("<a>" + text)
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(PIECES), max_size=12).map("".join))
+def test_top_level_pieces_match_oracle(text):
+    # the same pieces with nothing opened first: declarations, comments,
+    # instructions and text before, beside and after the root
+    assert_same(text)
+
+
 @pytest.mark.parametrize("text", ["<a b=c/>", "<a b=c>x</a>", "<a b=/>",
                                   "<a b=c d='e'/>", "<a>&a.b-c;&#1;&</a>",
                                   "<a>&#;&#x1;&;</a>", "<a b=", '<a b="',
                                   "<a b =\t'c'/>", "<a =x/>",
-                                  '<a b="1"c="2"/>', "</a\t>", "<r></r x>"])
+                                  '<a b="1"c="2"/>', "</a\t>", "<r></r x>",
+                                  "<a><b x='1' x='2' x='3'/></a>",
+                                  "<a y=2 z='&'/>", "<1a/>", "<é/>",
+                                  "<a:b _c='1'/>", "<!--c--><a/><?p d?>",
+                                  "<?xml v?><!DOCTYPE a><a/>",
+                                  "<a><!DOCTYPE b [<!ENTITY c 'd'>]></a>"])
 def test_markup_edge_cases_match_oracle(text):
     assert_same(text)
 
@@ -56,8 +95,23 @@ def test_corpus_parses_as_oracle():
     for doc in fixtures.corpus():
         text = serialize_xml(doc)
         assert assert_same(text) == []
-        assert structural_equal(parse_xml(text), oracle_parse_xml(text),
-                                whitespace_significant=True)
+
+
+def test_parse_makes_few_python_calls_per_node():
+    # run reads every construct in its own frame, so a node costs about its
+    # constructor call: 1.7 calls per node on the corpus and 1.0 on a wide
+    # table, where a method per construct, name check and push made 8.4
+    # and 7.6
+    def calls_per_node(texts):
+        docs = []
+        calls = python_calls(lambda: [docs.append(parse_xml(t))
+                                      for t in texts])
+        return calls / sum(len(list(walk(d.root))) + (d.prolog is not None)
+                           for d in docs)
+    assert calls_per_node([serialize_xml(d) for d in fixtures.corpus()]) <= 2.5
+    rows = "".join(f'<ROW ID="{i}"><NAME>n{i}</NAME><CITY>c</CITY>'
+                   f"<QTY>{i}</QTY></ROW>" for i in range(300))
+    assert calls_per_node([f"<TABLE>{rows}</TABLE>"]) <= 2.0
 
 
 def test_name_pattern_is_name_char():
