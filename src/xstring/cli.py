@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .binary import PackError, pack_envelope, unpack_envelope
 from .codec import (DecodeError, EncodeMode, EncodeOptions, Unencodable,
-                    decode, encode)
+                    decode, emit, encode)
 from .errors import XStringError
 from .folding import FoldError, FoldMode, fold, unfold
 from .grammar import (EscapeMode, TokenizeError, XsDocument, render,
@@ -32,7 +32,7 @@ from .grammar import (EscapeMode, TokenizeError, XsDocument, render,
 from .metrics import Mismatch, measure
 from .transforms import (AlreadyKeyed, NumericNameClash, build_substitution,
                          expand_substitution, to_child_depth)
-from .xml_model import (WellFormednessError, XmlDocument, XmlSyntaxError,
+from .xml_model import (WellFormednessError, XmlSyntaxError,
                         check_well_formed, parse_xml, serialize_xml)
 
 _ESCAPE_MODES = {"entity": EscapeMode.ENTITY, "sentinel": EscapeMode.SENTINEL}
@@ -111,15 +111,18 @@ def _write_stream(args: argparse.Namespace, doc) -> int:
     return 0
 
 
-def _encode(args: argparse.Namespace, doc: XmlDocument) -> XsDocument:
-    """Encode a parsed document as the encode options on the command line
-    ask."""
-    opts = EncodeOptions(mode=args.mode, escaping=_escape(args),
-                         drop_insignificant_whitespace=not args.keep_whitespace)
-    stream = encode(doc, opts)
-    if args.subst_threshold is not None:
-        _, stream = build_substitution(stream, args.subst_threshold)
-    return stream
+def _options(args: argparse.Namespace) -> EncodeOptions:
+    """The encode options the command line asks for."""
+    return EncodeOptions(
+        mode=args.mode, escaping=_escape(args),
+        drop_insignificant_whitespace=not args.keep_whitespace)
+
+
+def _keyed(args: argparse.Namespace, stream: XsDocument) -> XsDocument:
+    """The stream with the substitution --subst-threshold asks for."""
+    if args.subst_threshold is None:
+        return stream
+    return build_substitution(stream, args.subst_threshold)[1]
 
 
 def _threshold(text: str) -> int:
@@ -133,7 +136,7 @@ def _threshold(text: str) -> int:
 
 def cmd_encode(args: argparse.Namespace) -> int:
     doc = parse_xml(_read_text(args.input))
-    return _write_stream(args, _encode(args, doc))
+    return _write_stream(args, _keyed(args, encode(doc, _options(args))))
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
@@ -185,7 +188,9 @@ def cmd_unfold(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     text = _read_text(args.input)
     source = parse_xml(text)
-    report = measure(text, _encode(args, source), source)
+    # measure checks the stream against source, so it is emitted unchecked
+    stream = _keyed(args, emit(source, _options(args)))
+    report = measure(text, stream, source)
     body = report.as_table() if args.format == "table" else report.as_kv()
     _write_text(args.output, body)
     return 0

@@ -70,36 +70,32 @@ def build_substitution(doc: XsDocument,
             if len(tok.payload) >= threshold:
                 counts[tok.payload] = counts.get(tok.payload, 0) + 1
 
-    table = SubstitutionTable()
-    keys: dict[str, int] = {}
-    for tok in doc.tokens:
-        if tok.kind not in NAME_KINDS:
-            continue
-        name = tok.payload
-        if name in keys or counts.get(name, 0) < 2:
-            continue
-        key = len(table.names)
-        digits = len(str(key))
-        saved = (counts[name] - 1) * (_rendered_len(name, doc.escaping) - digits)
-        if saved > 1 + digits:
-            keys[name] = key
-            table.names.append(name)
-
+    # a candidate is decided at its first occurrence, which binds its key;
     # the input's tokens hold their invariants and a key is not negative,
     # so the keyed tokens are built unchecked
+    table = SubstitutionTable()
+    keys: dict[str, int] = {}
     out: list[XsToken] = []
-    bound: set[str] = set()
     for tok in doc.tokens:
-        if tok.kind in NAME_KINDS and tok.payload in keys:
-            key = keys[tok.payload]
-            if tok.payload in bound:
-                out.append(XsToken.unchecked(tok.kind, "", tok.depth, key))
-            else:
-                bound.add(tok.payload)
-                out.append(XsToken.unchecked(tok.kind, tok.payload, tok.depth,
-                                             key))
-        else:
-            out.append(tok)
+        name = tok.payload
+        if tok.kind in NAME_KINDS and counts.get(name, 0) >= 2:
+            if name in keys:
+                out.append(XsToken.unchecked(tok.kind, "", tok.depth,
+                                             keys[name]))
+                continue
+            key = len(table.names)
+            digits = len(str(key))
+            saved = (counts[name] - 1) * (_rendered_len(name, doc.escaping)
+                                          - digits)
+            if saved > 1 + digits:
+                keys[name] = key
+                table.names.append(name)
+                out.append(XsToken.unchecked(tok.kind, name, tok.depth, key))
+                continue
+            # refused for good: a later occurrence's key would have at
+            # least as many digits
+            del counts[name]
+        out.append(tok)
     return table, XsDocument(out, doc.escaping)
 
 

@@ -7,13 +7,11 @@ elements, text, comments, processing instructions, CDATA sections, and opaque
 expanded; text is carried verbatim so that a parse/serialize round trip is
 byte-faithful for the data it touches.
 
-One scanner serves both parse_xml, which raises at the first error, and
-check_well_formed, which collects them.  Its loop reads text runs, start
-and close tags with their attributes, comments, CDATA sections,
-processing instructions and declarations in its own frame, building each
-node with one constructor call; only errors, data holding an '&', nodes
-at the top level and a close tag that does not close the innermost open
-element leave it.
+One function, _scan, reads the text once and always collects: it
+returns the tree it built and every violation, in the order met, in one
+frame that builds each node with one constructor call.
+check_well_formed reports the list and parse_xml raises its first entry,
+so both give the same first error, found at linear cost.
 
 Well-formedness violations are reported against a fixed eight-rule list:
 
@@ -130,8 +128,7 @@ def walk(root: XmlNode, drop: bool = False
 class OpenStack(list):
     """Open elements, outermost first, plus nearest: name -> index of the
     topmost open element with that name, or -1.  The parser and the decoder
-    keep one, and the sibling encoder keeps the one the decoder will hold.
-    _Parser.run does push's and pop's work inline, so it changes with them."""
+    keep one, and the sibling encoder keeps the one the decoder will hold."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -210,271 +207,246 @@ _CLOSE_TAG = re.compile(f"</({_NAME})[{_WS}]*(>)?")
 # then ';'
 _BARE_AMP = re.compile(r"&(?!#?[\w.\-]+;)")
 _ANGLES = re.compile("[<>]")
-_ELEMENT, _TEXT = NodeKind.ELEMENT, NodeKind.TEXT
+_BARE_AMP_MESSAGE = "bare '&' must be an entity reference"
+_OUTSIDE_ROOT_MESSAGE = "content outside the single root element"
+_ELEMENT, _TEXT, _COMMENT = NodeKind.ELEMENT, NodeKind.TEXT, NodeKind.COMMENT
+_PROC_INSTR, _CDATA, _DTD = NodeKind.PROC_INSTR, NodeKind.CDATA, NodeKind.DTD
 
 
-class _Parser:
-    """Single-pass scanner shared by parse_xml (strict) and
-    check_well_formed (collecting).
+def _scan(text: str
+          ) -> tuple[Optional[XmlNode], Optional[XmlNode], list[Violation]]:
+    """Read text once into its prolog, its root and its violations, in the
+    order they are met.
 
-    run reads every construct in its own frame: a text run, a start tag
-    with its attributes (one _ATTR match per attribute after the name), a
-    close tag, and a comment, CDATA section, processing instruction or
-    declaration, each by one find or scan for its closer.  It builds each
-    node with one XmlNode(...) call and pushes and pops the open stack
-    itself.  Names are runs of _NAME_RUN's class, so a name is valid
-    exactly when its first character may start one.  Only the rare paths
-    leave the frame: syntax and violate for each error, scan_amps for data
-    holding an '&', attach for a node at the top level, and close_unmatched
-    for a close tag that does not close the innermost open element.  After
-    a syntax error the collecting scan stops at the end of the construct
-    it is in."""
-
-    def __init__(self, text: str, collect: bool):
-        self.text = text
-        self.collect = collect
-        self.violations: list[Violation] = []
-        self.prolog: Optional[XmlNode] = None
-        self.root: Optional[XmlNode] = None
-        self.stack = OpenStack()
-        self.fatal = False
-
-    # -- error plumbing -----------------------------------------------------
-
-    def violate(self, rule: int, offset: int, message: str) -> None:
-        if self.collect:
-            self.violations.append(Violation(rule, offset, message))
-        else:
-            raise WellFormednessError(rule, offset, message)
-
-    def syntax(self, offset: int, message: str) -> None:
-        if self.collect:
-            self.violations.append(Violation(None, offset, message))
-            self.fatal = True
-        else:
-            raise XmlSyntaxError(offset, message)
-
-    # -- rare paths ---------------------------------------------------------
-
-    def scan_amps(self, data: str, base: int) -> None:
-        for m in _BARE_AMP.finditer(data):
-            self.violate(8, base + m.start(),
-                         "bare '&' must be an entity reference")
-
-    def attach(self, node: XmlNode, offset: int) -> None:
-        # top level: only the declaration and a single root element belong here
-        if node.kind is _ELEMENT and self.root is None:
-            self.root = node
-            return
-        if node.kind is _TEXT and node.is_whitespace_text():
-            return
-        self.violate(1, offset, "content outside the single root element")
-
-    def close_unmatched(self, name: str, offset: int) -> None:
-        stack = self.stack
-        at = stack.nearest.get(name, -1)
-        if at >= 0:
-            self.violate(4, offset,
-                         f"close tag </{name}> overlaps <{stack[-1].name}>")
-            stack.truncate(at)
-        else:
-            self.violate(2, offset, f"close tag </{name}> matches no open tag")
-
-    # -- the scan -----------------------------------------------------------
-
-    def run(self) -> None:
-        text = self.text
-        n = len(text)
-        stack = self.stack
-        # OpenStack.push and pop, inline
-        nearest, below = stack.nearest, stack._below
-        open_tag, attr = _OPEN_TAG.match, _ATTR.match
-        close_tag = _CLOSE_TAG.match
-        pos = 0
-        while pos < n and not self.fatal:
-            start = pos
-            lead = text[pos:pos + 2]
-            if lead[0] != "<":
-                pos = text.find("<", pos)
-                if pos < 0:
-                    pos = n
-                content = text[start:pos]
-                if "&" in content:
-                    self.scan_amps(content, start)
-                node = XmlNode(_TEXT, "", [], content, [])
-            elif lead == "</":
-                m = close_tag(text, pos)
-                name = m[1]
-                pos = m.end()
-                if m[2] is None:
-                    self.violate(5, pos,
-                                 "attributes are not allowed on close tags")
-                    end = text.find(">", pos)
-                    pos = n if end < 0 else end + 1
-                if stack and stack[-1].name == name:
-                    nearest[name] = below.pop()[1]
-                    del stack[-1]
-                else:
-                    self.close_unmatched(name, start)
+    The loop reads every construct in its own frame: a text run, a start
+    tag with its attributes (one _ATTR match per attribute after the
+    name), a close tag, and a comment, CDATA section, processing
+    instruction or declaration, each by one find or scan for its closer.
+    It builds each node with one XmlNode(...) call.  Names are runs of
+    _NAME_RUN's class, so a name is valid exactly when its first character
+    may start one.  After a syntax error the scan stops at the end of the
+    construct it is in."""
+    violations: list[Violation] = []
+    record = violations.append
+    prolog: Optional[XmlNode] = None
+    root: Optional[XmlNode] = None
+    # the open elements, outermost first; nearest maps a name to the index
+    # of the topmost open element with that name, or -1, and below holds
+    # per open element what nearest held for its name before it opened
+    stack: list[XmlNode] = []
+    nearest: dict[str, int] = {}
+    below: list[int] = []
+    fatal = False  # a syntax error in a tag stops the scan after the tag
+    stop = ""  # the syntax error that stopped the scan outside a tag
+    n = len(text)
+    open_tag, attr = _OPEN_TAG.match, _ATTR.match
+    close_tag = _CLOSE_TAG.match
+    pos = 0
+    while pos < n and not fatal:
+        start = pos
+        lead = text[pos:pos + 2]
+        if lead[0] != "<":
+            pos = text.find("<", pos)
+            if pos < 0:
+                pos = n
+            content = text[start:pos]
+            if "&" in content:
+                for m in _BARE_AMP.finditer(text, start, pos):
+                    record(Violation(8, m.start(), _BARE_AMP_MESSAGE))
+            node = XmlNode(_TEXT, "", [], content, [])
+        elif lead == "</":
+            m = close_tag(text, pos)
+            name = m[1]
+            pos = m.end()
+            if m[2] is None:
+                record(Violation(5, pos,
+                                 "attributes are not allowed on close tags"))
+                end = text.find(">", pos)
+                pos = n if end < 0 else end + 1
+            if stack and stack[-1].name == name:
+                nearest[name] = below.pop()
+                del stack[-1]
                 continue
-            elif lead == "<?":
-                m = _NAME_RUN.match(text, pos + 2)
-                target = m[0]
-                if not target:
-                    self.syntax(start, "processing instruction without a target")
-                    continue
-                cut = m.end()
-                end = text.find("?>", cut)
+            at = nearest.get(name, -1)
+            if at < 0:
+                record(Violation(2, start,
+                                 f"close tag </{name}> matches no open tag"))
+                continue
+            record(Violation(4, start, f"close tag </{name}> overlaps "
+                             f"<{stack[-1].name}>"))
+            while len(stack) > at:
+                nearest[stack.pop().name] = below.pop()
+            continue
+        elif lead == "<?":
+            m = _NAME_RUN.match(text, pos + 2)
+            target = m[0]
+            if not target:
+                stop = "processing instruction without a target"
+                break
+            cut = m.end()
+            end = text.find("?>", cut)
+            if end < 0:
+                stop = "unterminated processing instruction"
+                break
+            pos = end + 2
+            # exactly one separator char, so leading whitespace in data
+            # survives; an empty instruction has its '?' there
+            if text[cut] in _WS:
+                cut += 1
+            node = XmlNode(_PROC_INSTR, target, [], text[cut:end], [])
+            if target.lower() == "xml":
+                if start == 0:
+                    prolog = node
+                else:
+                    record(Violation(3, start, "XML declaration must be at "
+                                     "the start of the document"))
+                continue
+            if not (target[0].isalpha() or target[0] in "_:"):
+                record(Violation(7, start,
+                                 f"invalid instruction target {target!r}"))
+        elif lead == "<!":
+            if text.startswith("--", pos + 2):
+                end = text.find("-->", pos + 4)
                 if end < 0:
-                    self.syntax(start, "unterminated processing instruction")
-                    continue
-                pos = end + 2
-                # exactly one separator char, so leading whitespace in data
-                # survives; an empty instruction has its '?' there
-                if text[cut] in _WS:
-                    cut += 1
-                node = XmlNode(NodeKind.PROC_INSTR, target, [], text[cut:end],
-                               [])
-                if target.lower() == "xml":
-                    if start == 0:
-                        self.prolog = node
-                    else:
-                        self.violate(3, start, "XML declaration must be at "
-                                     "the start of the document")
-                    continue
-                if not (target[0].isalpha() or target[0] in "_:"):
-                    self.violate(7, start,
-                                 f"invalid instruction target {target!r}")
-            elif lead == "<!":
-                if text.startswith("--", pos + 2):
-                    end = text.find("-->", pos + 4)
-                    if end < 0:
-                        self.syntax(start, "unterminated comment")
-                        continue
-                    pos = end + 3
-                    node = XmlNode(NodeKind.COMMENT, "", [],
-                                   text[start + 4:end], [])
-                elif text.startswith("[CDATA[", pos + 2):
-                    end = text.find("]]>", pos + 9)
-                    if end < 0:
-                        self.syntax(start, "unterminated CDATA section")
-                        continue
-                    pos = end + 3
-                    node = XmlNode(NodeKind.CDATA, "", [],
-                                   text[start + 9:end], [])
-                else:
-                    # an opaque declaration; '<'/'>' depth covers internal
-                    # subsets
-                    depth = 1
-                    for m in _ANGLES.finditer(text, pos + 2):
-                        depth += 1 if m[0] == "<" else -1
-                        if not depth:
-                            break
-                    else:
-                        self.syntax(start, "unterminated '<!' declaration")
-                        continue
-                    pos = m.end()
-                    if not stack:
-                        # no slot for a doctype in the document model
-                        self.violate(1, start,
-                                     "declaration outside the root element")
-                        continue
-                    node = XmlNode(NodeKind.DTD, "", [],
-                                   text[start + 2:m.start()], [])
+                    stop = "unterminated comment"
+                    break
+                pos = end + 3
+                node = XmlNode(_COMMENT, "", [], text[start + 4:end], [])
+            elif text.startswith("[CDATA[", pos + 2):
+                end = text.find("]]>", pos + 9)
+                if end < 0:
+                    stop = "unterminated CDATA section"
+                    break
+                pos = end + 3
+                node = XmlNode(_CDATA, "", [], text[start + 9:end], [])
             else:
-                m = open_tag(text, pos)
-                name = m[1]
-                if not name:
-                    self.syntax(start, "bare '<' does not start markup")
-                    continue
-                if not (name[0].isalpha() or name[0] in "_:"):
-                    self.violate(7, pos + 1, f"invalid element name {name!r}")
-                pos = m.end()
-                attrs: list[Attribute] = []
-                seen: Optional[set[str]] = None  # made at a second attribute
-                end = m[2]  # '>' or '/>' once read
-                while end is None:
-                    m = attr(text, pos)
-                    end, aname, quote, value = m.groups()
-                    pos = m.end()
-                    if end:
+                # an opaque declaration; '<'/'>' depth covers internal
+                # subsets
+                depth = 1
+                for m in _ANGLES.finditer(text, pos + 2):
+                    depth += 1 if m[0] == "<" else -1
+                    if not depth:
                         break
-                    off = m.start(2)
-                    if not aname:
-                        if off == n:
-                            # attached but not opened, as after '/>'
-                            self.syntax(off, "unterminated start tag")
-                            end = "/>"
-                            break
-                        # in collecting mode, skip the character and read on
-                        self.syntax(off, f"unexpected {text[off]!r} in tag")
-                        pos = off + 1
-                        continue
-                    if not (aname[0].isalpha() or aname[0] in "_:"):
-                        self.violate(7, off, f"invalid attribute name {aname!r}")
-                    if quote is not None:
-                        # an empty quote is '=' at the end of input
-                        close = text.find(quote, pos) if quote else -1
-                        if close < 0:
-                            self.syntax(off, "unterminated attribute value")
-                            end = "/>"
-                            break
-                        value = text[pos:close]
-                        if "&" in value:
-                            self.scan_amps(value, pos)
-                        pos = close + 1
-                    elif value is not None:
-                        self.violate(6, m.start(4),
-                                     "attribute value must be quoted")
-                    if attrs:
-                        if seen is None:
-                            seen = {attrs[0][0]}
-                        if aname in seen:
-                            self.violate(6, off,
-                                         f"duplicate attribute {aname!r}")
-                            continue
-                        seen.add(aname)
-                    attrs.append((aname, value))
-                node = XmlNode(_ELEMENT, name, attrs, "", [])
-                if stack:
-                    stack[-1].children.append(node)
                 else:
-                    self.attach(node, start)
-                if end == ">":
-                    below.append((name, nearest.get(name, -1)))
-                    nearest[name] = len(stack)
-                    stack.append(node)
-                continue
+                    stop = "unterminated '<!' declaration"
+                    break
+                pos = m.end()
+                if not stack:
+                    # no slot for a doctype in the document model
+                    record(Violation(1, start,
+                                     "declaration outside the root element"))
+                    continue
+                node = XmlNode(_DTD, "", [], text[start + 2:m.start()], [])
+        else:
+            m = open_tag(text, pos)
+            name = m[1]
+            if not name:
+                stop = "bare '<' does not start markup"
+                break
+            if not (name[0].isalpha() or name[0] in "_:"):
+                record(Violation(7, pos + 1, f"invalid element name {name!r}"))
+            pos = m.end()
+            attrs: list[Attribute] = []
+            seen: Optional[set[str]] = None  # made at a second attribute
+            end = m[2]  # '>' or '/>' once read
+            while end is None:
+                m = attr(text, pos)
+                end, aname, quote, value = m.groups()
+                pos = m.end()
+                if end:
+                    break
+                off = m.start(2)
+                if not aname:
+                    fatal = True
+                    if off == n:
+                        # attached but not opened, as after '/>'
+                        record(Violation(None, off, "unterminated start tag"))
+                        end = "/>"
+                        break
+                    # skip the character and read on to the tag's end
+                    record(Violation(None, off,
+                                     f"unexpected {text[off]!r} in tag"))
+                    pos = off + 1
+                    continue
+                if not (aname[0].isalpha() or aname[0] in "_:"):
+                    record(Violation(7, off,
+                                     f"invalid attribute name {aname!r}"))
+                if quote is not None:
+                    # an empty quote is '=' at the end of input
+                    close = text.find(quote, pos) if quote else -1
+                    if close < 0:
+                        record(Violation(None, off,
+                                         "unterminated attribute value"))
+                        fatal = True
+                        end = "/>"
+                        break
+                    value = text[pos:close]
+                    if "&" in value:
+                        for a in _BARE_AMP.finditer(text, pos, close):
+                            record(Violation(8, a.start(), _BARE_AMP_MESSAGE))
+                    pos = close + 1
+                elif value is not None:
+                    record(Violation(6, m.start(4),
+                                     "attribute value must be quoted"))
+                if attrs:
+                    if seen is None:
+                        seen = {attrs[0][0]}
+                    if aname in seen:
+                        record(Violation(6, off,
+                                         f"duplicate attribute {aname!r}"))
+                        continue
+                    seen.add(aname)
+                attrs.append((aname, value))
+            node = XmlNode(_ELEMENT, name, attrs, "", [])
             if stack:
                 stack[-1].children.append(node)
+            elif root is None:
+                root = node
             else:
-                self.attach(node, start)
-        for node in reversed(stack):
-            self.violate(2, n, f"<{node.name}> is never closed")
-        if self.root is None and not self.fatal:
-            self.violate(1, n, "no root element")
+                record(Violation(1, start, _OUTSIDE_ROOT_MESSAGE))
+            if end == ">":
+                below.append(nearest.get(name, -1))
+                nearest[name] = len(stack)
+                stack.append(node)
+            continue
+        if stack:
+            stack[-1].children.append(node)
+        elif not (node.kind is _TEXT and node.is_whitespace_text()):
+            # only the declaration and the root element stand at the top
+            record(Violation(1, start, _OUTSIDE_ROOT_MESSAGE))
+    if stop:
+        record(Violation(None, start, stop))
+    for node in reversed(stack):
+        record(Violation(2, n, f"<{node.name}> is never closed"))
+    if root is None and not (stop or fatal):
+        record(Violation(1, n, "no root element"))
+    return prolog, root, violations
 
 
 def parse_xml(text: str) -> XmlDocument:
-    """Parse an XML string, raising on the first violation or syntax error.
+    """Parse an XML string, raising the first violation check_well_formed
+    reports: XmlSyntaxError for a syntax error, WellFormednessError for a
+    broken rule.
 
     Whitespace-only text nodes between elements are kept in the tree; the
     encoder decides whether they are significant.
     """
-    p = _Parser(text, collect=False)
-    p.run()
-    assert p.root is not None
-    return XmlDocument(p.root, p.prolog)
+    prolog, root, violations = _scan(text)
+    if violations:
+        v = violations[0]
+        if v.rule is None:
+            raise XmlSyntaxError(v.offset, v.message)
+        raise WellFormednessError(v.rule, v.offset, v.message)
+    return XmlDocument(root, prolog)
 
 
 def check_well_formed(text: str) -> WellFormednessReport:
     """Collect well-formedness violations without raising.
 
-    The report is empty exactly when parse_xml would succeed.
+    The report is empty exactly when parse_xml succeeds, and its first
+    violation is the one parse_xml raises.
     """
-    p = _Parser(text, collect=True)
-    p.run()
-    return WellFormednessReport(p.violations)
+    return WellFormednessReport(_scan(text)[2])
 
 
 def serialize_attribute(attr: Attribute) -> str:

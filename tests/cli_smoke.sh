@@ -59,3 +59,15 @@ printf '<a><b></a>' | xstring check > report.txt 2> err.txt || status=$?
 test "$status" = 1
 test "$(cat report.txt)" = 'rule 4 at offset 6: close tag </a> overlaps <b>'
 test ! -s err.txt
+# the parser's one scan: check lists every violation, and encode fails
+# on the first of them with one labelled line
+printf '<a x=1><b></a>' > bad.xml
+status=0
+xstring check < bad.xml > report.txt || status=$?
+test "$status" = 1
+printf 'rule 6 at offset 5: attribute value must be quoted\nrule 4 at offset 10: close tag </a> overlaps <b>\n' | cmp - report.txt
+status=0
+xstring encode < bad.xml > enc.xs 2> err.txt || status=$?
+test "$status" = 1
+test "$(cat err.txt)" = 'wellformedness: rule 6 at offset 5: attribute value must be quoted'
+test "$(wc -l < err.txt)" = 1

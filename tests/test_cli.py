@@ -2,6 +2,7 @@
 
 import io
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,12 +10,15 @@ from pathlib import Path
 import pytest
 
 import xstring
-from xstring import cli, metrics
+from xstring import cli, codec, metrics
 from xstring import (EncodeOptions, EscapeMode, build_substitution, decode,
                      encode, expand_substitution, pack_envelope, parse_xml,
                      render, serialize_xml, to_child_depth, tokenize)
 from xstring.cli import main
+from xstring.codec import DecodeState
+from xstring.xml_model import walk
 
+import corpus as fixtures
 from corpus import (
     PROPERTIES_XML,
     PROPERTIES_XS,
@@ -25,6 +29,7 @@ from corpus import (
     SUBST_KEYED_XS,
     SUBST_PLAIN_XS,
 )
+from test_encoder_walk import _inject
 
 
 def write(tmp_path, name, text):
@@ -251,6 +256,74 @@ def test_stats_parses_its_input_once(tmp_path, capsys, monkeypatch):
     assert main(["stats", src]) == 0
     assert "xml_chars=50" in capsys.readouterr().out
     assert calls == 1
+
+
+TABLE_XML = "<TABLE>" + "".join(
+    f'<RECORD ID="{i}"><NAME>n{i}</NAME><CITY>c</CITY></RECORD>'
+    for i in range(200)) + "</TABLE>"
+
+
+@pytest.mark.parametrize("flags", [[], ["--subst-threshold", "4"]])
+def test_stats_verifies_its_stream_once(tmp_path, capsys, monkeypatch, flags):
+    # measure is the one check of the stream stats writes: one decode feed
+    # per token, where encode's own check made a second, and the report
+    # measure gives for encode's checked stream
+    stream = encode(parse_xml(TABLE_XML))
+    if flags:
+        _, stream = build_substitution(stream, 4)
+    want = metrics.measure(TABLE_XML, stream).as_kv() + "\n"
+    feeds = 0
+    feed = DecodeState.feed
+
+    def counted(self, tok):
+        nonlocal feeds
+        feeds += 1
+        feed(self, tok)
+
+    monkeypatch.setattr(DecodeState, "feed", counted)
+    src = write(tmp_path, "in.xml", TABLE_XML)
+    assert main(["stats", src, *flags]) == 0
+    assert capsys.readouterr().out == want
+    assert feeds == len(stream.tokens)
+
+
+def test_stats_reports_an_unwritable_tree_on_one_line(tmp_path, capsys,
+                                                      monkeypatch):
+    # a node the emitter refuses, injected as test_encoder_walk does:
+    # stats fails with encode's error
+    rng = random.Random(7)
+    src = write(tmp_path, "in.xml", "<r/>")
+    checked = 0
+    for doc in fixtures.corpus()[:40]:
+        doc = doc.copy()
+        _inject(rng.choice([node for node, _, _ in walk(doc.root)]), rng)
+        try:
+            encode(doc)
+            continue  # the injection missed, e.g. an element's content
+        except xstring.Unencodable as e:
+            want = f"encode: {e}\n"
+        monkeypatch.setattr(cli, "parse_xml", lambda text: doc)
+        assert main(["stats", src]) == 1
+        assert capsys.readouterr().err == want
+        checked += 1
+    assert checked > 10
+
+
+def test_stats_reports_a_stream_fault_on_one_line(tmp_path, capsys,
+                                                  monkeypatch):
+    # an emitter that writes a stream of another document: measure, the
+    # one check, refuses it
+    emit_sibling = codec._emit_safe_sibling
+
+    def faulty(doc, escaping, drop, tokens):
+        emit_sibling(doc, escaping, drop, tokens)
+        tokens.pop()
+
+    monkeypatch.setattr(codec, "_emit_safe_sibling", faulty)
+    src = write(tmp_path, "in.xml", ROWS_MIXED_XML)
+    assert main(["stats", src]) == 1
+    assert capsys.readouterr().err == (
+        "measure: the stream does not encode this document\n")
 
 
 def test_check_ok(tmp_path, capsys):
