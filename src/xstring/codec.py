@@ -18,10 +18,10 @@ Decoding is a single pass over the tokens with a stack of open elements:
 DecodeState.feed reads each token in its own frame: it resolves key
 references, applies the attribute rules, builds a data node's fields and
 opens an element inline.  Of its own methods, a node costs only its
-sink's _node and _attach.  The rare paths are helpers: the pop of elements
-whose depth ran out, called only when the top's lowest close count is due,
-and the close-back checks, called only when some open element has a depth
-marker.
+sink's _node, which is handed the node's parent.  The rare paths are
+helpers: the pop of elements whose depth ran out, called only when the
+top's lowest close count is due, and the close-back checks, called only
+when some open element has a depth marker.
 
 Safe-sibling encoding emits the tree in one pass, writing every later
 element child as a sibling token, and keeps the stack of open elements the
@@ -56,13 +56,13 @@ element; a name, attributes or children on a data node other than an
 instruction's name) cannot be written either.
 
 The sibling form is then checked without building a tree.  The decoder's
-core reads the stream and hands each node's kind, name, content and
-attribute list to a two-method sink whose open elements are the caller's
-own nodes.  Its _node takes the next node written_nodes yields, in
-document order, which must have the kind, name and content the core read,
-and the attributes the core gave it by the next node or the end; its
-_attach requires that node's parent in the caller's tree to be the
-innermost open element.  The check needs nothing from the emitter but its
+core reads the stream and hands each node's kind, name, content,
+attribute list and parent, the innermost open element, to a one-method
+sink whose open elements are the caller's own nodes.  Its _node takes the
+next node written_nodes yields, in document order, which must have the
+kind, name and content the core read, the attributes the core gave it by
+the next node or the end, and as its parent in the caller's tree the
+parent the core passed.  The check needs nothing from the emitter but its
 tokens, and it is exact.  Decoding makes one node per element or data
 token, in stream order, from that token and the attribute tokens after
 it, and puts it under the innermost open element, so the decoded nodes
@@ -76,14 +76,14 @@ stream the core rejects raises Unencodable as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import inf
 from typing import Iterator, Optional
 
 from .errors import BadArgument, XStringError
 from .grammar import (NUL, PREFIX_CHARS, WHITESPACE, EscapeMode, PrefixKind,
                       XsDocument, XsToken, name_fault, reads_as_key)
-from .xml_model import (Attribute, NodeKind, OpenStack, XmlDocument, XmlNode,
-                        walk)
+from .xml_model import Attribute, NodeKind, XmlDocument, XmlNode, walk
 
 
 class EncodeMode:
@@ -157,6 +157,31 @@ class OpenEntry:
     low: float  # smallest close at or below this entry, inf when none
 
 
+class OpenStack(list):
+    """Open elements, outermost first, plus nearest: name -> index of the
+    topmost open element with that name, or -1.  The decoder keeps one,
+    and the sibling emitter keeps the one the decoder will hold."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.nearest: dict[str, int] = {}
+        self._below: list[tuple[str, int]] = []
+
+    def push(self, name: str, entry) -> None:
+        self._below.append((name, self.nearest.get(name, -1)))
+        self.nearest[name] = len(self)
+        self.append(entry)
+
+    def pop(self):
+        name, below = self._below.pop()
+        self.nearest[name] = below
+        return super().pop()
+
+    def truncate(self, size: int) -> None:
+        while len(self) > size:
+            self.pop()
+
+
 _DATA_KINDS = {NodeKind.COMMENT: PrefixKind.COMMENT,
                NodeKind.CDATA: PrefixKind.CDATA, NodeKind.DTD: PrefixKind.DTD}
 # the node kind of each data token but an instruction
@@ -184,13 +209,13 @@ class DecodeState:
     kind, name and content of each node and the attribute list of the
     element opened last.  Only the rare paths leave that frame:
     _close_exhausted when the top's low is due, _check_close_back when a
-    sibling may cut a depth short, and _unfilled for their messages.  Two
-    sink methods, the only ones a node calls, take it from there:
-    _node(kind, name, content, attrs) makes the node, with attrs the list
-    the core goes on filling, and _attach(node) places it under the
-    innermost open element.  A sink sees a node only once the core has
-    accepted its token, so on the token the core rejects, the core's error
-    comes first.  The ones here build the tree decode returns."""
+    sibling may cut a depth short, and _unfilled for their messages.  One
+    sink method, the only one a node calls, takes it from there:
+    _node(kind, name, content, attrs, parent) makes the node, with attrs
+    the list the core goes on filling and parent the innermost open
+    element's node, None for the root and the prolog.  A sink sees a node
+    only once the core has accepted its token, so the core's error comes
+    first.  The one here builds the tree decode returns."""
 
     def __init__(self):
         self.open_stack = OpenStack()
@@ -211,11 +236,11 @@ class DecodeState:
     # -- tree sink ----------------------------------------------------------
 
     def _node(self, kind: NodeKind, name: str, content: str,
-              attrs: list[Attribute]) -> XmlNode:
-        return XmlNode(kind, name, attrs, content)
-
-    def _attach(self, node: XmlNode) -> None:
-        self.open_stack[-1].node.children.append(node)
+              attrs: list[Attribute], parent: Optional[XmlNode]) -> XmlNode:
+        node = XmlNode(kind, name, attrs, content)
+        if parent is not None:
+            parent.children.append(node)
+        return node
 
     # -- rare paths ---------------------------------------------------------
 
@@ -295,12 +320,12 @@ class DecodeState:
                     if self.root is None:
                         if node_kind is _PROC_INSTR and self.prolog is None:
                             self.prolog = self._node(node_kind, name, content,
-                                                     [])
+                                                     [], None)
                             return
                         raise BadStreamStart(
                             "stream must start with a child element")
                     raise ContentAfterRoot("data after the root closed")
-                self._attach(self._node(node_kind, name, content, []))
+                self._node(node_kind, name, content, [], stack[-1].node)
                 self._attached += 1
                 return
         # a name: a key binder stores it, a key reference looks it up
@@ -343,9 +368,9 @@ class DecodeState:
             stack.truncate(idx)
         # open the element
         attrs: list[Attribute] = []
-        elem = self._node(_ELEMENT, name, "", attrs)
+        elem = self._node(_ELEMENT, name, "", attrs,
+                          stack[-1].node if stack else None)
         if stack:
-            self._attach(elem)
             self._attached += 1
             low = stack[-1].low
         else:
@@ -385,11 +410,12 @@ def written_nodes(doc: XmlDocument, drop: bool
                   ) -> Iterator[tuple[XmlNode, Optional[XmlNode], int]]:
     """Each node an encoding of doc writes, in document order, with its
     parent in doc (None for the prolog and the root) and its number of
-    ancestors.  Whitespace-only text without children is skipped when drop
-    is set; with children it is written, and refused as a data node."""
-    if doc.prolog is not None:
-        yield doc.prolog, None, 0
-    yield from walk(doc.root, drop)
+    ancestors: walk's own iterator, behind the prolog when there is one.
+    Whitespace-only text without children is skipped when drop is set;
+    with children it is written, and refused as a data node."""
+    if doc.prolog is None:
+        return walk(doc.root, drop)
+    return chain([(doc.prolog, None, 0)], walk(doc.root, drop))
 
 
 class Verifier(DecodeState):
@@ -399,30 +425,26 @@ class Verifier(DecodeState):
     Each element and data token takes the next node the caller's tree
     writes, in document order, and must carry its kind, name and content;
     the open entries hold the caller's elements, so a node lands under its
-    parent exactly when that parent is the innermost entry.  The attribute
+    parent exactly when the core passes that parent.  The attribute
     list the core fills for a node is compared with the node's own once
     the next node or the end comes."""
 
     def __init__(self, doc: XmlDocument, drop: bool):
         super().__init__()
         self._written = written_nodes(doc, drop)
-        self._parent: Optional[XmlNode] = None
         # the attributes the stream gave the last node, and the node's own
         self._got: list[Attribute] = []
         self._want: list[Attribute] = []
 
     def _node(self, kind: NodeKind, name: str, content: str,
-              attrs: list[Attribute]) -> XmlNode:
-        node, self._parent, _ = next(self._written, (None, None, 0))
+              attrs: list[Attribute], parent: Optional[XmlNode]) -> XmlNode:
+        node, written_parent, _ = next(self._written, (None, None, 0))
         if (self._got != self._want or node is None or node.kind is not kind
-                or node.name != name or node.content != content):
+                or node.name != name or node.content != content
+                or parent is not written_parent):
             raise Unencodable(_NOT_DECODED)
         self._got, self._want = attrs, node.attributes
         return node
-
-    def _attach(self, node: XmlNode) -> None:
-        if self.open_stack[-1].node is not self._parent:
-            raise Unencodable(_NOT_DECODED)
 
     def finish(self) -> XmlDocument:
         got = super().finish()
@@ -508,7 +530,9 @@ def _data_token(node: XmlNode, escaping: EscapeMode,
     elif node.kind in _DATA_KINDS:
         kind = _DATA_KINDS[node.kind]
     else:
-        name = _writable_name(node.name, node.kind.value)
+        name = node.name  # data up to its first whitespace, not a name
+        if not name or NUL in name or WHITESPACE.search(name):
+            raise Unencodable(f"pi name {name!r} cannot be written")
         kind = PrefixKind.PROC_INSTR
         content = f"{name} {content}" if content else name
     tokens.append(XsToken.unchecked(kind, content))

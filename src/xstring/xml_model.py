@@ -125,31 +125,6 @@ def walk(root: XmlNode, drop: bool = False
             stack.pop()
 
 
-class OpenStack(list):
-    """Open elements, outermost first, plus nearest: name -> index of the
-    topmost open element with that name, or -1.  The parser and the decoder
-    keep one, and the sibling encoder keeps the one the decoder will hold."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.nearest: dict[str, int] = {}
-        self._below: list[tuple[str, int]] = []
-
-    def push(self, name: str, entry) -> None:
-        self._below.append((name, self.nearest.get(name, -1)))
-        self.nearest[name] = len(self)
-        self.append(entry)
-
-    def pop(self):
-        name, below = self._below.pop()
-        self.nearest[name] = below
-        return super().pop()
-
-    def truncate(self, size: int) -> None:
-        while len(self) > size:
-            self.pop()
-
-
 @dataclass
 class XmlDocument:
     root: XmlNode

@@ -15,6 +15,10 @@ xstring decode cr.xs | cmp - cr.xml
 xstring decode < cr.xs | cmp - cr.xml
 PYTHONIOENCODING=latin-1 xstring decode cr.xs | cmp - cr.xml
 PYTHONIOENCODING=latin-1 xstring decode < cr.xs | cmp - cr.xml
+# an instruction target of digits is data, not a key reference: it is
+# written back as it was read, also through the packed form
+test "$(printf '/r?0' | xstring canon)" = '/r+1?0'
+test "$(printf '/r?0' | xstring pack | xstring unpack | xstring canon)" = '/r+1?0'
 # stats with the whitespace between elements dropped and kept
 printf '<r>\n  <a x="1"/>\n  <b>t</b>\n</r>\n' > ws.xml
 xstring stats < ws.xml > drop.kv

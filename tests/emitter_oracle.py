@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from xstring.codec import (EncodeMode, EncodeOptions, Unencodable,
+from xstring.codec import (EncodeMode, EncodeOptions, OpenStack, Unencodable,
                            _data_token, _element_tokens, _verify)
 from xstring.grammar import EscapeMode, PrefixKind, XsDocument, XsToken
-from xstring.xml_model import NodeKind, OpenStack, XmlDocument, XmlNode
+from xstring.xml_model import NodeKind, XmlDocument, XmlNode
 
 from walk_oracle import walk
 

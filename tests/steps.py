@@ -1,5 +1,6 @@
-"""Step and node counts: measures of the package's work that do not depend
-on the speed of the machine, shared by the linearity and no-tree tests."""
+"""Step, call and node counts: measures of the package's work that do not
+depend on the speed of the machine, shared by the linearity, call-count
+and no-tree tests."""
 
 import sys
 from pathlib import Path
@@ -38,6 +39,21 @@ def lines_run(fn, *args, limit: Optional[int] = None) -> int:
     finally:
         sys.settrace(before)
     return lines
+
+
+def python_calls(fn) -> int:
+    """Python function calls made while fn runs, counted by a profiler."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+    sys.setprofile(count)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
 
 
 def nodes_built(monkeypatch, fn) -> int:

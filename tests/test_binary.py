@@ -34,8 +34,8 @@ from xstring.transforms import build_substitution
 
 from binary_oracle import oracle_pack, oracle_unpack
 from corpus import corpus
+from steps import python_calls
 from test_grammar import _token_lists
-from test_token_invariants import python_calls
 
 
 def doc_of(*tokens):

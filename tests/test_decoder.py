@@ -1,12 +1,14 @@
 """The close-count decoder against the budget-counter decoder it replaced."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from xstring import (
     AttrAfterContent,
     BudgetConflict,
     BudgetOverrun,
+    DanglingAttr,
+    DecodeError,
     DuplicateAttr,
     EncodeMode,
     EncodeOptions,
@@ -17,12 +19,13 @@ from xstring import (
     decode,
     encode,
     structural_equal,
+    to_child_depth,
     tokenize,
 )
 
 import corpus as fixtures
 from decoder_oracle import oracle_decode
-from test_token_invariants import python_calls
+from steps import python_calls
 
 
 def outcome(decoder, doc):
@@ -72,7 +75,8 @@ _DATA = st.one_of(
     *[_one(kind, ["t", "u"]) for kind in (
         PrefixKind.TEXT, PrefixKind.TEXT_DUAL, PrefixKind.COMMENT,
         PrefixKind.CDATA, PrefixKind.DTD)],
-    _one(PrefixKind.PROC_INSTR, ["p", "p x", "p", "p x", "", " x"]))
+    _one(PrefixKind.PROC_INSTR,
+         ["p", "p x", "p", "p x", "", " x", "0", "12 x"]))
 
 # Chunks keep most streams valid for long enough that depth markers,
 # sibling closures and attributes interact; a lone value, an element
@@ -101,6 +105,28 @@ def test_random_streams_match_oracle(tokens):
     assert_same(XsDocument(tokens, EscapeMode.ENTITY))
 
 
+@settings(max_examples=300, deadline=None)
+@given(_STREAMS)
+@example(tokenize("/r?0").tokens)
+@example(tokenize("/r?12 x").tokens)
+def test_decoded_streams_encode_again(tokens):
+    # whatever decode accepts, the canonical rewrite and both encodings
+    # write back; an instruction target of digits is data, not a key
+    xs = XsDocument(tokens, EscapeMode.ENTITY)
+    try:
+        doc = decode(xs)
+    except DecodeError:
+        return
+    canon = to_child_depth(xs)
+    assert all(tok.kind is not PrefixKind.SIBLING for tok in canon.tokens)
+    assert structural_equal(decode(canon), doc, whitespace_significant=True)
+    for mode in (EncodeMode.SAFE_SIBLING, EncodeMode.CANONICAL):
+        again = encode(doc, EncodeOptions(
+            mode=mode, drop_insignificant_whitespace=False))
+        assert structural_equal(decode(again), doc,
+                                whitespace_significant=True)
+
+
 @pytest.mark.parametrize("wire, error", [
     ("/a+1/b+5't", BudgetOverrun),
     ("/r/a/b+3|a", BudgetConflict),
@@ -121,6 +147,7 @@ def test_budget_cases_match_oracle(wire, error):
     ("/a@x/b+0't@x", AttrAfterContent),
     ("/a@x/b@x|b@x", None),
     ("/r/a@x/b@x|a@x@x", DuplicateAttr),
+    ("=v", DanglingAttr),
 ])
 def test_attribute_cases_match_oracle(wire, error):
     # an attribute for any element but the one opened last finds it
@@ -158,12 +185,13 @@ def test_corpus_streams_match_oracle(mode, escaping):
 @pytest.mark.parametrize("mode", [EncodeMode.SAFE_SIBLING,
                                   EncodeMode.CANONICAL])
 def test_decode_makes_few_python_calls_per_token(mode):
-    # feed reads each token in its own frame, and only the sink's _node and
-    # _attach, the node's and open entry's constructors and the stack's push
-    # and pop are calls: about 3.6 calls per token on these streams, where
-    # a handler, name resolution and open per token made 6.3
+    # feed reads each token in its own frame, and only the sink's _node,
+    # which is handed the parent, the node's and open entry's constructors
+    # and the stack's push and pop are calls: about 3.2 calls per token on
+    # these streams, where a second sink call per node made 3.6 and a
+    # handler, name resolution and open per token made 6.3
     streams = [encode(doc, EncodeOptions(mode=mode))
                for doc in fixtures.corpus()]
     calls = python_calls(lambda: [decode(xs) for xs in streams])
     tokens = sum(len(xs.tokens) for xs in streams)
-    assert calls / tokens <= 4.0
+    assert calls / tokens <= 3.4

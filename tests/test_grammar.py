@@ -277,6 +277,10 @@ def test_token_validation():
         XsToken(PrefixKind.DEPTH)
     with pytest.raises(ValueError):
         XsToken(PrefixKind.CHILD, "X", depth=-1)
+    with pytest.raises(ValueError, match="depth on a non-element token"):
+        XsToken(PrefixKind.ATTR_NAME, "a", depth=1)
+    with pytest.raises(ValueError, match="negative key"):
+        XsToken(PrefixKind.CHILD, "a", subst_key=-1)
     # non-ASCII digits do not read back as keys, so they are allowed
     XsToken(PrefixKind.CHILD, "١٢")
 

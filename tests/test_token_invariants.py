@@ -7,8 +7,6 @@ the tokenizer and the renderer make per token: cost guards that read no
 clock.
 """
 
-import sys
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,6 +15,7 @@ from xstring import (EncodeMode, EncodeOptions, EscapeMode, SubstitutionTable,
                      expand_substitution, render, tokenize)
 
 import corpus as fixtures
+from steps import python_calls
 from test_grammar import _token_lists
 
 
@@ -67,21 +66,6 @@ def test_table_names_keep_the_public_checks():
     # fails as it would in XsToken(...)
     with pytest.raises(ValueError, match="whitespace"):
         expand_substitution(tokenize("/0"), SubstitutionTable(["a b"]))
-
-
-def python_calls(fn):
-    """Python function calls made while fn runs, counted by a profiler."""
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        calls += event == "call"
-    sys.setprofile(count)
-    try:
-        fn()
-    finally:
-        sys.setprofile(None)
-    return calls
 
 
 def test_tokenize_makes_few_python_calls_per_token():

@@ -219,6 +219,13 @@ def test_structural_equal_prolog():
     assert not structural_equal(a, b)
 
 
+def test_structural_equal_compares_prologs():
+    a = parse_xml('<?xml version="1.0"?><A/>')
+    b = parse_xml('<?xml version="1.1"?><A/>')
+    assert not structural_equal(a, b)
+    assert structural_equal(a, a.copy())
+
+
 def test_node_copy_is_deep():
     doc = parse_xml('<A x="1"><B/></A>')
     dup = doc.copy()

@@ -13,7 +13,7 @@ from xstring.xml_model import _NAME_RUN, walk
 import corpus as fixtures
 from parser_oracle import (_is_name_char, oracle_check_well_formed,
                            oracle_parse_xml)
-from test_token_invariants import python_calls
+from steps import python_calls
 
 # XML whitespace, a non-ASCII letter and a non-XML space test the patterns'
 # whitespace and name classes
