@@ -39,11 +39,11 @@ subtree still open above p.  Two local rules keep it so:
 Canonical encoding skips sibling tokens entirely and gives every element
 an explicit depth, set when the first node not below it comes.
 
-written_nodes is the one statement of what an encoding writes and in what
-order: the prolog, then what xml_model.walk yields from the root, every
-node in document order less the insignificant whitespace-only text
-leaves, each with its parent and its number of ancestors.  Both emitters
-and the verifier read it.  encode refuses a prolog that is not an
+xml_model.walk(doc, drop) is the one statement of what an encoding
+writes and in what order: the prolog, when there is one, then the root's
+tree, every node in document order less the insignificant whitespace-only
+text leaves, each with its parent and its number of ancestors.  Both
+emitters and the verifier read it.  encode refuses a prolog that is not an
 instruction and a root that is not an element; the emitters check each
 other node as they write it, so the first node in document order that
 cannot be written raises Unencodable.  A data node with children raises
@@ -59,7 +59,7 @@ The sibling form is then checked without building a tree.  The decoder's
 core reads the stream and hands each node's kind, name, content,
 attribute list and parent, the innermost open element, to a one-method
 sink whose open elements are the caller's own nodes.  Its _node takes the
-next node written_nodes yields, in document order, which must have the
+next node walk(doc, drop) yields, in document order, which must have the
 kind, name and content the core read, the attributes the core gave it by
 the next node or the end, and as its parent in the caller's tree the
 parent the core passed.  The check needs nothing from the emitter but its
@@ -69,16 +69,15 @@ it, and puts it under the innermost open element, so the decoded nodes
 come out in document order.  The check pairs them one to one with the
 caller's nodes in document order, with equal fields and corresponding
 parents, and leaves no node unpaired.  That holds exactly when the stream
-decodes to the caller's tree, less the whitespace written_nodes skips.  A
+decodes to the caller's tree, less the whitespace the walk skips.  A
 stream the core rejects raises Unencodable as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from math import inf
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import BadArgument, XStringError
 from .grammar import (NUL, PREFIX_CHARS, WHITESPACE, EscapeMode, PrefixKind,
@@ -406,18 +405,6 @@ def decode(doc: XsDocument) -> XmlDocument:
 _NOT_DECODED = "encoded stream does not decode to the document"
 
 
-def written_nodes(doc: XmlDocument, drop: bool
-                  ) -> Iterator[tuple[XmlNode, Optional[XmlNode], int]]:
-    """Each node an encoding of doc writes, in document order, with its
-    parent in doc (None for the prolog and the root) and its number of
-    ancestors: walk's own iterator, behind the prolog when there is one.
-    Whitespace-only text without children is skipped when drop is set;
-    with children it is written, and refused as a data node."""
-    if doc.prolog is None:
-        return walk(doc.root, drop)
-    return chain([(doc.prolog, None, 0)], walk(doc.root, drop))
-
-
 class Verifier(DecodeState):
     """Decodes a stream onto the caller's own tree, building none; encode
     checks its sibling form with it and metrics.measure any stream.
@@ -431,7 +418,7 @@ class Verifier(DecodeState):
 
     def __init__(self, doc: XmlDocument, drop: bool):
         super().__init__()
-        self._written = written_nodes(doc, drop)
+        self._written = walk(doc, drop)
         # the attributes the stream gave the last node, and the node's own
         self._got: list[Attribute] = []
         self._want: list[Attribute] = []
@@ -469,7 +456,7 @@ def _verify(doc: XmlDocument, drop: bool, tokens: list[XsToken]) -> None:
 
 def descendant_count(node: XmlNode) -> int:
     """Nodes in the subtree below node, attributes excluded."""
-    return sum(1 for _ in walk(node)) - 1
+    return sum(1 for _ in walk((node,))) - 1
 
 
 def _nul_free(s: str) -> str:
@@ -544,7 +531,7 @@ def _emit_canonical(doc: XmlDocument, escaping: EscapeMode, drop: bool,
     # depth is the number of nodes emitted before the first one not below it
     open_elems: list[tuple[XsToken, int]] = []
     emitted = 0
-    for node, _, depth in written_nodes(doc, drop):
+    for node, _, depth in walk(doc, drop):
         while len(open_elems) > depth:
             tok, start = open_elems.pop()
             tok.depth = emitted - start
@@ -577,7 +564,7 @@ def _emit_safe_sibling(doc: XmlDocument, escaping: EscapeMode, drop: bool,
             tok.depth = attached - start
             stack.truncate(p + 1)
 
-    for node, _, depth in written_nodes(doc, drop):
+    for node, _, depth in walk(doc, drop):
         p = depth - 1  # stack index of the node's parent, -1 for none
         if node.kind is not _ELEMENT:
             close_above(p)

@@ -150,8 +150,6 @@ class XsToken:
                 raise BadArgument("payload must not contain NUL")
             if self.subst_key is not None:
                 raise BadArgument("key on a non-name token")
-            if self.depth is not None:
-                raise BadArgument("depth on a non-element token")
         if self.depth is not None:
             if self.kind not in (PrefixKind.CHILD, PrefixKind.SIBLING):
                 raise BadArgument("depth on a non-element token")

@@ -20,12 +20,12 @@ from itertools import chain, pairwise
 from typing import Iterator, Optional
 
 from .binary import pack_envelope
-from .codec import Unencodable, Verifier, encode, written_nodes
+from .codec import Unencodable, Verifier, encode
 from .errors import BadArgument, XStringError
 from .grammar import (WHITESPACE, PrefixKind, XsDocument, XsToken, render,
                       render_token)
 from .xml_model import (Attribute, NodeKind, XmlDocument, XmlNode, parse_xml,
-                        serialize_attribute, serialize_xml)
+                        serialize_attribute, serialize_xml, walk)
 
 
 class ConstructKind(enum.Enum):
@@ -174,7 +174,7 @@ def measure(xml_text: str, xs: XsDocument,
                         xsb_bytes=len(pack_envelope(xs)), xml_overhead=0)
     # each node the stream holds, in order, with the parent of the next
     # one, which is the node itself exactly when it has a child
-    written = pairwise(chain(written_nodes(source, drop), [(None, None, 0)]))
+    written = pairwise(chain(walk(source, drop), [(None, None, 0)]))
     attrs: Iterator[Attribute] = iter(())
     for tok in xs.tokens:
         if tok.kind is PrefixKind.ATTR_VALUE:

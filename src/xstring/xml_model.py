@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import zip_longest
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import XStringError
 
@@ -91,7 +91,7 @@ class XmlNode:
 
     def copy(self) -> "XmlNode":
         dups: list[XmlNode] = []  # the copies of the node's ancestors
-        for node, _, depth in walk(self):
+        for node, _, depth in walk((self,)):
             del dups[depth:]
             dup = XmlNode(node.kind, node.name, list(node.attributes),
                           node.content)
@@ -101,19 +101,20 @@ class XmlNode:
         return dups[0]
 
 
-def walk(root: XmlNode, drop: bool = False
+def walk(tops: Iterable[XmlNode], drop: bool = False
          ) -> Iterator[tuple[XmlNode, Optional[XmlNode], int]]:
-    """Yield (node, parent, depth) for each node of the subtree at root, in
-    document order: parent is None and depth 0 for root, and depth counts
-    the node's ancestors up to root.  When drop is set, whitespace-only
-    text without children is skipped; a node with children never is.  The
-    open nodes are kept on an explicit stack instead of recursing."""
-    if root.children or not (drop and root.is_whitespace_text()):
-        yield root, None, 0
-    stack = [(root, iter(root.children))]
+    """Yield (node, parent, depth) for each node of the trees at tops, in
+    document order: parent is None and depth 0 for a top, and depth counts
+    the node's ancestors.  walk(doc) reads a document's prolog, when it has
+    one, then its root; walk((node,)) reads the subtree at node.  When drop
+    is set, whitespace-only text without children is skipped; a node with
+    children never is.  The open nodes are kept on an explicit stack
+    instead of recursing."""
+    stack: list[tuple[Optional[XmlNode], Iterator[XmlNode]]] = [
+        (None, iter(tops))]
     while stack:
         parent, children = stack[-1]
-        depth = len(stack)
+        depth = len(stack) - 1
         for node in children:
             if node.children:
                 yield node, parent, depth
@@ -129,6 +130,13 @@ def walk(root: XmlNode, drop: bool = False
 class XmlDocument:
     root: XmlNode
     prolog: Optional[XmlNode] = None
+
+    def __iter__(self) -> Iterator[XmlNode]:
+        """The top-level nodes: the prolog, when there is one, then the
+        root."""
+        if self.prolog is None:
+            return iter((self.root,))
+        return iter((self.prolog, self.root))
 
     def copy(self) -> "XmlDocument":
         return XmlDocument(self.root.copy(),
@@ -436,9 +444,13 @@ def serialize_attribute(attr: Attribute) -> str:
     return f' {name}="{v}"'
 
 
-def _serialize_node(root: XmlNode, out: list[str]) -> None:
+def serialize_xml(doc: XmlDocument) -> str:
+    """Serialize without adding any inter-node whitespace.
+
+    Text content is emitted verbatim (entities stay as written)."""
+    out: list[str] = []
     ends: list[str] = []  # per open node its end tag, "" for a data node
-    for node, _, depth in walk(root):
+    for node, _, depth in walk(doc):
         while len(ends) > depth:
             out.append(ends.pop())
         if node.children:
@@ -460,35 +472,17 @@ def _serialize_node(root: XmlNode, out: list[str]) -> None:
         elif node.kind is NodeKind.DTD:
             out.append(f"<!{node.content}>")
     out.extend(reversed(ends))
-
-
-def serialize_xml(doc: XmlDocument) -> str:
-    """Serialize without adding any inter-node whitespace.
-
-    Text content is emitted verbatim (entities stay as written)."""
-    out: list[str] = []
-    if doc.prolog is not None:
-        _serialize_node(doc.prolog, out)
-    _serialize_node(doc.root, out)
     return "".join(out)
-
-
-def _nodes_equal(a: XmlNode, b: XmlNode, ws: bool) -> bool:
-    # the nodes in document order with their depths spell out the nesting
-    fa, fb = (((n.kind, n.name, n.content, n.attributes, depth)
-               for n, _, depth in walk(top, drop=not ws)) for top in (a, b))
-    return all(x == y for x, y in zip_longest(fa, fb))
 
 
 def structural_equal(a: XmlDocument, b: XmlDocument,
                      whitespace_significant: bool = False) -> bool:
-    """Compare two documents node by node.
+    """Compare two documents node by node, prologs included.
 
     Whitespace-only text leaves are ignored unless whitespace_significant;
     a whitespace-only text node with children is compared like any other."""
-    if (a.prolog is None) != (b.prolog is None):
-        return False
-    if a.prolog is not None and not _nodes_equal(a.prolog, b.prolog,
-                                                 whitespace_significant):
-        return False
-    return _nodes_equal(a.root, b.root, whitespace_significant)
+    # the nodes in document order with their depths spell out the nesting
+    fa, fb = (((n.kind, n.name, n.content, n.attributes, depth)
+               for n, _, depth in walk(doc, drop=not whitespace_significant))
+              for doc in (a, b))
+    return all(x == y for x, y in zip_longest(fa, fb))

@@ -55,6 +55,17 @@ printf 'XSB1\001\016' | xstring unpack 2> err.txt || status=$?
 test "$status" = 1
 test "$(wc -l < err.txt)" = 1
 grep -q '^pack: ' err.txt
+# a multi fold into a slot whose COUNT claims layers it does not hold
+printf '<h><XSTRING COUNT="2"/></h>' > held.xml
+printf '<h><XSTRING COUNT="0"/></h>' > fresh.xml
+printf '<r/>' > inner.xml
+status=0
+xstring fold --fold-mode multi --host held.xml inner.xml 2> err.txt || status=$?
+test "$status" = 1
+test "$(wc -l < err.txt)" = 1
+grep -q '^fold: ' err.txt
+test "$(xstring fold --fold-mode multi --host fresh.xml inner.xml)" = \
+  '<h><XSTRING COUNT="1" LENGTH_0="2" TEXT_0="/r"/></h>'
 # check, the parser's collecting mode: ok on a well-formed document; a
 # violation is reported on stdout, exit 1, with nothing on stderr
 test "$(printf '<a/>' | xstring check)" = ok

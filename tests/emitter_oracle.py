@@ -1,8 +1,8 @@
 """The two emitters and encode that ran on walk's enter and leave events,
 kept as a reference.
 
-The codec's emitters now read codec.written_nodes, which also gives the
-verifier its nodes; test_emitters.py compares the two.  Here each emitter
+The codec's emitters now read xml_model.walk over the document, which
+also gives the verifier its nodes; test_emitters.py compares the two.  Here each emitter
 keeps its own whitespace-skip test and its own count of the elements it
 is inside, and encode writes the prolog token itself.  The node checks
 and the verifier are the codec's, so outcomes compare by tokens or by

@@ -2,6 +2,7 @@
 
 import io
 import os
+import pty
 import random
 import subprocess
 import sys
@@ -296,7 +297,7 @@ def test_stats_reports_an_unwritable_tree_on_one_line(tmp_path, capsys,
     checked = 0
     for doc in fixtures.corpus()[:40]:
         doc = doc.copy()
-        _inject(rng.choice([node for node, _, _ in walk(doc.root)]), rng)
+        _inject(rng.choice([node for node, _, _ in walk((doc.root,))]), rng)
         try:
             encode(doc)
             continue  # the injection missed, e.g. an element's content
@@ -550,3 +551,57 @@ def test_cli_smoke_script(tmp_path):
     run = subprocess.run(["bash", str(script)], cwd=tmp_path, env=env,
                          capture_output=True, timeout=300)
     assert run.returncode == 0, (run.stdout, run.stderr)
+
+
+def run_module(args, stdin, stdout):
+    """python -m xstring on this source tree, its stdout on the file
+    descriptor stdout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(xstring.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "xstring", *args],
+                          input=stdin, stdout=stdout, stderr=subprocess.PIPE,
+                          env=env, timeout=120)
+
+
+def run_on_terminal(args, stdin):
+    """run_module with stdout on a pseudo-terminal; returns the run and
+    what the terminal received."""
+    master, slave = pty.openpty()
+    try:
+        run = run_module(args, stdin, slave)
+    finally:
+        os.close(slave)
+    shown = b""
+    try:
+        while chunk := os.read(master, 4096):
+            shown += chunk
+    except OSError:  # the terminal reads EIO once its other end is gone
+        pass
+    finally:
+        os.close(master)
+    return run, shown
+
+
+def test_pack_refuses_a_terminal():
+    run, shown = run_on_terminal(["pack"], b"/r")
+    assert run.returncode == 2
+    assert run.stderr.decode() == ("refusing to write packed data to a "
+                                   "terminal; use --output or redirect\n")
+    assert shown == b""
+
+
+def test_sentinel_encode_to_a_terminal_notes_its_nul_bytes():
+    run, shown = run_on_terminal(["encode", "--escape", "sentinel"], b"<r/>")
+    assert run.returncode == 0
+    assert "note: sentinel output contains NUL bytes" in run.stderr.decode()
+    assert shown == b"\0/r"  # the NUL names the stream's escape mode
+
+
+def test_decode_into_a_closed_pipe_exits_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = run_module(["decode"], b"/r'" + b"x" * 400_000, write_end)
+    finally:
+        os.close(write_end)
+    assert run.returncode == 1
+    assert run.stderr == b""

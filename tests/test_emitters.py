@@ -1,11 +1,11 @@
-"""The emitters that read codec.written_nodes against the walk-based ones
-they replaced, kept in emitter_oracle.py: the same tokens (kind, payload,
-depth, key), or the same error class and message, in both modes, with
-whitespace dropped and kept, in both escape modes.  Two differences: a
-root that is not an element is refused up front, and with whitespace
-dropped, whitespace-only text with children is refused as a data node
-with children, where the oracle skipped the node and wrote its children
-one level up."""
+"""The emitters that read xml_model.walk over the document against the
+walk-based ones they replaced, kept in emitter_oracle.py: the same tokens
+(kind, payload, depth, key), or the same error class and message, in both
+modes, with whitespace dropped and kept, in both escape modes.  Two
+differences: a root that is not an element is refused up front, and with
+whitespace dropped, whitespace-only text with children is refused as a
+data node with children, where the oracle skipped the node and wrote its
+children one level up."""
 
 import copy
 import random
@@ -23,7 +23,7 @@ from xstring import (
     XmlNode,
     encode,
 )
-from xstring.codec import written_nodes
+from xstring import xml_model
 
 import corpus as fixtures
 from emitter_oracle import oracle_encode
@@ -191,17 +191,17 @@ def test_whitespace_parent_is_refused_when_dropped():
                                       "children cannot be written")
 
 
-def test_written_nodes_yield_parent_and_ancestor_count():
+def test_document_walk_yields_parent_and_ancestor_count():
     c = XmlNode.element("c")
     ws_parent = XmlNode(NodeKind.TEXT, content=" ", children=[c])
     b = XmlNode.element("b")
     a = XmlNode.element("a", children=[XmlNode.text(" "), b])
     r = XmlNode.element("r", children=[a, ws_parent, XmlNode.text("\n")])
     p = XmlNode.pi("p")
-    got = list(written_nodes(XmlDocument(r, p), drop=True))
+    got = list(xml_model.walk(XmlDocument(r, p), drop=True))
     assert got == [(p, None, 0), (r, None, 0), (a, r, 1), (b, a, 2),
                    (ws_parent, r, 1), (c, ws_parent, 2)]
-    kept = list(written_nodes(XmlDocument(r), drop=False))
+    kept = list(xml_model.walk(XmlDocument(r), drop=False))
     assert [(n.name or n.content, depth) for n, _, depth in kept] == [
         ("r", 0), ("a", 1), (" ", 2), ("b", 2), (" ", 1), ("c", 2),
         ("\n", 1)]

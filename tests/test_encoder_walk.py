@@ -113,7 +113,7 @@ def test_no_tree_copy(monkeypatch, drop):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_encode_makes_few_python_calls_per_token(mode):
-    # written_nodes hands the emitters walk's own iterator, and the
+    # the emitters read walk's own iterator over the document, and the
     # sibling form's verifier calls one sink method per node: about 8.8
     # and 4.3 calls per token on these streams, where a generator around
     # the walk and a second sink call per node made 10.3 and 4.9

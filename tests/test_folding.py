@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xstring import parse_xml
+from xstring import XmlDocument, XmlNode, parse_xml
 from xstring.codec import EmptyStream
 from xstring.folding import (
     FoldMode,
@@ -14,6 +14,7 @@ from xstring.folding import (
     MixedSlot,
     MultipleSlots,
     NoSlot,
+    SLOT_NAME,
     escape_fold_attr,
     fold,
     unescape_fold_attr,
@@ -197,6 +198,30 @@ def test_multi_accepts_count_zero_host():
     host = parse_xml('<PAGE><XSTRING COUNT="0"/></PAGE>')
     out = fold(parse_xml("<X/>"), host, FoldMode.MULTI)
     assert slot_attrs(out)["COUNT"] == "1"
+
+
+def test_multi_fold_rejects_a_host_count_alone():
+    # a COUNT above 0 with no pairs claims layers; COUNT="0" is fresh
+    host = parse_xml('<h><XSTRING COUNT="2"/></h>')
+    with pytest.raises(MixedSlot) as err:
+        fold(parse_xml("<r/>"), host, FoldMode.MULTI)
+    assert str(err.value) == ("host slot already holds folded layers; "
+                              "fold the host as the inner document instead")
+    host = parse_xml('<h><XSTRING COUNT="0"/></h>')
+    assert serialize_xml(fold(parse_xml("<r/>"), host, FoldMode.MULTI)) == (
+        '<h><XSTRING COUNT="1" LENGTH_0="2" TEXT_0="/r"/></h>')
+
+
+def test_slot_search_reads_an_element_prolog():
+    # the search walks the document, so a hand-built element prolog named
+    # XSTRING is a slot like one under the root
+    root = parse_xml("<h><XSTRING/></h>").root
+    with pytest.raises(MultipleSlots, match="^host has 2 XSTRING elements$"):
+        fold(parse_xml("<r/>"), XmlDocument(root, XmlNode.element(SLOT_NAME)))
+    out = fold(parse_xml("<r/>"),
+               XmlDocument(XmlNode.element("h"), XmlNode.element(SLOT_NAME)))
+    assert out.prolog.attributes == [("LENGTH", "2"), ("TEXT", "/r")]
+    assert serialize_xml(unfold(out)) == "<r/>"
 
 
 def test_no_slot():

@@ -20,7 +20,8 @@ from xstring.metrics import (
     predict_size,
 )
 from xstring.transforms import build_substitution
-from xstring.xml_model import XmlNode, serialize_xml, structural_equal
+from xstring.xml_model import (XmlDocument, XmlNode, serialize_xml,
+                               structural_equal)
 
 import metrics_oracle
 from corpus import RECORDS_XML, ROWS_MIXED_XML, corpus
@@ -416,6 +417,17 @@ def test_keeping_some_whitespace_is_a_mismatch():
                       SizeReport)
     with pytest.raises(Mismatch):
         measure("<A><B/></A>", extra)
+
+
+def test_whitespace_prolog_is_dropped_whitespace():
+    # a hand-built whitespace-only text prolog is a top-level whitespace
+    # leaf: a stream that drops whitespace measures without it
+    source = XmlDocument(XmlNode.element("r", children=[XmlNode.text("t")]),
+                         XmlNode.text(" "))
+    xs = encode(XmlDocument(source.root))
+    assert render(xs) == "/r't"
+    report = measure(serialize_xml(source), xs, source=source)
+    assert (report.xml_chars, report.xs_chars) == (8, 4)
 
 
 def test_mismatch_before_a_decode_error():

@@ -167,7 +167,7 @@ def variants(doc, rng):
 def assert_readers_match(doc, rng):
     for top in filter(None, (doc.prolog, doc.root)):
         for drop in (False, True):
-            assert triples(walk(top, drop)) == oracle_triples(top, drop)
+            assert triples(walk((top,), drop)) == oracle_triples(top, drop)
         dup = top.copy()
         assert shape(dup) == shape(oracle_copy(top)) == shape(top)
         assert all(x is not y and x.attributes is not y.attributes
@@ -214,9 +214,33 @@ def test_walk_yields_parent_and_depth():
     ws_parent = XmlNode(NodeKind.TEXT, content="", children=[c])
     t = XmlNode.comment("t")
     r = XmlNode.element("r", children=[ws, ws_parent, t])
-    assert triples(walk(r)) == triples([
+    assert triples(walk((r,))) == triples([
         (r, None, 0), (ws, r, 1), (ws_parent, r, 1), (c, ws_parent, 2),
         (t, r, 1)])
-    assert triples(walk(r, drop=True)) == triples([
+    assert triples(walk((r,), drop=True)) == triples([
         (r, None, 0), (ws_parent, r, 1), (c, ws_parent, 2), (t, r, 1)])
-    assert list(walk(ws, drop=True)) == []
+    assert list(walk((ws,), drop=True)) == []
+
+
+def test_walk_reads_a_whitespace_prolog_as_a_top_level_leaf():
+    # a document iterates as its prolog, then its root; drop skips a
+    # whitespace-only text leaf at the top like one anywhere else
+    c = XmlNode.element("c")
+    r = XmlNode.element("r", children=[c])
+    ws = XmlNode.text(" ")
+    assert list(XmlDocument(r, ws)) == [ws, r]
+    assert triples(walk(XmlDocument(r, ws))) == triples([
+        (ws, None, 0), (r, None, 0), (c, r, 1)])
+    assert triples(walk(XmlDocument(r, ws), drop=True)) == triples([
+        (r, None, 0), (c, r, 1)])
+
+
+def test_whitespace_prolog_is_insignificant():
+    # a hand-built whitespace-only text prolog is a top-level whitespace
+    # leaf, ignored unless whitespace is significant
+    with_ws = XmlDocument(XmlNode.element("r"), XmlNode.text(" "))
+    bare = XmlDocument(XmlNode.element("r"))
+    assert structural_equal(with_ws, bare)
+    assert structural_equal(bare, with_ws)
+    assert not structural_equal(with_ws, bare, True)
+    assert not structural_equal(bare, with_ws, True)
