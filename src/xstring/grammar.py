@@ -31,11 +31,22 @@ character, after its NUL in sentinel mode) and that kind's payload run;
 is ``(?:[^<prefix chars>&\\x00]+|&#[0-9]+;|&(?!#))*``, and the character a
 run stops at names the error, read by the same match: ``&`` a malformed
 reference, NUL stray data, the end of input an unterminated dual.
-References are resolved by one ``&#0*([0-9]+);`` substitution, only in
-payloads that hold an ``&``; the digits are looked up as text, so a
-reference of any length is read.  The tokens it builds skip
-``XsToken``'s checks (``XsToken.unchecked``): the pattern has already
-established them.
+The tokens it builds skip ``XsToken``'s checks (``XsToken.unchecked``):
+the pattern has already established them.
+
+Entity mode escapes and folds a stream's payloads together, not one
+payload at a time.  ``render`` joins every payload with NUL, which no
+payload may hold, escapes the joined string with one ``str.replace`` pass
+per prefix character present (sentinel mode writes it as it is), and
+splits it again; a split that does not give one piece per token means a
+payload held NUL, and render raises ``BadArgument`` in either mode rather
+than write a stream that does not read back.  ``tokenize`` leaves the
+payloads that hold an ``&`` as the match read them and, after its loop,
+folds their references back in one joined pass: one ``str.replace`` per
+exact ``&#N;`` form of a prefix character, ``&#35;`` last so that the
+``#`` it writes starts no new reference, after one regex pass that strips
+the zeros of padded forms.  Every other reference, of any length, stays
+verbatim.
 """
 
 from __future__ import annotations
@@ -43,6 +54,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Callable, NoReturn, Optional
 
 from .errors import BadArgument, XStringError
@@ -202,23 +214,34 @@ def escaper(replace: dict[str, str]) -> Callable[[str], str]:
     return escape
 
 
+def folder(chars: str) -> Callable[[str], str]:
+    """A function reading each decimal reference to one of chars back as
+    that character and leaving every other reference verbatim, as one
+    left-to-right scan would: one regex pass strips the zeros of padded
+    references, only when the text holds a '&#0', then one str.replace
+    pass per character.  '&#35;' goes last, since the '#' it writes could
+    start a reference that the scan would not read again."""
+    codes = sorted((str(ord(c)) for c in chars), key=lambda n: n == "35")
+    padded = re.compile(f"(?<=&#)0+(?=(?:{'|'.join(codes)});)")
+    refs = [(f"&#{n};", chr(int(n))) for n in codes]
+
+    def fold(s: str) -> str:
+        if "&#0" in s:
+            s = padded.sub("", s)
+        for ref, c in refs:
+            if ref in s:
+                s = s.replace(ref, c)
+        return s
+    return fold
+
+
 # "..." payloads escape only the delimiter and the reference introducer
 _DUAL_CHARS = '"#'
 _ESCAPE = escaper({c: f"&#{ord(c)};" for c in PREFIX_CHARS})
 _ESCAPE_DUAL = escaper({c: f"&#{ord(c)};" for c in _DUAL_CHARS})
-_REFERENCE = re.compile("&#0*([0-9]+);")
+_UNESCAPE = folder(PREFIX_CHARS)
+_UNESCAPE_DUAL = folder(_DUAL_CHARS)
 _MALFORMED = re.compile("&#(?![0-9]+;)")
-
-
-def _resolver(chars: str) -> Callable[[re.Match], str]:
-    """re.sub callback folding a reference back to one of chars; any other
-    reference stays verbatim, however many digits it has."""
-    codes = {str(ord(c)): c for c in chars}
-    return lambda m: codes.get(m[1], m[0])
-
-
-_UNESCAPE = _resolver(PREFIX_CHARS)
-_UNESCAPE_DUAL = _resolver(_DUAL_CHARS)
 
 
 def escape_data(s: str, mode: EscapeMode = EscapeMode.ENTITY) -> str:
@@ -237,42 +260,68 @@ def unescape_data(s: str, mode: EscapeMode = EscapeMode.ENTITY) -> str:
     if bad:
         raise MalformedEntity(bad.start(),
                               "'&#' is not a decimal character reference")
-    return _REFERENCE.sub(_UNESCAPE, s)
+    return _UNESCAPE(s)
 
 
 # ---------------------------------------------------------------------------
 # rendering
 
-def render_token(t: XsToken, escaping: EscapeMode) -> str:
-    """The wire form of one token; render joins these."""
-    kind = t.kind
-    if escaping is EscapeMode.SENTINEL:
-        mark, body = NUL, t.payload
-    else:
-        mark = ""
-        body = (_ESCAPE_DUAL if kind is PrefixKind.TEXT_DUAL
-                else _ESCAPE)(t.payload)
-    if kind is PrefixKind.TEXT_DUAL:
-        return f'{mark}"{body}{mark}"'
-    # the member's plain attribute: Enum.value is a property, two Python
-    # calls per read
-    prefix = kind._value_
-    if kind not in NAME_KINDS:
-        return mark + prefix + body
-    if not body:
-        out = f"{mark}{prefix}{t.subst_key}"
-    elif t.subst_key is None:
-        out = mark + prefix + body
-    else:
-        out = f"{mark}{prefix}{body}{mark}#{t.subst_key}"
-    if t.depth is not None:
-        out += f"{mark}+{t.depth}"
-    return out
+_PAYLOAD = attrgetter("payload")
+
+
+def wire_pieces(doc: XsDocument) -> list[str]:
+    """The wire form of each token of doc, in order; render joins them.
+
+    The payloads are escaped together: joined with NUL, which no payload
+    may hold, escaped in one pass and split again.  Dual payloads, which
+    escape only '"' and '#', are escaped together after the loop."""
+    tokens = doc.tokens
+    if not tokens:
+        return []
+    sentinel = doc.escaping is EscapeMode.SENTINEL
+    joined = NUL.join(map(_PAYLOAD, tokens))
+    bodies = (joined if sentinel else _ESCAPE(joined)).split(NUL)
+    if len(bodies) != len(tokens):
+        raise BadArgument("payload must not contain NUL")
+    mark = NUL if sentinel else ""
+    dual, names = PrefixKind.TEXT_DUAL, NAME_KINDS
+    pieces: list[str] = []
+    duals: list[int] = []  # entity mode: where the dual pieces go
+    for t, body in zip(tokens, bodies):
+        kind = t.kind
+        if kind is dual:
+            if sentinel:
+                pieces.append(f'{NUL}"{body}{NUL}"')
+            else:
+                duals.append(len(pieces))
+                pieces.append("")
+            continue
+        # the member's plain attribute: Enum.value is a property, two
+        # Python calls per read
+        lead = mark + kind._value_
+        if kind not in names:
+            pieces.append(lead + body)
+            continue
+        key = t.subst_key
+        if not body:
+            piece = f"{lead}{key}"
+        elif key is None:
+            piece = lead + body
+        else:
+            piece = f"{lead}{body}{mark}#{key}"
+        if t.depth is not None:
+            piece = f"{piece}{mark}+{t.depth}"
+        pieces.append(piece)
+    if duals:
+        escaped = _ESCAPE_DUAL(NUL.join([tokens[i].payload for i in duals]))
+        for i, body in zip(duals, escaped.split(NUL)):
+            pieces[i] = f'"{body}"'
+    return pieces
 
 
 def render(doc: XsDocument) -> str:
     """Serialize tokens to the wire string; no inter-token whitespace."""
-    return "".join([render_token(t, doc.escaping) for t in doc.tokens])
+    return "".join(wire_pieces(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +443,9 @@ def tokenize(text: str, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
     match = _TOKEN[escaping].match
     new = XsToken.unchecked
     tokens: list[XsToken] = []
+    # entity mode: the tokens whose payloads hold an '&', by kind of run
+    refs: list[XsToken] = []
+    duals: list[XsToken] = []
     n = len(text)
     i = 0
     while i < n:
@@ -422,8 +474,15 @@ def tokenize(text: str, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
             continue
         elif g != _DATA and g != _DUAL:
             _stopped(m, g, sentinel)
+        tok = new(_LEADS[m[g - 1]], payload)
+        tokens.append(tok)
         if not sentinel and "&" in payload:
-            payload = _REFERENCE.sub(
-                _UNESCAPE_DUAL if g == _DUAL else _UNESCAPE, payload)
-        tokens.append(new(_LEADS[m[g - 1]], payload))
+            (duals if g == _DUAL else refs).append(tok)
+    # one fold over each kind's payloads, joined with NUL, which an
+    # entity-mode stream does not hold
+    for held, fold in ((refs, _UNESCAPE), (duals, _UNESCAPE_DUAL)):
+        if held:
+            folded = fold(NUL.join(map(_PAYLOAD, held))).split(NUL)
+            for tok, payload in zip(held, folded):
+                tok.payload = payload
     return XsDocument(tokens, escaping)

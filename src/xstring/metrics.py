@@ -23,7 +23,7 @@ from .binary import pack_envelope
 from .codec import Unencodable, Verifier, encode
 from .errors import BadArgument, XStringError
 from .grammar import (WHITESPACE, PrefixKind, XsDocument, XsToken, render,
-                      render_token)
+                      wire_pieces)
 from .xml_model import (Attribute, NodeKind, XmlDocument, XmlNode, parse_xml,
                         serialize_attribute, serialize_xml, walk)
 
@@ -176,7 +176,7 @@ def measure(xml_text: str, xs: XsDocument,
     # one, which is the node itself exactly when it has a child
     written = pairwise(chain(walk(source, drop), [(None, None, 0)]))
     attrs: Iterator[Attribute] = iter(())
-    for tok in xs.tokens:
+    for tok, piece in zip(xs.tokens, wire_pieces(xs)):
         if tok.kind is PrefixKind.ATTR_VALUE:
             kind, count, xml_chars = ConstructKind.ATTRIBUTE, 0, 0
         elif tok.kind is PrefixKind.ATTR_NAME:
@@ -191,7 +191,7 @@ def measure(xml_text: str, xs: XsDocument,
         stat = report.constructs.setdefault(kind, ConstructStat())
         stat.count += count
         stat.xml_chars += xml_chars
-        stat.xs_chars += len(render_token(tok, xs.escaping))
+        stat.xs_chars += len(piece)
     stats = report.constructs.values()
     report.xml_chars = report.xml_overhead + sum(s.xml_chars for s in stats)
     report.xs_chars = sum(s.xs_chars for s in stats)

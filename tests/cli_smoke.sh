@@ -27,11 +27,16 @@ grep -x 'xs_chars=12' drop.kv
 xstring stats --keep-whitespace < ws.xml > keep.kv
 grep -x 'xml_chars=32' keep.kv
 grep -x 'xs_chars=26' keep.kv
+# data that holds references: entity mode writes its '/', '#' and '|'
+# as references, and the references already there, a padded one and
+# one behind '&' among them, come back byte for byte
+printf '<r a="x/&#47;y">&#47;/&#047;#&amp;#35;47;|</r>\n' > refs.xml
+xstring encode < refs.xml | xstring decode | cmp - refs.xml
 # the packed form: keyed at threshold 2, packed, unpacked and
 # expanded back to the encoded stream; rep.xml repeats its names,
 # so its stream holds keys
 printf '<list><item id="1"/><item id="2"/></list>' > rep.xml
-for xml in ws.xml rep.xml; do
+for xml in refs.xml ws.xml rep.xml; do
   xstring encode < "$xml" > enc.xs
   xstring subst --threshold 2 < enc.xs > keyed.xs
   xstring pack -o k.xsb < keyed.xs

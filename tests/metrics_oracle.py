@@ -11,8 +11,7 @@ totals, and paired tokens with the decoded tree's nodes through walk.
 
 from xstring.binary import pack_envelope
 from xstring.codec import decode
-from xstring.grammar import (PrefixKind, XsDocument, XsToken, render,
-                             render_token)
+from xstring.grammar import PrefixKind, XsDocument, XsToken, render
 from xstring.metrics import ConstructKind, ConstructStat, Mismatch, SizeReport
 from xstring.xml_model import (NodeKind, XmlNode, parse_xml,
                                serialize_attribute, serialize_xml,
@@ -70,7 +69,7 @@ def measure(xml_text: str, xs: XsDocument) -> SizeReport:
     owner: XmlNode | None = None
     attr_i = 0
     for tok in xs.tokens:
-        piece = len(render_token(tok, xs.escaping))
+        piece = len(render(XsDocument([tok], xs.escaping)))
         if tok.kind is PrefixKind.ATTR_NAME:
             attr = owner.attributes[attr_i]
             attr_i += 1

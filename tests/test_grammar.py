@@ -1,5 +1,7 @@
 """Token grammar: escaping, rendering, tokenizing."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,6 +24,7 @@ from xstring import (
     unescape_data,
 )
 
+from xstring.errors import BadArgument
 from xstring.grammar import stream_escaping
 
 from corpus import PROPERTIES_XS
@@ -174,6 +177,58 @@ def test_unescape_keeps_foreign_references():
     assert unescape_data("&#160;") == "&#160;"
     assert unescape_data("a & b") == "a & b"
     assert unescape_data("&#47;") == "/"
+
+
+# unescape_data as it was before the references of a payload were folded
+# by ordered str.replace passes: one regex scan, a callback per reference
+_OLD_CODES = {str(ord(c)): c for c in PREFIX_CHARS}
+
+
+def _old_unescape(s):
+    if re.search("&#(?![0-9]+;)", s):
+        raise MalformedEntity(0, "")
+    return re.sub("&#0*([0-9]+);", lambda m: _OLD_CODES.get(m[1], m[0]), s)
+
+
+def _outcome(fn, s):
+    try:
+        return fn(s)
+    except MalformedEntity:
+        return MalformedEntity
+
+
+# where ordered replacement could part from one scan: the '#' a
+# reference folds to, zero padding, other codes, digits and ';'
+_REFERENCE_PIECES = st.lists(st.sampled_from(
+    ["&", "#", "&#", ";", "0", "3", "4", "5", "7", "1", "a", "/",
+     "&#35;", "&#035;", "&#47;", "&#047;", "&#0047;", "&#34;", "&#124;",
+     "&#1047;", "&#0;", "&#00;", "&#160;", "&amp;"]), max_size=12)
+
+
+@given(_REFERENCE_PIECES.map("".join))
+def test_unescape_matches_one_reference_scan(s):
+    assert _outcome(unescape_data, s) == _outcome(_old_unescape, s)
+
+
+@pytest.mark.parametrize("s", ["&&#35;47;", "&&#035;47;", "&#35;35;",
+                               "&#047;", "&#00035;", "&#0;", "&#1047;",
+                               "&#" + "0" * 5000 + "124;",
+                               "&#" + "9" * 5000 + ";", "&&#35;0047;"])
+def test_unescape_examples_match_one_reference_scan(s):
+    assert unescape_data(s) == _old_unescape(s)
+
+
+@pytest.mark.parametrize("mode", list(EscapeMode))
+@pytest.mark.parametrize("kind", [PrefixKind.TEXT, PrefixKind.TEXT_DUAL,
+                                  PrefixKind.CHILD])
+def test_render_refuses_a_nul_payload(kind, mode):
+    # a payload set after the checks of XsToken(...): the stream it
+    # would make does not read back
+    bad = T(kind, "a")
+    bad.payload = "a\0b"
+    doc = XsDocument([T(PrefixKind.CHILD, "r"), bad], mode)
+    with pytest.raises(BadArgument, match="NUL"):
+        render(doc)
 
 
 def test_unescape_rejects_non_decimal_reference():

@@ -1,5 +1,7 @@
 """The pattern tokenizer against the per-character tokenizer it replaced."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -55,6 +57,52 @@ def test_wire_strings_with_sentinels_match_oracle(mode, data):
 @pytest.mark.parametrize("mode", list(EscapeMode))
 def test_end_of_input_matches_oracle(text, mode):
     assert_same(text, mode)
+
+
+def assert_same_digits_unlimited(text):
+    """assert_same in entity mode, with the oracle reading references of
+    any length: it reads their digits with int(), which refuses more than
+    sys.get_int_max_str_digits() of them, where the tokenizer reads them
+    as text."""
+    new = outcome(tokenize, text, EscapeMode.ENTITY)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert new == outcome(oracle_tokenize, text, EscapeMode.ENTITY)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    return new
+
+
+# the order references are folded in: the '#' of '&#35;' must not start
+# a reference read again, zero padding names the same character, and
+# other codes stay verbatim
+_FOLDS = ["&&#35;47;", "&#047;", "&#00035;", "&#0;", "&#1047;", "&#35;35;",
+          "&&#035;47;", "&#" + "1" * 5000 + ";"]
+
+
+@pytest.mark.parametrize("payload", _FOLDS,
+                         ids=lambda p: p if len(p) < 20 else "long")
+@pytest.mark.parametrize("lead", ["/a'", "/", '/a"'])
+def test_reference_fold_order_matches_oracle(lead, payload):
+    text = lead + payload + ('"' if lead.endswith('"') else "")
+    tokens, err = assert_same_digits_unlimited(text)
+    assert err is None
+
+
+def test_references_of_many_payloads_match_oracle():
+    # the payloads of a stream are folded together
+    tokens, err = assert_same_digits_unlimited(
+        "/a" + "".join(f"'{p}\"{p}\"@{p}={p}" for p in _FOLDS))
+    assert len(tokens) == 1 + 4 * len(_FOLDS)
+
+
+def test_a_dual_keeps_other_references_verbatim():
+    # a dual folds only '"' and '#'
+    tokens, _ = assert_same('/a"&#47;&#34;&#035;"', EscapeMode.ENTITY)
+    assert tokens[1].payload == '&#47;"#'
 
 
 @pytest.mark.parametrize("mode", [EncodeMode.SAFE_SIBLING,
