@@ -15,13 +15,14 @@ Decoding is a single pass over the tokens with a stack of open elements:
   its close count, the count when it opened plus N;
 * the end of the stream closes everything still open.
 
-DecodeState.feed reads each token in its own frame: it resolves key
-references, applies the attribute rules, builds a data node's fields and
-opens an element inline.  Of its own methods, a node costs only its
-sink's _node, which is handed the node's parent.  The rare paths are
-helpers: the pop of elements whose depth ran out, called only when the
-top's lowest close count is due, and the close-back checks, called only
-when some open element has a depth marker.
+DecodeState.feed reads each token in its own frame, and the stack of
+open elements lives there too: it applies the attribute rules, builds a
+data node's fields, closes the elements whose depth ran out, closes back
+for a sibling, and opens an element inline.  Of its own methods, a node
+costs only its sink's _node, which is handed the node's parent.  The
+helpers left are the rare paths: resolving a key, and the messages of the
+depth errors, called only once an error is certain or, for a sibling's
+close-back, once some element it closes has a depth marker.
 
 Safe-sibling encoding emits the tree in one pass, writing every later
 element child as a sibling token, and keeps the stack of open elements the
@@ -77,7 +78,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .errors import BadArgument, XStringError
 from .grammar import (NUL, PREFIX_CHARS, WHITESPACE, EscapeMode, PrefixKind,
@@ -154,12 +155,14 @@ class OpenEntry:
     node: XmlNode
     close: Optional[int]  # node count at which the depth marker runs out
     low: float  # smallest close at or below this entry, inf when none
+    below: int  # what nearest held for the node's name before it opened
 
 
 class OpenStack(list):
     """Open elements, outermost first, plus nearest: name -> index of the
-    topmost open element with that name, or -1.  The decoder keeps one,
-    and the sibling emitter keeps the one the decoder will hold."""
+    topmost open element with that name, or -1.  The sibling emitter keeps
+    the one the decoder will hold; the decoder keeps the same two in
+    DecodeState's open_stack and nearest."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -181,43 +184,56 @@ class OpenStack(list):
             self.pop()
 
 
-_DATA_KINDS = {NodeKind.COMMENT: PrefixKind.COMMENT,
-               NodeKind.CDATA: PrefixKind.CDATA, NodeKind.DTD: PrefixKind.DTD}
-# the node kind of each data token but an instruction
-_NODE_KINDS = {PrefixKind.TEXT: NodeKind.TEXT,
-               PrefixKind.TEXT_DUAL: NodeKind.TEXT,
-               **{tok: node for node, tok in _DATA_KINDS.items()}}
-# the kinds feed compares against, bound once as module globals
+# Both tables are keyed by a member's value, a str: a lookup keyed by the
+# member itself calls Enum.__hash__, a Python function, every time.
+# the token kind of each data node but text and an instruction
+_DATA_KINDS = {NodeKind.COMMENT.value: PrefixKind.COMMENT,
+               NodeKind.CDATA.value: PrefixKind.CDATA,
+               NodeKind.DTD.value: PrefixKind.DTD}
+# the node kind of each element and data token, by its prefix character
+_NODE_KINDS = {PrefixKind.CHILD.value: NodeKind.ELEMENT,
+               PrefixKind.SIBLING.value: NodeKind.ELEMENT,
+               PrefixKind.TEXT.value: NodeKind.TEXT,
+               PrefixKind.TEXT_DUAL.value: NodeKind.TEXT,
+               PrefixKind.COMMENT.value: NodeKind.COMMENT,
+               PrefixKind.PROC_INSTR.value: NodeKind.PROC_INSTR,
+               PrefixKind.CDATA.value: NodeKind.CDATA,
+               PrefixKind.DTD.value: NodeKind.DTD}
+# the kinds feed and the emitters compare against, bound once as module
+# globals
 _CHILD, _SIBLING = PrefixKind.CHILD, PrefixKind.SIBLING
 _ATTR_NAME, _ATTR_VALUE = PrefixKind.ATTR_NAME, PrefixKind.ATTR_VALUE
-_ELEMENT, _PROC_INSTR = NodeKind.ELEMENT, NodeKind.PROC_INSTR
+_ELEMENT, _TEXT, _PROC_INSTR = (NodeKind.ELEMENT, NodeKind.TEXT,
+                                NodeKind.PROC_INSTR)
 
 
 class DecodeState:
     """Decoder state, exposed so the stack behaviour is testable directly.
 
     open_stack holds the open elements, outermost first.  Each entry keeps
-    its close count, if it has a depth marker, and the lowest close count
-    at or below it, so the elements due to close are found from the top;
-    open_stack.nearest finds the element a sibling token closes back to.
-    Each node costs O(1) amortized at any depth.
+    its close count, if it has a depth marker, the lowest close count at
+    or below it, so the elements due to close are found from the top, and
+    what nearest held for its name before it opened.  nearest maps a name
+    to the index of the topmost open element with that name, or -1, and
+    finds the element a sibling token closes back to; a pop puts back the
+    entry's below.  Each node costs O(1) amortized at any depth.
 
     This core reads every token, each in one frame of feed: it keeps the
     stack, the budgets, the sibling close-back and the attribute rules,
-    resolves key references, raises every DecodeError, and works out the
-    kind, name and content of each node and the attribute list of the
-    element opened last.  Only the rare paths leave that frame:
-    _close_exhausted when the top's low is due, _check_close_back when a
-    sibling may cut a depth short, and _unfilled for their messages.  One
-    sink method, the only one a node calls, takes it from there:
-    _node(kind, name, content, attrs, parent) makes the node, with attrs
-    the list the core goes on filling and parent the innermost open
+    raises every DecodeError, and works out the kind, name and content of
+    each node and the attribute list of the element opened last.  Only the
+    rare paths leave that frame: _key_name for a keyed name, and for the
+    depth errors' messages _close_exhausted, _check_close_back and
+    _unfilled.  One sink method, the only one a node calls, takes it from
+    there: _node(kind, name, content, attrs, parent) makes the node, with
+    attrs the list the core goes on filling and parent the innermost open
     element's node, None for the root and the prolog.  A sink sees a node
     only once the core has accepted its token, so the core's error comes
     first.  The one here builds the tree decode returns."""
 
     def __init__(self):
-        self.open_stack = OpenStack()
+        self.open_stack: list[OpenEntry] = []
+        self.nearest: dict[str, int] = {}
         self.root: Optional[XmlNode] = None
         self.prolog: Optional[XmlNode] = None
         self._attached = 0
@@ -236,27 +252,31 @@ class DecodeState:
 
     def _node(self, kind: NodeKind, name: str, content: str,
               attrs: list[Attribute], parent: Optional[XmlNode]) -> XmlNode:
-        node = XmlNode(kind, name, attrs, content)
+        node = XmlNode(kind, name, attrs, content, [])
         if parent is not None:
             parent.children.append(node)
         return node
 
     # -- rare paths ---------------------------------------------------------
 
+    def _key_name(self, tok: XsToken) -> str:
+        # a key binder stores its name, a key reference looks it up
+        if tok.payload:
+            self._keys[tok.subst_key] = tok.payload
+            return tok.payload
+        name = self._keys.get(tok.subst_key)
+        if name is None:
+            raise UnknownKey(f"key {tok.subst_key} was never bound")
+        return name
+
     def _unfilled(self, entry: OpenEntry) -> int:
         return 0 if entry.close is None else entry.close - self._attached
 
-    def _close_exhausted(self) -> None:
-        # no close count is below the node count, so the top's low shows
-        # whether some entry is due; pop down to the outermost one due
-        stack = self.open_stack
-        while stack and stack[-1].low == self._attached:
-            popped = stack.pop()
-            if self._unfilled(popped) > 0:
-                raise BudgetOverrun(
-                    f"<{popped.node.name}> still expects "
-                    f"{self._unfilled(popped)} nodes when an enclosing "
-                    "depth ran out")
+    def _close_exhausted(self, popped: OpenEntry) -> NoReturn:
+        # popped closed because an enclosing depth ran out, before its own
+        raise BudgetOverrun(
+            f"<{popped.node.name}> still expects {self._unfilled(popped)} "
+            "nodes when an enclosing depth ran out")
 
     def _check_close_back(self, name: str, idx: int) -> None:
         # a sibling closing back to stack[idx], or to the innermost element
@@ -271,7 +291,6 @@ class DecodeState:
                     f"sibling <{name}> would close <{top.node.name}> "
                     f"with {unfilled} nodes of its depth unfilled")
         elif idx > 0:
-            # the entries scanned are closed next: paid for by their pushes
             for e in stack[idx:]:
                 unfilled = self._unfilled(e)
                 if unfilled > 0:
@@ -299,53 +318,50 @@ class DecodeState:
             if self._attached > self._opened_at:
                 raise AttrAfterContent("attribute after content in "
                                        f"<{stack[-1].node.name}>")
-        else:
-            self._pending_attr = False
-            if kind is not _CHILD and kind is not _SIBLING:
-                # a data node; an instruction's target runs to its first
-                # whitespace
-                node_kind = _NODE_KINDS.get(kind)
-                name, content = "", tok.payload
-                if node_kind is None:
-                    ws = WHITESPACE.search(content)
-                    cut = ws.start() if ws else len(content)
-                    if cut == 0:
-                        raise BadToken("instruction without a target")
-                    node_kind, name, content = (_PROC_INSTR, content[:cut],
-                                                content[cut + 1:])
-                if stack and stack[-1].low == self._attached:
-                    self._close_exhausted()
-                if not stack:
-                    if self.root is None:
-                        if node_kind is _PROC_INSTR and self.prolog is None:
-                            self.prolog = self._node(node_kind, name, content,
-                                                     [], None)
-                            return
-                        raise BadStreamStart(
-                            "stream must start with a child element")
-                    raise ContentAfterRoot("data after the root closed")
-                self._node(node_kind, name, content, [], stack[-1].node)
-                self._attached += 1
-                return
-        # a name: a key binder stores it, a key reference looks it up
-        name = tok.payload
-        key = tok.subst_key
-        if key is not None:
-            if name:
-                self._keys[key] = name
-            else:
-                name = self._keys.get(key)
-                if name is None:
-                    raise UnknownKey(f"key {key} was never bound")
-        if kind is _ATTR_NAME:
+            name = tok.payload if tok.subst_key is None else self._key_name(tok)
             if name in self._attr_names:
                 raise DuplicateAttr(f"duplicate attribute {name!r}")
             self._attr_names.add(name)
             self._attrs.append((name, None))
             self._pending_attr = True
             return
-        if stack and stack[-1].low == self._attached:
-            self._close_exhausted()
+        self._pending_attr = False
+        node_kind = _NODE_KINDS[kind._value_]
+        if node_kind is _ELEMENT:
+            name = tok.payload if tok.subst_key is None else self._key_name(tok)
+        else:
+            # a data node; an instruction's target runs to its first
+            # whitespace
+            name, content = "", tok.payload
+            if node_kind is _PROC_INSTR:
+                ws = WHITESPACE.search(content)
+                cut = ws.start() if ws else len(content)
+                if cut == 0:
+                    raise BadToken("instruction without a target")
+                name, content = content[:cut], content[cut + 1:]
+        attached = self._attached
+        nearest = self.nearest
+        # no close count is below the node count, so the top's low shows
+        # whether some entry is due: pop down to the outermost one due,
+        # which must leave none of the popped expecting more nodes
+        while stack and stack[-1].low == attached:
+            e = stack.pop()
+            nearest[e.node.name] = e.below
+            if e.close is not None and e.close > attached:
+                self._close_exhausted(e)
+        if node_kind is not _ELEMENT:
+            if not stack:
+                if self.root is None:
+                    if node_kind is _PROC_INSTR and self.prolog is None:
+                        self.prolog = self._node(node_kind, name, content,
+                                                 [], None)
+                        return
+                    raise BadStreamStart(
+                        "stream must start with a child element")
+                raise ContentAfterRoot("data after the root closed")
+            self._node(node_kind, name, content, [], stack[-1].node)
+            self._attached = attached + 1
+            return
         if kind is _CHILD:
             if not stack and self.root is not None:
                 raise ContentAfterRoot("second root element")
@@ -355,40 +371,50 @@ class DecodeState:
                     raise BadStreamStart(
                         "stream must start with a child element")
                 raise ContentAfterRoot("sibling after the root closed")
-            idx = stack.nearest.get(name, -1)
-            if stack[-1].low != inf:
-                # some open element has a depth the close-back may cut short
-                self._check_close_back(name, idx)
-            if idx < 0:
-                # no open element has the name: close just the innermost one
-                idx = len(stack) - 1
-            if idx == 0:
+            # close back to the nearest open element with the name, or
+            # just the innermost one when none has it
+            idx = nearest.get(name, -1)
+            cut = idx if idx >= 0 else len(stack) - 1
+            if stack[-1].low != inf and idx:
+                # an element it closes may still expect nodes; the entries
+                # scanned close next, so their pushes pay for the scan
+                for e in stack[cut:]:
+                    if e.close is not None:
+                        self._check_close_back(name, idx)
+                        break
+            if cut == 0:
                 raise BudgetConflict(f"sibling <{name}> would close the root")
-            stack.truncate(idx)
+            while len(stack) > cut:
+                e = stack.pop()
+                nearest[e.node.name] = e.below
         # open the element
         attrs: list[Attribute] = []
-        elem = self._node(_ELEMENT, name, "", attrs,
-                          stack[-1].node if stack else None)
         if stack:
-            self._attached += 1
-            low = stack[-1].low
+            top = stack[-1]
+            elem = self._node(_ELEMENT, name, "", attrs, top.node)
+            attached += 1
+            self._attached = attached
+            low = top.low
         else:
-            self.root = elem
+            elem = self.root = self._node(_ELEMENT, name, "", attrs, None)
             low = inf
         close = tok.depth
         if close is not None:
-            close += self._attached
+            close += attached
             if close < low:
                 low = close
-        stack.push(name, OpenEntry(elem, close, low))
-        self._opened_at = self._attached
+        stack.append(OpenEntry(elem, close, low, nearest.get(name, -1)))
+        nearest[name] = len(stack) - 1
+        self._opened_at = attached
         self._attrs = attrs
         self._attr_names.clear()
 
     def finish(self) -> XmlDocument:
         if self.root is None:
             raise EmptyStream("no root element in the stream")
-        self.open_stack = OpenStack()
+        # the end of the stream closes everything still open
+        self.open_stack = []
+        self.nearest = {}
         return XmlDocument(self.root, self.prolog)
 
 
@@ -500,11 +526,11 @@ def _data_token(node: XmlNode, escaping: EscapeMode,
                 tokens: list[XsToken]) -> None:
     """Check a data node and append its token."""
     if node.children or node.attributes or (
-            node.name and node.kind is not NodeKind.PROC_INSTR):
+            node.name and node.kind is not _PROC_INSTR):
         raise Unencodable(f"{node.kind.value} node with a name, attributes "
                           "or children cannot be written")
     content = _nul_free(node.content)
-    if node.kind is NodeKind.TEXT:
+    if node.kind is _TEXT:
         # a trailing prefix character needs the dual form in entity mode,
         # except right after a bare =, where a dual would read back as a
         # quoted value; plain text escapes the character instead
@@ -514,14 +540,14 @@ def _data_token(node: XmlNode, escaping: EscapeMode,
                 and not (tokens and tokens[-1].kind is PrefixKind.ATTR_VALUE
                          and not tokens[-1].payload))
         kind = PrefixKind.TEXT_DUAL if dual else PrefixKind.TEXT
-    elif node.kind in _DATA_KINDS:
-        kind = _DATA_KINDS[node.kind]
-    else:
+    elif node.kind is _PROC_INSTR:
         name = node.name  # data up to its first whitespace, not a name
         if not name or NUL in name or WHITESPACE.search(name):
             raise Unencodable(f"pi name {name!r} cannot be written")
         kind = PrefixKind.PROC_INSTR
         content = f"{name} {content}" if content else name
+    else:
+        kind = _DATA_KINDS[node.kind._value_]
     tokens.append(XsToken.unchecked(kind, content))
 
 

@@ -27,12 +27,19 @@ enclosing element token).
 The tokenizer reads each token with one match of a compiled pattern per
 escape mode.  The match skips padding and reads the lead (the prefix
 character, after its NUL in sentinel mode) and that kind's payload run;
-``m.lastindex`` says which kind of run it read.  An entity-mode data run
-is ``(?:[^<prefix chars>&\\x00]+|&#[0-9]+;|&(?!#))*``, and the character a
-run stops at names the error, read by the same match: ``&`` a malformed
-reference, NUL stray data, the end of input an unterminated dual.
-The tokens it builds skip ``XsToken``'s checks (``XsToken.unchecked``):
-the pattern has already established them.
+``m.lastindex`` says which kind of run it read.  A depth marker right
+after a name or data payload is read by the same match.  That is where
+the renderer writes an element's own marker (``/name+N``, or ``\\x00+N``
+in sentinel mode), so a canonical stream costs one match per token as a
+sibling stream does.  An element takes the marker; any other token hands
+it to ``_attach_depth`` as a marker of its own would be.  A marker
+anywhere else (after padding, a key binder, a quoted value or another
+marker) is a match of its own.  An entity-mode data run is
+``(?:[^<prefix chars>&\\x00]+|&#[0-9]+;|&(?!#))*``, and the character a run
+stops at names the error, read by the same match: ``&`` a malformed
+reference, NUL stray data, the end of input an unterminated dual.  The
+tokens it builds skip ``XsToken``'s checks (``XsToken.unchecked``): the
+pattern has already established them.
 
 Entity mode escapes and folds a stream's payloads together, not one
 payload at a time.  ``render`` joins every payload with NUL, which no
@@ -330,34 +337,43 @@ def render(doc: XsDocument) -> str:
 _P = re.escape(PREFIX_CHARS)
 _DATA_LEADS = "-'?\\[!="
 _RUN_REF = "&#[0-9]+;|&(?!#)"
-# One token pattern per escape mode.  The alternatives and their groups,
-# the same numbers in both modes:
+# One token pattern per escape mode.  The alternatives and their groups:
 #   1 2 3   dual lead, payload, what the run stopped at when unclosed
-#   4 5     marker lead, digits
+#   4 5     data lead, payload
 #   6 7     name lead, payload
-#   8 9     data lead, payload
-#   10      (entity mode) the '&' or NUL a name or data run stopped at
+#   8       the digits of a depth marker right after a name or data run
+#   9       (entity mode) the '&' or NUL a name or data run stopped at
+#   last 2  a marker's lead and digits: 10 11 in entity mode, 9 10 in
+#           sentinel mode
 # A quoted attribute value ``="..."`` is read as a dual; sentinel mode has
-# no quoted values.
+# no quoted values.  The payload runs hold the lowest groups: for every
+# iteration of a run that alternates, as an entity-mode run over
+# references does, re saves the marks of every group up to its own.  On a
+# text payload dense with references a data run at group 9 peaks at 213
+# bytes per character, at group 5 at 134.
 _TOKEN = {
     EscapeMode.ENTITY: re.compile(
         f"[{_WS}]*(?:"
         f'(="|")((?:[^"&\\x00]+|{_RUN_REF})*)(?:"|([&\\x00]|\\Z))'
+        f"|(?:([{_DATA_LEADS}])((?:[^{_P}&\\x00]+|{_RUN_REF})*)"
+        f"|([/|@])((?:[^{_P}&\\x00{_WS}]+|{_RUN_REF})*))"
+        "(?:\\+([0-9]+)|([&\\x00]))?"
         "|([+#])([0-9]*)"
-        f"|(?:([/|@])((?:[^{_P}&\\x00{_WS}]+|{_RUN_REF})*)"
-        f"|([{_DATA_LEADS}])((?:[^{_P}&\\x00]+|{_RUN_REF})*))([&\\x00])?"
         ")?"),
     EscapeMode.SENTINEL: re.compile(
         f"[{_WS}]*(?:"
         '(\\x00")([^\\x00]*)(?:\\x00"|(\\x00|\\Z))'
+        f"|(?:(\\x00[{_DATA_LEADS}])([^\\x00]*)"
+        f"|(\\x00[/|@])([^\\x00{_WS}]*))"
+        "(?:\\x00\\+([0-9]+))?"
         "|(\\x00[+#])([0-9]*)"
-        f"|(\\x00[/|@])([^\\x00{_WS}]*)"
-        f"|(\\x00[{_DATA_LEADS}])([^\\x00]*)"
         ")?"),
 }
 # what a match read, by its m.lastindex; the group before a payload holds
-# its lead, and a lastindex of 3 or 10 says where a run stopped short
-_DUAL, _MARKER, _NAME, _DATA = 2, 5, 7, 9
+# its lead, and a lastindex of 3 or 9 says where a run stopped short
+_DUAL, _DATA, _NAME, _DEPTH = 2, 5, 7, 8
+_MARKER = {EscapeMode.ENTITY: 11, EscapeMode.SENTINEL: 10}
+_CHILD, _SIBLING = PrefixKind.CHILD, PrefixKind.SIBLING
 _LEADS = {lead: kind for c, kind in _CHAR_TO_KIND.items()
           for lead in (c, NUL + c)}
 _LEADS['="'] = PrefixKind.ATTR_VALUE
@@ -398,12 +414,17 @@ def _stopped(m: re.Match, g: int, sentinel: bool) -> NoReturn:
     raise UnterminatedDual(m.start(_DUAL - 1), "dual text never closed")
 
 
+def _overlong(error: type[TokenizeError], offset: int,
+              what: str) -> TokenizeError:
+    return error(offset, f"{what} has too many digits")
+
+
 def _integer(digits: str, error: type[TokenizeError], offset: int,
              what: str) -> int:
     try:
         return int(digits)
     except ValueError:  # more digits than int() converts
-        raise error(offset, f"{what} has too many digits") from None
+        raise _overlong(error, offset, what) from None
 
 
 def _attach_depth(tokens: list[XsToken], value: int, offset: int) -> None:
@@ -441,7 +462,10 @@ def tokenize(text: str, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
     """
     sentinel = escaping is EscapeMode.SENTINEL
     match = _TOKEN[escaping].match
+    marker = _MARKER[escaping]
     new = XsToken.unchecked
+    # the length of a depth marker's lead, '+' or NUL '+'
+    plus = 2 if sentinel else 1
     tokens: list[XsToken] = []
     # entity mode: the tokens whose payloads hold an '&', by kind of run
     refs: list[XsToken] = []
@@ -456,6 +480,17 @@ def tokenize(text: str, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
                 _no_token(text, m.end(), sentinel)
             break
         i = m.end()
+        if g == marker:
+            start = m.start(g - 1)
+            error, what, attach = _MARKERS[m[g - 1][-1]]
+            payload = m[g]
+            if not payload:
+                raise error(start, f"no integer after {what}")
+            attach(tokens, _integer(payload, error, start, what), start)
+            continue
+        marked = g == _DEPTH
+        if marked:
+            g = _DATA if m[_DATA] is not None else _NAME
         payload = m[g]
         if g == _NAME:
             if not payload:
@@ -463,19 +498,26 @@ def tokenize(text: str, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
             # isdigit first spares most names the call
             if payload.isdigit() and reads_as_key(payload):
                 key = _integer(payload, BadKey, m.start(g - 1), "key reference")
-                tokens.append(new(_LEADS[m[g - 1]], "", None, key))
-                continue
-        elif g == _MARKER:
-            start = m.start(g - 1)
-            error, what, attach = _MARKERS[m[g - 1][-1]]
-            if not payload:
-                raise error(start, f"no integer after {what}")
-            attach(tokens, _integer(payload, error, start, what), start)
-            continue
-        elif g != _DATA and g != _DUAL:
+                tok = new(_LEADS[m[g - 1]], "", None, key)
+            else:
+                tok = new(_LEADS[m[g - 1]], payload)
+        elif g == _DATA or g == _DUAL:
+            tok = new(_LEADS[m[g - 1]], payload)
+        else:
             _stopped(m, g, sentinel)
-        tok = new(_LEADS[m[g - 1]], payload)
         tokens.append(tok)
+        if marked:
+            # the marker read with the token: an element takes it, and
+            # any other token attaches it as a marker of its own would be
+            start = m.start(_DEPTH) - plus
+            try:
+                depth = int(m[_DEPTH])
+            except ValueError:  # more digits than int() converts
+                raise _overlong(BadDepth, start, "depth marker") from None
+            if tok.kind is _CHILD or tok.kind is _SIBLING:
+                tok.depth = depth
+            else:
+                _attach_depth(tokens, depth, start)
         if not sentinel and "&" in payload:
             (duals if g == _DUAL else refs).append(tok)
     # one fold over each kind's payloads, joined with NUL, which an

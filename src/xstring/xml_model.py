@@ -453,24 +453,30 @@ def serialize_xml(doc: XmlDocument) -> str:
     for node, _, depth in walk(doc):
         while len(ends) > depth:
             out.append(ends.pop())
-        if node.children:
-            ends.append(f"</{node.name}>" if node.kind is NodeKind.ELEMENT
-                        else "")
-        if node.kind is NodeKind.ELEMENT:
-            end = ">" if node.children else "/>"
-            attrs = "".join(map(serialize_attribute, node.attributes))
-            out.append(f"<{node.name}{attrs}{end}")
-        elif node.kind is NodeKind.TEXT:
+        kind = node.kind
+        if kind is _ELEMENT:
+            tag, attrs = node.name, node.attributes
+            if attrs:
+                tag += "".join(map(serialize_attribute, attrs))
+            if node.children:
+                out.append(f"<{tag}>")
+                ends.append(f"</{node.name}>")
+            else:
+                out.append(f"<{tag}/>")
+            continue
+        if kind is _TEXT:
             out.append(node.content)
-        elif node.kind is NodeKind.COMMENT:
+        elif kind is _COMMENT:
             out.append(f"<!--{node.content}-->")
-        elif node.kind is NodeKind.PROC_INSTR:
+        elif kind is _PROC_INSTR:
             body = f"{node.name} {node.content}" if node.content else node.name
             out.append(f"<?{body}?>")
-        elif node.kind is NodeKind.CDATA:
+        elif kind is _CDATA:
             out.append(f"<![CDATA[{node.content}]]>")
-        elif node.kind is NodeKind.DTD:
+        elif kind is _DTD:
             out.append(f"<!{node.content}>")
+        if node.children:
+            ends.append("")
     out.extend(reversed(ends))
     return "".join(out)
 

@@ -35,7 +35,7 @@ xstring encode < refs.xml | xstring decode | cmp - refs.xml
 # the packed form: keyed at threshold 2, packed, unpacked and
 # expanded back to the encoded stream; rep.xml repeats its names,
 # so its stream holds keys
-printf '<list><item id="1"/><item id="2"/></list>' > rep.xml
+printf '<list><item id="1"/><item id="2"/></list>\n' > rep.xml
 for xml in refs.xml ws.xml rep.xml; do
   xstring encode < "$xml" > enc.xs
   xstring subst --threshold 2 < enc.xs > keyed.xs
@@ -43,6 +43,17 @@ for xml in refs.xml ws.xml rep.xml; do
   xstring unpack k.xsb | xstring expand | cmp - enc.xs
 done
 grep -q '#0' keyed.xs
+# the canonical form read back, in both escape modes: each element's
+# depth marker comes right after its name, or after an attribute list
+# or padding
+for xml in refs.xml rep.xml; do
+  for escape in entity sentinel; do
+    xstring encode --mode canonical --escape "$escape" < "$xml" |
+      xstring decode | cmp - "$xml"
+  done
+done
+test "$(printf "/r@a=v+2'x/b" | xstring decode)" = '<r a="v">x<b/></r>'
+test "$(printf "/r +2'x/b" | xstring decode)" = '<r>x<b/></r>'
 # the same in sentinel mode: only the writers are told the mode,
 # the readers take it from the stream
 xstring encode --escape sentinel < rep.xml > sen.xs

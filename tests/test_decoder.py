@@ -185,13 +185,16 @@ def test_corpus_streams_match_oracle(mode, escaping):
 @pytest.mark.parametrize("mode", [EncodeMode.SAFE_SIBLING,
                                   EncodeMode.CANONICAL])
 def test_decode_makes_few_python_calls_per_token(mode):
-    # feed reads each token in its own frame, and only the sink's _node,
-    # which is handed the parent, the node's and open entry's constructors
-    # and the stack's push and pop are calls: about 3.2 calls per token on
-    # these streams, where a second sink call per node made 3.6 and a
-    # handler, name resolution and open per token made 6.3
+    # feed reads each token in its own frame and keeps the stack there:
+    # only the sink's _node, which is handed the parent, and the node's
+    # and open entry's constructors are calls, and the kind tables are
+    # keyed by str, not by Enum members with a Python __hash__.  That is
+    # 2.29 calls per token on these streams in both forms, where push,
+    # pop and truncate calls and an Enum-keyed lookup per data token made
+    # 3.18, a second sink call per node 3.6 and a handler, name
+    # resolution and open per token 6.3
     streams = [encode(doc, EncodeOptions(mode=mode))
                for doc in fixtures.corpus()]
     calls = python_calls(lambda: [decode(xs) for xs in streams])
     tokens = sum(len(xs.tokens) for xs in streams)
-    assert calls / tokens <= 3.4
+    assert calls / tokens <= 2.4

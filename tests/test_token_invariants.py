@@ -68,10 +68,10 @@ def test_table_names_keep_the_public_checks():
         expand_substitution(tokenize("/0"), SubstitutionTable(["a b"]))
 
 
-def _tokenize_calls(escaping):
+def _tokenize_calls(escaping, mode=EncodeMode.SAFE_SIBLING):
     """Python calls tokenize makes over the corpus streams, and the tokens
     it reads."""
-    wires = [render(encode(doc, EncodeOptions(escaping=escaping)))
+    wires = [render(encode(doc, EncodeOptions(mode=mode, escaping=escaping)))
              for doc in fixtures.corpus()]
     read = []
     calls = python_calls(lambda: [read.append(tokenize(wire, escaping))
@@ -81,7 +81,7 @@ def _tokenize_calls(escaping):
 
 def test_tokenize_makes_few_python_calls_per_token():
     # one match per token and no checks on the tokens it builds, and in
-    # entity mode one reference fold per stream: about 1.3 calls per
+    # entity mode one reference fold per stream: about 1.2 calls per
     # token on these streams, where a callback per reference made 1.6
     # and reading each payload with a second match and checking each
     # token nearly six
@@ -91,11 +91,21 @@ def test_tokenize_makes_few_python_calls_per_token():
 
 def test_entity_tokenize_costs_about_what_sentinel_does():
     # the references of a stream are folded in one pass after the loop,
-    # not one callback each: 1.32 against 1.27 calls per token, where
+    # not one callback each: 1.25 against 1.20 calls per token, where
     # the callbacks made it 1.91
     entity, sentinel = (_tokenize_calls(escaping) for escaping in
                         (EscapeMode.ENTITY, EscapeMode.SENTINEL))
     assert entity[0] / entity[1] <= sentinel[0] / sentinel[1] + 0.3
+
+
+@pytest.mark.parametrize("escaping", list(EscapeMode))
+def test_canonical_tokenize_costs_about_what_sibling_does(escaping):
+    # an element's own depth marker is read in the element's match: 1.25
+    # (entity) and 1.20 (sentinel) calls per token on these streams, the
+    # same as their sibling forms, where a second match per marker with
+    # an _attach_depth and an _integer call made 1.62 and 1.57
+    calls, tokens = _tokenize_calls(escaping, EncodeMode.CANONICAL)
+    assert calls / tokens <= 1.35
 
 
 def test_render_makes_few_python_calls_per_token():

@@ -59,17 +59,17 @@ def test_end_of_input_matches_oracle(text, mode):
     assert_same(text, mode)
 
 
-def assert_same_digits_unlimited(text):
-    """assert_same in entity mode, with the oracle reading references of
-    any length: it reads their digits with int(), which refuses more than
-    sys.get_int_max_str_digits() of them, where the tokenizer reads them
-    as text."""
-    new = outcome(tokenize, text, EscapeMode.ENTITY)
+def assert_same_digits_unlimited(text, mode=EscapeMode.ENTITY):
+    """assert_same, with the oracle reading references and markers of any
+    length: it reads their digits with int(), which refuses more than
+    sys.get_int_max_str_digits() of them, where the tokenizer reads a
+    reference as text and types an overlong marker's error."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        assert new == outcome(oracle_tokenize, text, EscapeMode.ENTITY)
+        new = outcome(tokenize, text, mode)
+        assert new == outcome(oracle_tokenize, text, mode), (text, mode)
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
@@ -118,3 +118,49 @@ def test_corpus_streams_match_oracle(mode, escaping):
         assert err is None
     # the fixture documents bind keys, so binders and references are read
     assert keys > 0
+
+
+# An element's own depth marker is read in the element's match; a marker
+# anywhere else is a match of its own.  Each pair is one stream in entity
+# and in sentinel mode: a second marker, one without digits, a key
+# reference or binder beside a marker, markers after an attribute name or
+# value, after padding and after data, names holding an '&', and what may
+# follow a marker's digits.
+_MARKED = [
+    ("/a+1+2", "\0/a\0+1\0+2"),
+    ("/a+", "\0/a\0+"),
+    ("/3+2", "\0/3\0+2"),
+    ("/a#3+2", "\0/a\0#3\0+2"),
+    ("/a+2#3", "\0/a\0+2\0#3"),
+    ("@x+2", "\0@x\0+2"),
+    ("/r@x+2", "\0/r\0@x\0+2"),
+    ("@a=v+2", "\0@a\0=v\0+2"),
+    ("/r@a=v+2", "\0/r\0@a\0=v\0+2"),
+    ("/a +2", "\0/a \0+2"),
+    ("'t+2", "\0't\0+2"),
+    ("/r't+2", "\0/r\0't\0+2"),
+    ("/r|a+0|a+1", "\0/r\0|a\0+0\0|a\0+1"),
+    ("/a&+1", "\0/a&\0+1"),
+    ("/a&#+1", "\0/a&#\0+1"),
+    ("/a+1&", "\0/a\0+1&"),
+    ("/a+1&#1;", "\0/a\0+1&#1;"),
+    ("/a+1\0", "\0/a\0+1\0"),
+    ("/+1", "\0/\0+1"),
+]
+
+
+@pytest.mark.parametrize("entity, sentinel", _MARKED)
+def test_element_markers_match_oracle(entity, sentinel):
+    assert_same(entity, EscapeMode.ENTITY)
+    assert_same(sentinel, EscapeMode.SENTINEL)
+
+
+@pytest.mark.parametrize("entity, sentinel", [
+    ("/a+", "\0/a\0+"), ("/3+", "\0/3\0+"), ("'t+", "\0't\0+"),
+    ("/r@x+", "\0/r\0@x\0+")])
+def test_long_markers_match_oracle(entity, sentinel):
+    # 5 000 digits, past int()'s default limit: with the limit lifted both
+    # read the same depth, or refuse the marker with the same error
+    digits = "9" * 5000
+    assert_same_digits_unlimited(entity + digits, EscapeMode.ENTITY)
+    assert_same_digits_unlimited(sentinel + digits, EscapeMode.SENTINEL)
