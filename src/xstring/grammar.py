@@ -414,17 +414,12 @@ def _stopped(m: re.Match, g: int, sentinel: bool) -> NoReturn:
     raise UnterminatedDual(m.start(_DUAL - 1), "dual text never closed")
 
 
-def _overlong(error: type[TokenizeError], offset: int,
-              what: str) -> TokenizeError:
-    return error(offset, f"{what} has too many digits")
-
-
 def _integer(digits: str, error: type[TokenizeError], offset: int,
              what: str) -> int:
     try:
         return int(digits)
     except ValueError:  # more digits than int() converts
-        raise _overlong(error, offset, what) from None
+        raise error(offset, f"{what} has too many digits") from None
 
 
 def _attach_depth(tokens: list[XsToken], value: int, offset: int) -> None:
@@ -512,8 +507,8 @@ def tokenize(text: str, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
             start = m.start(_DEPTH) - plus
             try:
                 depth = int(m[_DEPTH])
-            except ValueError:  # more digits than int() converts
-                raise _overlong(BadDepth, start, "depth marker") from None
+            except ValueError:  # _integer raises the overlong error
+                depth = _integer(m[_DEPTH], BadDepth, start, "depth marker")
             if tok.kind is _CHILD or tok.kind is _SIBLING:
                 tok.depth = depth
             else:

@@ -30,9 +30,10 @@ def test_entity_tokenize_memory_on_dense_references():
     # backtracking state for each, whose size grows with the number of
     # the group the run sits in.  That stack grows in steps of a quarter,
     # so one size's peak overshoots the need by up to a quarter; the least
-    # over sizes from 180 to 240 KB is close to it.  On CPython 3.11 that
-    # is 134 bytes per character with the data run in groups 4/5, 171 at
-    # 6/7 and 201 at 8/9.
+    # over sizes from 180 to 240 KB is close to it.  On CPython 3.11, 3.12
+    # and 3.13 that is 134 bytes per character with the data run in groups
+    # 4/5, 171 at 6/7 and 201 at 8/9; on 3.10, whose re saves less per
+    # iteration, 128, 144 and 170.
     def tokenize_entity(text):
         return tokenize(text, EscapeMode.ENTITY)
     peaks = [peak_per_char(tokenize_entity, "/r'" + "x&#47;" * n)
