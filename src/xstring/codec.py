@@ -26,9 +26,12 @@ close-back, once some element it closes has a depth marker.
 
 Safe-sibling encoding emits the tree in one pass, writing every later
 element child as a sibling token, and keeps the stack of open elements the
-decoder will hold.  Every node already emitted decodes under its true
-parent p, so that stack is the ancestors up to p plus at most one finished
-subtree still open above p.  Two local rules keep it so:
+decoder will hold, in its own frame as feed does: a plain list whose
+entries each carry what nearest held for their name before they opened,
+put back when they pop, and nearest, a name's topmost open element.
+Every node already emitted decodes under its true parent p, so that stack
+is the ancestors up to p plus at most one finished subtree still open
+above p.  Two local rules keep it so:
 
 * before a data or child token, if p is not the innermost open element,
   the open child of p gets a depth marker counting the nodes attached
@@ -156,32 +159,6 @@ class OpenEntry:
     close: Optional[int]  # node count at which the depth marker runs out
     low: float  # smallest close at or below this entry, inf when none
     below: int  # what nearest held for the node's name before it opened
-
-
-class OpenStack(list):
-    """Open elements, outermost first, plus nearest: name -> index of the
-    topmost open element with that name, or -1.  The sibling emitter keeps
-    the one the decoder will hold; the decoder keeps the same two in
-    DecodeState's open_stack and nearest."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.nearest: dict[str, int] = {}
-        self._below: list[tuple[str, int]] = []
-
-    def push(self, name: str, entry) -> None:
-        self._below.append((name, self.nearest.get(name, -1)))
-        self.nearest[name] = len(self)
-        self.append(entry)
-
-    def pop(self):
-        name, below = self._below.pop()
-        self.nearest[name] = below
-        return super().pop()
-
-    def truncate(self, size: int) -> None:
-        while len(self) > size:
-            self.pop()
 
 
 # Both tables are keyed by a member's value, a str: a lookup keyed by the
@@ -574,39 +551,41 @@ def _emit_canonical(doc: XmlDocument, escaping: EscapeMode, drop: bool,
 def _emit_safe_sibling(doc: XmlDocument, escaping: EscapeMode, drop: bool,
                        tokens: list[XsToken]) -> None:
     # The decoder's stack of open elements, as (token, nodes attached up
-    # to and including the element).  Every node emitted so far decodes
-    # under its true parent, so the stack holds the ancestors of the next
-    # node plus the chain of the last finished element child above them.
-    # Until the parent has an element child the stack ends at the parent,
-    # so a sibling token needs no check that one came before.
-    stack = OpenStack()
+    # to and including the element, what nearest held for its name before
+    # it opened), and nearest as feed keeps it.  Every node emitted so far
+    # decodes under its true parent, so the stack holds the ancestors of
+    # the next node plus the chain of the last finished element child
+    # above them.  Until the parent has an element child the stack ends at
+    # the parent, so a sibling token needs no check that one came before.
+    stack: list[tuple[XsToken, int, int]] = []
+    nearest: dict[str, int] = {}
     attached = 0
-
-    def close_above(p: int) -> None:
-        # the depth marker closes the open child of stack[p] and everything
-        # above it right after the nodes attached since it opened
-        if len(stack) > p + 1:
-            tok, start = stack[p + 1]
-            tok.depth = attached - start
-            stack.truncate(p + 1)
-
     for node, _, depth in walk(doc, drop):
-        p = depth - 1  # stack index of the node's parent, -1 for none
-        if node.kind is not _ELEMENT:
-            close_above(p)
-            attached += 1
-            _data_token(node, escaping, tokens)
-            continue
-        at = stack.nearest.get(node.name, -1)
-        if at == p + 1 or (at < 0 and len(stack) == p + 2):
-            kind = PrefixKind.SIBLING
-            stack.truncate(p + 1)
-        else:
-            kind = PrefixKind.CHILD
-            close_above(p)
-        tok = _element_tokens(node, kind, tokens)
+        # depth is the node's own stack index, its parent's plus one; kind
+        # is None for a data node
+        kind = None
+        if node.kind is _ELEMENT:
+            name = node.name
+            at = nearest.get(name, -1)
+            kind = (_SIBLING if at == depth
+                    or (at < 0 and len(stack) == depth + 1) else _CHILD)
+        if len(stack) > depth:
+            if kind is not _SIBLING:
+                # the depth marker closes the open child of the parent and
+                # everything above it right after the nodes attached since
+                # it opened; a sibling token closes back to it instead
+                tok, start, _ = stack[depth]
+                tok.depth = attached - start
+            while len(stack) > depth:
+                tok, _, below = stack.pop()
+                nearest[tok.payload] = below
         attached += 1
-        stack.push(node.name, (tok, attached))
+        if kind is None:
+            _data_token(node, escaping, tokens)
+        else:
+            tok = _element_tokens(node, kind, tokens)
+            stack.append((tok, attached, nearest.get(name, -1)))
+            nearest[name] = depth
 
 
 def emit(doc: XmlDocument, opts: Optional[EncodeOptions] = None) -> XsDocument:

@@ -54,6 +54,24 @@ for xml in refs.xml rep.xml; do
 done
 test "$(printf "/r@a=v+2'x/b" | xstring decode)" = '<r a="v">x<b/></r>'
 test "$(printf "/r +2'x/b" | xstring decode)" = '<r>x<b/></r>'
+# sibling streams the decoder must close exactly as the encoder
+# predicts: a depth marker closes the finished elements above the
+# parent, a sibling token closes back to the nearest open element with
+# its name, and an element whose earlier sibling a marker closed is
+# written as a child; each stream decodes back byte for byte
+printf '<b><b><b><?p?><a/></b>t<a/></b><b/></b>\n' > close.xml
+printf '<d><d><p/>t</d><d/></d>\n' > back.xml
+printf '<p>one <b>x</b> two<b>y</b></p>\n' > prose.xml
+test "$(xstring encode < close.xml)" = "/b/b/b+2?p/a't/a|b"
+test "$(xstring encode < back.xml)" = "/d/d/p+0't|d"
+test "$(xstring encode < prose.xml)" = "/p'one /b+1'x' two/b'y"
+for xml in close.xml back.xml prose.xml; do
+  xstring encode < "$xml" | xstring decode | cmp - "$xml"
+done
+xstring encode --escape sentinel < close.xml > close.xs
+printf "\000/b\000/b\000/b\000+2\000?p\000/a\000't\000/a\000|b" |
+  cmp - close.xs
+xstring decode close.xs | cmp - close.xml
 # the same in sentinel mode: only the writers are told the mode,
 # the readers take it from the stream
 xstring encode --escape sentinel < rep.xml > sen.xs

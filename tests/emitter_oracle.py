@@ -2,23 +2,50 @@
 kept as a reference.
 
 The codec's emitters now read xml_model.walk over the document, which
-also gives the verifier its nodes; test_emitters.py compares the two.  Here each emitter
-keeps its own whitespace-skip test and its own count of the elements it
-is inside, and encode writes the prolog token itself.  The node checks
-and the verifier are the codec's, so outcomes compare by tokens or by
-error class and message.
+also gives the verifier its nodes; test_emitters.py compares the two.
+Here each emitter keeps its own whitespace-skip test and its own count of
+the elements it is inside, and encode writes the prolog token itself.
+The sibling emitter keeps the decoder's stack in OpenStack, defined here:
+a list with a parallel list of what nearest held for each name, driven
+through close_above, where the codec's emitter keeps the same stack
+inline as the decoder does.  The node checks and the verifier are the
+codec's, so outcomes compare by tokens or by error class and message.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from xstring.codec import (EncodeMode, EncodeOptions, OpenStack, Unencodable,
+from xstring.codec import (EncodeMode, EncodeOptions, Unencodable,
                            _data_token, _element_tokens, _verify)
 from xstring.grammar import EscapeMode, PrefixKind, XsDocument, XsToken
 from xstring.xml_model import NodeKind, XmlDocument, XmlNode
 
 from walk_oracle import walk
+
+
+class OpenStack(list):
+    """Open elements, outermost first, plus nearest: name -> index of the
+    topmost open element with that name, or -1."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.nearest: dict[str, int] = {}
+        self._below: list[tuple[str, int]] = []
+
+    def push(self, name: str, entry) -> None:
+        self._below.append((name, self.nearest.get(name, -1)))
+        self.nearest[name] = len(self)
+        self.append(entry)
+
+    def pop(self):
+        name, below = self._below.pop()
+        self.nearest[name] = below
+        return super().pop()
+
+    def truncate(self, size: int) -> None:
+        while len(self) > size:
+            self.pop()
 
 
 def _emit_canonical(root: XmlNode, escaping: EscapeMode, drop: bool,
