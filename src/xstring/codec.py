@@ -24,14 +24,15 @@ helpers left are the rare paths: resolving a key, and the messages of the
 depth errors, called only once an error is certain or, for a sibling's
 close-back, once some element it closes has a depth marker.
 
-Safe-sibling encoding emits the tree in one pass, writing every later
-element child as a sibling token, and keeps the stack of open elements the
-decoder will hold, in its own frame as feed does: a plain list whose
-entries each carry what nearest held for their name before they opened,
-put back when they pop, and nearest, a name's topmost open element.
-Every node already emitted decodes under its true parent p, so that stack
-is the ancestors up to p plus at most one finished subtree still open
-above p.  Two local rules keep it so:
+One emitter loop writes both forms in one pass over the tree.  It keeps
+the stack of open elements the decoder will hold, in its own frame as
+feed does: a plain list whose entries each carry what nearest held for
+their name before they opened, put back when they pop, and nearest, a
+name's topmost open element.  The safe-sibling form writes every later
+element child as a sibling token.  Every node already emitted decodes
+under its true parent p, so that stack is the ancestors up to p plus at
+most one finished subtree still open above p.  Two local rules keep it
+so:
 
 * before a data or child token, if p is not the innermost open element,
   the open child of p gets a depth marker counting the nodes attached
@@ -40,19 +41,22 @@ above p.  Two local rules keep it so:
   the open child of p, or when no open element has its name and that
   child is the innermost; otherwise it becomes a child token.
 
-Canonical encoding skips sibling tokens entirely and gives every element
-an explicit depth, set when the first node not below it comes.
+The canonical form is the special case with no sibling tokens, in which
+every element takes an explicit depth when it closes, that is when the
+first node not below it comes.
 
 xml_model.walk(doc, drop) is the one statement of what an encoding
 writes and in what order: the prolog, when there is one, then the root's
 tree, every node in document order less the insignificant whitespace-only
-text leaves, each with its parent and its number of ancestors.  Both
-emitters and the verifier read it.  encode refuses a prolog that is not an
-instruction and a root that is not an element; the emitters check each
-other node as they write it, so the first node in document order that
-cannot be written raises Unencodable.  A data node with children raises
-before any of its children come, so every node an emitter reaches has
-only element ancestors.
+text leaves, each with its parent and its number of ancestors.  encode
+walks a document once: the canonical form reads the walk as it goes, and
+the sibling form keeps it in a list that the verifier reads after the
+emitter loop.  encode refuses a prolog that is not an instruction and a
+root that is not an element; the loop checks each other node in its own
+frame as it writes it, a name once per distinct name, so the first node
+in document order that cannot be written raises Unencodable.  A data node
+with children raises before any of its children come, so every node the
+loop reaches has only element ancestors.
 A text token takes the dual form when it ends in a prefix character,
 unless it follows a bare =, where a dual would read back as a quoted
 value.  A node holding a field its kind has no token for (content on an
@@ -63,7 +67,7 @@ The sibling form is then checked without building a tree.  The decoder's
 core reads the stream and hands each node's kind, name, content,
 attribute list and parent, the innermost open element, to a one-method
 sink whose open elements are the caller's own nodes.  Its _node takes the
-next node walk(doc, drop) yields, in document order, which must have the
+next node of the walk encode took, in document order, which must have the
 kind, name and content the core read, the attributes the core gave it by
 the next node or the end, and as its parent in the caller's tree the
 parent the core passed.  The check needs nothing from the emitter but its
@@ -81,12 +85,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import NoReturn, Optional
+from typing import Iterable, Iterator, NoReturn, Optional
 
 from .errors import BadArgument, XStringError
 from .grammar import (NUL, PREFIX_CHARS, WHITESPACE, EscapeMode, PrefixKind,
                       XsDocument, XsToken, name_fault, reads_as_key)
 from .xml_model import Attribute, NodeKind, XmlDocument, XmlNode, walk
+
+
+# what walk yields per node: (node, parent, depth)
+_Walked = tuple[XmlNode, Optional[XmlNode], int]
 
 
 class EncodeMode:
@@ -412,16 +420,17 @@ class Verifier(DecodeState):
     """Decodes a stream onto the caller's own tree, building none; encode
     checks its sibling form with it and metrics.measure any stream.
 
-    Each element and data token takes the next node the caller's tree
-    writes, in document order, and must carry its kind, name and content;
+    It is given the nodes the caller's tree writes, a walk(doc, drop)
+    taken into a list.  Each element and data token takes the next of
+    them, in document order, and must carry its kind, name and content;
     the open entries hold the caller's elements, so a node lands under its
     parent exactly when the core passes that parent.  The attribute
     list the core fills for a node is compared with the node's own once
     the next node or the end comes."""
 
-    def __init__(self, doc: XmlDocument, drop: bool):
+    def __init__(self, written: list[_Walked]):
         super().__init__()
-        self._written = walk(doc, drop)
+        self._written = iter(written)
         # the attributes the stream gave the last node, and the node's own
         self._got: list[Attribute] = []
         self._want: list[Attribute] = []
@@ -443,9 +452,9 @@ class Verifier(DecodeState):
         return got
 
 
-def _verify(doc: XmlDocument, drop: bool, tokens: list[XsToken]) -> None:
-    """Raise Unencodable unless tokens decode to doc."""
-    state = Verifier(doc, drop)
+def _verify(written: list[_Walked], tokens: list[XsToken]) -> None:
+    """Raise Unencodable unless tokens decode to the nodes written."""
+    state = Verifier(written)
     try:
         for tok in tokens:
             state.feed(tok)
@@ -462,10 +471,7 @@ def descendant_count(node: XmlNode) -> int:
     return sum(1 for _ in walk((node,))) - 1
 
 
-def _nul_free(s: str) -> str:
-    if NUL in s:
-        raise Unencodable("NUL in character data cannot be written")
-    return s
+_NUL_IN_DATA = "NUL in character data cannot be written"
 
 
 def _writable_name(name: str, what: str) -> str:
@@ -476,80 +482,21 @@ def _writable_name(name: str, what: str) -> str:
     return name
 
 
-def _element_tokens(node: XmlNode, kind: PrefixKind,
-                    tokens: list[XsToken]) -> XsToken:
-    """Check an element and append its token and attribute tokens."""
-    if node.content:
-        raise Unencodable("element content cannot be written")
-    tok = XsToken.unchecked(kind, _writable_name(node.name, "element"))
-    tokens.append(tok)
-    for name, value in node.attributes:
-        tokens.append(XsToken.unchecked(PrefixKind.ATTR_NAME,
-                                        _writable_name(name, "attribute")))
-        if value is not None:
-            tokens.append(XsToken.unchecked(PrefixKind.ATTR_VALUE,
-                                            _nul_free(value)))
-    if len(node.attributes) > 1:
-        names: set[str] = set()
-        for name, _ in node.attributes:
-            if name in names:
-                raise Unencodable(
-                    f"duplicate attribute {name!r} cannot be written")
-            names.add(name)
-    return tok
+def _written(doc: XmlDocument, drop: bool) -> Iterator[_Walked]:
+    """What an encoding of doc writes, walk(doc, drop); raises Unencodable
+    for a prolog or root that cannot be written."""
+    if doc.prolog is not None and doc.prolog.kind is not _PROC_INSTR:
+        raise Unencodable(
+            f"prolog {doc.prolog.kind.value} node cannot be written: only "
+            "a processing instruction can precede the root")
+    if doc.root.kind is not _ELEMENT:
+        raise Unencodable(f"root {doc.root.kind.value} node cannot be "
+                          "written: the root must be an element")
+    return walk(doc, drop)
 
 
-def _data_token(node: XmlNode, escaping: EscapeMode,
-                tokens: list[XsToken]) -> None:
-    """Check a data node and append its token."""
-    if node.children or node.attributes or (
-            node.name and node.kind is not _PROC_INSTR):
-        raise Unencodable(f"{node.kind.value} node with a name, attributes "
-                          "or children cannot be written")
-    content = _nul_free(node.content)
-    if node.kind is _TEXT:
-        # a trailing prefix character needs the dual form in entity mode,
-        # except right after a bare =, where a dual would read back as a
-        # quoted value; plain text escapes the character instead
-        last = content[-1:]
-        dual = (escaping is EscapeMode.ENTITY and last
-                and last in PREFIX_CHARS and last != '"'
-                and not (tokens and tokens[-1].kind is PrefixKind.ATTR_VALUE
-                         and not tokens[-1].payload))
-        kind = PrefixKind.TEXT_DUAL if dual else PrefixKind.TEXT
-    elif node.kind is _PROC_INSTR:
-        name = node.name  # data up to its first whitespace, not a name
-        if not name or NUL in name or WHITESPACE.search(name):
-            raise Unencodable(f"pi name {name!r} cannot be written")
-        kind = PrefixKind.PROC_INSTR
-        content = f"{name} {content}" if content else name
-    else:
-        kind = _DATA_KINDS[node.kind._value_]
-    tokens.append(XsToken.unchecked(kind, content))
-
-
-def _emit_canonical(doc: XmlDocument, escaping: EscapeMode, drop: bool,
-                    tokens: list[XsToken]) -> None:
-    # (token, nodes emitted up to and including it) per open element; its
-    # depth is the number of nodes emitted before the first one not below it
-    open_elems: list[tuple[XsToken, int]] = []
-    emitted = 0
-    for node, _, depth in walk(doc, drop):
-        while len(open_elems) > depth:
-            tok, start = open_elems.pop()
-            tok.depth = emitted - start
-        emitted += 1
-        if node.kind is _ELEMENT:
-            tok = _element_tokens(node, PrefixKind.CHILD, tokens)
-            open_elems.append((tok, emitted))
-        else:
-            _data_token(node, escaping, tokens)
-    for tok, start in open_elems:
-        tok.depth = emitted - start
-
-
-def _emit_safe_sibling(doc: XmlDocument, escaping: EscapeMode, drop: bool,
-                       tokens: list[XsToken]) -> None:
+def _emit(written: Iterable[_Walked], escaping: EscapeMode, canonical: bool,
+          tokens: list[XsToken]) -> None:
     # The decoder's stack of open elements, as (token, nodes attached up
     # to and including the element, what nearest held for its name before
     # it opened), and nearest as feed keeps it.  Every node emitted so far
@@ -557,18 +504,24 @@ def _emit_safe_sibling(doc: XmlDocument, escaping: EscapeMode, drop: bool,
     # the next node plus the chain of the last finished element child
     # above them.  Until the parent has an element child the stack ends at
     # the parent, so a sibling token needs no check that one came before.
+    # In the canonical form every element is a child token and takes its
+    # depth when it closes.
     stack: list[tuple[XsToken, int, int]] = []
     nearest: dict[str, int] = {}
+    writable: set[str] = set()  # the names name_fault has passed
+    entity = escaping is EscapeMode.ENTITY
     attached = 0
-    for node, _, depth in walk(doc, drop):
+    for node, _, depth in written:
         # depth is the node's own stack index, its parent's plus one; kind
         # is None for a data node
         kind = None
         if node.kind is _ELEMENT:
             name = node.name
-            at = nearest.get(name, -1)
-            kind = (_SIBLING if at == depth
-                    or (at < 0 and len(stack) == depth + 1) else _CHILD)
+            kind = _CHILD
+            if not canonical:
+                at = nearest.get(name, -1)
+                if at == depth or (at < 0 and len(stack) == depth + 1):
+                    kind = _SIBLING
         if len(stack) > depth:
             if kind is not _SIBLING:
                 # the depth marker closes the open child of the parent and
@@ -577,15 +530,66 @@ def _emit_safe_sibling(doc: XmlDocument, escaping: EscapeMode, drop: bool,
                 tok, start, _ = stack[depth]
                 tok.depth = attached - start
             while len(stack) > depth:
-                tok, _, below = stack.pop()
+                tok, start, below = stack.pop()
                 nearest[tok.payload] = below
+                if canonical:
+                    tok.depth = attached - start
         attached += 1
-        if kind is None:
-            _data_token(node, escaping, tokens)
-        else:
-            tok = _element_tokens(node, kind, tokens)
+        if kind is not None:
+            if node.content:
+                raise Unencodable("element content cannot be written")
+            if name not in writable:
+                writable.add(_writable_name(name, "element"))
+            tok = XsToken.unchecked(kind, name)
+            tokens.append(tok)
+            attrs = node.attributes
+            for key, value in attrs:
+                if key not in writable:
+                    writable.add(_writable_name(key, "attribute"))
+                tokens.append(XsToken.unchecked(_ATTR_NAME, key))
+                if value is not None:
+                    if NUL in value:
+                        raise Unencodable(_NUL_IN_DATA)
+                    tokens.append(XsToken.unchecked(_ATTR_VALUE, value))
+            if len(attrs) > 1:
+                keys: set[str] = set()
+                for key, _ in attrs:
+                    if key in keys:
+                        raise Unencodable(
+                            f"duplicate attribute {key!r} cannot be written")
+                    keys.add(key)
             stack.append((tok, attached, nearest.get(name, -1)))
             nearest[name] = depth
+            continue
+        if node.children or node.attributes or (
+                node.name and node.kind is not _PROC_INSTR):
+            raise Unencodable(f"{node.kind.value} node with a name, "
+                              "attributes or children cannot be written")
+        content = node.content
+        if NUL in content:
+            raise Unencodable(_NUL_IN_DATA)
+        if node.kind is _TEXT:
+            # a trailing prefix character needs the dual form in entity
+            # mode, except right after a bare =, where a dual would read
+            # back as a quoted value; plain text escapes the character
+            # instead
+            last = content[-1:]
+            dual = (entity and last and last in PREFIX_CHARS and last != '"'
+                    and not (tokens and tokens[-1].kind is _ATTR_VALUE
+                             and not tokens[-1].payload))
+            kind = PrefixKind.TEXT_DUAL if dual else PrefixKind.TEXT
+        elif node.kind is _PROC_INSTR:
+            name = node.name  # data up to its first whitespace, not a name
+            if not name or NUL in name or WHITESPACE.search(name):
+                raise Unencodable(f"pi name {name!r} cannot be written")
+            kind = PrefixKind.PROC_INSTR
+            content = f"{name} {content}" if content else name
+        else:
+            kind = _DATA_KINDS[node.kind._value_]
+        tokens.append(XsToken.unchecked(kind, content))
+    if canonical:
+        for tok, start, _ in stack:
+            tok.depth = attached - start
 
 
 def emit(doc: XmlDocument, opts: Optional[EncodeOptions] = None) -> XsDocument:
@@ -593,26 +597,21 @@ def emit(doc: XmlDocument, opts: Optional[EncodeOptions] = None) -> XsDocument:
     form decodes to doc: for a caller that checks the stream itself, as
     metrics.measure does."""
     opts = opts or EncodeOptions()
-    drop = opts.drop_insignificant_whitespace
-    if doc.prolog is not None and doc.prolog.kind is not _PROC_INSTR:
-        raise Unencodable(
-            f"prolog {doc.prolog.kind.value} node cannot be written: only "
-            "a processing instruction can precede the root")
-    if doc.root.kind is not _ELEMENT:
-        raise Unencodable(f"root {doc.root.kind.value} node cannot be "
-                          "written: the root must be an element")
     tokens: list[XsToken] = []
-    if opts.mode == EncodeMode.CANONICAL:
-        _emit_canonical(doc, opts.escaping, drop, tokens)
-    else:
-        _emit_safe_sibling(doc, opts.escaping, drop, tokens)
+    _emit(_written(doc, opts.drop_insignificant_whitespace), opts.escaping,
+          opts.mode == EncodeMode.CANONICAL, tokens)
     return XsDocument(tokens, opts.escaping)
 
 
 def encode(doc: XmlDocument, opts: Optional[EncodeOptions] = None) -> XsDocument:
     """Encode a document; decode(encode(d)) is structurally equal to d."""
     opts = opts or EncodeOptions()
-    xs = emit(doc, opts)
-    if opts.mode != EncodeMode.CANONICAL:
-        _verify(doc, opts.drop_insignificant_whitespace, xs.tokens)
-    return xs
+    written = _written(doc, opts.drop_insignificant_whitespace)
+    tokens: list[XsToken] = []
+    if opts.mode == EncodeMode.CANONICAL:
+        _emit(written, opts.escaping, True, tokens)
+    else:
+        written = list(written)
+        _emit(written, opts.escaping, False, tokens)
+        _verify(written, tokens)
+    return XsDocument(tokens, opts.escaping)

@@ -162,7 +162,8 @@ def measure(xml_text: str, xs: XsDocument,
         source = parse_xml(xml_text)
     drop = all(WHITESPACE.sub("", tok.payload) for tok in xs.tokens
                if tok.kind in (PrefixKind.TEXT, PrefixKind.TEXT_DUAL))
-    state = Verifier(source, drop)
+    nodes = list(walk(source, drop))
+    state = Verifier(nodes)
     try:
         for tok in xs.tokens:
             state.feed(tok)
@@ -174,7 +175,7 @@ def measure(xml_text: str, xs: XsDocument,
                         xsb_bytes=len(pack_envelope(xs)), xml_overhead=0)
     # each node the stream holds, in order, with the parent of the next
     # one, which is the node itself exactly when it has a child
-    written = pairwise(chain(walk(source, drop), [(None, None, 0)]))
+    written = pairwise(chain(nodes, [(None, None, 0)]))
     attrs: Iterator[Attribute] = iter(())
     for tok, piece in zip(xs.tokens, wire_pieces(xs)):
         if tok.kind is PrefixKind.ATTR_VALUE:

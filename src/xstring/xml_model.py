@@ -120,7 +120,8 @@ def walk(tops: Iterable[XmlNode], drop: bool = False
                 yield node, parent, depth
                 stack.append((node, iter(node.children)))
                 break
-            if not (drop and node.is_whitespace_text()):
+            if not (drop and node.kind is _TEXT
+                    and not node.content.strip(_WS)):
                 yield node, parent, depth
         else:
             stack.pop()

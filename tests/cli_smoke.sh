@@ -120,3 +120,15 @@ xstring encode < bad.xml > enc.xs 2> err.txt || status=$?
 test "$status" = 1
 test "$(cat err.txt)" = 'wellformedness: rule 6 at offset 5: attribute value must be quoted'
 test "$(wc -l < err.txt)" = 1
+# NUL in text or in an attribute value cannot be written, in either
+# form: exit 1, one labelled line
+for xml in '<r>a\000b</r>' '<r x="a\000b"/>'; do
+  for mode in sibling canonical; do
+    status=0
+    printf "$xml" | xstring encode --mode "$mode" > enc.xs 2> err.txt ||
+      status=$?
+    test "$status" = 1
+    test "$(cat err.txt)" = 'encode: NUL in character data cannot be written'
+    test "$(wc -l < err.txt)" = 1
+  done
+done

@@ -1,14 +1,17 @@
 """The two emitters and encode that ran on walk's enter and leave events,
 kept as a reference.
 
-The codec's emitters now read xml_model.walk over the document, which
-also gives the verifier its nodes; test_emitters.py compares the two.
+The codec's one emitter loop now reads xml_model.walk over the document,
+taken once, which also gives the verifier its nodes; test_emitters.py
+compares the two.
 Here each emitter keeps its own whitespace-skip test and its own count of
 the elements it is inside, and encode writes the prolog token itself.
 The sibling emitter keeps the decoder's stack in OpenStack, defined here:
 a list with a parallel list of what nearest held for each name, driven
 through close_above, where the codec's emitter keeps the same stack
-inline as the decoder does.  The node checks and the verifier are the
+inline as the decoder does.  Each node is checked by _element_tokens or
+_data_token, also defined here, which the codec's one emitter loop does
+in its own frame instead.  The name check and the verifier are the
 codec's, so outcomes compare by tokens or by error class and message.
 """
 
@@ -17,11 +20,73 @@ from __future__ import annotations
 from typing import Optional
 
 from xstring.codec import (EncodeMode, EncodeOptions, Unencodable,
-                           _data_token, _element_tokens, _verify)
-from xstring.grammar import EscapeMode, PrefixKind, XsDocument, XsToken
+                           _DATA_KINDS, _verify, _writable_name)
+from xstring.grammar import (NUL, PREFIX_CHARS, WHITESPACE, EscapeMode,
+                             PrefixKind, XsDocument, XsToken)
 from xstring.xml_model import NodeKind, XmlDocument, XmlNode
+from xstring.xml_model import walk as model_walk
 
 from walk_oracle import walk
+
+_PROC_INSTR, _TEXT = NodeKind.PROC_INSTR, NodeKind.TEXT
+
+
+def _nul_free(s: str) -> str:
+    if NUL in s:
+        raise Unencodable("NUL in character data cannot be written")
+    return s
+
+
+def _element_tokens(node: XmlNode, kind: PrefixKind,
+                    tokens: list[XsToken]) -> XsToken:
+    """Check an element and append its token and attribute tokens."""
+    if node.content:
+        raise Unencodable("element content cannot be written")
+    tok = XsToken.unchecked(kind, _writable_name(node.name, "element"))
+    tokens.append(tok)
+    for name, value in node.attributes:
+        tokens.append(XsToken.unchecked(PrefixKind.ATTR_NAME,
+                                        _writable_name(name, "attribute")))
+        if value is not None:
+            tokens.append(XsToken.unchecked(PrefixKind.ATTR_VALUE,
+                                            _nul_free(value)))
+    if len(node.attributes) > 1:
+        names: set[str] = set()
+        for name, _ in node.attributes:
+            if name in names:
+                raise Unencodable(
+                    f"duplicate attribute {name!r} cannot be written")
+            names.add(name)
+    return tok
+
+
+def _data_token(node: XmlNode, escaping: EscapeMode,
+                tokens: list[XsToken]) -> None:
+    """Check a data node and append its token."""
+    if node.children or node.attributes or (
+            node.name and node.kind is not _PROC_INSTR):
+        raise Unencodable(f"{node.kind.value} node with a name, attributes "
+                          "or children cannot be written")
+    content = _nul_free(node.content)
+    if node.kind is _TEXT:
+        # a trailing prefix character needs the dual form in entity mode,
+        # except right after a bare =, where a dual would read back as a
+        # quoted value; plain text escapes the character instead
+        last = content[-1:]
+        dual = (escaping is EscapeMode.ENTITY and last
+                and last in PREFIX_CHARS and last != '"'
+                and not (tokens and tokens[-1].kind is PrefixKind.ATTR_VALUE
+                         and not tokens[-1].payload))
+        kind = PrefixKind.TEXT_DUAL if dual else PrefixKind.TEXT
+    elif node.kind is _PROC_INSTR:
+        name = node.name  # data up to its first whitespace, not a name
+        if not name or NUL in name or WHITESPACE.search(name):
+            raise Unencodable(f"pi name {name!r} cannot be written")
+        kind = PrefixKind.PROC_INSTR
+        content = f"{name} {content}" if content else name
+    else:
+        kind = _DATA_KINDS[node.kind._value_]
+    tokens.append(XsToken.unchecked(kind, content))
 
 
 class OpenStack(list):
@@ -123,5 +188,5 @@ def oracle_encode(doc: XmlDocument,
         _emit_canonical(doc.root, opts.escaping, drop, tokens)
     else:
         _emit_safe_sibling(doc.root, opts.escaping, drop, tokens)
-        _verify(doc, drop, tokens)
+        _verify(list(model_walk(doc, drop)), tokens)
     return XsDocument(tokens, opts.escaping)

@@ -314,13 +314,13 @@ def test_stats_reports_a_stream_fault_on_one_line(tmp_path, capsys,
                                                   monkeypatch):
     # an emitter that writes a stream of another document: measure, the
     # one check, refuses it
-    emit_sibling = codec._emit_safe_sibling
+    emit = codec._emit
 
-    def faulty(doc, escaping, drop, tokens):
-        emit_sibling(doc, escaping, drop, tokens)
+    def faulty(written, escaping, canonical, tokens):
+        emit(written, escaping, canonical, tokens)
         tokens.pop()
 
-    monkeypatch.setattr(codec, "_emit_safe_sibling", faulty)
+    monkeypatch.setattr(codec, "_emit", faulty)
     src = write(tmp_path, "in.xml", ROWS_MIXED_XML)
     assert main(["stats", src]) == 1
     assert capsys.readouterr().err == (

@@ -21,7 +21,9 @@ from xstring import (
     tokenize,
 )
 
+from xstring import codec
 from xstring.grammar import reads_as_key
+from xstring.xml_model import walk as walk_model
 
 import corpus as fixtures
 from sibling_oracle import _check_encodable, drop_insignificant_whitespace
@@ -113,20 +115,37 @@ def test_no_tree_copy(monkeypatch, drop):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_encode_makes_few_python_calls_per_token(mode):
-    # the emitters read walk's own iterator over the document, the
-    # sibling emitter keeps the decoder's stack inline, and the sibling
-    # form's verifier calls one sink method per node: about 6.76 and 3.98
-    # calls per token on these streams, where a stack class driven through
-    # a closure made 7.65 sibling, and a generator around the walk and a
-    # second sink call per node made 10.3 and 4.9
+    # one walk over the document feeds both the emitter loop and the
+    # sibling form's verifier, which calls one sink method per node, and
+    # the loop checks each node in its own frame, a name once per encode:
+    # about 4.73 and 2.78 calls per token on these streams, where a second
+    # walk for the verifier and a helper call per node made 6.76 and 3.98,
+    # a stack class driven through a closure 7.65 sibling, and a generator
+    # around the walk and a second sink call per node 10.3 and 4.9
     docs = fixtures.corpus()
     opts = EncodeOptions(mode=mode)
     streams = []
     calls = python_calls(lambda: [streams.append(encode(doc, opts))
                                   for doc in docs])
     tokens = sum(len(xs.tokens) for xs in streams)
-    assert calls / tokens <= (7.2 if mode == EncodeMode.SAFE_SIBLING
-                              else 4.6)
+    assert calls / tokens <= (5.2 if mode == EncodeMode.SAFE_SIBLING
+                              else 3.2)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_encode_walks_each_document_once(monkeypatch, mode):
+    # the emitter and the verifier read the same walk
+    walked = []
+
+    def counted(tops, drop=False):
+        walked.append(tops)
+        return walk_model(tops, drop)
+
+    monkeypatch.setattr(codec, "walk", counted)
+    docs = fixtures.corpus()[:50]
+    for doc in docs:
+        encode(doc, EncodeOptions(mode=mode))
+    assert walked == docs
 
 
 def test_sibling_encode_takes_linear_steps_at_depth():

@@ -23,6 +23,7 @@ from xstring import (
     tokenize,
 )
 from xstring import codec
+from xstring.xml_model import walk
 
 import corpus as fixtures
 from steps import python_calls
@@ -54,7 +55,7 @@ def _decodes_to(doc, tokens, escaping):
 
 def _verifies(doc, tokens):
     try:
-        codec._verify(doc, True, tokens)
+        codec._verify(list(walk(doc, True)), tokens)
     except Unencodable:
         return False
     return True
@@ -81,13 +82,13 @@ def test_verifier_rejects_exactly_what_decoding_rejects(escaping):
 
 
 def _break_emitter(monkeypatch, damage):
-    emit = codec._emit_safe_sibling
+    emit = codec._emit
 
-    def broken(root, escaping, drop, tokens):
-        emit(root, escaping, drop, tokens)
+    def broken(written, escaping, canonical, tokens):
+        emit(written, escaping, canonical, tokens)
         damage(tokens)
 
-    monkeypatch.setattr(codec, "_emit_safe_sibling", broken)
+    monkeypatch.setattr(codec, "_emit", broken)
 
 
 def test_encode_catches_a_dropped_depth_marker(monkeypatch):
@@ -234,8 +235,8 @@ def test_verify_makes_few_python_calls_per_token():
     # calls per token on these streams, where a second sink call per node
     # and a generator around the walk made 4.5 and per-token handlers 6.8
     cases = [(doc, encode(doc).tokens) for doc in fixtures.corpus()]
-    calls = python_calls(lambda: [codec._verify(doc, True, tokens)
-                                  for doc, tokens in cases])
+    calls = python_calls(lambda: [
+        codec._verify(list(walk(doc, True)), tokens) for doc, tokens in cases])
     tokens = sum(len(tokens) for _, tokens in cases)
     assert calls / tokens <= 4.0
 
@@ -246,4 +247,5 @@ def test_stream_root_pairs_only_with_a_node_without_parent():
     # is the instruction, so the stream does not decode to the tree
     root = XmlNode(NodeKind.PROC_INSTR, "p", children=[XmlNode.element("c")])
     with pytest.raises(Unencodable):
-        codec._verify(XmlDocument(root), True, tokenize("?p/c").tokens)
+        codec._verify(list(walk(XmlDocument(root), True)),
+                      tokenize("?p/c").tokens)
