@@ -13,16 +13,19 @@ its pair byte with the low nibble still open and its body; the second sets
 that nibble and appends its own body.  A value below 0x80 is its own
 one-byte varint and is appended as it is.
 
-unpack reads in two loops.  The first reads the units into a list of codes
-and a list of values, each body where it is read: a varint below 0x80 is
-one byte, a longer one goes to _read_varint, and a string body is sliced
-and decoded in place.  The second builds the tokens with XsToken.unchecked
-and applies, as BadPayload, the constructor's checks that a unit stream
-can fail.  So every byte-level error (BadNibble, TrailingBytes, Truncated,
-MalformedVarint, a body that is not UTF-8) anywhere in the input wins over
-every token-level error (StrayMarker, a failed check), and token-level
-errors come in unit order: a name is checked when the next unit that is not
-a marker, or the end, arrives, since a marker may still give it a key.
+unpack reads in one loop.  It reads each unit where it meets it, its
+body included: a varint below 0x80 is one byte, a longer one goes to
+_read_varint, and a string body is sliced and decoded in place.  Then it
+builds the unit's token with XsToken.unchecked, or attaches a marker to
+the name before it, and applies, as BadPayload, the constructor's checks
+that a unit stream can fail.  A byte-level error (BadNibble,
+TrailingBytes, Truncated, MalformedVarint, a body that is not UTF-8)
+raises where it is found.  The first token-level error (StrayMarker, a
+failed check) is held while every later unit is still read and checked,
+and raised after the last byte.  So a byte-level error anywhere in the
+input wins over every token-level error, and token-level errors come in
+unit order: a name is checked when the next unit that is not a marker,
+or the end, arrives, since a marker may still give it a key.
 
 pack and unpack work on the bare payload; pack_envelope and
 unpack_envelope add and check the magic and format version.
@@ -30,7 +33,7 @@ unpack_envelope add and check the magic and format version.
 
 from __future__ import annotations
 
-from .errors import XStringError
+from .errors import BadArgument, XStringError
 from .grammar import (NUL, EscapeMode, PrefixKind, XsDocument, XsToken,
                       name_fault)
 
@@ -196,78 +199,76 @@ def unpack(data: bytes, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
 
     Any byte sequence either unpacks or raises a PackError subclass.
     """
-    codes: list[int] = []
-    values: list = []
-    add_code, add_value = codes.append, values.append
-    end = len(data)
-    pos = 0
-    low = None  # the code in the low nibble of the pair being read
-    while True:
-        if low is None:
-            if pos == end:
-                break
-            byte = data[pos]
-            if _BAD_PAIR[byte]:
-                raise _bad_pair(byte)
-            pos += 1
-            code, low = byte >> 4, byte & 0xF
-        elif low == _PAD:
-            if pos != end:
-                raise TrailingBytes("data continues after the pad code")
-            break
-        else:
-            code, low = low, None
-        if pos < end and data[pos] < 0x80:
-            value = data[pos]
-            pos += 1
-        else:
-            value, pos = _read_varint(data, pos)
-        if code != _DEPTH and code != _SUBST_KEY:
-            stop = pos + value
-            if stop > end:
-                raise Truncated("input ends inside a string body")
-            try:
-                value = data[pos:stop].decode("utf-8")
-            except UnicodeDecodeError as err:
-                raise BadPayload(f"string body is not UTF-8: {err}") from None
-            pos = stop
-        add_code(code)
-        add_value(value)
-    # the end stands in for one more unit, so the last name gets checked
-    add_code(_PAD)
-    add_value(None)
-
+    if not isinstance(escaping, EscapeMode):
+        raise BadArgument(f"unknown escape mode {escaping!r}")
     # The checks of XsToken(...) that a unit stream can fail, in its words.
     # No code maps to a marker kind, a misplaced depth or key is a
     # StrayMarker, and a varint is never negative, so no other can fail.
     tokens: list[XsToken] = []
     add, new = tokens.append, XsToken.unchecked
     name = None  # the last name token while markers may still follow it
-    for code, value in zip(codes, values):
+    fault = None  # the first token-level error, raised after the last byte
+    end = len(data)
+    pos = 0
+    low = None  # the code in the low nibble of the pair being read
+    while True:
+        if low is None and pos < end:
+            byte = data[pos]
+            if _BAD_PAIR[byte]:
+                raise _bad_pair(byte)
+            pos += 1
+            code, low = byte >> 4, byte & 0xF
+        elif low is None or low == _PAD:
+            # the end, where a pad must sit, is read as a pad unit
+            if pos != end:
+                raise TrailingBytes("data continues after the pad code")
+            code = _PAD
+        else:
+            code, low = low, None
+        if code != _DEPTH and code != _SUBST_KEY:
+            # no marker can follow the last name any more
+            if name is not None:
+                error = name_fault(name.payload, name.subst_key)
+                if error is not None:
+                    fault = fault or BadPayload(error)
+                name = None
+            if code == _PAD:
+                break
+        if pos < end and data[pos] < 0x80:
+            value = data[pos]
+            pos += 1
+        else:
+            value, pos = _read_varint(data, pos)
         if code == _DEPTH:
             if name is None or name.kind is PrefixKind.ATTR_NAME or (
                     name.depth is not None):
-                raise StrayMarker("depth without an element to attach to")
-            name.depth = value
+                fault = fault or StrayMarker(
+                    "depth without an element to attach to")
+            else:
+                name.depth = value
             continue
         if code == _SUBST_KEY:
             if name is None or name.subst_key is not None:
-                raise StrayMarker("key without a name to attach to")
-            name.subst_key = value
+                fault = fault or StrayMarker("key without a name to attach to")
+            else:
+                name.subst_key = value
             continue
-        if name is not None:
-            fault = name_fault(name.payload, name.subst_key)
-            if fault is not None:
-                raise BadPayload(fault)
-            name = None
-        if code == _PAD:
-            break
+        stop = pos + value
+        if stop > end:
+            raise Truncated("input ends inside a string body")
+        try:
+            value = data[pos:stop].decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise BadPayload(f"string body is not UTF-8: {err}") from None
+        pos = stop
         tok = new(_CODE_TO_KIND[code], value)
         add(tok)
         if code in _NAME_CODES:
             name = tok
         elif NUL in value:
-            raise BadPayload("payload must not contain NUL")
+            fault = fault or BadPayload("payload must not contain NUL")
+    if fault is not None:
+        raise fault
     return XsDocument(tokens, escaping)
 
 

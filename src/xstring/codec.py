@@ -18,11 +18,11 @@ Decoding is a single pass over the tokens with a stack of open elements:
 DecodeState.feed reads each token in its own frame, and the stack of
 open elements lives there too: it applies the attribute rules, builds a
 data node's fields, closes the elements whose depth ran out, closes back
-for a sibling, and opens an element inline.  Of its own methods, a node
-costs only its sink's _node, which is handed the node's parent.  The
-helpers left are the rare paths: resolving a key, and the messages of the
-depth errors, called only once an error is certain or, for a sibling's
-close-back, once some element it closes has a depth marker.
+for a sibling, opens an element inline, and raises each depth error where
+it finds it.  Of its own methods, a node costs only its sink's _node,
+which is handed the node's parent.  Besides feed the core has _key_name,
+the rare path that resolves a key, and read, the one loop that feeds a
+whole stream and finishes it, for decode, the verifier and measure alike.
 
 One emitter loop writes both forms in one pass over the tree.  It keeps
 the stack of open elements the decoder will hold, in its own frame as
@@ -85,7 +85,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import Iterable, Iterator, NoReturn, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import BadArgument, XStringError
 from .grammar import (NUL, PREFIX_CHARS, WHITESPACE, EscapeMode, PrefixKind,
@@ -111,6 +111,8 @@ class EncodeOptions:
     def __post_init__(self):
         if self.mode not in (EncodeMode.SAFE_SIBLING, EncodeMode.CANONICAL):
             raise BadArgument(f"unknown encode mode {self.mode!r}")
+        if not isinstance(self.escaping, EscapeMode):
+            raise BadArgument(f"unknown escape mode {self.escaping!r}")
 
 
 class DecodeError(XStringError):
@@ -206,15 +208,15 @@ class DecodeState:
     This core reads every token, each in one frame of feed: it keeps the
     stack, the budgets, the sibling close-back and the attribute rules,
     raises every DecodeError, and works out the kind, name and content of
-    each node and the attribute list of the element opened last.  Only the
-    rare paths leave that frame: _key_name for a keyed name, and for the
-    depth errors' messages _close_exhausted, _check_close_back and
-    _unfilled.  One sink method, the only one a node calls, takes it from
-    there: _node(kind, name, content, attrs, parent) makes the node, with
-    attrs the list the core goes on filling and parent the innermost open
-    element's node, None for the root and the prolog.  A sink sees a node
-    only once the core has accepted its token, so the core's error comes
-    first.  The one here builds the tree decode returns."""
+    each node and the attribute list of the element opened last.  Only a
+    keyed name leaves that frame, for _key_name; read feeds it a whole
+    stream and finishes.  One sink method, the only one a node calls,
+    takes it from there: _node(kind, name, content, attrs, parent) makes
+    the node, with attrs the list the core goes on filling and parent the
+    innermost open element's node, None for the root and the prolog.  A
+    sink sees a node only once the core has accepted its token, so the
+    core's error comes first.  The one here builds the tree decode
+    returns."""
 
     def __init__(self):
         self.open_stack: list[OpenEntry] = []
@@ -253,35 +255,6 @@ class DecodeState:
         if name is None:
             raise UnknownKey(f"key {tok.subst_key} was never bound")
         return name
-
-    def _unfilled(self, entry: OpenEntry) -> int:
-        return 0 if entry.close is None else entry.close - self._attached
-
-    def _close_exhausted(self, popped: OpenEntry) -> NoReturn:
-        # popped closed because an enclosing depth ran out, before its own
-        raise BudgetOverrun(
-            f"<{popped.node.name}> still expects {self._unfilled(popped)} "
-            "nodes when an enclosing depth ran out")
-
-    def _check_close_back(self, name: str, idx: int) -> None:
-        # a sibling closing back to stack[idx], or to the innermost element
-        # when idx < 0, must leave no depth unfilled; the root check sits
-        # between the two in feed's order, so idx == 0 is left to it
-        stack = self.open_stack
-        if idx < 0:
-            top = stack[-1]
-            unfilled = self._unfilled(top)
-            if unfilled > 0:
-                raise BudgetConflict(
-                    f"sibling <{name}> would close <{top.node.name}> "
-                    f"with {unfilled} nodes of its depth unfilled")
-        elif idx > 0:
-            for e in stack[idx:]:
-                unfilled = self._unfilled(e)
-                if unfilled > 0:
-                    raise BudgetConflict(
-                        f"sibling <{name}> closure crosses <{e.node.name}> "
-                        f"with {unfilled} nodes of its depth unfilled")
 
     # -- the token reader ---------------------------------------------------
 
@@ -333,7 +306,9 @@ class DecodeState:
             e = stack.pop()
             nearest[e.node.name] = e.below
             if e.close is not None and e.close > attached:
-                self._close_exhausted(e)
+                raise BudgetOverrun(
+                    f"<{e.node.name}> still expects {e.close - attached} "
+                    "nodes when an enclosing depth ran out")
         if node_kind is not _ELEMENT:
             if not stack:
                 if self.root is None:
@@ -361,12 +336,16 @@ class DecodeState:
             idx = nearest.get(name, -1)
             cut = idx if idx >= 0 else len(stack) - 1
             if stack[-1].low != inf and idx:
-                # an element it closes may still expect nodes; the entries
-                # scanned close next, so their pushes pay for the scan
+                # after the due pops, the first element it closes that has
+                # a close count still expects nodes; the root check takes
+                # idx == 0.  The entries scanned close next and pay for it
                 for e in stack[cut:]:
                     if e.close is not None:
-                        self._check_close_back(name, idx)
-                        break
+                        how = "would close" if idx < 0 else "closure crosses"
+                        raise BudgetConflict(
+                            f"sibling <{name}> {how} <{e.node.name}> with "
+                            f"{e.close - attached} nodes of its depth "
+                            "unfilled")
             if cut == 0:
                 raise BudgetConflict(f"sibling <{name}> would close the root")
             while len(stack) > cut:
@@ -394,6 +373,13 @@ class DecodeState:
         self._attrs = attrs
         self._attr_names.clear()
 
+    def read(self, tokens: Iterable[XsToken]) -> XmlDocument:
+        """Feed every token, then finish."""
+        feed = self.feed
+        for tok in tokens:
+            feed(tok)
+        return self.finish()
+
     def finish(self) -> XmlDocument:
         if self.root is None:
             raise EmptyStream("no root element in the stream")
@@ -407,10 +393,7 @@ def decode(doc: XsDocument) -> XmlDocument:
     """Rebuild the XML document a token stream describes."""
     if not doc.tokens:
         raise EmptyStream("no tokens")
-    state = DecodeState()
-    for tok in doc.tokens:
-        state.feed(tok)
-    return state.finish()
+    return DecodeState().read(doc.tokens)
 
 
 _NOT_DECODED = "encoded stream does not decode to the document"
@@ -454,11 +437,8 @@ class Verifier(DecodeState):
 
 def _verify(written: list[_Walked], tokens: list[XsToken]) -> None:
     """Raise Unencodable unless tokens decode to the nodes written."""
-    state = Verifier(written)
     try:
-        for tok in tokens:
-            state.feed(tok)
-        state.finish()
+        Verifier(written).read(tokens)
     except DecodeError as e:
         raise Unencodable(_NOT_DECODED) from e
 

@@ -253,6 +253,8 @@ _MALFORMED = re.compile("&#(?![0-9]+;)")
 
 def escape_data(s: str, mode: EscapeMode = EscapeMode.ENTITY) -> str:
     """Make s safe for use as payload data in the given mode."""
+    if not isinstance(mode, EscapeMode):
+        raise BadArgument(f"unknown escape mode {mode!r}")
     return s if mode is EscapeMode.SENTINEL else _ESCAPE(s)
 
 
@@ -261,6 +263,8 @@ def unescape_data(s: str, mode: EscapeMode = EscapeMode.ENTITY) -> str:
 
     A '&#' that is not a decimal reference is an error, since escaping
     never produces one."""
+    if not isinstance(mode, EscapeMode):
+        raise BadArgument(f"unknown escape mode {mode!r}")
     if mode is EscapeMode.SENTINEL:
         return s
     bad = _MALFORMED.search(s)
@@ -282,6 +286,8 @@ def wire_pieces(doc: XsDocument) -> list[str]:
     The payloads are escaped together: joined with NUL, which no payload
     may hold, escaped in one pass and split again.  Dual payloads, which
     escape only '"' and '#', are escaped together after the loop."""
+    if not isinstance(doc.escaping, EscapeMode):
+        raise BadArgument(f"unknown escape mode {doc.escaping!r}")
     tokens = doc.tokens
     if not tokens:
         return []
@@ -456,7 +462,10 @@ def tokenize(text: str, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
     preserved.
     """
     sentinel = escaping is EscapeMode.SENTINEL
-    match = _TOKEN[escaping].match
+    pattern = _TOKEN.get(escaping)
+    if pattern is None:
+        raise BadArgument(f"unknown escape mode {escaping!r}")
+    match = pattern.match
     marker = _MARKER[escaping]
     new = XsToken.unchecked
     # the length of a depth marker's lead, '+' or NUL '+'

@@ -163,11 +163,8 @@ def measure(xml_text: str, xs: XsDocument,
     drop = all(WHITESPACE.sub("", tok.payload) for tok in xs.tokens
                if tok.kind in (PrefixKind.TEXT, PrefixKind.TEXT_DUAL))
     nodes = list(walk(source, drop))
-    state = Verifier(nodes)
     try:
-        for tok in xs.tokens:
-            state.feed(tok)
-        state.finish()
+        Verifier(nodes).read(xs.tokens)
     except Unencodable as e:
         raise Mismatch("the stream does not encode this document") from e
 

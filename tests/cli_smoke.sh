@@ -132,3 +132,19 @@ for xml in '<r>a\000b</r>' '<r x="a\000b"/>'; do
     test "$(wc -l < err.txt)" = 1
   done
 done
+# the decoder's depth errors and the packed form's held stray marker:
+# exit 1, one labelled line; a byte-level error after the stray marker
+# wins over it
+while IFS=';' read -r cmd input message; do
+  status=0
+  printf "$input" | xstring "$cmd" > out.txt 2> err.txt || status=$?
+  test "$status" = 1
+  test "$(wc -l < err.txt)" = 1
+  test "$(cat err.txt)" = "$message"
+done <<'CASES'
+decode;/a/b+2|c;decode: sibling <c> would close <b> with 2 nodes of its depth unfilled
+decode;/r/a/b+3|a;decode: sibling <a> closure crosses <b> with 3 nodes of its depth unfilled
+decode;/a+1/b+5't;decode: <b> still expects 5 nodes when an enclosing depth ran out
+unpack;XSB1\001\236\001;pack: depth without an element to attach to
+unpack;XSB1\001\236\001\000;pack: data continues after the pad code
+CASES

@@ -278,8 +278,9 @@ def test_unpack_pack_identity_on_corpus():
     for mode in (EncodeMode.SAFE_SIBLING, EncodeMode.CANONICAL):
         for escaping in (EscapeMode.ENTITY, EscapeMode.SENTINEL):
             opts = EncodeOptions(mode=mode, escaping=escaping)
-            for doc in docs:
-                xs = encode(doc, opts)
+            # the empty stream too, in each mode
+            streams = [encode(doc, opts) for doc in docs]
+            for xs in streams + [XsDocument([], escaping)]:
                 back = unpack(pack(xs), escaping)
                 assert back.tokens == xs.tokens
                 assert back.escaping is escaping

@@ -3,7 +3,7 @@
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from xstring import (
     BadDepth,
@@ -393,6 +393,8 @@ def _token_lists(draw):
 
 
 @given(_token_lists(), st.sampled_from(list(EscapeMode)))
+@example([], EscapeMode.ENTITY)
+@example([], EscapeMode.SENTINEL)
 def test_render_tokenize_identity(tokens, mode):
     doc = XsDocument(tokens, mode)
     assert tokenize(render(doc), mode).tokens == doc.tokens

@@ -10,9 +10,9 @@ import pytest
 
 import xstring
 from xstring import (ConstructKind, EncodeOptions, FoldMode, PrefixKind,
-                     XStringError, XsToken, asymptote_check,
+                     XsDocument, XStringError, XsToken, asymptote_check,
                      build_substitution, fold, parse_xml, predict_size,
-                     tokenize)
+                     render, tokenize, unpack)
 
 
 def test_no_private_names_across_modules():
@@ -88,8 +88,13 @@ def test_module_imports_form_no_cycle():
     lambda: asymptote_check(0, 5),
     lambda: build_substitution(tokenize("/a"), 1),
     lambda: XsToken(PrefixKind.TEXT, "a\0"),
+    lambda: EncodeOptions(escaping="sentinel"),
+    lambda: tokenize("/r", "sentinel"),
+    lambda: unpack(b"", "sentinel"),
+    lambda: render(XsDocument([], "sentinel")),
 ], ids=["encode_mode", "fold_mode", "size_n", "size_m", "asymptote",
-        "threshold", "token"])
+        "threshold", "token", "encode_escape", "tokenize_escape",
+        "unpack_escape", "render_escape"])
 def test_argument_errors_are_typed(call):
     # each is both: existing callers catch ValueError, the CLI XStringError
     with pytest.raises(XStringError) as err:
