@@ -8,19 +8,23 @@ depth and key bodies are a bare varint, and a varint holds at most 64
 bits.  An odd unit count is completed with the bodiless pad code in the
 low nibble of the last pair byte.
 
-pack writes each unit where it meets it: the first unit of a pair appends
-its pair byte with the low nibble still open and its body; the second sets
-that nibble and appends its own body.  A value below 0x80 is its own
-one-byte varint and is appended as it is.
+Both work on a stream's columns and build no token object.  pack encodes
+every payload to UTF-8 in one pass, joined with NUL and split again (one
+at a time when a payload holds NUL or a lone surrogate, so the error
+comes in token order), then reads the columns in one zip and writes each
+unit where it meets it: the first unit of a pair appends its pair byte
+with the low nibble still open and its body; the second sets that nibble
+and appends its own body.  A value below 0x80 is its own one-byte varint
+and is appended as it is.
 
 unpack reads in one loop.  It reads each unit where it meets it, its
 body included: a varint below 0x80 is one byte, a longer one goes to
 _read_varint, and a string body is sliced and decoded in place.  Then it
-builds the unit's token with XsToken.unchecked, or attaches a marker to
-the name before it, and applies, as BadPayload, the constructor's checks
-that a unit stream can fail.  A byte-level error (BadNibble,
-TrailingBytes, Truncated, MalformedVarint, a body that is not UTF-8)
-raises where it is found.  The first token-level error (StrayMarker, a
+appends the unit's token to the columns, or sets a marker's value in the
+column entry of the name before it, and applies, as BadPayload, the
+constructor's checks that a unit stream can fail, each distinct name's
+once.  A byte-level error (BadNibble, TrailingBytes, Truncated,
+MalformedVarint, a body that is not UTF-8) raises where it is found.  The first token-level error (StrayMarker, a
 failed check) is held while every later unit is still read and checked,
 and raised after the last byte.  So a byte-level error anywhere in the
 input wins over every token-level error, and token-level errors come in
@@ -33,9 +37,8 @@ unpack_envelope add and check the magic and format version.
 
 from __future__ import annotations
 
-from .errors import BadArgument, XStringError
-from .grammar import (NUL, EscapeMode, PrefixKind, XsDocument, XsToken,
-                      name_fault)
+from .errors import XStringError
+from .grammar import NUL, EscapeMode, PrefixKind, XsDocument, name_fault
 
 MAGIC = b"XSB1"
 VERSION = 1
@@ -143,31 +146,44 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
         shift += 7
 
 
+def _utf8(payload: str) -> bytes:
+    try:
+        return payload.encode("utf-8")
+    except UnicodeEncodeError as err:  # a lone surrogate
+        raise BadPayload(
+            f"payload is not encodable as UTF-8: {err}") from None
+
+
 def pack(doc: XsDocument) -> bytes:
     """Pack a stream into the bare binary payload."""
+    payloads = doc.payloads
+    # the payloads are encoded together, joined with NUL, and split again;
+    # when one holds NUL or a lone surrogate they are encoded one at a
+    # time, so the error comes in token order
+    try:
+        raws = NUL.join(payloads).encode("utf-8").split(b"\x00")
+    except UnicodeEncodeError:
+        raws = []
+    if len(raws) != len(payloads):
+        raws = map(_utf8, payloads)
     out = bytearray()
     held = -1  # where the pair byte waiting for its low unit sits
-    for tok in doc.tokens:
-        code = _CHAR_TO_CODE[tok.kind._value_]
+    for kind, raw, depth, key in zip(doc.kinds, raws, doc.depths, doc.keys):
+        code = _CHAR_TO_CODE[kind._value_]
         if held < 0:
             held = len(out)
             out.append(code << 4)
         else:
             out[held] |= code
             held = -1
-        try:
-            raw = tok.payload.encode("utf-8")
-        except UnicodeEncodeError as err:  # a lone surrogate
-            raise BadPayload(
-                f"payload is not encodable as UTF-8: {err}") from None
         if len(raw) < 0x80:
             out.append(len(raw))
         else:
             _write_varint(len(raw), out)
         out += raw
-        if tok.depth is None and tok.subst_key is None:
+        if depth is None and key is None:
             continue
-        for code, value in ((_DEPTH, tok.depth), (_SUBST_KEY, tok.subst_key)):
+        for code, value in ((_DEPTH, depth), (_SUBST_KEY, key)):
             if value is None:
                 continue
             if held < 0:
@@ -199,14 +215,18 @@ def unpack(data: bytes, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
 
     Any byte sequence either unpacks or raises a PackError subclass.
     """
-    if not isinstance(escaping, EscapeMode):
-        raise BadArgument(f"unknown escape mode {escaping!r}")
+    # built first, so that an escaping that is no EscapeMode fails before
+    # any byte is read
+    doc = XsDocument.from_columns([], [], [], [], escaping)
+    kinds, payloads = doc.kinds, doc.payloads
+    depths, keys = doc.depths, doc.keys
+    add_kind, add_payload = kinds.append, payloads.append
+    add_depth, add_key = depths.append, keys.append
     # The checks of XsToken(...) that a unit stream can fail, in its words.
     # No code maps to a marker kind, a misplaced depth or key is a
     # StrayMarker, and a varint is never negative, so no other can fail.
-    tokens: list[XsToken] = []
-    add, new = tokens.append, XsToken.unchecked
-    name = None  # the last name token while markers may still follow it
+    name = -1  # the last name token's column while markers may follow it
+    passed: set[str] = set()  # the names name_fault has passed
     fault = None  # the first token-level error, raised after the last byte
     end = len(data)
     pos = 0
@@ -227,11 +247,17 @@ def unpack(data: bytes, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
             code, low = low, None
         if code != _DEPTH and code != _SUBST_KEY:
             # no marker can follow the last name any more
-            if name is not None:
-                error = name_fault(name.payload, name.subst_key)
-                if error is not None:
-                    fault = fault or BadPayload(error)
-                name = None
+            if name >= 0:
+                # a name's check depends on its key only when it is empty,
+                # and a bare key reference passes it
+                payload = payloads[name]
+                if payload not in passed and (payload or keys[name] is None):
+                    error = name_fault(payload, keys[name])
+                    if error is not None:
+                        fault = fault or BadPayload(error)
+                    elif payload:
+                        passed.add(payload)
+                name = -1
             if code == _PAD:
                 break
         if pos < end and data[pos] < 0x80:
@@ -240,18 +266,18 @@ def unpack(data: bytes, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
         else:
             value, pos = _read_varint(data, pos)
         if code == _DEPTH:
-            if name is None or name.kind is PrefixKind.ATTR_NAME or (
-                    name.depth is not None):
+            if name < 0 or kinds[name] is PrefixKind.ATTR_NAME or (
+                    depths[name] is not None):
                 fault = fault or StrayMarker(
                     "depth without an element to attach to")
             else:
-                name.depth = value
+                depths[name] = value
             continue
         if code == _SUBST_KEY:
-            if name is None or name.subst_key is not None:
+            if name < 0 or keys[name] is not None:
                 fault = fault or StrayMarker("key without a name to attach to")
             else:
-                name.subst_key = value
+                keys[name] = value
             continue
         stop = pos + value
         if stop > end:
@@ -261,15 +287,17 @@ def unpack(data: bytes, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
         except UnicodeDecodeError as err:
             raise BadPayload(f"string body is not UTF-8: {err}") from None
         pos = stop
-        tok = new(_CODE_TO_KIND[code], value)
-        add(tok)
         if code in _NAME_CODES:
-            name = tok
+            name = len(kinds)
         elif NUL in value:
             fault = fault or BadPayload("payload must not contain NUL")
+        add_kind(_CODE_TO_KIND[code])
+        add_payload(value)
+        add_depth(None)
+        add_key(None)
     if fault is not None:
         raise fault
-    return XsDocument(tokens, escaping)
+    return doc
 
 
 def pack_envelope(doc: XsDocument) -> bytes:

@@ -15,20 +15,26 @@ Decoding is a single pass over the tokens with a stack of open elements:
   its close count, the count when it opened plus N;
 * the end of the stream closes everything still open.
 
-DecodeState.feed reads each token in its own frame, and the stack of
-open elements lives there too: it applies the attribute rules, builds a
-data node's fields, closes the elements whose depth ran out, closes back
-for a sibling, opens an element inline, and raises each depth error where
-it finds it.  Of its own methods, a node costs only its sink's _node,
-which is handed the node's parent.  Besides feed the core has _key_name,
-the rare path that resolves a key, and read, the one loop that feeds a
-whole stream and finishes it, for decode, the verifier and measure alike.
+DecodeState.feed reads each token in its own frame, handed the token's
+entries of the stream's four columns (kind, payload, depth, key), and the
+stack of open elements lives there too: it applies the attribute rules,
+builds a data node's fields, closes the elements whose depth ran out,
+closes back for a sibling, opens an element inline, and raises each depth
+error where it finds it.  Of its own methods, a node costs only its
+sink's _node, which is handed the node's parent.  Besides feed the core
+has _key_name, the rare path that resolves a key, and read, the one loop
+that feeds a whole stream and finishes it, for decode, the verifier and
+measure alike: it zips the columns and calls feed once per token,
+building no token.
 
-One emitter loop writes both forms in one pass over the tree.  It keeps
-the stack of open elements the decoder will hold, in its own frame as
-feed does: a plain list whose entries each carry what nearest held for
-their name before they opened, put back when they pop, and nearest, a
-name's topmost open element.  The safe-sibling form writes every later
+One emitter loop writes both forms in one pass over the tree, appending
+each token's kind and payload to the stream's columns.  It keeps the
+stack of open elements the decoder will hold, in its own frame as feed
+does: a plain list whose entries each carry their element's column
+index and what nearest held for their name before they opened, put back
+when they pop, and nearest, a name's topmost open element.  The depth
+markers it sets go into a dict by column index, turned into the depths
+column after the loop.  The safe-sibling form writes every later
 element child as a sibling token.  Every node already emitted decodes
 under its true parent p, so that stack is the ancestors up to p plus at
 most one finished subtree still open above p.  Two local rules keep it
@@ -71,7 +77,7 @@ next node of the walk encode took, in document order, which must have the
 kind, name and content the core read, the attributes the core gave it by
 the next node or the end, and as its parent in the caller's tree the
 parent the core passed.  The check needs nothing from the emitter but its
-tokens, and it is exact.  Decoding makes one node per element or data
+stream, and it is exact.  Decoding makes one node per element or data
 token, in stream order, from that token and the attribute tokens after
 it, and puts it under the innermost open element, so the decoded nodes
 come out in document order.  The check pairs them one to one with the
@@ -89,7 +95,7 @@ from typing import Iterable, Iterator, Optional
 
 from .errors import BadArgument, XStringError
 from .grammar import (NUL, PREFIX_CHARS, WHITESPACE, EscapeMode, PrefixKind,
-                      XsDocument, XsToken, name_fault, reads_as_key)
+                      XsDocument, name_fault, reads_as_key)
 from .xml_model import Attribute, NodeKind, XmlDocument, XmlNode, walk
 
 
@@ -210,13 +216,13 @@ class DecodeState:
     raises every DecodeError, and works out the kind, name and content of
     each node and the attribute list of the element opened last.  Only a
     keyed name leaves that frame, for _key_name; read feeds it a whole
-    stream and finishes.  One sink method, the only one a node calls,
-    takes it from there: _node(kind, name, content, attrs, parent) makes
-    the node, with attrs the list the core goes on filling and parent the
-    innermost open element's node, None for the root and the prolog.  A
-    sink sees a node only once the core has accepted its token, so the
-    core's error comes first.  The one here builds the tree decode
-    returns."""
+    stream, one token's four column entries per call, and finishes.  One
+    sink method, the only one a node calls, takes it from there:
+    _node(kind, name, content, attrs, parent) makes the node, with attrs
+    the list the core goes on filling and parent the innermost open
+    element's node, None for the root and the prolog.  A sink sees a node
+    only once the core has accepted its token, so the core's error comes
+    first.  The one here builds the tree decode returns."""
 
     def __init__(self):
         self.open_stack: list[OpenEntry] = []
@@ -246,20 +252,20 @@ class DecodeState:
 
     # -- rare paths ---------------------------------------------------------
 
-    def _key_name(self, tok: XsToken) -> str:
+    def _key_name(self, payload: str, key: int) -> str:
         # a key binder stores its name, a key reference looks it up
-        if tok.payload:
-            self._keys[tok.subst_key] = tok.payload
-            return tok.payload
-        name = self._keys.get(tok.subst_key)
+        if payload:
+            self._keys[key] = payload
+            return payload
+        name = self._keys.get(key)
         if name is None:
-            raise UnknownKey(f"key {tok.subst_key} was never bound")
+            raise UnknownKey(f"key {key} was never bound")
         return name
 
     # -- the token reader ---------------------------------------------------
 
-    def feed(self, tok: XsToken) -> None:
-        kind = tok.kind
+    def feed(self, kind: PrefixKind, payload: str, depth: Optional[int],
+             key: Optional[int]) -> None:
         stack = self.open_stack
         if kind is _ATTR_VALUE:
             if not stack:
@@ -267,7 +273,7 @@ class DecodeState:
             if not self._pending_attr:
                 raise DanglingAttr("attribute value without a preceding name")
             attrs = self._attrs
-            attrs[-1] = (attrs[-1][0], tok.payload)
+            attrs[-1] = (attrs[-1][0], payload)
             self._pending_attr = False
             return
         if kind is _ATTR_NAME:
@@ -276,7 +282,7 @@ class DecodeState:
             if self._attached > self._opened_at:
                 raise AttrAfterContent("attribute after content in "
                                        f"<{stack[-1].node.name}>")
-            name = tok.payload if tok.subst_key is None else self._key_name(tok)
+            name = payload if key is None else self._key_name(payload, key)
             if name in self._attr_names:
                 raise DuplicateAttr(f"duplicate attribute {name!r}")
             self._attr_names.add(name)
@@ -286,11 +292,11 @@ class DecodeState:
         self._pending_attr = False
         node_kind = _NODE_KINDS[kind._value_]
         if node_kind is _ELEMENT:
-            name = tok.payload if tok.subst_key is None else self._key_name(tok)
+            name = payload if key is None else self._key_name(payload, key)
         else:
             # a data node; an instruction's target runs to its first
             # whitespace
-            name, content = "", tok.payload
+            name, content = "", payload
             if node_kind is _PROC_INSTR:
                 ws = WHITESPACE.search(content)
                 cut = ws.start() if ws else len(content)
@@ -362,7 +368,7 @@ class DecodeState:
         else:
             elem = self.root = self._node(_ELEMENT, name, "", attrs, None)
             low = inf
-        close = tok.depth
+        close = depth
         if close is not None:
             close += attached
             if close < low:
@@ -373,11 +379,12 @@ class DecodeState:
         self._attrs = attrs
         self._attr_names.clear()
 
-    def read(self, tokens: Iterable[XsToken]) -> XmlDocument:
-        """Feed every token, then finish."""
+    def read(self, doc: XsDocument) -> XmlDocument:
+        """Feed every token of doc, then finish."""
         feed = self.feed
-        for tok in tokens:
-            feed(tok)
+        for kind, payload, depth, key in zip(doc.kinds, doc.payloads,
+                                             doc.depths, doc.keys):
+            feed(kind, payload, depth, key)
         return self.finish()
 
     def finish(self) -> XmlDocument:
@@ -391,9 +398,9 @@ class DecodeState:
 
 def decode(doc: XsDocument) -> XmlDocument:
     """Rebuild the XML document a token stream describes."""
-    if not doc.tokens:
+    if not doc.kinds:
         raise EmptyStream("no tokens")
-    return DecodeState().read(doc.tokens)
+    return DecodeState().read(doc)
 
 
 _NOT_DECODED = "encoded stream does not decode to the document"
@@ -435,10 +442,10 @@ class Verifier(DecodeState):
         return got
 
 
-def _verify(written: list[_Walked], tokens: list[XsToken]) -> None:
-    """Raise Unencodable unless tokens decode to the nodes written."""
+def _verify(written: list[_Walked], doc: XsDocument) -> None:
+    """Raise Unencodable unless doc decodes to the nodes written."""
     try:
-        Verifier(written).read(tokens)
+        Verifier(written).read(doc)
     except DecodeError as e:
         raise Unencodable(_NOT_DECODED) from e
 
@@ -475,21 +482,25 @@ def _written(doc: XmlDocument, drop: bool) -> Iterator[_Walked]:
     return walk(doc, drop)
 
 
-def _emit(written: Iterable[_Walked], escaping: EscapeMode, canonical: bool,
-          tokens: list[XsToken]) -> None:
-    # The decoder's stack of open elements, as (token, nodes attached up
-    # to and including the element, what nearest held for its name before
-    # it opened), and nearest as feed keeps it.  Every node emitted so far
-    # decodes under its true parent, so the stack holds the ancestors of
-    # the next node plus the chain of the last finished element child
-    # above them.  Until the parent has an element child the stack ends at
-    # the parent, so a sibling token needs no check that one came before.
-    # In the canonical form every element is a child token and takes its
-    # depth when it closes.
-    stack: list[tuple[XsToken, int, int]] = []
+def _emit(written: Iterable[_Walked], escaping: EscapeMode,
+          canonical: bool) -> XsDocument:
+    # The decoder's stack of open elements, as (the element's column
+    # index, nodes attached up to and including the element, what nearest
+    # held for its name before it opened), and nearest as feed keeps it.
+    # Every node emitted so far decodes under its true parent, so the
+    # stack holds the ancestors of the next node plus the chain of the
+    # last finished element child above them.  Until the parent has an
+    # element child the stack ends at the parent, so a sibling token needs
+    # no check that one came before.  In the canonical form every element
+    # is a child token and takes its depth when it closes.
+    stack: list[tuple[int, int, int]] = []
     nearest: dict[str, int] = {}
     writable: set[str] = set()  # the names name_fault has passed
     entity = escaping is EscapeMode.ENTITY
+    kinds: list[PrefixKind] = []
+    payloads: list[str] = []
+    add_kind, add_payload = kinds.append, payloads.append
+    marks: dict[int, int] = {}  # the depth markers, by column index
     attached = 0
     for node, _, depth in written:
         # depth is the node's own stack index, its parent's plus one; kind
@@ -507,30 +518,34 @@ def _emit(written: Iterable[_Walked], escaping: EscapeMode, canonical: bool,
                 # the depth marker closes the open child of the parent and
                 # everything above it right after the nodes attached since
                 # it opened; a sibling token closes back to it instead
-                tok, start, _ = stack[depth]
-                tok.depth = attached - start
+                i, start, _ = stack[depth]
+                marks[i] = attached - start
             while len(stack) > depth:
-                tok, start, below = stack.pop()
-                nearest[tok.payload] = below
+                i, start, below = stack.pop()
+                nearest[payloads[i]] = below
                 if canonical:
-                    tok.depth = attached - start
+                    marks[i] = attached - start
         attached += 1
         if kind is not None:
             if node.content:
                 raise Unencodable("element content cannot be written")
             if name not in writable:
                 writable.add(_writable_name(name, "element"))
-            tok = XsToken.unchecked(kind, name)
-            tokens.append(tok)
+            stack.append((len(kinds), attached, nearest.get(name, -1)))
+            nearest[name] = depth
+            add_kind(kind)
+            add_payload(name)
             attrs = node.attributes
             for key, value in attrs:
                 if key not in writable:
                     writable.add(_writable_name(key, "attribute"))
-                tokens.append(XsToken.unchecked(_ATTR_NAME, key))
+                add_kind(_ATTR_NAME)
+                add_payload(key)
                 if value is not None:
                     if NUL in value:
                         raise Unencodable(_NUL_IN_DATA)
-                    tokens.append(XsToken.unchecked(_ATTR_VALUE, value))
+                    add_kind(_ATTR_VALUE)
+                    add_payload(value)
             if len(attrs) > 1:
                 keys: set[str] = set()
                 for key, _ in attrs:
@@ -538,8 +553,6 @@ def _emit(written: Iterable[_Walked], escaping: EscapeMode, canonical: bool,
                         raise Unencodable(
                             f"duplicate attribute {key!r} cannot be written")
                     keys.add(key)
-            stack.append((tok, attached, nearest.get(name, -1)))
-            nearest[name] = depth
             continue
         if node.children or node.attributes or (
                 node.name and node.kind is not _PROC_INSTR):
@@ -555,8 +568,8 @@ def _emit(written: Iterable[_Walked], escaping: EscapeMode, canonical: bool,
             # instead
             last = content[-1:]
             dual = (entity and last and last in PREFIX_CHARS and last != '"'
-                    and not (tokens and tokens[-1].kind is _ATTR_VALUE
-                             and not tokens[-1].payload))
+                    and not (kinds and kinds[-1] is _ATTR_VALUE
+                             and not payloads[-1]))
             kind = PrefixKind.TEXT_DUAL if dual else PrefixKind.TEXT
         elif node.kind is _PROC_INSTR:
             name = node.name  # data up to its first whitespace, not a name
@@ -566,10 +579,16 @@ def _emit(written: Iterable[_Walked], escaping: EscapeMode, canonical: bool,
             content = f"{name} {content}" if content else name
         else:
             kind = _DATA_KINDS[node.kind._value_]
-        tokens.append(XsToken.unchecked(kind, content))
+        add_kind(kind)
+        add_payload(content)
     if canonical:
-        for tok, start, _ in stack:
-            tok.depth = attached - start
+        for i, start, _ in stack:
+            marks[i] = attached - start
+    depths: list[Optional[int]] = [None] * len(kinds)
+    for i, mark in marks.items():
+        depths[i] = mark
+    return XsDocument.from_columns(kinds, payloads, depths,
+                                   [None] * len(kinds), escaping)
 
 
 def emit(doc: XmlDocument, opts: Optional[EncodeOptions] = None) -> XsDocument:
@@ -577,21 +596,17 @@ def emit(doc: XmlDocument, opts: Optional[EncodeOptions] = None) -> XsDocument:
     form decodes to doc: for a caller that checks the stream itself, as
     metrics.measure does."""
     opts = opts or EncodeOptions()
-    tokens: list[XsToken] = []
-    _emit(_written(doc, opts.drop_insignificant_whitespace), opts.escaping,
-          opts.mode == EncodeMode.CANONICAL, tokens)
-    return XsDocument(tokens, opts.escaping)
+    return _emit(_written(doc, opts.drop_insignificant_whitespace),
+                 opts.escaping, opts.mode == EncodeMode.CANONICAL)
 
 
 def encode(doc: XmlDocument, opts: Optional[EncodeOptions] = None) -> XsDocument:
     """Encode a document; decode(encode(d)) is structurally equal to d."""
     opts = opts or EncodeOptions()
     written = _written(doc, opts.drop_insignificant_whitespace)
-    tokens: list[XsToken] = []
     if opts.mode == EncodeMode.CANONICAL:
-        _emit(written, opts.escaping, True, tokens)
-    else:
-        written = list(written)
-        _emit(written, opts.escaping, False, tokens)
-        _verify(written, tokens)
-    return XsDocument(tokens, opts.escaping)
+        return _emit(written, opts.escaping, True)
+    written = list(written)
+    xs = _emit(written, opts.escaping, False)
+    _verify(written, xs)
+    return xs

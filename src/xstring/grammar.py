@@ -24,6 +24,16 @@ the element (or attribute) token they follow, and the tokenizer accepts them
 after an attribute list as well (``@name=v+10`` binds the depth to the
 enclosing element token).
 
+A stream, XsDocument, is held as four parallel lists, entry i of each
+describing token i: ``kinds``, ``payloads``, ``depths`` and ``keys``.  The
+library's steps read and write these columns directly, so a stream costs
+no Python object per token: the strings, small ints and None it holds are
+not tracked by the cyclic collector.  XsToken is the checked form of one
+token, for callers outside the library: ``XsDocument(tokens, escaping)``
+takes a list of them and ``XsDocument.tokens`` builds one per token on
+demand.  A document checks its escaping where it is built, so no step
+after that needs to.
+
 The tokenizer reads each token with one match of a compiled pattern per
 escape mode.  The match skips padding and reads the lead (the prefix
 character, after its NUL in sentinel mode) and that kind's payload run;
@@ -38,31 +48,31 @@ marker) is a match of its own.  An entity-mode data run is
 ``(?:[^<prefix chars>&\\x00]+|&#[0-9]+;|&(?!#))*``, and the character a run
 stops at names the error, read by the same match: ``&`` a malformed
 reference, NUL stray data, the end of input an unterminated dual.  The
-tokens it builds skip ``XsToken``'s checks (``XsToken.unchecked``): the
-pattern has already established them.
+tokenizer writes each token's fields straight into the columns, without
+``XsToken``'s checks: the pattern has already established them.  A marker
+read after its token sets that token's depth or key in place.
 
 Entity mode escapes and folds a stream's payloads together, not one
 payload at a time.  ``render`` joins every payload with NUL, which no
 payload may hold, escapes the joined string with one ``str.replace`` pass
 per prefix character present (sentinel mode writes it as it is), and
-splits it again; a split that does not give one piece per token means a
+splits it again; a split that does not give one piece per payload means a
 payload held NUL, and render raises ``BadArgument`` in either mode rather
 than write a stream that does not read back.  ``tokenize`` leaves the
 payloads that hold an ``&`` as the match read them and, after its loop,
-folds their references back in one joined pass: one ``str.replace`` per
-exact ``&#N;`` form of a prefix character, ``&#35;`` last so that the
-``#`` it writes starts no new reference, after one regex pass that strips
-the zeros of padded forms.  Every other reference, of any length, stays
-verbatim.
+folds their references back in one joined pass and writes them back into
+``payloads`` by index: one ``str.replace`` per exact ``&#N;`` form of a
+prefix character, ``&#35;`` last so that the ``#`` it writes starts no new
+reference, after one regex pass that strips the zeros of padded forms.
+Every other reference, of any length, stays verbatim.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
-from typing import Callable, NoReturn, Optional
+from typing import Callable, Iterable, NoReturn, Optional
 
 from .errors import BadArgument, XStringError
 
@@ -177,30 +187,74 @@ class XsToken:
         if self.subst_key is not None and self.subst_key < 0:
             raise BadArgument("negative key")
 
-    @classmethod
-    def unchecked(cls, kind: PrefixKind, payload: str = "",
-                  depth: Optional[int] = None,
-                  subst_key: Optional[int] = None) -> XsToken:
-        """A token built without the checks of __post_init__, for code that
-        has already established them: the tokenizer, the encoders and the
-        substitution passes.  Input from outside the library goes through
-        XsToken(...)."""
-        tok = object.__new__(cls)
-        tok.kind = kind
-        tok.payload = payload
-        tok.depth = depth
-        tok.subst_key = subst_key
-        return tok
-
     def is_reference(self) -> bool:
         """True for a bare key occurrence standing in for a name."""
         return self.subst_key is not None and not self.payload
 
 
-@dataclass
+def _checked_escaping(escaping: EscapeMode) -> EscapeMode:
+    if not isinstance(escaping, EscapeMode):
+        raise BadArgument(f"unknown escape mode {escaping!r}")
+    return escaping
+
+
 class XsDocument:
-    tokens: list[XsToken] = field(default_factory=list)
-    escaping: EscapeMode = EscapeMode.ENTITY
+    """A token stream as four parallel columns, entry i of each describing
+    token i: kinds (PrefixKind), payloads (str), depths and keys (the
+    token's depth marker and substitution key, int or None); and escaping,
+    the EscapeMode it is written in.
+
+    XsDocument(tokens, escaping) takes checked XsToken(...) values;
+    from_columns takes the lists themselves, for code that has already
+    established XsToken's checks on them: the tokenizer, the emitter, the
+    XSB1 reader and the substitution passes.  Both refuse an escaping that
+    is not an EscapeMode, so no later step needs to check it."""
+
+    __slots__ = ("kinds", "payloads", "depths", "keys", "escaping")
+
+    def __init__(self, tokens: Iterable[XsToken] = (),
+                 escaping: EscapeMode = EscapeMode.ENTITY):
+        tokens = list(tokens)
+        self.kinds = [t.kind for t in tokens]
+        self.payloads = [t.payload for t in tokens]
+        self.depths = [t.depth for t in tokens]
+        self.keys = [t.subst_key for t in tokens]
+        self.escaping = _checked_escaping(escaping)
+
+    @classmethod
+    def from_columns(cls, kinds: list[PrefixKind], payloads: list[str],
+                     depths: list[Optional[int]], keys: list[Optional[int]],
+                     escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
+        """A document holding these lists, as they are, as its columns."""
+        if not len(kinds) == len(payloads) == len(depths) == len(keys):
+            raise BadArgument("columns of different lengths")
+        doc = object.__new__(cls)
+        doc.kinds, doc.payloads, doc.depths, doc.keys = (kinds, payloads,
+                                                         depths, keys)
+        doc.escaping = _checked_escaping(escaping)
+        return doc
+
+    @property
+    def tokens(self) -> list[XsToken]:
+        """The tokens as the columns hold them, built anew on each read
+        and without XsToken's checks, which columns filled by hand may
+        fail: changing one changes nothing here."""
+        tokens = []
+        for fields in zip(self.kinds, self.payloads, self.depths, self.keys):
+            tok = object.__new__(XsToken)
+            tok.kind, tok.payload, tok.depth, tok.subst_key = fields
+            tokens.append(tok)
+        return tokens
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, XsDocument):
+            return NotImplemented
+        return (self.escaping is other.escaping and self.kinds == other.kinds
+                and self.payloads == other.payloads
+                and self.depths == other.depths and self.keys == other.keys)
+
+    def __repr__(self) -> str:
+        return f"XsDocument({self.tokens!r}, {self.escaping!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +307,9 @@ _MALFORMED = re.compile("&#(?![0-9]+;)")
 
 def escape_data(s: str, mode: EscapeMode = EscapeMode.ENTITY) -> str:
     """Make s safe for use as payload data in the given mode."""
-    if not isinstance(mode, EscapeMode):
-        raise BadArgument(f"unknown escape mode {mode!r}")
-    return s if mode is EscapeMode.SENTINEL else _ESCAPE(s)
+    if _checked_escaping(mode) is EscapeMode.SENTINEL:
+        return s
+    return _ESCAPE(s)
 
 
 def unescape_data(s: str, mode: EscapeMode = EscapeMode.ENTITY) -> str:
@@ -263,9 +317,7 @@ def unescape_data(s: str, mode: EscapeMode = EscapeMode.ENTITY) -> str:
 
     A '&#' that is not a decimal reference is an error, since escaping
     never produces one."""
-    if not isinstance(mode, EscapeMode):
-        raise BadArgument(f"unknown escape mode {mode!r}")
-    if mode is EscapeMode.SENTINEL:
+    if _checked_escaping(mode) is EscapeMode.SENTINEL:
         return s
     bad = _MALFORMED.search(s)
     if bad:
@@ -277,31 +329,26 @@ def unescape_data(s: str, mode: EscapeMode = EscapeMode.ENTITY) -> str:
 # ---------------------------------------------------------------------------
 # rendering
 
-_PAYLOAD = attrgetter("payload")
-
-
 def wire_pieces(doc: XsDocument) -> list[str]:
     """The wire form of each token of doc, in order; render joins them.
 
     The payloads are escaped together: joined with NUL, which no payload
     may hold, escaped in one pass and split again.  Dual payloads, which
     escape only '"' and '#', are escaped together after the loop."""
-    if not isinstance(doc.escaping, EscapeMode):
-        raise BadArgument(f"unknown escape mode {doc.escaping!r}")
-    tokens = doc.tokens
-    if not tokens:
+    payloads = doc.payloads
+    if not payloads:
         return []
     sentinel = doc.escaping is EscapeMode.SENTINEL
-    joined = NUL.join(map(_PAYLOAD, tokens))
+    joined = NUL.join(payloads)
     bodies = (joined if sentinel else _ESCAPE(joined)).split(NUL)
-    if len(bodies) != len(tokens):
+    if len(bodies) != len(payloads):
         raise BadArgument("payload must not contain NUL")
     mark = NUL if sentinel else ""
     dual, names = PrefixKind.TEXT_DUAL, NAME_KINDS
     pieces: list[str] = []
     duals: list[int] = []  # entity mode: where the dual pieces go
-    for t, body in zip(tokens, bodies):
-        kind = t.kind
+    for kind, body, depth, key in zip(doc.kinds, bodies, doc.depths,
+                                      doc.keys):
         if kind is dual:
             if sentinel:
                 pieces.append(f'{NUL}"{body}{NUL}"')
@@ -315,18 +362,17 @@ def wire_pieces(doc: XsDocument) -> list[str]:
         if kind not in names:
             pieces.append(lead + body)
             continue
-        key = t.subst_key
         if not body:
             piece = f"{lead}{key}"
         elif key is None:
             piece = lead + body
         else:
             piece = f"{lead}{body}{mark}#{key}"
-        if t.depth is not None:
-            piece = f"{piece}{mark}+{t.depth}"
+        if depth is not None:
+            piece = f"{piece}{mark}+{depth}"
         pieces.append(piece)
     if duals:
-        escaped = _ESCAPE_DUAL(NUL.join([tokens[i].payload for i in duals]))
+        escaped = _ESCAPE_DUAL(NUL.join([payloads[i] for i in duals]))
         for i, body in zip(duals, escaped.split(NUL)):
             pieces[i] = f'"{body}"'
     return pieces
@@ -428,25 +474,25 @@ def _integer(digits: str, error: type[TokenizeError], offset: int,
         raise error(offset, f"{what} has too many digits") from None
 
 
-def _attach_depth(tokens: list[XsToken], value: int, offset: int) -> None:
-    for t in reversed(tokens):
-        if t.kind in (PrefixKind.CHILD, PrefixKind.SIBLING):
-            if t.depth is not None:
+def _attach_depth(doc: XsDocument, value: int, offset: int) -> None:
+    kinds, depths = doc.kinds, doc.depths
+    for j in range(len(kinds) - 1, -1, -1):
+        kind = kinds[j]
+        if kind is _CHILD or kind is _SIBLING:
+            if depths[j] is not None:
                 raise BadDepth(offset, "duplicate depth marker")
-            t.depth = value
+            depths[j] = value
             return
-        if t.kind in (PrefixKind.ATTR_NAME, PrefixKind.ATTR_VALUE):
-            continue
-        break
+        if kind not in (PrefixKind.ATTR_NAME, PrefixKind.ATTR_VALUE):
+            break
     raise BadDepth(offset, "depth marker is not attached to an element")
 
 
-def _attach_key(tokens: list[XsToken], value: int, offset: int) -> None:
-    if tokens:
-        t = tokens[-1]
-        if t.kind in NAME_KINDS and t.payload and t.subst_key is None:
-            t.subst_key = value
-            return
+def _attach_key(doc: XsDocument, value: int, offset: int) -> None:
+    if doc.kinds and doc.kinds[-1] in NAME_KINDS and doc.payloads[-1] and (
+            doc.keys[-1] is None):
+        doc.keys[-1] = value
+        return
     raise BadKey(offset, "key binder is not attached to a name")
 
 
@@ -467,13 +513,17 @@ def tokenize(text: str, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
         raise BadArgument(f"unknown escape mode {escaping!r}")
     match = pattern.match
     marker = _MARKER[escaping]
-    new = XsToken.unchecked
     # the length of a depth marker's lead, '+' or NUL '+'
     plus = 2 if sentinel else 1
-    tokens: list[XsToken] = []
-    # entity mode: the tokens whose payloads hold an '&', by kind of run
-    refs: list[XsToken] = []
-    duals: list[XsToken] = []
+    doc = XsDocument.from_columns([], [], [], [], escaping)
+    kinds, payloads = doc.kinds, doc.payloads
+    depths, keys = doc.depths, doc.keys
+    add_kind, add_payload = kinds.append, payloads.append
+    add_depth, add_key = depths.append, keys.append
+    # entity mode: the indexes of the payloads that hold an '&', by kind
+    # of run
+    refs: list[int] = []
+    duals: list[int] = []
     n = len(text)
     i = 0
     while i < n:
@@ -490,7 +540,7 @@ def tokenize(text: str, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
             payload = m[g]
             if not payload:
                 raise error(start, f"no integer after {what}")
-            attach(tokens, _integer(payload, error, start, what), start)
+            attach(doc, _integer(payload, error, start, what), start)
             continue
         marked = g == _DEPTH
         if marked:
@@ -501,15 +551,19 @@ def tokenize(text: str, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
                 raise EmptyName(m.start(g - 1), "missing name")
             # isdigit first spares most names the call
             if payload.isdigit() and reads_as_key(payload):
-                key = _integer(payload, BadKey, m.start(g - 1), "key reference")
-                tok = new(_LEADS[m[g - 1]], "", None, key)
+                add_key(_integer(payload, BadKey, m.start(g - 1),
+                                 "key reference"))
+                payload = ""
             else:
-                tok = new(_LEADS[m[g - 1]], payload)
+                add_key(None)
         elif g == _DATA or g == _DUAL:
-            tok = new(_LEADS[m[g - 1]], payload)
+            add_key(None)
         else:
             _stopped(m, g, sentinel)
-        tokens.append(tok)
+        kind = _LEADS[m[g - 1]]
+        add_kind(kind)
+        add_payload(payload)
+        add_depth(None)
         if marked:
             # the marker read with the token: an element takes it, and
             # any other token attaches it as a marker of its own would be
@@ -518,17 +572,17 @@ def tokenize(text: str, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
                 depth = int(m[_DEPTH])
             except ValueError:  # _integer raises the overlong error
                 depth = _integer(m[_DEPTH], BadDepth, start, "depth marker")
-            if tok.kind is _CHILD or tok.kind is _SIBLING:
-                tok.depth = depth
+            if kind is _CHILD or kind is _SIBLING:
+                depths[-1] = depth
             else:
-                _attach_depth(tokens, depth, start)
+                _attach_depth(doc, depth, start)
         if not sentinel and "&" in payload:
-            (duals if g == _DUAL else refs).append(tok)
+            (duals if g == _DUAL else refs).append(len(payloads) - 1)
     # one fold over each kind's payloads, joined with NUL, which an
     # entity-mode stream does not hold
     for held, fold in ((refs, _UNESCAPE), (duals, _UNESCAPE_DUAL)):
         if held:
-            folded = fold(NUL.join(map(_PAYLOAD, held))).split(NUL)
-            for tok, payload in zip(held, folded):
-                tok.payload = payload
-    return XsDocument(tokens, escaping)
+            folded = fold(NUL.join([payloads[j] for j in held])).split(NUL)
+            for j, payload in zip(held, folded):
+                payloads[j] = payload
+    return doc

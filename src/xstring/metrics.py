@@ -22,8 +22,7 @@ from typing import Iterator, Optional
 from .binary import pack_envelope
 from .codec import Unencodable, Verifier, encode
 from .errors import BadArgument, XStringError
-from .grammar import (WHITESPACE, PrefixKind, XsDocument, XsToken, render,
-                      wire_pieces)
+from .grammar import WHITESPACE, PrefixKind, XsDocument, render, wire_pieces
 from .xml_model import (Attribute, NodeKind, XmlDocument, XmlNode, parse_xml,
                         serialize_attribute, serialize_xml, walk)
 
@@ -129,14 +128,14 @@ _DATA_CONSTRUCTS = {NodeKind.COMMENT: ConstructKind.COMMENT_TAG,
                     NodeKind.DTD: ConstructKind.DTD_ELEMENT}
 
 
-def _node_construct(node: XmlNode, tok: XsToken,
+def _node_construct(node: XmlNode, token_kind: PrefixKind,
                     nested: bool) -> tuple[ConstructKind, int]:
     """Construct kind and name or body length n for one written node."""
     if node.kind is NodeKind.ELEMENT:
         return (ConstructKind.NESTED_TAG if nested
                 else ConstructKind.EMPTY_TAG), len(node.name)
     if node.kind is NodeKind.TEXT:
-        kind = (ConstructKind.TEXT_DUAL if tok.kind is PrefixKind.TEXT_DUAL
+        kind = (ConstructKind.TEXT_DUAL if token_kind is PrefixKind.TEXT_DUAL
                 else ConstructKind.TEXT)
         return kind, len(node.content)
     if node.kind is NodeKind.PROC_INSTR:
@@ -160,11 +159,12 @@ def measure(xml_text: str, xs: XsDocument,
     """
     if source is None:
         source = parse_xml(xml_text)
-    drop = all(WHITESPACE.sub("", tok.payload) for tok in xs.tokens
-               if tok.kind in (PrefixKind.TEXT, PrefixKind.TEXT_DUAL))
+    drop = all(WHITESPACE.sub("", payload)
+               for kind, payload in zip(xs.kinds, xs.payloads)
+               if kind in (PrefixKind.TEXT, PrefixKind.TEXT_DUAL))
     nodes = list(walk(source, drop))
     try:
-        Verifier(nodes).read(xs.tokens)
+        Verifier(nodes).read(xs)
     except Unencodable as e:
         raise Mismatch("the stream does not encode this document") from e
 
@@ -174,17 +174,17 @@ def measure(xml_text: str, xs: XsDocument,
     # one, which is the node itself exactly when it has a child
     written = pairwise(chain(nodes, [(None, None, 0)]))
     attrs: Iterator[Attribute] = iter(())
-    for tok, piece in zip(xs.tokens, wire_pieces(xs)):
-        if tok.kind is PrefixKind.ATTR_VALUE:
+    for token_kind, piece in zip(xs.kinds, wire_pieces(xs)):
+        if token_kind is PrefixKind.ATTR_VALUE:
             kind, count, xml_chars = ConstructKind.ATTRIBUTE, 0, 0
-        elif tok.kind is PrefixKind.ATTR_NAME:
+        elif token_kind is PrefixKind.ATTR_NAME:
             kind, count = ConstructKind.ATTRIBUTE, 1
             xml_chars = len(serialize_attribute(next(attrs))) - 1
             report.xml_overhead += 1
         else:
             (node, _, _), (_, next_parent, _) = next(written)
             attrs = iter(node.attributes)
-            kind, n = _node_construct(node, tok, next_parent is node)
+            kind, n = _node_construct(node, token_kind, next_parent is node)
             count, xml_chars = 1, _FORMULAS[kind][0](n, 0)
         stat = report.constructs.setdefault(kind, ConstructStat())
         stat.count += count

@@ -7,8 +7,8 @@ from typing import Optional
 
 from .codec import EncodeMode, EncodeOptions, UnknownKey, decode, encode
 from .errors import BadArgument, XStringError
-from .grammar import (NAME_KINDS, EscapeMode, XsDocument, XsToken, escape_data,
-                      reads_as_key)
+from .grammar import (NAME_KINDS, EscapeMode, XsDocument, escape_data,
+                      name_fault, reads_as_key)
 
 
 class NumericNameClash(XStringError):
@@ -54,49 +54,54 @@ def build_substitution(doc: XsDocument,
     if threshold < 2:
         raise BadArgument("substitution threshold must be at least 2")
 
+    kinds, payloads = doc.kinds, doc.payloads
     counts: dict[str, int] = {}
-    for tok in doc.tokens:
-        if tok.is_reference():
-            # a bare digit run in name position is a name made of digits,
-            # which the key syntax cannot coexist with
-            raise NumericNameClash(
-                f"name {tok.subst_key} is indistinguishable from a key")
-        if tok.subst_key is not None:
-            raise AlreadyKeyed("stream already carries substitution keys")
-        if tok.kind in NAME_KINDS:
-            if reads_as_key(tok.payload):
+    spots: list[int] = []  # where the names of at least threshold sit
+    for i, (kind, name, key) in enumerate(zip(kinds, payloads, doc.keys)):
+        if key is not None:
+            if not name:
+                # a bare digit run in name position is a name made of
+                # digits, which the key syntax cannot coexist with
                 raise NumericNameClash(
-                    f"name {tok.payload!r} is indistinguishable from a key")
-            if len(tok.payload) >= threshold:
-                counts[tok.payload] = counts.get(tok.payload, 0) + 1
+                    f"name {key} is indistinguishable from a key")
+            raise AlreadyKeyed("stream already carries substitution keys")
+        if kind in NAME_KINDS:
+            if name.isdigit() and reads_as_key(name):
+                raise NumericNameClash(
+                    f"name {name!r} is indistinguishable from a key")
+            if len(name) >= threshold:
+                counts[name] = counts.get(name, 0) + 1
+                spots.append(i)
 
     # a candidate is decided at its first occurrence, which binds its key;
-    # the input's tokens hold their invariants and a key is not negative,
-    # so the keyed tokens are built unchecked
+    # later ones become bare keys, with their payloads emptied
     table = SubstitutionTable()
-    keys: dict[str, int] = {}
-    out: list[XsToken] = []
-    for tok in doc.tokens:
-        name = tok.payload
-        if tok.kind in NAME_KINDS and counts.get(name, 0) >= 2:
-            if name in keys:
-                out.append(XsToken.unchecked(tok.kind, "", tok.depth,
-                                             keys[name]))
-                continue
-            key = len(table.names)
-            digits = len(str(key))
-            saved = (counts[name] - 1) * (_rendered_len(name, doc.escaping)
-                                          - digits)
-            if saved > 1 + digits:
-                keys[name] = key
-                table.names.append(name)
-                out.append(XsToken.unchecked(tok.kind, name, tok.depth, key))
-                continue
+    out_payloads, out_keys = payloads[:], doc.keys[:]
+    bound: dict[str, int] = {}
+    for i in spots:
+        name = payloads[i]
+        if counts.get(name, 0) < 2:
+            continue
+        key = bound.get(name)
+        if key is not None:
+            out_payloads[i] = ""
+            out_keys[i] = key
+            continue
+        key = len(table.names)
+        digits = len(str(key))
+        saved = (counts[name] - 1) * (_rendered_len(name, doc.escaping)
+                                      - digits)
+        if saved > 1 + digits:
+            bound[name] = key
+            table.names.append(name)
+            out_keys[i] = key
+        else:
             # refused for good: a later occurrence's key would have at
             # least as many digits
             del counts[name]
-        out.append(tok)
-    return table, XsDocument(out, doc.escaping)
+    return table, XsDocument.from_columns(kinds[:], out_payloads,
+                                          doc.depths[:], out_keys,
+                                          doc.escaping)
 
 
 def expand_substitution(doc: XsDocument,
@@ -107,21 +112,26 @@ def expand_substitution(doc: XsDocument,
     whose binders were stripped.
     """
     # names the stream binds were checked as name payloads; the table's
-    # come from the caller, so their tokens get XsToken's checks
+    # come from the caller, so they get XsToken's check of a name
     bound: dict[int, str] = {}
     seeded = table.names if table else []
-    out: list[XsToken] = []
-    for tok in doc.tokens:
-        key = tok.subst_key
+    payloads, keys = doc.payloads[:], doc.keys[:]
+    for i, key in enumerate(doc.keys):
         if key is None:
-            out.append(tok)
-        elif not tok.is_reference():
-            bound[key] = tok.payload
-            out.append(XsToken.unchecked(tok.kind, tok.payload, tok.depth))
+            continue
+        keys[i] = None
+        name = payloads[i]
+        if name:
+            bound[key] = name
         elif key in bound:
-            out.append(XsToken.unchecked(tok.kind, bound[key], tok.depth))
+            payloads[i] = bound[key]
         elif key < len(seeded):
-            out.append(XsToken(tok.kind, seeded[key], depth=tok.depth))
+            name = seeded[key]
+            fault = name_fault(name, None)
+            if fault is not None:
+                raise BadArgument(fault)
+            payloads[i] = name
         else:
             raise UnknownKey(f"key {key} was never bound")
-    return XsDocument(out, doc.escaping)
+    return XsDocument.from_columns(doc.kinds[:], payloads, doc.depths[:],
+                                   keys, doc.escaping)

@@ -42,14 +42,13 @@ def _element_tokens(node: XmlNode, kind: PrefixKind,
     """Check an element and append its token and attribute tokens."""
     if node.content:
         raise Unencodable("element content cannot be written")
-    tok = XsToken.unchecked(kind, _writable_name(node.name, "element"))
+    tok = XsToken(kind, _writable_name(node.name, "element"))
     tokens.append(tok)
     for name, value in node.attributes:
-        tokens.append(XsToken.unchecked(PrefixKind.ATTR_NAME,
-                                        _writable_name(name, "attribute")))
+        tokens.append(XsToken(PrefixKind.ATTR_NAME,
+                              _writable_name(name, "attribute")))
         if value is not None:
-            tokens.append(XsToken.unchecked(PrefixKind.ATTR_VALUE,
-                                            _nul_free(value)))
+            tokens.append(XsToken(PrefixKind.ATTR_VALUE, _nul_free(value)))
     if len(node.attributes) > 1:
         names: set[str] = set()
         for name, _ in node.attributes:
@@ -86,7 +85,7 @@ def _data_token(node: XmlNode, escaping: EscapeMode,
         content = f"{name} {content}" if content else name
     else:
         kind = _DATA_KINDS[node.kind._value_]
-    tokens.append(XsToken.unchecked(kind, content))
+    tokens.append(XsToken(kind, content))
 
 
 class OpenStack(list):
@@ -188,5 +187,5 @@ def oracle_encode(doc: XmlDocument,
         _emit_canonical(doc.root, opts.escaping, drop, tokens)
     else:
         _emit_safe_sibling(doc.root, opts.escaping, drop, tokens)
-        _verify(list(model_walk(doc, drop)), tokens)
+        _verify(list(model_walk(doc, drop)), XsDocument(tokens, opts.escaping))
     return XsDocument(tokens, opts.escaping)

@@ -155,7 +155,7 @@ def _encode_safe_sibling(doc: XmlDocument, escaping: EscapeMode) -> list[XsToken
         conflict_at = None
         for idx, tok in enumerate(tokens):
             try:
-                state.feed(tok)
+                state.feed(tok.kind, tok.payload, tok.depth, tok.subst_key)
             except BudgetConflict:
                 conflict_at = idx
                 break

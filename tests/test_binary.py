@@ -38,6 +38,21 @@ from steps import python_calls
 from test_grammar import _token_lists
 
 
+def _unchecked(fields):
+    """A document whose columns hold each (kind, payload, depth, key) as it
+    is, without XsToken's checks."""
+    columns = ([], [], [], [])
+    for token in fields:
+        for column, value in zip(columns, token):
+            column.append(value)
+    return XsDocument.from_columns(*columns)
+
+
+def _marker(field, value):
+    """The (depth, key) pair holding value in field and None in the other."""
+    return (value, None) if field == "depth" else (None, value)
+
+
 def doc_of(*tokens):
     return XsDocument(list(tokens))
 
@@ -158,12 +173,13 @@ def test_varint_over_64_bits():
 
 def test_pack_refuses_what_unpack_refuses():
     for field in ("depth", "subst_key"):
-        # a negative value, which only an unchecked token can hold, would
-        # write 0xff bytes without end
+        # a negative value, which only columns built unchecked can hold,
+        # would write 0xff bytes without end
         for value in (2 ** 64, -1):
-            over = XsToken.unchecked(PrefixKind.CHILD, "X", **{field: value})
+            over = _unchecked([(PrefixKind.CHILD, "X",
+                                *_marker(field, value))])
             with pytest.raises(MalformedVarint, match="does not fit in 64"):
-                pack(XsDocument([over]))
+                pack(over)
         top = XsToken(PrefixKind.CHILD, "X", **{field: 2 ** 64 - 1})
         assert unpack(pack(XsDocument([top]))).tokens == [top]
 
@@ -404,18 +420,17 @@ _MARKER_VALUES = st.one_of(
                           st.text(max_size=200), _MARKER_VALUES,
                           _MARKER_VALUES), max_size=6))
 def test_unchecked_streams_pack_as_oracle(fields):
-    # unchecked tokens may hold any depth or key, in or out of 64 bits
-    doc = XsDocument([XsToken.unchecked(*f) for f in fields])
-    assert_packs_as_oracle(doc)
+    # unchecked columns may hold any depth or key, in or out of 64 bits
+    assert_packs_as_oracle(_unchecked(fields))
 
 
 def test_out_of_range_markers_pack_as_oracle():
     for field in ("depth", "subst_key"):
         for value in (2 ** 64, -1, 2 ** 64 - 1, 0x7F, 0x80):
             # the marker unit in either slot of its pair
-            for lead in ([], [XsToken(PrefixKind.TEXT, "t")]):
-                doc = XsDocument(lead + [XsToken.unchecked(
-                    PrefixKind.CHILD, "X", **{field: value})])
+            for lead in ([], [(PrefixKind.TEXT, "t", None, None)]):
+                doc = _unchecked(lead + [(PrefixKind.CHILD, "X",
+                                          *_marker(field, value))])
                 assert_packs_as_oracle(doc)
 
 
@@ -428,14 +443,16 @@ def keyed_corpus_streams():
 
 
 def test_unpack_makes_few_python_calls_per_token():
-    # one XsToken.unchecked per token and the body of each unit read where
-    # it lies: about 1.1 calls per token on these streams, where a helper
-    # per unit and a checked constructor per token made 6.8
+    # the body of each unit read where it lies, its fields written into
+    # the stream's columns, and each distinct name checked once: about
+    # 0.67 calls per token on these streams, where an XsToken built and
+    # every name checked per token made 1.62, and a helper per unit and a
+    # checked constructor per token 6.8
     blobs = [(pack(xs), xs.escaping) for xs in keyed_corpus_streams()]
     read = []
     calls = python_calls(lambda: [read.append(unpack(b, e)) for b, e in blobs])
-    tokens = sum(len(doc.tokens) for doc in read)
-    assert calls / tokens <= 3.0
+    tokens = sum(len(doc.kinds) for doc in read)
+    assert calls / tokens <= 0.9
 
 
 def test_pack_makes_few_python_calls_per_token():

@@ -276,10 +276,10 @@ def test_stats_verifies_its_stream_once(tmp_path, capsys, monkeypatch, flags):
     feeds = 0
     feed = DecodeState.feed
 
-    def counted(self, tok):
+    def counted(self, *token):
         nonlocal feeds
         feeds += 1
-        feed(self, tok)
+        feed(self, *token)
 
     monkeypatch.setattr(DecodeState, "feed", counted)
     src = write(tmp_path, "in.xml", TABLE_XML)
@@ -316,9 +316,11 @@ def test_stats_reports_a_stream_fault_on_one_line(tmp_path, capsys,
     # one check, refuses it
     emit = codec._emit
 
-    def faulty(written, escaping, canonical, tokens):
-        emit(written, escaping, canonical, tokens)
-        tokens.pop()
+    def faulty(written, escaping, canonical):
+        xs = emit(written, escaping, canonical)
+        for column in (xs.kinds, xs.payloads, xs.depths, xs.keys):
+            column.pop()
+        return xs
 
     monkeypatch.setattr(codec, "_emit", faulty)
     src = write(tmp_path, "in.xml", ROWS_MIXED_XML)

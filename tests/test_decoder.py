@@ -189,10 +189,11 @@ def test_decode_makes_few_python_calls_per_token(mode):
     # only the sink's _node, which is handed the parent, and the node's
     # and open entry's constructors are calls, and the kind tables are
     # keyed by str, not by Enum members with a Python __hash__.  That is
-    # 2.29 calls per token on these streams in both forms, where push,
-    # pop and truncate calls and an Enum-keyed lookup per data token made
-    # 3.18, a second sink call per node 3.6 and a handler, name
-    # resolution and open per token 6.3
+    # 2.34 calls per token on these streams in both forms, a read and a
+    # finish per stream included, whether feed takes a token or its four
+    # columns' values, where push, pop and truncate calls and an
+    # Enum-keyed lookup per data token made 3.18, a second sink call per
+    # node 3.6 and a handler, name resolution and open per token 6.3
     streams = [encode(doc, EncodeOptions(mode=mode))
                for doc in fixtures.corpus()]
     calls = python_calls(lambda: [decode(xs) for xs in streams])

@@ -340,6 +340,40 @@ def test_token_validation():
     XsToken(PrefixKind.CHILD, "١٢")
 
 
+@pytest.mark.parametrize("build", [
+    lambda: XsDocument(tokenize("/r/a").tokens, "sentinel"),
+    lambda: XsDocument(escaping=None),
+    lambda: XsDocument.from_columns([], [], [], [], "sentinel"),
+], ids=["tokens", "none", "columns"])
+def test_a_document_refuses_an_escaping_that_is_no_mode(build):
+    # checked once, where the document is built, so decode, pack and
+    # build_substitution never see a mode that render would refuse
+    with pytest.raises(BadArgument, match="unknown escape mode"):
+        build()
+
+
+def test_document_columns_hold_its_tokens():
+    tokens = [T(PrefixKind.CHILD, "r", depth=2), T(PrefixKind.ATTR_NAME, "a"),
+              T(PrefixKind.ATTR_VALUE, "1"),
+              T(PrefixKind.SIBLING, "", subst_key=3)]
+    doc = XsDocument(tokens=tokens, escaping=EscapeMode.SENTINEL)
+    assert doc.kinds == [PrefixKind.CHILD, PrefixKind.ATTR_NAME,
+                         PrefixKind.ATTR_VALUE, PrefixKind.SIBLING]
+    assert doc.payloads == ["r", "a", "1", ""]
+    assert doc.depths == [2, None, None, None]
+    assert doc.keys == [None, None, None, 3]
+    assert doc.tokens == tokens
+    assert doc == XsDocument.from_columns(doc.kinds[:], doc.payloads[:],
+                                          doc.depths[:], doc.keys[:],
+                                          EscapeMode.SENTINEL)
+    assert doc != XsDocument(tokens)  # another escaping
+    # the tokens are built anew on each read
+    doc.tokens[0].payload = "x"
+    assert doc.payloads[0] == "r"
+    with pytest.raises(BadArgument, match="different lengths"):
+        XsDocument.from_columns([PrefixKind.CHILD], ["r"], [], [None])
+
+
 @given(st.text(alphabet=st.characters(blacklist_characters="\0",
                                       blacklist_categories=("Cs",))))
 def test_escape_unescape_inverse(s):

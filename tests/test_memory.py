@@ -1,11 +1,15 @@
-"""Memory bounds per layer, measured with tracemalloc: cost guards that
-read no clock.  Each bound is peak bytes allocated per input character,
-set from a measurement with some headroom."""
+"""Memory bounds per layer: cost guards that read no clock.  Most bounds
+are peak bytes allocated per input character, measured with tracemalloc
+and set from a measurement with some headroom; the last tests count the
+objects the cyclic collector tracks per token of a stream."""
 
+import gc
 import tracemalloc
 
-from xstring import (EscapeMode, build_substitution, decode, encode,
-                     pack_envelope, parse_xml, render, tokenize,
+import pytest
+
+from xstring import (EncodeOptions, EscapeMode, build_substitution, decode,
+                     encode, pack_envelope, parse_xml, render, tokenize,
                      unpack_envelope)
 
 
@@ -93,3 +97,37 @@ def test_unpack_envelope_memory_on_a_keyed_table():
         keyed = build_substitution(encode(parse_xml(xml)), 8)[1]
         return unpack_envelope, pack_envelope(keyed)
     assert _least_peak(measure) <= 20
+
+
+def tracked_per_token(fn, arg) -> float:
+    """GC-tracked objects that fn(arg) leaves alive, with the stream it
+    returns, per token of that stream; the collector is off meanwhile, so
+    no count moves but fn's."""
+    fn(arg)  # build what a first call caches
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        doc = fn(arg)
+        made = len(gc.get_objects()) - before
+    finally:
+        if was_enabled:
+            gc.enable()
+    return made / len(doc.kinds)
+
+
+@pytest.mark.parametrize("escaping", list(EscapeMode))
+def test_tokenize_builds_no_object_per_token(escaping):
+    # a stream is four lists of strings, ints and None, none of which the
+    # collector tracks: 5 objects per stream, where one XsToken per token
+    # made 1.00 per token
+    wire = render(encode(parse_xml(_table(600)), EncodeOptions(
+        escaping=escaping)))
+    assert tracked_per_token(lambda w: tokenize(w, escaping), wire) <= 0.05
+
+
+def test_unpack_envelope_builds_no_object_per_token():
+    # as tokenize: 5 objects per stream, where one XsToken per token made
+    # 1.00 per token
+    keyed = build_substitution(encode(parse_xml(_table(600))), 8)[1]
+    assert tracked_per_token(unpack_envelope, pack_envelope(keyed)) <= 0.05

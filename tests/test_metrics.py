@@ -266,8 +266,7 @@ def _streams(text):
 def _mutated(xs, rng):
     """A copy of xs with one random change to one random token, or None
     when the change drawn does not apply to the token drawn."""
-    toks = [XsToken.unchecked(t.kind, t.payload, t.depth, t.subst_key)
-            for t in xs.tokens]
+    toks = xs.tokens  # built anew, so changing one leaves xs as it is
     k = rng.randrange(len(toks))
     tok = toks[k]
     how = rng.randrange(7)
@@ -285,7 +284,7 @@ def _mutated(xs, rng):
         tok.kind = (PrefixKind.SIBLING if tok.kind is PrefixKind.CHILD
                     else PrefixKind.CHILD)
     elif how == 6:
-        toks.insert(k, XsToken.unchecked(PrefixKind.TEXT, rng.choice(" \n")))
+        toks.insert(k, XsToken(PrefixKind.TEXT, rng.choice(" \n")))
     else:
         return None
     return XsDocument(toks, xs.escaping)
@@ -355,7 +354,7 @@ def _stops_matching_first(text, xs):
     state = DecodeState()
     try:
         for tok in xs.tokens:
-            state.feed(tok)
+            state.feed(tok.kind, tok.payload, tok.depth, tok.subst_key)
     except DecodeError:
         pass
     source = parse_xml(text)

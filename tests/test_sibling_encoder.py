@@ -81,10 +81,10 @@ def test_one_decode_feed_per_token(monkeypatch):
     feeds = 0
     feed = DecodeState.feed
 
-    def counted(self, tok):
+    def counted(self, *token):
         nonlocal feeds
         feeds += 1
-        feed(self, tok)
+        feed(self, *token)
 
     monkeypatch.setattr(DecodeState, "feed", counted)
     xs = encode(doc)

@@ -1,10 +1,10 @@
 """Tokens the library builds without XsToken's checks still hold them.
 
-The tokenizer, the encoders and the substitution passes build tokens with
-XsToken.unchecked; each token they return must be one that XsToken(...)
-accepts and rebuilds equal.  The last three tests bound the Python calls
-the tokenizer and the renderer make per token: cost guards that read no
-clock.
+The tokenizer, the encoders and the substitution passes write a stream's
+columns directly, without XsToken's checks; each token of the streams they
+return must be one that XsToken(...) accepts and rebuilds equal.  The last
+three tests bound the Python calls the tokenizer and the renderer make per
+token: cost guards that read no clock.
 """
 
 import pytest
@@ -80,19 +80,19 @@ def _tokenize_calls(escaping, mode=EncodeMode.SAFE_SIBLING):
 
 
 def test_tokenize_makes_few_python_calls_per_token():
-    # one match per token and no checks on the tokens it builds, and in
-    # entity mode one reference fold per stream: about 1.2 calls per
-    # token on these streams, where a callback per reference made 1.6
-    # and reading each payload with a second match and checking each
-    # token nearly six
+    # one match per token, whose fields go straight into the stream's
+    # columns, and in entity mode one reference fold per stream: about
+    # 0.30 calls per token on these streams, where an XsToken built per
+    # token made 1.22, a callback per reference 1.6 and reading each
+    # payload with a second match and checking each token nearly six
     counts = [_tokenize_calls(escaping) for escaping in EscapeMode]
-    assert sum(c for c, _ in counts) / sum(t for _, t in counts) <= 1.5
+    assert sum(c for c, _ in counts) / sum(t for _, t in counts) <= 0.4
 
 
 def test_entity_tokenize_costs_about_what_sentinel_does():
     # the references of a stream are folded in one pass after the loop,
-    # not one callback each: 1.25 against 1.20 calls per token, where
-    # the callbacks made it 1.91
+    # not one callback each: 0.35 against 0.25 calls per token, where
+    # the callbacks made it 1.91 against 1.20
     entity, sentinel = (_tokenize_calls(escaping) for escaping in
                         (EscapeMode.ENTITY, EscapeMode.SENTINEL))
     assert entity[0] / entity[1] <= sentinel[0] / sentinel[1] + 0.3
@@ -100,12 +100,13 @@ def test_entity_tokenize_costs_about_what_sentinel_does():
 
 @pytest.mark.parametrize("escaping", list(EscapeMode))
 def test_canonical_tokenize_costs_about_what_sibling_does(escaping):
-    # an element's own depth marker is read in the element's match: 1.25
-    # (entity) and 1.20 (sentinel) calls per token on these streams, the
-    # same as their sibling forms, where a second match per marker with
-    # an _attach_depth and an _integer call made 1.62 and 1.57
+    # an element's own depth marker is read in the element's match: 0.35
+    # (entity) and 0.25 (sentinel) calls per token on these streams, the
+    # same as their sibling forms, where an XsToken built per token made
+    # 1.25 and 1.20, and a second match per marker with an _attach_depth
+    # and an _integer call 1.62 and 1.57
     calls, tokens = _tokenize_calls(escaping, EncodeMode.CANONICAL)
-    assert calls / tokens <= 1.35
+    assert calls / tokens <= 0.45
 
 
 def test_render_makes_few_python_calls_per_token():

@@ -55,7 +55,7 @@ def _decodes_to(doc, tokens, escaping):
 
 def _verifies(doc, tokens):
     try:
-        codec._verify(list(walk(doc, True)), tokens)
+        codec._verify(list(walk(doc, True)), XsDocument(tokens))
     except Unencodable:
         return False
     return True
@@ -81,19 +81,25 @@ def test_verifier_rejects_exactly_what_decoding_rejects(escaping):
     assert 0 < rejected < checked
 
 
+def _columns(xs):
+    return xs.kinds, xs.payloads, xs.depths, xs.keys
+
+
 def _break_emitter(monkeypatch, damage):
     emit = codec._emit
 
-    def broken(written, escaping, canonical, tokens):
-        emit(written, escaping, canonical, tokens)
-        damage(tokens)
+    def broken(written, escaping, canonical):
+        xs = emit(written, escaping, canonical)
+        damage(xs)
+        return xs
 
     monkeypatch.setattr(codec, "_emit", broken)
 
 
 def test_encode_catches_a_dropped_depth_marker(monkeypatch):
-    def drop_marker(tokens):
-        next(t for t in tokens if t.depth is not None).depth = None
+    def drop_marker(xs):
+        xs.depths[next(i for i, depth in enumerate(xs.depths)
+                       if depth is not None)] = None
 
     doc = parse_xml("<b><b><b><?p?><a/></b>t<a/></b><b/></b>")
     _break_emitter(monkeypatch, drop_marker)
@@ -106,15 +112,19 @@ def test_encode_catches_a_dropped_depth_marker(monkeypatch):
 def test_encode_catches_a_dropped_token(monkeypatch, xml):
     # every token decodes in place, but one node or attribute value is
     # never written
-    _break_emitter(monkeypatch, list.pop)
+    def drop_last(xs):
+        for column in _columns(xs):
+            column.pop()
+
+    _break_emitter(monkeypatch, drop_last)
     with pytest.raises(Unencodable):
         encode(parse_xml(xml))
 
 
 def test_encode_catches_an_instruction_written_as_an_element(monkeypatch):
     # <p/> and <?p?> share the name and have no content
-    def as_element(tokens):
-        tokens[1] = replace(tokens[1], kind=PrefixKind.CHILD)
+    def as_element(xs):
+        xs.kinds[1] = PrefixKind.CHILD
 
     _break_emitter(monkeypatch, as_element)
     with pytest.raises(Unencodable):
@@ -126,8 +136,9 @@ def test_encode_catches_an_instruction_written_as_an_element(monkeypatch):
     ("<r><a x='1'/><b/></r>", slice(1, 4)),  # an element and its attribute
 ])
 def test_encode_catches_a_node_left_out(monkeypatch, xml, left_out):
-    def leave_out(tokens):
-        del tokens[left_out]
+    def leave_out(xs):
+        for column in _columns(xs):
+            del column[left_out]
 
     _break_emitter(monkeypatch, leave_out)
     with pytest.raises(Unencodable):
@@ -136,8 +147,9 @@ def test_encode_catches_a_node_left_out(monkeypatch, xml, left_out):
 
 def test_encode_catches_whitespace_left_out(monkeypatch):
     # kept whitespace is a node like any other
-    def leave_out(tokens):
-        del tokens[1]
+    def leave_out(xs):
+        for column in _columns(xs):
+            del column[1]
 
     _break_emitter(monkeypatch, leave_out)
     with pytest.raises(Unencodable):
@@ -147,8 +159,9 @@ def test_encode_catches_whitespace_left_out(monkeypatch):
 
 def test_encode_catches_swapped_data_siblings(monkeypatch):
     # text and a comment with the same content, in the wrong order
-    def swap(tokens):
-        tokens[1], tokens[2] = tokens[2], tokens[1]
+    def swap(xs):
+        for column in _columns(xs):
+            column[1], column[2] = column[2], column[1]
 
     _break_emitter(monkeypatch, swap)
     with pytest.raises(Unencodable):
@@ -167,9 +180,9 @@ def test_encode_catches_swapped_element_siblings(monkeypatch, xml, i, j,
                                                  payloads):
     # the two payloads trade places, so each token decodes where the
     # other element belongs
-    def swap(tokens):
-        tokens[i], tokens[j] = (replace(tokens[i], payload=tokens[j].payload),
-                                replace(tokens[j], payload=tokens[i].payload))
+    def swap(xs):
+        payloads = xs.payloads
+        payloads[i], payloads[j] = payloads[j], payloads[i]
 
     doc = parse_xml(xml)
     assert [t.payload for t in encode(doc).tokens] == payloads.split()
@@ -182,8 +195,9 @@ def test_encode_catches_swapped_element_siblings(monkeypatch, xml, i, j,
 @pytest.mark.parametrize("at", [-1, 1])
 def test_encode_catches_a_duplicated_token(monkeypatch, at):
     # one token more than the tree has nodes: Unencodable, not StopIteration
-    def duplicate(tokens):
-        tokens.append(tokens[at])
+    def duplicate(xs):
+        for column in _columns(xs):
+            column.append(column[at])
 
     _break_emitter(monkeypatch, duplicate)
     with pytest.raises(Unencodable):
@@ -191,8 +205,8 @@ def test_encode_catches_a_duplicated_token(monkeypatch, at):
 
 
 def test_encode_wraps_a_decode_error(monkeypatch):
-    def root_as_sibling(tokens):
-        tokens[0] = replace(tokens[0], kind=PrefixKind.SIBLING)
+    def root_as_sibling(xs):
+        xs.kinds[0] = PrefixKind.SIBLING
 
     _break_emitter(monkeypatch, root_as_sibling)
     with pytest.raises(Unencodable) as got:
@@ -202,9 +216,9 @@ def test_encode_wraps_a_decode_error(monkeypatch):
 
 def test_encode_catches_swapped_data_contents(monkeypatch):
     # two text nodes trade contents: every kind and parent still matches
-    def swap(tokens):
-        tokens[1], tokens[3] = (replace(tokens[1], payload=tokens[3].payload),
-                                replace(tokens[3], payload=tokens[1].payload))
+    def swap(xs):
+        payloads = xs.payloads
+        payloads[1], payloads[3] = payloads[3], payloads[1]
 
     doc = parse_xml("<r>t<a/>u</r>")
     assert [t.payload for t in encode(doc).tokens] == "r t a u".split()
@@ -217,8 +231,8 @@ def test_encode_catches_swapped_data_contents(monkeypatch):
 def test_encode_catches_a_changed_attribute_after_others(monkeypatch):
     # the attributes of every element are compared, not only the first
     # element's that has some
-    def change_last(tokens):
-        tokens[-1] = replace(tokens[-1], payload="3")
+    def change_last(xs):
+        xs.payloads[-1] = "3"
 
     doc = parse_xml("<r><a x='1'/><b y='2'/></r>")
     assert [t.payload for t in encode(doc).tokens] == "r a x 1 b y 2".split()
@@ -231,14 +245,15 @@ def test_encode_catches_a_changed_attribute_after_others(monkeypatch):
 def test_verify_makes_few_python_calls_per_token():
     # the verifier runs decode's one-frame core, so a node costs feed plus
     # the sink's _node, which is handed the parent, the walk's next node
-    # and, for an element, its open entry's constructor and push: about 3.7
-    # calls per token on these streams, where a second sink call per node
-    # and a generator around the walk made 4.5 and per-token handlers 6.8
-    cases = [(doc, encode(doc).tokens) for doc in fixtures.corpus()]
+    # and, for an element, its open entry's constructor: about 2.54 calls
+    # per token on these streams, whether feed takes a token or its four
+    # columns' values, where a second sink call per node and a generator
+    # around the walk made 4.5 and per-token handlers 6.8
+    cases = [(doc, encode(doc)) for doc in fixtures.corpus()]
     calls = python_calls(lambda: [
-        codec._verify(list(walk(doc, True)), tokens) for doc, tokens in cases])
-    tokens = sum(len(tokens) for _, tokens in cases)
-    assert calls / tokens <= 4.0
+        codec._verify(list(walk(doc, True)), xs) for doc, xs in cases])
+    tokens = sum(len(xs.kinds) for _, xs in cases)
+    assert calls / tokens <= 2.7
 
 
 def test_stream_root_pairs_only_with_a_node_without_parent():
@@ -247,5 +262,4 @@ def test_stream_root_pairs_only_with_a_node_without_parent():
     # is the instruction, so the stream does not decode to the tree
     root = XmlNode(NodeKind.PROC_INSTR, "p", children=[XmlNode.element("c")])
     with pytest.raises(Unencodable):
-        codec._verify(list(walk(XmlDocument(root), True)),
-                      tokenize("?p/c").tokens)
+        codec._verify(list(walk(XmlDocument(root), True)), tokenize("?p/c"))

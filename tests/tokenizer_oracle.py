@@ -11,8 +11,7 @@ from xstring.grammar import (NUL, _CHAR_TO_KIND, BadDepth, BadKey,
                              DanglingEscape, EmptyName, EscapeMode,
                              MalformedEntity, NAME_KINDS as _NAME_KINDS,
                              PREFIX_CHARS, PrefixKind,
-                             StrayData, UnterminatedDual, XsDocument, XsToken,
-                             _attach_depth, _attach_key)
+                             StrayData, UnterminatedDual, XsDocument, XsToken)
 
 _WS = " \t\r\n"
 _DIGITS = "0123456789"
@@ -125,6 +124,28 @@ class _Cursor:
         if j == i:
             return None, i
         return int(self.text[i:j]), j
+
+
+def _attach_depth(tokens: list[XsToken], value: int, offset: int) -> None:
+    for t in reversed(tokens):
+        if t.kind in (PrefixKind.CHILD, PrefixKind.SIBLING):
+            if t.depth is not None:
+                raise BadDepth(offset, "duplicate depth marker")
+            t.depth = value
+            return
+        if t.kind in (PrefixKind.ATTR_NAME, PrefixKind.ATTR_VALUE):
+            continue
+        break
+    raise BadDepth(offset, "depth marker is not attached to an element")
+
+
+def _attach_key(tokens: list[XsToken], value: int, offset: int) -> None:
+    if tokens:
+        t = tokens[-1]
+        if t.kind in _NAME_KINDS and t.payload and t.subst_key is None:
+            t.subst_key = value
+            return
+    raise BadKey(offset, "key binder is not attached to a name")
 
 
 def tokenize(text: str, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
