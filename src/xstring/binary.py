@@ -8,14 +8,11 @@ depth and key bodies are a bare varint, and a varint holds at most 64
 bits.  An odd unit count is completed with the bodiless pad code in the
 low nibble of the last pair byte.
 
-Both work on a stream's columns and build no token object.  pack encodes
-every payload to UTF-8 in one pass, joined with NUL and split again (one
-at a time when a payload holds NUL or a lone surrogate, so the error
-comes in token order), then reads the columns in one zip and writes each
-unit where it meets it: the first unit of a pair appends its pair byte
-with the low nibble still open and its body; the second sets that nibble
-and appends its own body.  A value below 0x80 is its own one-byte varint
-and is appended as it is.
+Both work on a stream's columns and build no token object.  pack reads
+the columns in one zip and writes each unit where it meets it: the first
+unit of a pair appends its pair byte with the low nibble still open and
+its body; the second sets that nibble and appends its own body.  A value
+below 0x80 is its own one-byte varint and is appended as it is.
 
 unpack reads in one loop.  It reads each unit where it meets it, its
 body included: a varint below 0x80 is one byte, a longer one goes to
@@ -24,12 +21,13 @@ appends the unit's token to the columns, or sets a marker's value in the
 column entry of the name before it, and applies, as BadPayload, the
 constructor's checks that a unit stream can fail, each distinct name's
 once.  A byte-level error (BadNibble, TrailingBytes, Truncated,
-MalformedVarint, a body that is not UTF-8) raises where it is found.  The first token-level error (StrayMarker, a
-failed check) is held while every later unit is still read and checked,
-and raised after the last byte.  So a byte-level error anywhere in the
-input wins over every token-level error, and token-level errors come in
-unit order: a name is checked when the next unit that is not a marker,
-or the end, arrives, since a marker may still give it a key.
+MalformedVarint, a body that is not UTF-8) raises where it is found.
+The first token-level error (StrayMarker, a failed check) is held while
+every later unit is still read and checked, and raised after the last
+byte.  So a byte-level error anywhere in the input wins over every
+token-level error, and token-level errors come in unit order: a name is
+checked when the next unit that is not a marker, or the end, arrives,
+since a marker may still give it a key.
 
 pack and unpack work on the bare payload; pack_envelope and
 unpack_envelope add and check the magic and format version.
@@ -146,29 +144,12 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
         shift += 7
 
 
-def _utf8(payload: str) -> bytes:
-    try:
-        return payload.encode("utf-8")
-    except UnicodeEncodeError as err:  # a lone surrogate
-        raise BadPayload(
-            f"payload is not encodable as UTF-8: {err}") from None
-
-
 def pack(doc: XsDocument) -> bytes:
     """Pack a stream into the bare binary payload."""
-    payloads = doc.payloads
-    # the payloads are encoded together, joined with NUL, and split again;
-    # when one holds NUL or a lone surrogate they are encoded one at a
-    # time, so the error comes in token order
-    try:
-        raws = NUL.join(payloads).encode("utf-8").split(b"\x00")
-    except UnicodeEncodeError:
-        raws = []
-    if len(raws) != len(payloads):
-        raws = map(_utf8, payloads)
     out = bytearray()
     held = -1  # where the pair byte waiting for its low unit sits
-    for kind, raw, depth, key in zip(doc.kinds, raws, doc.depths, doc.keys):
+    for kind, payload, depth, key in zip(doc.kinds, doc.payloads, doc.depths,
+                                         doc.keys):
         code = _CHAR_TO_CODE[kind._value_]
         if held < 0:
             held = len(out)
@@ -176,6 +157,11 @@ def pack(doc: XsDocument) -> bytes:
         else:
             out[held] |= code
             held = -1
+        try:
+            raw = payload.encode("utf-8")
+        except UnicodeEncodeError as err:  # a lone surrogate
+            raise BadPayload(
+                f"payload is not encodable as UTF-8: {err}") from None
         if len(raw) < 0x80:
             out.append(len(raw))
         else:

@@ -30,8 +30,8 @@ library's steps read and write these columns directly, so a stream costs
 no Python object per token: the strings, small ints and None it holds are
 not tracked by the cyclic collector.  XsToken is the checked form of one
 token, for callers outside the library: ``XsDocument(tokens, escaping)``
-takes a list of them and ``XsDocument.tokens`` builds one per token on
-demand.  A document checks its escaping where it is built, so no step
+takes a list of them and ``XsDocument.tokens`` builds a tuple of them on
+demand, a copy that writes do not reach.  A document checks its escaping where it is built, so no step
 after that needs to.
 
 The tokenizer reads each token with one match of a compiled pattern per
@@ -235,16 +235,19 @@ class XsDocument:
         return doc
 
     @property
-    def tokens(self) -> list[XsToken]:
-        """The tokens as the columns hold them, built anew on each read
-        and without XsToken's checks, which columns filled by hand may
-        fail: changing one changes nothing here."""
+    def tokens(self) -> tuple[XsToken, ...]:
+        """The tokens as the columns hold them, as a tuple built anew on
+        each read and without XsToken's checks, which columns filled by
+        hand may fail.  Writes do not reach the document: the tuple
+        refuses them, and changing one of its tokens changes nothing
+        here.  Edit the columns, or build a new XsDocument, instead; a
+        loop over many tokens reads this once, not once per token."""
         tokens = []
         for fields in zip(self.kinds, self.payloads, self.depths, self.keys):
             tok = object.__new__(XsToken)
             tok.kind, tok.payload, tok.depth, tok.subst_key = fields
             tokens.append(tok)
-        return tokens
+        return tuple(tokens)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, XsDocument):

@@ -85,18 +85,18 @@ def test_pack_key_expands_to_own_unit():
 
 def test_pack_empty_stream():
     assert pack(doc_of()) == b""
-    assert unpack(b"").tokens == []
+    assert unpack(b"").tokens == ()
 
 
 def test_unpack_goldens():
     doc = unpack(bytes.fromhex("0F03584D4C07584D4C54455854"))
-    assert doc.tokens == [XsToken(PrefixKind.CHILD, "XML"),
-                          XsToken(PrefixKind.TEXT, "XMLTEXT")]
+    assert doc.tokens == (XsToken(PrefixKind.CHILD, "XML"),
+                          XsToken(PrefixKind.TEXT, "XMLTEXT"))
     doc = unpack(bytes([0x09, 0x01, 0x58, 0x02]))
-    assert doc.tokens == [XsToken(PrefixKind.CHILD, "X", depth=2)]
+    assert doc.tokens == (XsToken(PrefixKind.CHILD, "X", depth=2),)
     doc = unpack(bytes.fromhex("0A044E414D4500FE0161"))
-    assert doc.tokens == [XsToken(PrefixKind.CHILD, "NAME", subst_key=0),
-                          XsToken(PrefixKind.TEXT, "a")]
+    assert doc.tokens == (XsToken(PrefixKind.CHILD, "NAME", subst_key=0),
+                          XsToken(PrefixKind.TEXT, "a"))
 
 
 def test_unpack_escaping_is_callers_choice():
@@ -181,7 +181,7 @@ def test_pack_refuses_what_unpack_refuses():
             with pytest.raises(MalformedVarint, match="does not fit in 64"):
                 pack(over)
         top = XsToken(PrefixKind.CHILD, "X", **{field: 2 ** 64 - 1})
-        assert unpack(pack(XsDocument([top]))).tokens == [top]
+        assert unpack(pack(XsDocument([top]))).tokens == (top,)
 
 
 def test_pack_refuses_a_payload_utf8_cannot_hold():

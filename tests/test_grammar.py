@@ -362,14 +362,20 @@ def test_document_columns_hold_its_tokens():
     assert doc.payloads == ["r", "a", "1", ""]
     assert doc.depths == [2, None, None, None]
     assert doc.keys == [None, None, None, 3]
-    assert doc.tokens == tokens
+    assert doc.tokens == tuple(tokens)
     assert doc == XsDocument.from_columns(doc.kinds[:], doc.payloads[:],
                                           doc.depths[:], doc.keys[:],
                                           EscapeMode.SENTINEL)
     assert doc != XsDocument(tokens)  # another escaping
-    # the tokens are built anew on each read
+    # the tokens are built anew on each read, as a tuple that refuses writes
     doc.tokens[0].payload = "x"
     assert doc.payloads[0] == "r"
+    with pytest.raises(AttributeError):
+        doc.tokens.append(tokens[0])
+    with pytest.raises(TypeError):
+        doc.tokens[0] = tokens[0]
+    with pytest.raises(TypeError):
+        del doc.tokens[0]
     with pytest.raises(BadArgument, match="different lengths"):
         XsDocument.from_columns([PrefixKind.CHILD], ["r"], [], [None])
 

@@ -266,7 +266,7 @@ def _streams(text):
 def _mutated(xs, rng):
     """A copy of xs with one random change to one random token, or None
     when the change drawn does not apply to the token drawn."""
-    toks = xs.tokens  # built anew, so changing one leaves xs as it is
+    toks = list(xs.tokens)  # a copy, so changing it leaves xs as it is
     k = rng.randrange(len(toks))
     tok = toks[k]
     how = rng.randrange(7)

@@ -65,7 +65,7 @@ def _verifies(doc, tokens):
 def test_verifier_rejects_exactly_what_decoding_rejects(escaping):
     checked = rejected = 0
     for doc in fixtures.corpus():
-        tokens = encode(doc, EncodeOptions(escaping=escaping)).tokens
+        tokens = list(encode(doc, EncodeOptions(escaping=escaping)).tokens)
         assert _verifies(doc, tokens)
         for i, tok in enumerate(tokens):
             if tok.kind not in ELEMENT_KINDS:
