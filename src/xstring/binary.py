@@ -67,9 +67,6 @@ _KIND_TO_CODE = {
     PrefixKind.ATTR_VALUE: _ATTR_VALUE,
     PrefixKind.TEXT: _TEXT,
 }
-# pack looks codes up by the prefix character: a lookup by the member
-# would call Enum.__hash__, a Python function, for every token
-_CHAR_TO_CODE = {k.value: code for k, code in _KIND_TO_CODE.items()}
 _CODE_TO_KIND = {v: k for k, v in _KIND_TO_CODE.items()}
 _NAME_CODES = (_CHILD, _SIBLING, _ATTR_NAME)
 _UNASSIGNED = (0xB, 0xC, 0xD)
@@ -150,7 +147,7 @@ def pack(doc: XsDocument) -> bytes:
     held = -1  # where the pair byte waiting for its low unit sits
     for kind, payload, depth, key in zip(doc.kinds, doc.payloads, doc.depths,
                                          doc.keys):
-        code = _CHAR_TO_CODE[kind._value_]
+        code = _KIND_TO_CODE[kind]
         if held < 0:
             held = len(out)
             out.append(code << 4)

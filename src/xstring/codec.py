@@ -177,21 +177,19 @@ class OpenEntry:
     below: int  # what nearest held for the node's name before it opened
 
 
-# Both tables are keyed by a member's value, a str: a lookup keyed by the
-# member itself calls Enum.__hash__, a Python function, every time.
 # the token kind of each data node but text and an instruction
-_DATA_KINDS = {NodeKind.COMMENT.value: PrefixKind.COMMENT,
-               NodeKind.CDATA.value: PrefixKind.CDATA,
-               NodeKind.DTD.value: PrefixKind.DTD}
-# the node kind of each element and data token, by its prefix character
-_NODE_KINDS = {PrefixKind.CHILD.value: NodeKind.ELEMENT,
-               PrefixKind.SIBLING.value: NodeKind.ELEMENT,
-               PrefixKind.TEXT.value: NodeKind.TEXT,
-               PrefixKind.TEXT_DUAL.value: NodeKind.TEXT,
-               PrefixKind.COMMENT.value: NodeKind.COMMENT,
-               PrefixKind.PROC_INSTR.value: NodeKind.PROC_INSTR,
-               PrefixKind.CDATA.value: NodeKind.CDATA,
-               PrefixKind.DTD.value: NodeKind.DTD}
+_DATA_KINDS = {NodeKind.COMMENT: PrefixKind.COMMENT,
+               NodeKind.CDATA: PrefixKind.CDATA,
+               NodeKind.DTD: PrefixKind.DTD}
+# the node kind of each element and data token, by the token's kind
+_NODE_KINDS = {PrefixKind.CHILD: NodeKind.ELEMENT,
+               PrefixKind.SIBLING: NodeKind.ELEMENT,
+               PrefixKind.TEXT: NodeKind.TEXT,
+               PrefixKind.TEXT_DUAL: NodeKind.TEXT,
+               PrefixKind.COMMENT: NodeKind.COMMENT,
+               PrefixKind.PROC_INSTR: NodeKind.PROC_INSTR,
+               PrefixKind.CDATA: NodeKind.CDATA,
+               PrefixKind.DTD: NodeKind.DTD}
 # the kinds feed and the emitters compare against, bound once as module
 # globals
 _CHILD, _SIBLING = PrefixKind.CHILD, PrefixKind.SIBLING
@@ -290,7 +288,7 @@ class DecodeState:
             self._pending_attr = True
             return
         self._pending_attr = False
-        node_kind = _NODE_KINDS[kind._value_]
+        node_kind = _NODE_KINDS[kind]
         if node_kind is _ELEMENT:
             name = payload if key is None else self._key_name(payload, key)
         else:
@@ -578,7 +576,7 @@ def _emit(written: Iterable[_Walked], escaping: EscapeMode,
             kind = PrefixKind.PROC_INSTR
             content = f"{name} {content}" if content else name
         else:
-            kind = _DATA_KINDS[node.kind._value_]
+            kind = _DATA_KINDS[node.kind]
         add_kind(kind)
         add_payload(content)
     if canonical:

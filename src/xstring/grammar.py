@@ -31,8 +31,8 @@ no Python object per token: the strings, small ints and None it holds are
 not tracked by the cyclic collector.  XsToken is the checked form of one
 token, for callers outside the library: ``XsDocument(tokens, escaping)``
 takes a list of them and ``XsDocument.tokens`` builds a tuple of them on
-demand, a copy that writes do not reach.  A document checks its escaping where it is built, so no step
-after that needs to.
+demand, a copy that writes do not reach.  A document checks its escaping
+where it is built, so no step after that needs to.
 
 The tokenizer reads each token with one match of a compiled pattern per
 escape mode.  The match skips padding and reads the lead (the prefix
@@ -44,9 +44,10 @@ in sentinel mode), so a canonical stream costs one match per token as a
 sibling stream does.  An element takes the marker; any other token hands
 it to ``_attach_depth`` as a marker of its own would be.  A marker
 anywhere else (after padding, a key binder, a quoted value or another
-marker) is a match of its own.  An entity-mode data run is
-``(?:[^<prefix chars>&\\x00]+|&#[0-9]+;|&(?!#))*``, and the character a run
-stops at names the error, read by the same match: ``&`` a malformed
+marker) is a match of its own.  An entity-mode data run is the possessive
+``(?:[^<prefix chars>&\\x00]+|&#[0-9]+;|&(?!#))*+``, as are the name and dual
+runs, so re keeps no backtracking state per reference.  The character a
+run stops at names the error, read by the same match: ``&`` a malformed
 reference, NUL stray data, the end of input an unterminated dual.  The
 tokenizer writes each token's fields straight into the columns, without
 ``XsToken``'s checks: the pattern has already established them.  A marker
@@ -71,7 +72,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, StrEnum
 from typing import Callable, Iterable, NoReturn, Optional
 
 from .errors import BadArgument, XStringError
@@ -99,7 +100,7 @@ def name_fault(name: str, key: Optional[int]) -> Optional[str]:
         return "purely numeric names collide with key references"
 
 
-class PrefixKind(Enum):
+class PrefixKind(StrEnum):
     CHILD = "/"
     SIBLING = "|"
     TEXT = "'"
@@ -119,7 +120,7 @@ class EscapeMode(Enum):
     SENTINEL = "sentinel"
 
 
-PREFIX_CHARS = "".join(k.value for k in PrefixKind)
+PREFIX_CHARS = "".join(PrefixKind)
 _CHAR_TO_KIND = {k.value: k for k in PrefixKind}
 NAME_KINDS = (PrefixKind.CHILD, PrefixKind.SIBLING, PrefixKind.ATTR_NAME)
 _MARKER_KINDS = (PrefixKind.DEPTH, PrefixKind.SUBST_KEY)
@@ -168,6 +169,9 @@ class XsToken:
     subst_key: Optional[int] = None
 
     def __post_init__(self):
+        # checked by type: a plain '/' equals PrefixKind.CHILD, True equals 1
+        if not isinstance(self.kind, PrefixKind):
+            raise BadArgument(f"{self.kind!r} is not a PrefixKind")
         if self.kind in _MARKER_KINDS:
             raise BadArgument(f"{self.kind.name} is a marker, not a token kind")
         if self.kind in NAME_KINDS:
@@ -182,10 +186,13 @@ class XsToken:
         if self.depth is not None:
             if self.kind not in (PrefixKind.CHILD, PrefixKind.SIBLING):
                 raise BadArgument("depth on a non-element token")
-            if self.depth < 0:
-                raise BadArgument("negative depth")
-        if self.subst_key is not None and self.subst_key < 0:
-            raise BadArgument("negative key")
+        for what, value in (("depth", self.depth), ("key", self.subst_key)):
+            if value is None:
+                continue
+            if type(value) is bool or not isinstance(value, int):
+                raise BadArgument(f"{what} {value!r} is not an int")
+            if value < 0:
+                raise BadArgument(f"negative {what}")
 
     def is_reference(self) -> bool:
         """True for a bare key occurrence standing in for a name."""
@@ -359,9 +366,7 @@ def wire_pieces(doc: XsDocument) -> list[str]:
                 duals.append(len(pieces))
                 pieces.append("")
             continue
-        # the member's plain attribute: Enum.value is a property, two
-        # Python calls per read
-        lead = mark + kind._value_
+        lead = mark + kind
         if kind not in names:
             pieces.append(lead + body)
             continue
@@ -401,17 +406,15 @@ _RUN_REF = "&#[0-9]+;|&(?!#)"
 #   last 2  a marker's lead and digits: 10 11 in entity mode, 9 10 in
 #           sentinel mode
 # A quoted attribute value ``="..."`` is read as a dual; sentinel mode has
-# no quoted values.  The payload runs hold the lowest groups: for every
-# iteration of a run that alternates, as an entity-mode run over
-# references does, re saves the marks of every group up to its own.  On a
-# text payload dense with references a data run at group 9 peaks at 213
-# bytes per character, at group 5 at 134.
+# no quoted values.  The entity-mode payload runs are possessive (``*+``):
+# what follows a run matches wherever it stops, so re keeps no state to
+# backtrack into it, where ``*`` kept some for every reference.
 _TOKEN = {
     EscapeMode.ENTITY: re.compile(
         f"[{_WS}]*(?:"
-        f'(="|")((?:[^"&\\x00]+|{_RUN_REF})*)(?:"|([&\\x00]|\\Z))'
-        f"|(?:([{_DATA_LEADS}])((?:[^{_P}&\\x00]+|{_RUN_REF})*)"
-        f"|([/|@])((?:[^{_P}&\\x00{_WS}]+|{_RUN_REF})*))"
+        f'(="|")((?:[^"&\\x00]+|{_RUN_REF})*+)(?:"|([&\\x00]|\\Z))'
+        f"|(?:([{_DATA_LEADS}])((?:[^{_P}&\\x00]+|{_RUN_REF})*+)"
+        f"|([/|@])((?:[^{_P}&\\x00{_WS}]+|{_RUN_REF})*+))"
         "(?:\\+([0-9]+)|([&\\x00]))?"
         "|([+#])([0-9]*)"
         ")?"),

@@ -29,14 +29,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from enum import Enum
+from enum import StrEnum
 from itertools import zip_longest
 from typing import Iterable, Iterator, Optional
 
 from .errors import XStringError
 
 
-class NodeKind(Enum):
+class NodeKind(StrEnum):
     ELEMENT = "element"
     TEXT = "text"
     COMMENT = "comment"

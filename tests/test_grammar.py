@@ -12,6 +12,7 @@ from xstring import (
     EmptyName,
     EscapeMode,
     MalformedEntity,
+    NodeKind,
     PREFIX_CHARS,
     PrefixKind,
     StrayData,
@@ -220,7 +221,8 @@ def test_unescape_examples_match_one_reference_scan(s):
 
 @pytest.mark.parametrize("mode", list(EscapeMode))
 @pytest.mark.parametrize("kind", [PrefixKind.TEXT, PrefixKind.TEXT_DUAL,
-                                  PrefixKind.CHILD])
+                                  PrefixKind.CHILD],
+                         ids=lambda kind: f"PrefixKind.{kind.name}")
 def test_render_refuses_a_nul_payload(kind, mode):
     # a payload set after the checks of XsToken(...): the stream it
     # would make does not read back
@@ -338,6 +340,24 @@ def test_token_validation():
         XsToken(PrefixKind.CHILD, "a", subst_key=-1)
     # non-ASCII digits do not read back as keys, so they are allowed
     XsToken(PrefixKind.CHILD, "١٢")
+
+
+@pytest.mark.parametrize("kind, fields", [
+    ("/", {}),
+    (NodeKind.ELEMENT, {}),
+    (None, {}),
+    (PrefixKind.CHILD, {"depth": 1.5}),
+    (PrefixKind.CHILD, {"depth": True}),
+    (PrefixKind.CHILD, {"depth": "2"}),
+    (PrefixKind.CHILD, {"subst_key": "3"}),
+], ids=["char", "node_kind", "none", "float_depth", "bool_depth",
+        "str_depth", "str_key"])
+def test_token_fields_have_their_types(kind, fields):
+    # a plain '/' equals PrefixKind.CHILD and True equals 1, so no later
+    # check refuses them; unchecked, each of these made decode, render or
+    # pack go wrong, or raised a bare TypeError here
+    with pytest.raises(BadArgument):
+        XsToken(kind, "r", **fields)
 
 
 @pytest.mark.parametrize("build", [

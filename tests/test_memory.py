@@ -9,8 +9,8 @@ import tracemalloc
 import pytest
 
 from xstring import (EncodeOptions, EscapeMode, build_substitution, decode,
-                     encode, pack_envelope, parse_xml, render, tokenize,
-                     unpack_envelope)
+                     encode, pack_envelope, parse_xml, render, serialize_xml,
+                     tokenize, unpack_envelope)
 
 
 def peak_per_char(fn, text) -> float:
@@ -30,21 +30,39 @@ def peak_per_char(fn, text) -> float:
             tracemalloc.stop()
 
 
-def test_entity_tokenize_memory_on_dense_references():
-    # Every sixth character starts a reference, so an entity-mode data run
-    # takes one iteration of its alternation per reference, and re keeps
-    # backtracking state for each, whose size grows with the number of
-    # the group the run sits in.  That stack grows in steps of a quarter,
-    # so one size's peak overshoots the need by up to a quarter; the least
-    # over sizes from 180 to 240 KB is close to it.  On CPython 3.11, 3.12
-    # and 3.13 that is 134 bytes per character with the data run in groups
-    # 4/5, 171 at 6/7 and 201 at 8/9; on 3.10, whose re saves less per
-    # iteration, 128, 144 and 170.
-    def tokenize_entity(text):
-        return tokenize(text, EscapeMode.ENTITY)
-    peaks = [peak_per_char(tokenize_entity, "/r'" + "x&#47;" * n)
-             for n in range(30_000, 40_001, 2_000)]
-    assert min(peaks) <= 150
+def _least_run_peak(escaping: EscapeMode, lead: str, unit: str,
+                    close: str = "") -> float:
+    # the least peak of tokenize over payloads of 30 000 to 40 000 units,
+    # as _least_peak takes; the call skips the prefix peak_per_char warms
+    # up on, which may not be a whole stream
+    peaks = []
+    for n in range(30_000, 40_001, 2_000):
+        whole = lead + unit * n + close
+        peaks.append(peak_per_char(
+            lambda part: (tokenize(part, escaping)
+                          if len(part) == len(whole) else None), whole))
+    return min(peaks)
+
+
+@pytest.mark.parametrize("lead, unit, close", [
+    ("/r'", "x&#47;", ""),
+    ("/r@a", "&#47;a", ""),
+    ('/r"', "x&#34;", '"'),
+], ids=["data", "name", "dual"])
+def test_entity_tokenize_memory_on_dense_references(lead, unit, close):
+    # Every sixth character starts a reference, so a run takes one
+    # iteration of its alternation per reference.  The runs are
+    # possessive, so re keeps no backtracking state for any of them: each
+    # peaks at 1.34 bytes per character on CPython 3.11, 3.12 and 3.13,
+    # the payload as read and its folded copy: 12 % headroom.  Data, name
+    # and dual runs that could backtrack peaked at 134, 171 and 85.
+    assert _least_run_peak(EscapeMode.ENTITY, lead, unit, close) <= 1.5
+
+
+def test_sentinel_tokenize_memory_on_a_data_run():
+    # the payload as read, 1.00 bytes per character on CPython 3.11, 3.12
+    # and 3.13: 20 % headroom
+    assert _least_run_peak(EscapeMode.SENTINEL, "\x00/r\x00'", "x&#47;") <= 1.2
 
 
 def _table(rows: int) -> str:
@@ -86,6 +104,24 @@ def test_decode_memory_on_a_table():
         xs = encode(parse_xml(xml))
         return (lambda _: decode(xs)), render(xs)
     assert _least_peak(measure) <= 20
+
+
+def test_serialize_xml_memory_on_a_table():
+    # 5.25 bytes per XML character on CPython 3.11, 4.79 on 3.12 and 3.13:
+    # 14 % and 25 % headroom
+    def measure(xml):
+        doc = parse_xml(xml)
+        return (lambda _: serialize_xml(doc)), xml
+    assert _least_peak(measure) <= 6
+
+
+def test_build_substitution_memory_on_a_table():
+    # per character of the rendered sibling stream: 4.91 bytes on CPython
+    # 3.11, 3.12 and 3.13: 12 % headroom
+    def measure(xml):
+        xs = encode(parse_xml(xml))
+        return (lambda _: build_substitution(xs, 8)), render(xs)
+    assert _least_peak(measure) <= 5.5
 
 
 def test_unpack_envelope_memory_on_a_keyed_table():

@@ -54,6 +54,17 @@ def test_no_whitespace_calls_without_characters():
     assert calls == []
 
 
+def test_no_reads_of_enum_private_value():
+    # PrefixKind and NodeKind are StrEnums: a member is a str that hashes
+    # as one, so no table needs a key read from Enum's private _value_
+    reads = []
+    for path in sorted(Path(xstring.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "_value_":
+                reads.append(f"{path.name}:{node.lineno}")
+    assert reads == []
+
+
 def _imported_modules(path):
     """The xstring modules path imports, at any level of its code."""
     imported = set()
