@@ -20,7 +20,9 @@ entries of the stream's four columns (kind, payload, depth, key), and the
 stack of open elements lives there too: it applies the attribute rules,
 builds a data node's fields, closes the elements whose depth ran out,
 closes back for a sibling, opens an element inline, and raises each depth
-error where it finds it.  Of its own methods, a node costs only its
+error where it finds it.  Each entry of that stack is a plain tuple, as
+in the emitter's stack below, so an element costs no object of the
+codec's own, only its node.  Of its own methods, a node costs only its
 sink's _node, which is handed the node's parent.  Besides feed the core
 has _key_name, the rare path that resolves a key, and read, the one loop
 that feeds a whole stream and finishes it, for decode, the verifier and
@@ -30,15 +32,15 @@ building no token.
 One emitter loop writes both forms in one pass over the tree, appending
 each token's kind and payload to the stream's columns.  It keeps the
 stack of open elements the decoder will hold, in its own frame as feed
-does: a plain list whose entries each carry their element's column
-index and what nearest held for their name before they opened, put back
-when they pop, and nearest, a name's topmost open element.  The depth
-markers it sets go into a dict by column index, turned into the depths
-column after the loop.  The safe-sibling form writes every later
-element child as a sibling token.  Every node already emitted decodes
-under its true parent p, so that stack is the ancestors up to p plus at
-most one finished subtree still open above p.  Two local rules keep it
-so:
+does: a plain list whose entries are tuples of their element's column
+index, the nodes attached up to it, and what nearest held for its name
+before it opened, put back when it pops, and nearest, a name's topmost
+open element.  The depth markers it sets go into a dict by column index,
+turned into the depths column after the loop.  The safe-sibling form
+writes every later element child as a sibling token.  Every node already
+emitted decodes under its true parent p, so that stack is the ancestors
+up to p plus at most one finished subtree still open above p.  Two local
+rules keep it so:
 
 * before a data or child token, if p is not the innermost open element,
   the open child of p gets a depth marker counting the nodes attached
@@ -169,14 +171,6 @@ class Unencodable(XStringError):
     pass
 
 
-@dataclass(slots=True)
-class OpenEntry:
-    node: XmlNode
-    close: Optional[int]  # node count at which the depth marker runs out
-    low: float  # smallest close at or below this entry, inf when none
-    below: int  # what nearest held for the node's name before it opened
-
-
 # the token kind of each data node but text and an instruction
 _DATA_KINDS = {NodeKind.COMMENT: PrefixKind.COMMENT,
                NodeKind.CDATA: PrefixKind.CDATA,
@@ -201,11 +195,13 @@ _ELEMENT, _TEXT, _PROC_INSTR = (NodeKind.ELEMENT, NodeKind.TEXT,
 class DecodeState:
     """Decoder state, exposed so the stack behaviour is testable directly.
 
-    open_stack holds the open elements, outermost first.  Each entry keeps
-    its close count, if it has a depth marker, the lowest close count at
-    or below it, so the elements due to close are found from the top, and
-    what nearest held for its name before it opened.  nearest maps a name
-    to the index of the topmost open element with that name, or -1, and
+    open_stack holds the open elements, outermost first, each as a tuple
+    (node, close, low, below): the element's node; its close count, the
+    node count at which its depth marker runs out, or None without one;
+    low, the lowest close count at or below it, inf when there is none,
+    so the elements due to close are found from the top; and below, what
+    nearest held for its name before it opened.  nearest maps a name to
+    the index of the topmost open element with that name, or -1, and
     finds the element a sibling token closes back to; a pop puts back the
     entry's below.  Each node costs O(1) amortized at any depth.
 
@@ -223,7 +219,7 @@ class DecodeState:
     first.  The one here builds the tree decode returns."""
 
     def __init__(self):
-        self.open_stack: list[OpenEntry] = []
+        self.open_stack: list[tuple[XmlNode, Optional[int], float, int]] = []
         self.nearest: dict[str, int] = {}
         self.root: Optional[XmlNode] = None
         self.prolog: Optional[XmlNode] = None
@@ -279,7 +275,7 @@ class DecodeState:
                 raise DanglingAttr("attribute outside any open element")
             if self._attached > self._opened_at:
                 raise AttrAfterContent("attribute after content in "
-                                       f"<{stack[-1].node.name}>")
+                                       f"<{stack[-1][0].name}>")
             name = payload if key is None else self._key_name(payload, key)
             if name in self._attr_names:
                 raise DuplicateAttr(f"duplicate attribute {name!r}")
@@ -306,12 +302,12 @@ class DecodeState:
         # no close count is below the node count, so the top's low shows
         # whether some entry is due: pop down to the outermost one due,
         # which must leave none of the popped expecting more nodes
-        while stack and stack[-1].low == attached:
-            e = stack.pop()
-            nearest[e.node.name] = e.below
-            if e.close is not None and e.close > attached:
+        while stack and stack[-1][2] == attached:
+            node, close, _, below = stack.pop()
+            nearest[node.name] = below
+            if close is not None and close > attached:
                 raise BudgetOverrun(
-                    f"<{e.node.name}> still expects {e.close - attached} "
+                    f"<{node.name}> still expects {close - attached} "
                     "nodes when an enclosing depth ran out")
         if node_kind is not _ELEMENT:
             if not stack:
@@ -323,7 +319,7 @@ class DecodeState:
                     raise BadStreamStart(
                         "stream must start with a child element")
                 raise ContentAfterRoot("data after the root closed")
-            self._node(node_kind, name, content, [], stack[-1].node)
+            self._node(node_kind, name, content, [], stack[-1][0])
             self._attached = attached + 1
             return
         if kind is _CHILD:
@@ -339,30 +335,29 @@ class DecodeState:
             # just the innermost one when none has it
             idx = nearest.get(name, -1)
             cut = idx if idx >= 0 else len(stack) - 1
-            if stack[-1].low != inf and idx:
+            if stack[-1][2] != inf and idx:
                 # after the due pops, the first element it closes that has
                 # a close count still expects nodes; the root check takes
                 # idx == 0.  The entries scanned close next and pay for it
-                for e in stack[cut:]:
-                    if e.close is not None:
+                for node, close, _, _ in stack[cut:]:
+                    if close is not None:
                         how = "would close" if idx < 0 else "closure crosses"
                         raise BudgetConflict(
-                            f"sibling <{name}> {how} <{e.node.name}> with "
-                            f"{e.close - attached} nodes of its depth "
+                            f"sibling <{name}> {how} <{node.name}> with "
+                            f"{close - attached} nodes of its depth "
                             "unfilled")
             if cut == 0:
                 raise BudgetConflict(f"sibling <{name}> would close the root")
             while len(stack) > cut:
-                e = stack.pop()
-                nearest[e.node.name] = e.below
+                node, _, _, below = stack.pop()
+                nearest[node.name] = below
         # open the element
         attrs: list[Attribute] = []
         if stack:
-            top = stack[-1]
-            elem = self._node(_ELEMENT, name, "", attrs, top.node)
+            parent, _, low, _ = stack[-1]
+            elem = self._node(_ELEMENT, name, "", attrs, parent)
             attached += 1
             self._attached = attached
-            low = top.low
         else:
             elem = self.root = self._node(_ELEMENT, name, "", attrs, None)
             low = inf
@@ -371,7 +366,7 @@ class DecodeState:
             close += attached
             if close < low:
                 low = close
-        stack.append(OpenEntry(elem, close, low, nearest.get(name, -1)))
+        stack.append((elem, close, low, nearest.get(name, -1)))
         nearest[name] = len(stack) - 1
         self._opened_at = attached
         self._attrs = attrs

@@ -75,7 +75,7 @@ from dataclasses import dataclass
 from enum import Enum, StrEnum
 from typing import Callable, Iterable, NoReturn, Optional
 
-from .errors import BadArgument, XStringError
+from .errors import BadArgument, LocatedError
 
 NUL = "\x00"
 _WS = r" \t\r\n"
@@ -121,16 +121,12 @@ class EscapeMode(Enum):
 
 
 PREFIX_CHARS = "".join(PrefixKind)
-_CHAR_TO_KIND = {k.value: k for k in PrefixKind}
 NAME_KINDS = (PrefixKind.CHILD, PrefixKind.SIBLING, PrefixKind.ATTR_NAME)
 _MARKER_KINDS = (PrefixKind.DEPTH, PrefixKind.SUBST_KEY)
 
 
-class TokenizeError(XStringError):
-    def __init__(self, offset: int, message: str):
-        super().__init__(f"{message} at offset {offset}")
-        self.offset = offset
-        self.reason = message
+class TokenizeError(LocatedError):
+    pass
 
 
 class DanglingEscape(TokenizeError):
@@ -432,8 +428,10 @@ _TOKEN = {
 _DUAL, _DATA, _NAME, _DEPTH = 2, 5, 7, 8
 _MARKER = {EscapeMode.ENTITY: 11, EscapeMode.SENTINEL: 10}
 _CHILD, _SIBLING = PrefixKind.CHILD, PrefixKind.SIBLING
-_LEADS = {lead: kind for c, kind in _CHAR_TO_KIND.items()
-          for lead in (c, NUL + c)}
+# keyed by plain str, not the members, so a lookup stays on dict's
+# str-only fast path
+_LEADS = {lead: kind for kind in PrefixKind
+          for lead in (kind.value, NUL + kind)}
 _LEADS['="'] = PrefixKind.ATTR_VALUE
 # a sentinel-mode token opens with NUL; an entity-mode stream holds none
 _SENTINEL_LEAD = re.compile(f"[{_WS}]*\\x00")
@@ -513,15 +511,12 @@ def tokenize(text: str, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
     treated as padding and discarded; whitespace inside data payloads is
     preserved.
     """
+    doc = XsDocument.from_columns([], [], [], [], escaping)
     sentinel = escaping is EscapeMode.SENTINEL
-    pattern = _TOKEN.get(escaping)
-    if pattern is None:
-        raise BadArgument(f"unknown escape mode {escaping!r}")
-    match = pattern.match
+    match = _TOKEN[escaping].match
     marker = _MARKER[escaping]
     # the length of a depth marker's lead, '+' or NUL '+'
     plus = 2 if sentinel else 1
-    doc = XsDocument.from_columns([], [], [], [], escaping)
     kinds, payloads = doc.kinds, doc.payloads
     depths, keys = doc.depths, doc.keys
     add_kind, add_payload = kinds.append, payloads.append

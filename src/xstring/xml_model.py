@@ -33,7 +33,7 @@ from enum import StrEnum
 from itertools import zip_longest
 from typing import Iterable, Iterator, Optional
 
-from .errors import XStringError
+from .errors import LocatedError, XStringError
 
 
 class NodeKind(StrEnum):
@@ -160,11 +160,8 @@ class WellFormednessReport:
         return not self.violations
 
 
-class XmlSyntaxError(XStringError):
-    def __init__(self, offset: int, message: str):
-        super().__init__(f"{message} at offset {offset}")
-        self.offset = offset
-        self.reason = message
+class XmlSyntaxError(LocatedError):
+    pass
 
 
 class WellFormednessError(XStringError):

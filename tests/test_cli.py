@@ -4,6 +4,7 @@ import io
 import os
 import pty
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -541,7 +542,9 @@ def test_bad_threshold_is_usage_error(tmp_path, capsys):
 
 def test_cli_smoke_script(tmp_path):
     # the installed-package checks, with an xstring on PATH that runs this
-    # source tree
+    # source tree; CI runs the script again against the installed one
+    if shutil.which("bash") is None:
+        pytest.skip("bash not found")
     script = Path(__file__).with_name("cli_smoke.sh")
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()
@@ -550,9 +553,11 @@ def test_cli_smoke_script(tmp_path):
     shim.chmod(0o755)
     env = dict(os.environ, PATH=f"{bin_dir}{os.pathsep}{os.environ['PATH']}",
                PYTHONPATH=str(Path(xstring.__file__).parents[1]))
-    run = subprocess.run(["bash", str(script)], cwd=tmp_path, env=env,
-                         capture_output=True, timeout=300)
-    assert run.returncode == 0, (run.stdout, run.stderr)
+    # -x traces each command to stderr, so a failure names the check
+    run = subprocess.run(["bash", "-x", str(script)], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, errors="replace",
+                         timeout=300)
+    assert run.returncode == 0, "\n".join(run.stderr.splitlines()[-30:])
 
 
 def run_module(args, stdin, stdout):

@@ -244,16 +244,15 @@ def test_encode_catches_a_changed_attribute_after_others(monkeypatch):
 
 def test_verify_makes_few_python_calls_per_token():
     # the verifier runs decode's one-frame core, so a node costs feed plus
-    # the sink's _node, which is handed the parent, the walk's next node
-    # and, for an element, its open entry's constructor: about 2.54 calls
-    # per token on these streams, whether feed takes a token or its four
-    # columns' values, where a second sink call per node and a generator
-    # around the walk made 4.5 and per-token handlers 6.8
+    # the sink's _node, which is handed the parent, and the walk's next
+    # node: about 2.33 calls per token on these streams, where an open
+    # entry's constructor per element made 2.54, a second sink call per
+    # node and a generator around the walk 4.5 and per-token handlers 6.8
     cases = [(doc, encode(doc)) for doc in fixtures.corpus()]
     calls = python_calls(lambda: [
         codec._verify(list(walk(doc, True)), xs) for doc, xs in cases])
     tokens = sum(len(xs.kinds) for _, xs in cases)
-    assert calls / tokens <= 2.7
+    assert calls / tokens <= 2.4
 
 
 def test_stream_root_pairs_only_with_a_node_without_parent():

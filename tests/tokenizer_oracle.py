@@ -7,13 +7,13 @@ time, resolving each character reference as it meets it.
 
 from typing import Optional
 
-from xstring.grammar import (NUL, _CHAR_TO_KIND, BadDepth, BadKey,
-                             DanglingEscape, EmptyName, EscapeMode,
+from xstring.grammar import (NUL, BadDepth, BadKey, DanglingEscape, EmptyName, EscapeMode,
                              MalformedEntity, NAME_KINDS as _NAME_KINDS,
                              PREFIX_CHARS, PrefixKind,
                              StrayData, UnterminatedDual, XsDocument, XsToken)
 
 _WS = " \t\r\n"
+_CHAR_TO_KIND = {k.value: k for k in PrefixKind}
 _DIGITS = "0123456789"
 _PREFIX_CODES = frozenset(ord(c) for c in PREFIX_CHARS)
 _DUAL_CODES = frozenset((ord('"'), ord("#")))
