@@ -1,12 +1,23 @@
-"""Nibble-packed binary form of a token stream.
+"""Nibble-packed binary form of a token stream, format version 2.
 
 Each token expands to one or more units: a unit is a four-bit code plus an
 optional body.  Units are consumed two at a time; every pair contributes
 one byte holding both codes (first unit in the high nibble) followed by the
 two bodies.  String bodies are a varint length and that many UTF-8 bytes;
-depth and key bodies are a bare varint, and a varint holds at most 64
-bits.  An odd unit count is completed with the bodiless pad code in the
-low nibble of the last pair byte.
+depth, key and index bodies are a bare varint, and a varint holds at most
+64 bits.  An odd unit count is completed with the bodiless pad code in the
+low nibble of the last pair byte, the only place a pad may sit.
+
+Names go by index once written.  The stream's name table holds each
+distinct non-empty name written as a string, in order of first
+occurrence; it is built as the units are written or read and is never
+sent.  The codes 0xB, 0xC and 0xD are a child, sibling or attribute name
+by index: their body is the name's varint index into the table.  pack
+writes a repeated name that way when the index is shorter than the
+string body, and a tie keeps the string, so no stream packs longer than
+with every name a string (format version 1).  An empty name, a key
+reference, is always a string.  A depth or key marker follows an index
+unit as it follows a name unit.
 
 Both work on a stream's columns and build no token object.  pack reads
 the columns in one zip and writes each unit where it meets it: the first
@@ -20,14 +31,15 @@ _read_varint, and a string body is sliced and decoded in place.  Then it
 appends the unit's token to the columns, or sets a marker's value in the
 column entry of the name before it, and applies, as BadPayload, the
 constructor's checks that a unit stream can fail, each distinct name's
-once.  A byte-level error (BadNibble, TrailingBytes, Truncated,
-MalformedVarint, a body that is not UTF-8) raises where it is found.
-The first token-level error (StrayMarker, a failed check) is held while
-every later unit is still read and checked, and raised after the last
-byte.  So a byte-level error anywhere in the input wins over every
-token-level error, and token-level errors come in unit order: a name is
-checked when the next unit that is not a marker, or the end, arrives,
-since a marker may still give it a key.
+once; a name goes into the table when it passes.  A byte-level error
+(BadNibble, TrailingBytes, Truncated, MalformedVarint, a body that is
+not UTF-8) raises where it is found.  The first token-level error
+(StrayMarker, BadNameIndex for an index past the table, a failed check)
+is held while every later unit is still read and checked, and raised
+after the last byte.  So a byte-level error anywhere in the input wins
+over every token-level error, and token-level errors come in unit order:
+a name is checked when the next unit that is not a marker, or the end,
+arrives, since a marker may still give it a key.
 
 pack and unpack work on the bare payload; pack_envelope and
 unpack_envelope add and check the magic and format version.
@@ -39,7 +51,7 @@ from .errors import XStringError
 from .grammar import NUL, EscapeMode, PrefixKind, XsDocument, name_fault
 
 MAGIC = b"XSB1"
-VERSION = 1
+VERSION = 2
 
 _CHILD = 0x0
 _SIBLING = 0x1
@@ -52,6 +64,9 @@ _ATTR_NAME = 0x7
 _ATTR_VALUE = 0x8
 _DEPTH = 0x9
 _SUBST_KEY = 0xA
+_CHILD_INDEX = 0xB
+_SIBLING_INDEX = 0xC
+_ATTR_NAME_INDEX = 0xD
 _PAD = 0xE
 _TEXT = 0xF
 
@@ -67,13 +82,12 @@ _KIND_TO_CODE = {
     PrefixKind.ATTR_VALUE: _ATTR_VALUE,
     PrefixKind.TEXT: _TEXT,
 }
-_CODE_TO_KIND = {v: k for k, v in _KIND_TO_CODE.items()}
-_NAME_CODES = (_CHILD, _SIBLING, _ATTR_NAME)
-_UNASSIGNED = (0xB, 0xC, 0xD)
-# the pair bytes unpack refuses: an unassigned code in either nibble, or
-# the pad in the high one
-_BAD_PAIR = bytes(hi in _UNASSIGNED or lo in _UNASSIGNED or hi == _PAD
-                  for hi in range(16) for lo in range(16))
+# each name code's code for the same name by index
+_INDEX_CODE = {_CHILD: _CHILD_INDEX, _SIBLING: _SIBLING_INDEX,
+               _ATTR_NAME: _ATTR_NAME_INDEX}
+_CODE_TO_KIND = {v: k for k, v in _KIND_TO_CODE.items()} | {
+    _CHILD_INDEX: PrefixKind.CHILD, _SIBLING_INDEX: PrefixKind.SIBLING,
+    _ATTR_NAME_INDEX: PrefixKind.ATTR_NAME}
 
 
 class PackError(XStringError):
@@ -112,6 +126,10 @@ class BadPayload(PackError):
     pass
 
 
+class BadNameIndex(PackError):
+    pass
+
+
 def _write_varint(value: int, out: bytearray) -> None:
     while True:
         b = value & 0x7F
@@ -141,29 +159,54 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
         shift += 7
 
 
+def _index_pays(index: int, name: str) -> bool:
+    """Whether the varint of index, above zero, is shorter than the string
+    body of name, which is not empty."""
+    size = len(name.encode("utf-8"))
+    return (index.bit_length() + 6) // 7 < (size.bit_length() + 6) // 7 + size
+
+
 def pack(doc: XsDocument) -> bytes:
     """Pack a stream into the bare binary payload."""
     out = bytearray()
     held = -1  # where the pair byte waiting for its low unit sits
+    table: dict[str, int] = {}  # each name written as a string: its index
     for kind, payload, depth, key in zip(doc.kinds, doc.payloads, doc.depths,
                                          doc.keys):
         code = _KIND_TO_CODE[kind]
+        index = None
+        if code in _INDEX_CODE:
+            if payload in table:
+                index = table[payload]
+                # below 0x80 the index is one byte and the string two or more
+                if index < 0x80 or _index_pays(index, payload):
+                    code = _INDEX_CODE[code]
+                else:
+                    index = None
+            elif payload:
+                table[payload] = len(table)
         if held < 0:
             held = len(out)
             out.append(code << 4)
         else:
             out[held] |= code
             held = -1
-        try:
-            raw = payload.encode("utf-8")
-        except UnicodeEncodeError as err:  # a lone surrogate
-            raise BadPayload(
-                f"payload is not encodable as UTF-8: {err}") from None
-        if len(raw) < 0x80:
-            out.append(len(raw))
+        if index is not None:
+            if index < 0x80:
+                out.append(index)
+            else:
+                _write_varint(index, out)
         else:
-            _write_varint(len(raw), out)
-        out += raw
+            try:
+                raw = payload.encode("utf-8")
+            except UnicodeEncodeError as err:  # a lone surrogate
+                raise BadPayload(
+                    f"payload is not encodable as UTF-8: {err}") from None
+            if len(raw) < 0x80:
+                out.append(len(raw))
+            else:
+                _write_varint(len(raw), out)
+            out += raw
         if depth is None and key is None:
             continue
         for code, value in ((_DEPTH, depth), (_SUBST_KEY, key)):
@@ -186,13 +229,6 @@ def pack(doc: XsDocument) -> bytes:
     return bytes(out)
 
 
-def _bad_pair(byte: int) -> BadNibble:
-    for code in (byte >> 4, byte & 0xF):
-        if code in _UNASSIGNED:
-            return BadNibble(f"code {code:#x} is not assigned")
-    return BadNibble("pad may only fill the second slot of a pair")
-
-
 def unpack(data: bytes, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
     """Rebuild a stream from the bare binary payload.
 
@@ -210,6 +246,7 @@ def unpack(data: bytes, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
     # StrayMarker, and a varint is never negative, so no other can fail.
     name = -1  # the last name token's column while markers may follow it
     passed: set[str] = set()  # the names name_fault has passed
+    table: list[str] = []  # the same names, in the order they passed
     fault = None  # the first token-level error, raised after the last byte
     end = len(data)
     pos = 0
@@ -217,10 +254,10 @@ def unpack(data: bytes, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
     while True:
         if low is None and pos < end:
             byte = data[pos]
-            if _BAD_PAIR[byte]:
-                raise _bad_pair(byte)
-            pos += 1
             code, low = byte >> 4, byte & 0xF
+            if code == _PAD:
+                raise BadNibble("pad may only fill the second slot of a pair")
+            pos += 1
         elif low is None or low == _PAD:
             # the end, where a pad must sit, is read as a pad unit
             if pos != end:
@@ -240,6 +277,7 @@ def unpack(data: bytes, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
                         fault = fault or BadPayload(error)
                     elif payload:
                         passed.add(payload)
+                        table.append(payload)
                 name = -1
             if code == _PAD:
                 break
@@ -248,32 +286,45 @@ def unpack(data: bytes, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
             pos += 1
         else:
             value, pos = _read_varint(data, pos)
-        if code == _DEPTH:
-            if name < 0 or kinds[name] is PrefixKind.ATTR_NAME or (
-                    depths[name] is not None):
-                fault = fault or StrayMarker(
-                    "depth without an element to attach to")
+        if code > _ATTR_VALUE and code != _TEXT:
+            if code == _DEPTH:
+                if name < 0 or kinds[name] is PrefixKind.ATTR_NAME or (
+                        depths[name] is not None):
+                    fault = fault or StrayMarker(
+                        "depth without an element to attach to")
+                else:
+                    depths[name] = value
+                continue
+            if code == _SUBST_KEY:
+                if name < 0 or keys[name] is not None:
+                    fault = fault or StrayMarker(
+                        "key without a name to attach to")
+                else:
+                    keys[name] = value
+                continue
+            # a name by index; one past the table is held as a stray
+            # marker is, with an empty name in its place
+            if value < len(table):
+                value = table[value]
             else:
-                depths[name] = value
-            continue
-        if code == _SUBST_KEY:
-            if name < 0 or keys[name] is not None:
-                fault = fault or StrayMarker("key without a name to attach to")
-            else:
-                keys[name] = value
-            continue
-        stop = pos + value
-        if stop > end:
-            raise Truncated("input ends inside a string body")
-        try:
-            value = data[pos:stop].decode("utf-8")
-        except UnicodeDecodeError as err:
-            raise BadPayload(f"string body is not UTF-8: {err}") from None
-        pos = stop
-        if code in _NAME_CODES:
+                fault = fault or BadNameIndex(
+                    f"name index {value} is past the table's {len(table)}"
+                    " names")
+                value = ""
             name = len(kinds)
-        elif NUL in value:
-            fault = fault or BadPayload("payload must not contain NUL")
+        else:
+            stop = pos + value
+            if stop > end:
+                raise Truncated("input ends inside a string body")
+            try:
+                value = data[pos:stop].decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise BadPayload(f"string body is not UTF-8: {err}") from None
+            pos = stop
+            if code in _INDEX_CODE:  # a name
+                name = len(kinds)
+            elif NUL in value:
+                fault = fault or BadPayload("payload must not contain NUL")
         add_kind(_CODE_TO_KIND[code])
         add_payload(value)
         add_depth(None)
@@ -284,7 +335,7 @@ def unpack(data: bytes, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
 
 
 def pack_envelope(doc: XsDocument) -> bytes:
-    """Pack with the XSB1 magic and a version byte up front."""
+    """Pack with the XSB1 magic and the version byte up front."""
     return MAGIC + bytes([VERSION]) + pack(doc)
 
 

@@ -11,7 +11,7 @@ A command that reads an encoded string takes its escape mode from the
 string: a sentinel-mode stream opens with NUL after any padding, and an
 entity-mode stream holds no NUL.  canon, subst and expand write in the
 mode they read.  --escape belongs to the commands that write a stream
-from something else: encode and stats from XML, unpack from XSB1 bytes,
+from something else: encode and stats from XML, unpack from packed bytes,
 which do not record the mode.  $XSTRING_ESCAPE sets its default.
 """
 

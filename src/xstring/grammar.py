@@ -210,8 +210,9 @@ class XsDocument:
     XsDocument(tokens, escaping) takes checked XsToken(...) values;
     from_columns takes the lists themselves, for code that has already
     established XsToken's checks on them: the tokenizer, the emitter, the
-    XSB1 reader and the substitution passes.  Both refuse an escaping that
-    is not an EscapeMode, so no later step needs to check it."""
+    packed-form reader and the substitution passes.  Both refuse an
+    escaping that is not an EscapeMode, so no later step needs to check
+    it."""
 
     __slots__ = ("kinds", "payloads", "depths", "keys", "escaping")
 
@@ -335,6 +336,13 @@ def unescape_data(s: str, mode: EscapeMode = EscapeMode.ENTITY) -> str:
 # ---------------------------------------------------------------------------
 # rendering
 
+# each kind's lead per escape mode, as plain str: a StrEnum member would
+# miss the str + str fast path
+_WIRE_LEADS = {EscapeMode.ENTITY: {kind: kind.value for kind in PrefixKind},
+               EscapeMode.SENTINEL: {kind: NUL + kind.value
+                                     for kind in PrefixKind}}
+
+
 def wire_pieces(doc: XsDocument) -> list[str]:
     """The wire form of each token of doc, in order; render joins them.
 
@@ -350,6 +358,7 @@ def wire_pieces(doc: XsDocument) -> list[str]:
     if len(bodies) != len(payloads):
         raise BadArgument("payload must not contain NUL")
     mark = NUL if sentinel else ""
+    leads = _WIRE_LEADS[doc.escaping]
     dual, names = PrefixKind.TEXT_DUAL, NAME_KINDS
     pieces: list[str] = []
     duals: list[int] = []  # entity mode: where the dual pieces go
@@ -362,7 +371,7 @@ def wire_pieces(doc: XsDocument) -> list[str]:
                 duals.append(len(pieces))
                 pieces.append("")
             continue
-        lead = mark + kind
+        lead = leads[kind]
         if kind not in names:
             pieces.append(lead + body)
             continue

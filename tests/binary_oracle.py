@@ -1,10 +1,13 @@
-"""The XSB1 reader and writer that expand a stream into unit tuples,
-kept as a reference.
+"""The reader and writer of format version 1, which expand a stream into
+unit tuples, kept as a reference.
 
 The binary module's one-pass pack and unpack replaced them; test_binary.py
-compares the two.  pack lists every unit as a (code, value) tuple before
-writing pairs, and unpack reads each body through a helper call, then
-builds each token with the checked XsToken constructor.  The error classes
+compares the two.  Version 1 writes every name as a string: the codes
+0xB, 0xC and 0xD, version 2's names by index, are not assigned in it, and
+the envelope's version byte is 1.  pack lists every unit as a (code,
+value) tuple before writing pairs, and unpack reads each body through a
+helper call, then builds each token with the checked XsToken
+constructor.  The error classes
 are the module's own, so outcomes compare by class and message.
 """
 

@@ -43,6 +43,13 @@ for xml in refs.xml ws.xml rep.xml; do
   xstring unpack k.xsb | xstring expand | cmp - enc.xs
 done
 grep -q '#0' keyed.xs
+# unkeyed, the repeated names item and id are packed by index: unit
+# codes 0xC and 0xD, with table indexes 1 and 2
+xstring encode < rep.xml > rep.xs
+xstring pack -o rep.xsb < rep.xs
+printf 'XSB1\002\000\004list\004item\170\002id\0011\315\001\002\216\0012' |
+  cmp - rep.xsb
+xstring unpack rep.xsb | cmp - rep.xs
 # the canonical form read back, in both escape modes: each element's
 # depth marker comes right after its name, or after an attribute list
 # or padding
@@ -85,7 +92,7 @@ xstring decode --escape sentinel sen.xs 2> /dev/null || status=$?
 test "$status" = 2
 # a payload cut off after its pair byte: exit 1, one labelled line
 status=0
-printf 'XSB1\001\016' | xstring unpack 2> err.txt || status=$?
+printf 'XSB1\002\016' | xstring unpack 2> err.txt || status=$?
 test "$status" = 1
 test "$(wc -l < err.txt)" = 1
 grep -q '^pack: ' err.txt
@@ -132,9 +139,9 @@ for xml in '<r>a\000b</r>' '<r x="a\000b"/>'; do
     test "$(wc -l < err.txt)" = 1
   done
 done
-# the decoder's depth errors and the packed form's held stray marker:
-# exit 1, one labelled line; a byte-level error after the stray marker
-# wins over it
+# the decoder's depth errors, the packed form's held stray marker and
+# its refusal of format version 1: exit 1, one labelled line; a
+# byte-level error after the stray marker wins over it
 while IFS=';' read -r cmd input message; do
   status=0
   printf "$input" | xstring "$cmd" > out.txt 2> err.txt || status=$?
@@ -145,6 +152,7 @@ done <<'CASES'
 decode;/a/b+2|c;decode: sibling <c> would close <b> with 2 nodes of its depth unfilled
 decode;/r/a/b+3|a;decode: sibling <a> closure crosses <b> with 3 nodes of its depth unfilled
 decode;/a+1/b+5't;decode: <b> still expects 5 nodes when an enclosing depth ran out
-unpack;XSB1\001\236\001;pack: depth without an element to attach to
-unpack;XSB1\001\236\001\000;pack: data continues after the pad code
+unpack;XSB1\002\236\001;pack: depth without an element to attach to
+unpack;XSB1\002\236\001\000;pack: data continues after the pad code
+unpack;XSB1\001\016\001X;pack: unsupported format version 1
 CASES

@@ -1,8 +1,12 @@
 """Tests for the nibble-packed binary form.
 
-The one-pass pack and unpack are compared with the reader and writer they
-replaced, kept in binary_oracle.py: the same bytes or tokens, or the same
-error class and message.
+The one-pass pack and unpack are compared with the format version 1
+reader and writer they replaced, kept in binary_oracle.py, which writes
+every name as a string and knows no index unit.  unpack reads every byte
+string as the oracle does, the same tokens or the same error class and
+message, unless the oracle stops at an index code.  pack writes no more
+bytes than the oracle, the same bytes when no non-empty name repeats, and
+fails as it does.
 """
 
 import functools
@@ -13,6 +17,7 @@ from hypothesis import given, strategies as st
 
 from xstring.binary import (
     BadMagic,
+    BadNameIndex,
     BadNibble,
     BadPayload,
     BadVersion,
@@ -29,13 +34,14 @@ from xstring.binary import (
     unpack_envelope,
 )
 from xstring.codec import EncodeMode, EncodeOptions, encode
-from xstring.grammar import EscapeMode, PrefixKind, XsDocument, XsToken
+from xstring.grammar import (NAME_KINDS, EscapeMode, PrefixKind, XsDocument,
+                             XsToken)
 from xstring.transforms import build_substitution
 
 from binary_oracle import oracle_pack, oracle_unpack
 from corpus import corpus
 from steps import python_calls
-from test_grammar import _token_lists
+from test_grammar import _names, _payloads, _token_lists
 
 
 def _unchecked(fields):
@@ -110,7 +116,7 @@ def test_envelope_round_trip():
                  XsToken(PrefixKind.TEXT, "hi"))
     data = pack_envelope(doc)
     assert data[:4] == b"XSB1"
-    assert data[4] == 1
+    assert data[4] == 2
     assert data[5:] == pack(doc)
     assert unpack_envelope(data).tokens == doc.tokens
 
@@ -123,8 +129,11 @@ def test_envelope_bad_magic():
 
 
 def test_envelope_bad_version():
-    with pytest.raises(BadVersion):
-        unpack_envelope(b"XSB1\x02\x0e\x01\x58")
+    # version 1, every name a string, is read no more
+    for version in (0, 1, 3):
+        with pytest.raises(BadVersion,
+                           match=f"^unsupported format version {version}$"):
+            unpack_envelope(b"XSB1" + bytes([version]) + b"\x0e\x01\x58")
 
 
 def test_envelope_truncated_before_version():
@@ -132,17 +141,86 @@ def test_envelope_truncated_before_version():
         unpack_envelope(b"XSB1")
 
 
-def test_unassigned_nibbles_rejected():
-    for byte in (0xB0, 0xC0, 0xD0, 0x0B, 0x0C, 0x0D):
-        with pytest.raises(BadNibble):
-            unpack(bytes([byte]))
+def test_index_units():
+    # 0xB, 0xC and 0xD are a child, sibling or attribute name by index:
+    # "X" is index 0 of the table, whatever the kind that wrote it
+    for code, kind in ((0xB, PrefixKind.CHILD), (0xC, PrefixKind.SIBLING),
+                       (0xD, PrefixKind.ATTR_NAME)):
+        doc = doc_of(XsToken(PrefixKind.CHILD, "X"), XsToken(kind, "X"))
+        data = bytes([code, 0x01, 0x58, 0x00])
+        assert pack(doc) == data
+        assert unpack(data) == doc
+        # in either slot of its pair
+        doc = doc_of(XsToken(PrefixKind.CHILD, "X"),
+                     XsToken(PrefixKind.TEXT, "t"), XsToken(kind, "X"))
+        data = bytes([0x0F, 0x01, 0x58, 0x01, 0x74, code << 4 | 0xE, 0x00])
+        assert pack(doc) == data
+        assert unpack(data) == doc
+
+
+def test_index_units_take_markers():
+    # a depth and a key follow an index unit as they follow a name unit
+    doc = doc_of(XsToken(PrefixKind.CHILD, "ab"),
+                 XsToken(PrefixKind.ATTR_NAME, "ab"),
+                 XsToken(PrefixKind.SIBLING, "ab", depth=2, subst_key=300))
+    data = pack(doc)
+    assert data == bytes.fromhex("0D 026162 00 C9 00 02 AE AC02")
+    assert unpack(data) == doc
+    # an attribute name takes no depth, by index or not
+    with pytest.raises(StrayMarker, match="depth without an element"):
+        unpack(bytes([0x0D, 0x01, 0x58, 0x00, 0x9E, 0x01]))
+
+
+def test_index_past_the_table():
+    with pytest.raises(BadNameIndex,
+                       match="^name index 0 is past the table's 0 names$"):
+        unpack(bytes([0xBE, 0x00]))
+    with pytest.raises(BadNameIndex, match="index 1 is past the table's 1"):
+        unpack(bytes([0x0C, 0x01, 0x58, 0x01]))
+    # an empty name is a key reference and never goes into the table
+    with pytest.raises(BadNameIndex, match="index 0 is past the table's 0"):
+        unpack(bytes([0x0A, 0x00, 0x05, 0xBE, 0x00]))
+    # at the 64-bit limit the index is read, and is past the table; one
+    # bit more and the varint is malformed
+    top = bytearray()
+    _write_varint(2 ** 64 - 1, top)
+    with pytest.raises(BadNameIndex, match=f"index {2 ** 64 - 1} is past"):
+        unpack(b"\xde" + top)
+    with pytest.raises(MalformedVarint, match="longer than 64 bits"):
+        unpack(b"\xde" + b"\xff" * 9 + b"\x02")
+
+
+def test_index_error_is_held_as_a_token_error():
+    # held, so a byte-level error after it wins
+    with pytest.raises(TrailingBytes):
+        unpack(bytes([0xBE, 0x00, 0x00]))
+    # and an earlier token-level error comes first: a name that fails its
+    # check goes into no table, so the index after it is past the table
+    with pytest.raises(BadPayload, match="names must not contain whitespace"):
+        unpack(bytes([0x0B, 0x03]) + b"a b" + bytes([0x00]))
+
+
+def test_index_is_written_only_where_shorter():
+    # 128 names fill the one-byte indexes.  At index 128 an index takes
+    # two bytes, as much as the string body of the one-byte name "a", so
+    # its repeat stays a string; "ab" at 129 takes its index, and so does
+    # "n5" at 5.  The string "a" is not tabled again, else "ab" would be
+    # at 130
+    names = [f"n{i}" for i in range(128)]
+    doc = doc_of(*(XsToken(PrefixKind.CHILD, n)
+                   for n in names + ["a", "a", "ab", "ab", "n5"]))
+    data = pack(doc)
+    assert data == oracle_pack(doc_of(*doc.tokens[:128])) + bytes.fromhex(
+        "00 0161 0161 0B 026162 8101 BE 05")
+    assert len(data) == len(oracle_pack(doc)) - 3
+    assert unpack(data) == doc
 
 
 def test_pad_in_high_nibble_rejected():
-    with pytest.raises(BadNibble):
-        unpack(bytes([0xE0]))
-    with pytest.raises(BadNibble):
-        unpack(bytes([0xEE]))
+    for byte in (0xE0, 0xEE, 0xEB, 0xED):
+        with pytest.raises(BadNibble,
+                           match="pad may only fill the second slot"):
+            unpack(bytes([byte]))
 
 
 def test_trailing_bytes_after_pad():
@@ -337,12 +415,48 @@ def outcome(fn, arg):
     return got, None
 
 
+def _meets_index_code(result):
+    """Whether the oracle's result is its refusal of an index code."""
+    return result[1] is not None and result[1][0] is BadNibble and (
+        result[1][1].endswith("is not assigned"))
+
+
 def assert_unpacks_as_oracle(data):
-    assert outcome(unpack, data) == outcome(oracle_unpack, data), data
+    """unpack reads data as the oracle does, up to an index code; where the
+    oracle meets one first, data unpacks or raises a PackError, and what
+    it unpacks to packs and unpacks back."""
+    got, want = outcome(unpack, data), outcome(oracle_unpack, data)
+    if not _meets_index_code(want):
+        assert got == want, data
+    elif got[1] is not None:
+        assert issubclass(got[1][0], PackError), (data, got)
+    else:
+        doc = unpack(data)
+        assert unpack(pack(doc)) == doc, data
+
+
+def _repeats_a_name(doc):
+    names = [name for kind, name in zip(doc.kinds, doc.payloads)
+             if kind in NAME_KINDS and name]
+    return len(set(names)) < len(names)
 
 
 def assert_packs_as_oracle(doc):
-    assert outcome(pack, doc) == outcome(oracle_pack, doc), doc.tokens
+    """pack fails as the oracle does, or writes its bytes when no
+    non-empty name repeats, and fewer bytes when one does (in these
+    streams every name's index is a byte)."""
+    got, want = outcome(pack, doc), outcome(oracle_pack, doc)
+    if want[1] is not None or not _repeats_a_name(doc):
+        assert got == want, doc.tokens
+    else:
+        assert got[1] is None and len(got[0]) < len(want[0]), doc.tokens
+
+
+def assert_packs_and_unpacks(doc):
+    assert_packs_as_oracle(doc)
+    assert unpack(pack(doc), doc.escaping) == doc
+    # the oracle's bytes hold no index unit, and unpack reads them
+    assert_unpacks_as_oracle(oracle_pack(doc))
 
 
 @functools.cache
@@ -361,19 +475,24 @@ def corpus_streams():
 
 def test_corpus_streams_match_oracle():
     for xs in corpus_streams():
-        assert_packs_as_oracle(xs)
-        assert_unpacks_as_oracle(pack(xs))
+        assert_packs_and_unpacks(xs)
+    # the corpus's names are random, but some repeat
+    assert any(map(_repeats_a_name, corpus_streams()))
 
 
 # the pair bytes of names, markers, the pad and text; a continued varint
 # byte, a byte of no UTF-8 sequence, short lengths and payload characters
 _UNIT_BYTES = bytes([0x0E, 0x09, 0x0A, 0x7E, 0x9E, 0xAE, 0xFE, 0x00, 0x01,
                      0x02, 0x03, 0x80, 0xFF]) + b"a 1\t"
+# the same with pair bytes of index units
+_INDEX_UNIT_BYTES = _UNIT_BYTES + bytes([0xBE, 0xCE, 0xDE, 0x0B, 0x0C, 0x7D,
+                                         0xB9, 0xBA, 0xDA])
 
 
 def test_mutated_and_random_bytes_match_oracle():
     rng = random.Random(1414)
-    blobs = [pack(xs) for xs in corpus_streams()]
+    # packed with and without index units
+    blobs = [fn(xs) for xs in corpus_streams() for fn in (pack, oracle_pack)]
     for trial in range(20000):
         if trial % 4 == 0:
             data = bytes(rng.choice(_UNIT_BYTES)
@@ -385,7 +504,7 @@ def test_mutated_and_random_bytes_match_oracle():
                 if rng.randrange(2):
                     data[at] = rng.randrange(256)
                 else:
-                    data[at] = rng.choice(_UNIT_BYTES)
+                    data[at] = rng.choice(_INDEX_UNIT_BYTES)
             if trial % 4 == 1:
                 del data[rng.randrange(len(data) + 1):]
             data = bytes(data)
@@ -402,11 +521,47 @@ def test_unit_byte_strings_match_oracle(data):
     assert_unpacks_as_oracle(data)
 
 
+@given(st.lists(st.sampled_from(list(_INDEX_UNIT_BYTES)),
+                max_size=24).map(bytes))
+def test_index_unit_byte_strings_unpack_or_raise(data):
+    assert_unpacks_as_oracle(data)
+
+
 @given(_token_lists())
 def test_generated_streams_match_oracle(tokens):
-    doc = XsDocument(tokens)
-    assert_packs_as_oracle(doc)
-    assert_unpacks_as_oracle(pack(doc))
+    assert_packs_and_unpacks(XsDocument(tokens))
+
+
+# a few names, so that names repeat, one of them a multibyte character;
+# text may hold a name too, which is never written by index
+_FEW_NAMES = st.sampled_from(["a", "ID", "item", "CUSTOMER_RECORD", "\u00e9"])
+
+
+@st.composite
+def _repeating_streams(draw):
+    """A stream whose names often repeat, in either escape mode, keyed by
+    build_substitution at a drawn threshold or not keyed."""
+    tokens = []
+    for _ in range(draw(st.integers(0, 16))):
+        kind = draw(st.sampled_from([PrefixKind.CHILD, PrefixKind.SIBLING,
+                                     PrefixKind.ATTR_NAME,
+                                     PrefixKind.ATTR_VALUE, PrefixKind.TEXT]))
+        if kind in NAME_KINDS:
+            depth = None
+            if kind is not PrefixKind.ATTR_NAME:
+                depth = draw(st.one_of(st.none(), st.integers(0, 300)))
+            tokens.append(XsToken(kind, draw(_FEW_NAMES | _names),
+                                  depth=depth))
+        else:
+            tokens.append(XsToken(kind, draw(_FEW_NAMES | _payloads)))
+    doc = XsDocument(tokens, draw(st.sampled_from(list(EscapeMode))))
+    threshold = draw(st.one_of(st.none(), st.integers(2, 8)))
+    return doc if threshold is None else build_substitution(doc, threshold)[1]
+
+
+@given(_repeating_streams())
+def test_repeating_streams_pack_and_unpack(doc):
+    assert_packs_and_unpacks(doc)
 
 
 _MARKER_VALUES = st.one_of(
@@ -420,15 +575,18 @@ _MARKER_VALUES = st.one_of(
                           st.text(max_size=200), _MARKER_VALUES,
                           _MARKER_VALUES), max_size=6))
 def test_unchecked_streams_pack_as_oracle(fields):
-    # unchecked columns may hold any depth or key, in or out of 64 bits
+    # unchecked columns may hold any depth or key, in or out of 64 bits,
+    # and any name, which pack tables unchecked
     assert_packs_as_oracle(_unchecked(fields))
 
 
 def test_out_of_range_markers_pack_as_oracle():
     for field in ("depth", "subst_key"):
         for value in (2 ** 64, -1, 2 ** 64 - 1, 0x7F, 0x80):
-            # the marker unit in either slot of its pair
-            for lead in ([], [(PrefixKind.TEXT, "t", None, None)]):
+            # the marker unit in either slot of its pair, after a name
+            # unit or after an index unit
+            for lead in ([], [(PrefixKind.TEXT, "t", None, None)],
+                         [(PrefixKind.CHILD, "X", None, None)]):
                 doc = _unchecked(lead + [(PrefixKind.CHILD, "X",
                                           *_marker(field, value))])
                 assert_packs_as_oracle(doc)

@@ -2,10 +2,14 @@
 corpus and a record table, in both escape modes.
 
 Each digest covers, document by document, one output form: the sibling
-wire string, the canonical wire string, the XSB1 form of the sibling
-stream, and the wire string and XSB1 form of that stream keyed by
-build_substitution.  A rewrite of any layer that writes these forms must
-leave every digest as it is.
+wire string, the canonical wire string, the packed envelope of the
+sibling stream, and the wire string and packed envelope of that stream
+keyed by build_substitution.  A rewrite of any layer that writes these
+forms must leave every digest as it is.
+
+The two packed digests were re-pinned once, on purpose, for format
+version 2, which writes a repeated name as an index into the stream's
+name table; the three wire-string digests did not move.
 """
 
 import hashlib
@@ -51,11 +55,11 @@ _PINNED = {
         "canonical":
             "2684e2db9d171092f295069262cc19369b8d924b9bd74e03eb697050e9f277c6",
         "xsb":
-            "7f6080f8bfdc45d10daace0e0b2a1b2def1f2fa21e786f6f28a9086f731e2983",
+            "651d25231792f9ba2b0e820240fcf45f8c6335cc736e0223af02c37b57a3e0fa",
         "keyed":
             "b9d010be5b293cbb3a3414393463fbfa271ebfa898f46f32cd87bdb2e843ff83",
         "keyed_xsb":
-            "42b9e8750f6b0cdde175ed0fc68e20aa5887baf3b4a0c1894eb06cdbe7e0d02e",
+            "dd8fff024291f2ea82c78515bf78e63f28f447a4379e93b8f9cc1ec071e08d09",
     },
     EscapeMode.SENTINEL: {
         "sibling":
@@ -63,11 +67,11 @@ _PINNED = {
         "canonical":
             "bdf0799f5c1e41c6166be40a0c4e7bb7e7d5b9e95608ce5bab1cc936b3864d82",
         "xsb":
-            "7dd8f2df9fef292ec9a4b5e03e57ed50b6a8544fdbe6be345a323cdc334d6eb4",
+            "55133b9276344d14b5e8ef394041741655934de93c69dd1fb2bac7be6a7e9e55",
         "keyed":
             "fad5ab57d8899cfdf4ba84d7fd3b323e47a16aee747e8f8fdcec3ad61d8b3eba",
         "keyed_xsb":
-            "465202514678638db41a0a8d198c8548f9211d8532475512636ba5ec2dacc9a6",
+            "6d8fddd277993f1569023612b2d04be606236d2f7c88f8137b7a85f1e0f1f0f3",
     },
 }
 
