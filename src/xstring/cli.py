@@ -35,8 +35,6 @@ from .transforms import (AlreadyKeyed, NumericNameClash, build_substitution,
 from .xml_model import (WellFormednessError, XmlSyntaxError,
                         check_well_formed, parse_xml, serialize_xml)
 
-_ESCAPE_MODES = {"entity": EscapeMode.ENTITY, "sentinel": EscapeMode.SENTINEL}
-
 _LABELS = [
     (XmlSyntaxError, "syntax"),
     (WellFormednessError, "wellformedness"),
@@ -98,10 +96,6 @@ def _write_bytes(path: str, data: bytes) -> int:
     return 0
 
 
-def _escape(args: argparse.Namespace) -> EscapeMode:
-    return _ESCAPE_MODES[args.escape]
-
-
 def _write_stream(args: argparse.Namespace, doc) -> int:
     text = render(doc)
     if (doc.escaping is EscapeMode.SENTINEL and args.output == "-"
@@ -114,7 +108,7 @@ def _write_stream(args: argparse.Namespace, doc) -> int:
 def _options(args: argparse.Namespace) -> EncodeOptions:
     """The encode options the command line asks for."""
     return EncodeOptions(
-        mode=args.mode, escaping=_escape(args),
+        mode=args.mode, escaping=EscapeMode(args.escape),
         drop_insignificant_whitespace=not args.keep_whitespace)
 
 
@@ -167,7 +161,7 @@ def cmd_pack(args: argparse.Namespace) -> int:
 
 
 def cmd_unpack(args: argparse.Namespace) -> int:
-    stream = unpack_envelope(_read_bytes(args.input), _escape(args))
+    stream = unpack_envelope(_read_bytes(args.input), EscapeMode(args.escape))
     return _write_stream(args, stream)
 
 
@@ -219,7 +213,7 @@ def _add_io(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_escape(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--escape", choices=sorted(_ESCAPE_MODES),
+    sub.add_argument("--escape", choices=[mode.value for mode in EscapeMode],
                      default=os.environ.get("XSTRING_ESCAPE", "entity"),
                      help="how structural characters in data are protected "
                           "in the stream written (default entity, or "
@@ -313,8 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "escape", None) not in (None, *_ESCAPE_MODES):
-        parser.error(f"invalid escape mode {args.escape!r} "
+    escape = getattr(args, "escape", None)
+    if escape is not None and escape not in [m.value for m in EscapeMode]:
+        parser.error(f"invalid escape mode {escape!r} "
                      "(check $XSTRING_ESCAPE)")
     try:
         return args.func(args)

@@ -213,6 +213,10 @@ def unfold(doc: XmlDocument, index: Optional[int] = None) -> XmlDocument:
     returned document gets the pairs below that layer handed back to its
     own slot, so it compares equal to the document that was folded in.
     """
+    # checked by type: True equals 1
+    if index is not None and (type(index) is bool
+                              or not isinstance(index, int)):
+        raise BadArgument(f"index {index!r} is not an int")
     slot = _find_slot(doc, "document")
     attrs = _read_slot(slot)
     pairs = _layers(attrs)

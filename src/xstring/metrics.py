@@ -155,7 +155,9 @@ def measure(xml_text: str, xs: XsDocument,
     attributed to the construct they belong to; the space before each
     attribute is counted as separator overhead so the columns add up.
     source is parse_xml(xml_text) when the caller has already parsed it,
-    and is not changed; None parses xml_text here.
+    and is not changed; None parses xml_text here.  Passing it pays, as
+    emit does: without both, xstring stats ran 1.34-1.50x as long on the
+    four benchmark workload shapes.
     """
     if source is None:
         source = parse_xml(xml_text)

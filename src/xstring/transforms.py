@@ -7,8 +7,8 @@ from typing import Optional
 
 from .codec import EncodeMode, EncodeOptions, UnknownKey, decode, encode
 from .errors import BadArgument, XStringError
-from .grammar import (NAME_KINDS, EscapeMode, XsDocument, escape_data,
-                      name_fault, reads_as_key)
+from .grammar import (NAME_KINDS, XsDocument, escape_data, name_fault,
+                      reads_as_key)
 
 
 class NumericNameClash(XStringError):
@@ -37,10 +37,6 @@ def to_child_depth(doc: XsDocument) -> XsDocument:
     return encode(decode(doc), opts)
 
 
-def _rendered_len(name: str, escaping: EscapeMode) -> int:
-    return len(escape_data(name, escaping))
-
-
 def build_substitution(doc: XsDocument,
                        threshold: int = 8) -> tuple[SubstitutionTable, XsDocument]:
     """Replace repeated long names with small numeric keys.
@@ -51,6 +47,8 @@ def build_substitution(doc: XsDocument,
     replacement actually shortens the rendered stream; the first occurrence
     keeps the name and binds the key, later ones carry the bare key.
     """
+    if type(threshold) is bool or not isinstance(threshold, int):
+        raise BadArgument(f"threshold {threshold!r} is not an int")
     if threshold < 2:
         raise BadArgument("substitution threshold must be at least 2")
 
@@ -89,8 +87,8 @@ def build_substitution(doc: XsDocument,
             continue
         key = len(table.names)
         digits = len(str(key))
-        saved = (counts[name] - 1) * (_rendered_len(name, doc.escaping)
-                                      - digits)
+        written = len(escape_data(name, doc.escaping))
+        saved = (counts[name] - 1) * (written - digits)
         if saved > 1 + digits:
             bound[name] = key
             table.names.append(name)

@@ -222,7 +222,9 @@ def _scan(text: str
     n = len(text)
     open_tag, attr = _OPEN_TAG.match, _ATTR.match
     close_tag = _CLOSE_TAG.match
-    pos = 0
+    # a byte order mark is not content (XML 1.0 4.3.3); offsets stay
+    # offsets into text
+    pos = body = 1 if text.startswith("\ufeff") else 0
     while pos < n and not fatal:
         start = pos
         lead = text[pos:pos + 2]
@@ -276,7 +278,7 @@ def _scan(text: str
                 cut += 1
             node = XmlNode(_PROC_INSTR, target, [], text[cut:end], [])
             if target.lower() == "xml":
-                if start == 0:
+                if start == body:
                     prolog = node
                 else:
                     record(Violation(3, start, "XML declaration must be at "
@@ -392,7 +394,7 @@ def _scan(text: str
             continue
         if stack:
             stack[-1].children.append(node)
-        elif not (node.kind is _TEXT and node.is_whitespace_text()):
+        elif not node.is_whitespace_text():
             # only the declaration and the root element stand at the top
             record(Violation(1, start, _OUTSIDE_ROOT_MESSAGE))
     if stop:

@@ -115,6 +115,15 @@ printf '<a><b></a>' | xstring check > report.txt 2> err.txt || status=$?
 test "$status" = 1
 test "$(cat report.txt)" = 'rule 4 at offset 6: close tag </a> overlaps <b>'
 test ! -s err.txt
+# a UTF-8 byte order mark before the XML is not content: encode and
+# check read past it, also before the declaration, and the round trip
+# gives the document without it
+printf '\357\273\277<?xml version="1.0"?><r>a</r>\n' > bom.xml
+printf '<?xml version="1.0"?><r>a</r>\n' > nobom.xml
+test "$(xstring check bom.xml)" = ok
+xstring encode bom.xml > bom.xs
+xstring encode nobom.xml | cmp - bom.xs
+xstring decode bom.xs | cmp - nobom.xml
 # the parser's one scan: check lists every violation, and encode fails
 # on the first of them with one labelled line
 printf '<a x=1><b></a>' > bad.xml
@@ -140,8 +149,9 @@ for xml in '<r>a\000b</r>' '<r x="a\000b"/>'; do
   done
 done
 # the decoder's depth errors, the packed form's held stray marker and
-# its refusal of format version 1: exit 1, one labelled line; a
-# byte-level error after the stray marker wins over it
+# its refusal of format version 1, and a stream that opens with a byte
+# order mark: exit 1, one labelled line; a byte-level error after the
+# stray marker wins over it
 while IFS=';' read -r cmd input message; do
   status=0
   printf "$input" | xstring "$cmd" > out.txt 2> err.txt || status=$?
@@ -155,4 +165,5 @@ decode;/a+1/b+5't;decode: <b> still expects 5 nodes when an enclosing depth ran 
 unpack;XSB1\002\236\001;pack: depth without an element to attach to
 unpack;XSB1\002\236\001\000;pack: data continues after the pad code
 unpack;XSB1\001\016\001X;pack: unsupported format version 1
+decode;\357\273\277/r;tokenize: data outside any token at offset 0
 CASES

@@ -33,6 +33,8 @@ from xstring import (
     structural_equal,
     tokenize,
 )
+from xstring.codec import Verifier
+from xstring.metrics import measure
 
 from corpus import (
     DEPTH1_XML,
@@ -130,6 +132,18 @@ def test_end_of_stream_closes_everything():
     # unsatisfied budgets are not an error at end of stream
     doc = dec("/A+5/B")
     assert doc.root.children[0].name == "B"
+
+
+def test_every_stream_reader_refuses_an_empty_stream_alike():
+    # DecodeState.read holds the check, and decode, the verifier and
+    # measure each read a stream through it
+    readers = [decode, Verifier([]).read, lambda xs: measure("<r/>", xs)]
+    for read in readers:
+        with pytest.raises(EmptyStream, match="^no tokens$"):
+            read(XsDocument([]))
+    # tokens that open no root are another failure of the same class
+    with pytest.raises(EmptyStream, match="^no root element in the stream$"):
+        dec("?a")
 
 
 def test_decode_errors():

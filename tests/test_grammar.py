@@ -400,6 +400,20 @@ def test_document_columns_hold_its_tokens():
         XsDocument.from_columns([PrefixKind.CHILD], ["r"], [], [None])
 
 
+def test_document_compares_and_shows_as_its_tokens():
+    doc = XsDocument([T(PrefixKind.CHILD, "r", depth=1),
+                      T(PrefixKind.TEXT, "a")], EscapeMode.SENTINEL)
+    # against anything else == falls back to identity, so it is False
+    assert doc.__eq__(doc.tokens) is NotImplemented
+    assert doc != doc.tokens
+    assert doc != render(doc)
+    assert repr(doc) == (
+        "XsDocument((XsToken(kind=<PrefixKind.CHILD: '/'>, payload='r', "
+        "depth=1, subst_key=None), XsToken(kind=<PrefixKind.TEXT: \"'\">, "
+        "payload='a', depth=None, subst_key=None)), "
+        "<EscapeMode.SENTINEL: 'sentinel'>)")
+
+
 @given(st.text(alphabet=st.characters(blacklist_characters="\0",
                                       blacklist_categories=("Cs",))))
 def test_escape_unescape_inverse(s):

@@ -3,6 +3,7 @@ it raises for a caller's arguments."""
 
 import ast
 import graphlib
+import sys
 import types
 from pathlib import Path
 
@@ -12,7 +13,30 @@ import xstring
 from xstring import (ConstructKind, EncodeOptions, FoldMode, PrefixKind,
                      XsDocument, XStringError, XsToken, asymptote_check,
                      build_substitution, fold, parse_xml, predict_size,
-                     render, tokenize, unpack)
+                     render, tokenize, unfold, unpack)
+
+# a multi fold of one layer, whose layer 1 does not exist
+_FOLDED = fold(parse_xml("<a/>"), parse_xml('<h><XSTRING COUNT="0"/></h>'),
+               FoldMode.MULTI)
+
+
+def test_imports_are_the_package_or_the_standard_library():
+    # the package has no dependencies: a module it imports by absolute
+    # name is __future__ or one that ships with Python
+    foreign = []
+    for path in sorted(Path(xstring.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.partition(".")[0] not in (
+                            "xstring", "__future__",
+                            *sys.stdlib_module_names)]
+    assert foreign == []
 
 
 def test_no_private_names_across_modules():
@@ -103,11 +127,19 @@ def test_module_imports_form_no_cycle():
     lambda: tokenize("/r", "sentinel"),
     lambda: unpack(b"", "sentinel"),
     lambda: render(XsDocument([], "sentinel")),
+    lambda: build_substitution(tokenize("/a"), "3"),
+    lambda: build_substitution(tokenize("/a"), True),
+    lambda: unfold(_FOLDED, True),
+    lambda: unfold(_FOLDED, 1.0),
+    lambda: unfold(_FOLDED, "1"),
 ], ids=["encode_mode", "fold_mode", "size_n", "size_m", "asymptote",
         "threshold", "token", "encode_escape", "tokenize_escape",
-        "unpack_escape", "render_escape"])
+        "unpack_escape", "render_escape", "threshold_str", "threshold_bool",
+        "index_bool", "index_float", "index_str"])
 def test_argument_errors_are_typed(call):
-    # each is both: existing callers catch ValueError, the CLI XStringError
+    # each is both: existing callers catch ValueError, the CLI XStringError;
+    # a value of the wrong type is refused by type, bool included, since
+    # True equals 1
     with pytest.raises(XStringError) as err:
         call()
     assert isinstance(err.value, ValueError)

@@ -151,6 +151,11 @@ def test_substitution_never_grows():
 def test_numeric_name_rejected():
     with pytest.raises(NumericNameClash):
         build_substitution(tokenize("/ROOT/42'x|42'y"))
+    # a name of digits that no tokenizer read: only columns filled by
+    # hand hold one
+    with pytest.raises(NumericNameClash, match="'12' is indistinguishable"):
+        build_substitution(XsDocument.from_columns(
+            [PrefixKind.CHILD], ["12"], [None], [None]))
 
 
 def test_bound_stream_rejected():

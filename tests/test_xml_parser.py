@@ -1,6 +1,7 @@
 """The one-frame XML parser against the per-character one it replaced."""
 
 import sys
+from xml.parsers import expat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,6 +110,40 @@ def test_parse_raises_the_first_violation_reported(text):
                                   "<a><!DOCTYPE b [<!ENTITY c 'd'>]></a>"])
 def test_markup_edge_cases_match_oracle(text):
     assert_same(text)
+
+
+BOM = "\ufeff"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(alphabet=ALPHABET, max_size=40),
+                 st.lists(st.sampled_from(PIECES), max_size=12).map("".join)))
+def test_a_leading_byte_order_mark_is_not_content(text):
+    # XML 1.0 4.3.3: the mark before the document, the declaration
+    # included, is read past; offsets stay offsets into the given text
+    assert report(check_well_formed, BOM + text) == [
+        (rule, offset + 1, message)
+        for rule, offset, message in report(check_well_formed, text)]
+    doc, want = parsed(parse_xml, BOM + text), parsed(parse_xml, text)
+    if isinstance(want, XmlDocument):
+        assert structural_equal(doc, want, whitespace_significant=True)
+        assert serialize_xml(doc) == serialize_xml(want)
+
+
+@pytest.mark.parametrize("text", [
+    BOM + "<r>a</r>", BOM + '<?xml version="1.0"?><r/>',
+    BOM + BOM + "<r/>", "<r/>" + BOM, " " + BOM + "<r/>",
+    BOM + " <?xml version='1.0'?><r/>", BOM])
+def test_byte_order_mark_agrees_with_expat(text):
+    # only the first character may be the mark; elsewhere it is content
+    # that stands outside the root
+    parser = expat.ParserCreate()
+    try:
+        parser.Parse(text.encode("utf-8"), True)
+        expat_ok = True
+    except expat.ExpatError:
+        expat_ok = False
+    assert check_well_formed(text).ok == expat_ok, text
 
 
 def test_corpus_parses_as_oracle():
