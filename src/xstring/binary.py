@@ -192,6 +192,9 @@ def pack(doc: XsDocument) -> bytes:
             out[held] |= code
             held = -1
         if index is not None:
+            # here, for the length and for a marker, a value below 0x80 is
+            # appended as its own varint: through _write_varint, pack took
+            # 1.26x as long on the wide benchmark workload's stream
             if index < 0x80:
                 out.append(index)
             else:
@@ -281,6 +284,9 @@ def unpack(data: bytes, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
                 name = -1
             if code == _PAD:
                 break
+        # a one-byte varint read in place: through _read_varint, unpack
+        # took 1.41x as long on the corpus benchmark workload's streams and
+        # 1.42x on wide's
         if pos < end and data[pos] < 0x80:
             value = data[pos]
             pos += 1

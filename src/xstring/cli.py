@@ -222,8 +222,7 @@ def _add_escape(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_encode_opts(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--mode",
-                     choices=[EncodeMode.SAFE_SIBLING, EncodeMode.CANONICAL],
+    sub.add_argument("--mode", choices=[m.value for m in EncodeMode],
                      default=EncodeMode.SAFE_SIBLING,
                      help="element emission style (default sibling)")
     sub.add_argument("--keep-whitespace", action="store_true",
@@ -278,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="store an encoded document in a host's slot")
     _add_io(p)
     p.add_argument("--host", required=True, help="host XML file with the slot")
-    p.add_argument("--fold-mode", choices=[FoldMode.NESTED, FoldMode.MULTI],
+    p.add_argument("--fold-mode", choices=[m.value for m in FoldMode],
                    default=FoldMode.NESTED,
                    help="slot layout (default nested)")
     p.set_defaults(func=cmd_fold)

@@ -92,6 +92,7 @@ stream the core rejects raises Unencodable as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import StrEnum
 from math import inf
 from typing import Iterable, Iterator, Optional
 
@@ -105,7 +106,7 @@ from .xml_model import Attribute, NodeKind, XmlDocument, XmlNode, walk
 _Walked = tuple[XmlNode, Optional[XmlNode], int]
 
 
-class EncodeMode:
+class EncodeMode(StrEnum):
     SAFE_SIBLING = "sibling"
     CANONICAL = "canonical"
 
@@ -117,7 +118,7 @@ class EncodeOptions:
     drop_insignificant_whitespace: bool = True
 
     def __post_init__(self):
-        if self.mode not in (EncodeMode.SAFE_SIBLING, EncodeMode.CANONICAL):
+        if self.mode not in list(EncodeMode):
             raise BadArgument(f"unknown encode mode {self.mode!r}")
         if not isinstance(self.escaping, EscapeMode):
             raise BadArgument(f"unknown escape mode {self.escaping!r}")
@@ -388,9 +389,6 @@ class DecodeState:
     def finish(self) -> XmlDocument:
         if self.root is None:
             raise EmptyStream("no root element in the stream")
-        # the end of the stream closes everything still open
-        self.open_stack = []
-        self.nearest = {}
         return XmlDocument(self.root, self.prolog)
 
 
@@ -470,10 +468,10 @@ def _written(doc: XmlDocument, drop: bool) -> Iterator[_Walked]:
     for a prolog or root that cannot be written."""
     if doc.prolog is not None and doc.prolog.kind is not _PROC_INSTR:
         raise Unencodable(
-            f"prolog {doc.prolog.kind.value} node cannot be written: only "
+            f"prolog {doc.prolog.kind} node cannot be written: only "
             "a processing instruction can precede the root")
     if doc.root.kind is not _ELEMENT:
-        raise Unencodable(f"root {doc.root.kind.value} node cannot be "
+        raise Unencodable(f"root {doc.root.kind} node cannot be "
                           "written: the root must be an element")
     return walk(doc, drop)
 
@@ -552,7 +550,7 @@ def _emit(written: Iterable[_Walked], escaping: EscapeMode,
             continue
         if node.children or node.attributes or (
                 node.name and node.kind is not _PROC_INSTR):
-            raise Unencodable(f"{node.kind.value} node with a name, "
+            raise Unencodable(f"{node.kind} node with a name, "
                               "attributes or children cannot be written")
         content = node.content
         if NUL in content:

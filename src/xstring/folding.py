@@ -20,6 +20,7 @@ takes one pass over its attributes, whatever COUNT claims.
 from __future__ import annotations
 
 import re
+from enum import StrEnum
 from typing import Optional
 
 from .codec import EncodeOptions, decode, encode
@@ -46,7 +47,7 @@ _DIGITS = re.compile("[0-9]+")
 _LAYOUT_NAME = re.compile("(?s)COUNT|(?:LENGTH|TEXT)(?:_(?:.*_)?[0-9]+)?")
 
 
-class FoldMode:
+class FoldMode(StrEnum):
     NESTED = "nested"
     MULTI = "multi"
 
@@ -160,6 +161,8 @@ def _encode_payload(payload: XmlDocument) -> str:
 def fold(inner: XmlDocument, host: XmlDocument,
          mode: str = FoldMode.NESTED) -> XmlDocument:
     """Store inner, encoded, in the slot of a copy of host."""
+    if mode not in list(FoldMode):
+        raise BadArgument(f"unknown fold mode {mode!r}")
     out = host.copy()
     slot = _find_slot(out, "host")
     attrs = _read_slot(slot)
@@ -169,8 +172,6 @@ def fold(inner: XmlDocument, host: XmlDocument,
         text = _encode_payload(inner)
         _write_slot(slot, LENGTH=str(len(text)), TEXT=escape_fold_attr(text))
         return out
-    if mode != FoldMode.MULTI:
-        raise BadArgument(f"unknown fold mode {mode!r}")
 
     # the host slot must be fresh; an explicit COUNT="0" counts as fresh
     taken = [name for name in attrs if _LAYOUT_NAME.fullmatch(name)]

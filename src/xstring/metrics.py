@@ -14,8 +14,8 @@ can write for it, with all whitespace-only text dropped or all of it kept.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
+from enum import StrEnum
 from itertools import chain, pairwise
 from typing import Iterator, Optional
 
@@ -27,7 +27,7 @@ from .xml_model import (Attribute, NodeKind, XmlDocument, XmlNode, parse_xml,
                         serialize_attribute, serialize_xml, walk)
 
 
-class ConstructKind(enum.Enum):
+class ConstructKind(StrEnum):
     NESTED_TAG = "nested_tag"
     EMPTY_TAG = "empty_tag"
     PI_TAG = "pi_tag"
@@ -54,6 +54,12 @@ _FORMULAS = {
 }
 
 
+def _check_ints(**values: object) -> None:
+    for what, value in values.items():
+        if type(value) is bool or not isinstance(value, int):
+            raise BadArgument(f"{what} {value!r} is not an int")
+
+
 def predict_size(kind: ConstructKind, n: int, m: int = 0) -> tuple[int, int]:
     """Markup and encoded character counts for one construct.
 
@@ -62,6 +68,10 @@ def predict_size(kind: ConstructKind, n: int, m: int = 0) -> tuple[int, int]:
     ignored elsewhere.  Escaping is not modelled; the numbers assume the
     payload contains no characters that need it.
     """
+    # checked by type: 'text' equals ConstructKind.TEXT, True equals 1
+    if not isinstance(kind, ConstructKind):
+        raise BadArgument(f"{kind!r} is not a ConstructKind")
+    _check_ints(n=n, m=m)
     if n < 1:
         raise BadArgument("n must be at least 1")
     if kind is ConstructKind.ATTRIBUTE and m < 1:
@@ -215,6 +225,7 @@ def asymptote_check(name_len: int, depth: int) -> AsymptoteProbe:
     ratio approaches it from above as depth grows, since only the
     innermost empty element deviates from the nested-pair formula.
     """
+    _check_ints(name_len=name_len, depth=depth)
     if name_len < 1 or depth < 1:
         raise BadArgument("name_len and depth must be positive")
     name = "A" * name_len

@@ -7,8 +7,8 @@ from typing import Optional
 
 from .codec import EncodeMode, EncodeOptions, UnknownKey, decode, encode
 from .errors import BadArgument, XStringError
-from .grammar import (NAME_KINDS, XsDocument, escape_data, name_fault,
-                      reads_as_key)
+from .grammar import (NAME_KINDS, EscapeMode, XsDocument, escape_data,
+                      name_fault, reads_as_key)
 
 
 class NumericNameClash(XStringError):
@@ -73,6 +73,9 @@ def build_substitution(doc: XsDocument,
 
     # a candidate is decided at its first occurrence, which binds its key;
     # later ones become bare keys, with their payloads emptied
+    # what a binder writes besides its digits: '#', or NUL '#' in
+    # sentinel mode
+    binder = 2 if doc.escaping is EscapeMode.SENTINEL else 1
     table = SubstitutionTable()
     out_payloads, out_keys = payloads[:], doc.keys[:]
     bound: dict[str, int] = {}
@@ -89,7 +92,7 @@ def build_substitution(doc: XsDocument,
         digits = len(str(key))
         written = len(escape_data(name, doc.escaping))
         saved = (counts[name] - 1) * (written - digits)
-        if saved > 1 + digits:
+        if saved > binder + digits:
             bound[name] = key
             table.names.append(name)
             out_keys[i] = key

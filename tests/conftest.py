@@ -16,3 +16,13 @@ with warnings.catch_warnings():
         import hypothesis.extra._patching  # noqa: F401
     except ImportError:  # an install without libcst reports without it
         pass
+
+
+def pytest_make_parametrize_id(config, val, argname):
+    # pytest names a StrEnum member by its value ('entity'); an escape
+    # mode keeps the id it had while EscapeMode was a plain Enum, so the
+    # names of its parametrized tests stay stable
+    from xstring import EscapeMode
+    if isinstance(val, EscapeMode):
+        return f"EscapeMode.{val.name}"
+    return None

@@ -4,6 +4,7 @@ import io
 import os
 import pty
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -13,9 +14,10 @@ import pytest
 
 import xstring
 from xstring import cli, codec, metrics
-from xstring import (EncodeOptions, EscapeMode, build_substitution, decode,
-                     encode, expand_substitution, pack_envelope, parse_xml,
-                     render, serialize_xml, to_child_depth, tokenize)
+from xstring import (EncodeOptions, EscapeMode, FoldMode, build_substitution,
+                     decode, encode, expand_substitution, fold, pack_envelope,
+                     parse_xml, render, serialize_xml, to_child_depth,
+                     tokenize)
 from xstring.cli import main
 from xstring.codec import DecodeState
 from xstring.xml_model import walk
@@ -26,6 +28,7 @@ from corpus import (
     PROPERTIES_XS,
     RECORDS_XML,
     ROWS_MIXED_XML,
+    ROWS_XML,
     ROWS_XS,
     ROWS_XS_CANONICAL,
     SUBST_KEYED_XS,
@@ -519,6 +522,50 @@ def test_invalid_escape_environment_is_usage_error(tmp_path, monkeypatch,
         main(["encode", src])
     assert exc.value.code == 2
     assert "XSTRING_ESCAPE" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, choices", [
+    ("encode", ["{sibling,canonical}", "{entity,sentinel}"]),
+    ("stats", ["{sibling,canonical}", "{entity,sentinel}", "{kv,table}"]),
+    ("unpack", ["{entity,sentinel}"]),
+    ("fold", ["{nested,multi}"]),
+])
+def test_help_lists_each_options_values_in_order(command, choices, capsys,
+                                                 monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for listed in choices:
+        assert listed in out
+
+
+@pytest.mark.parametrize("argv, values", [
+    (["encode", "--mode", "bogus"], ["sibling", "canonical"]),
+    (["encode", "--escape", "bogus"], ["entity", "sentinel"]),
+    (["fold", "--host", "h.xml", "--fold-mode", "bogus"], ["nested", "multi"]),
+], ids=["mode", "escape", "fold_mode"])
+def test_invalid_choice_is_usage_error(argv, values, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    # each value a plain string, which argparse prints with repr on 3.11
+    # and with str on some later releases; a member would show its repr
+    listed = ", ".join(f"'?{value}'?" for value in values)
+    assert re.search(f"invalid choice: 'bogus' \\(choose from {listed}\\)",
+                     err), err
+
+
+def test_option_values_work_as_plain_strings():
+    # the command line hands these over as the strings it parsed
+    opts = EncodeOptions(mode="canonical")
+    assert render(encode(parse_xml(ROWS_XML), opts)) == ROWS_XS_CANONICAL
+    doc, host = parse_xml("<a/>"), parse_xml("<h><XSTRING/></h>")
+    assert serialize_xml(fold(doc, host, "multi")) == serialize_xml(
+        fold(doc, host, FoldMode.MULTI))
+    assert EscapeMode("sentinel") is EscapeMode.SENTINEL
 
 
 def test_missing_command_is_usage_error(capsys):

@@ -245,6 +245,14 @@ def test_dual_render_escapes_delimiter_and_hash():
     text = render(doc)
     assert text == '"say &#34;hi&#34; &#35;1/"'
     assert tokenize(text).tokens == doc.tokens
+    # '#' is escaped before the '&#34;' that holds one is written, and a
+    # reference already in the text escapes its own '#'
+    payload = 'a"b#c&#35;d'
+    for mode, wire in ((EscapeMode.ENTITY, '"a&#34;b&#35;c&&#35;35;d"'),
+                       (EscapeMode.SENTINEL, '\0"a"b#c&#35;d\0"')):
+        doc = XsDocument([T(PrefixKind.TEXT_DUAL, payload)], mode)
+        assert render(doc) == wire
+        assert tokenize(wire, mode).tokens == doc.tokens
 
 
 def test_render_reference_and_binder():

@@ -89,6 +89,33 @@ def test_no_reads_of_enum_private_value():
     assert reads == []
 
 
+def test_enumerations_are_str_enums():
+    # a StrEnum is the one place its values are written: its members are
+    # those strings, so argument checks, CLI choices and tables read the
+    # class instead of restating them; a class of string constants or a
+    # plain Enum would need them written out again
+    odd = []
+    for path in sorted(Path(xstring.__file__).parent.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            bases = {base.attr if isinstance(base, ast.Attribute) else base.id
+                     for base in cls.bases
+                     if isinstance(base, (ast.Attribute, ast.Name))}
+            if "StrEnum" in bases:
+                continue
+            body = [stmt for stmt in cls.body
+                    if not (isinstance(stmt, ast.Expr)
+                            and isinstance(stmt.value, ast.Constant))]
+            constants = body and all(
+                isinstance(stmt, ast.Assign)
+                and isinstance(stmt.value, ast.Constant)
+                and isinstance(stmt.value.value, str) for stmt in body)
+            if "Enum" in bases or constants:
+                odd.append(f"{path.name}:{cls.lineno} {cls.name}")
+    assert odd == []
+
+
 def _imported_modules(path):
     """The xstring modules path imports, at any level of its code."""
     imported = set()
@@ -132,10 +159,19 @@ def test_module_imports_form_no_cycle():
     lambda: unfold(_FOLDED, True),
     lambda: unfold(_FOLDED, 1.0),
     lambda: unfold(_FOLDED, "1"),
+    lambda: fold(parse_xml("<a/>"), parse_xml("<h/>"), "bogus"),
+    lambda: predict_size("text", 3),
+    lambda: predict_size(ConstructKind.TEXT, "3"),
+    lambda: predict_size(ConstructKind.TEXT, True),
+    lambda: predict_size(ConstructKind.ATTRIBUTE, 3, 1.0),
+    lambda: asymptote_check("3", 5),
+    lambda: asymptote_check(3, True),
 ], ids=["encode_mode", "fold_mode", "size_n", "size_m", "asymptote",
         "threshold", "token", "encode_escape", "tokenize_escape",
         "unpack_escape", "render_escape", "threshold_str", "threshold_bool",
-        "index_bool", "index_float", "index_str"])
+        "index_bool", "index_float", "index_str", "fold_mode_no_slot",
+        "size_kind_str", "size_n_str", "size_n_bool", "size_m_float",
+        "asymptote_name_len_str", "asymptote_depth_bool"])
 def test_argument_errors_are_typed(call):
     # each is both: existing callers catch ValueError, the CLI XStringError;
     # a value of the wrong type is refused by type, bool included, since

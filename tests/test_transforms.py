@@ -1,6 +1,7 @@
 """Canonicalizer and name-table substitution."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from xstring import (
     EscapeMode,
@@ -146,6 +147,45 @@ def test_substitution_never_grows():
             assert len(render(out)) <= len(render(xs))
     # the fixture documents bind keys at both thresholds
     assert all(keys.values()), keys
+
+
+def test_sentinel_binder_costs_its_nul():
+    # NUL '#0' costs three characters: three one-character savings do not
+    # pay for it, where entity mode's '#0' would
+    doc = tokenize("\0/r\0/ab\0|ab\0|ab\0|ab", EscapeMode.SENTINEL)
+    table, out = build_substitution(doc, 2)
+    assert table.names == []
+    assert render(out) == render(doc)
+    doc = tokenize("\0/r\0/abc\0|abc\0|abc\0|abc", EscapeMode.SENTINEL)
+    table, out = build_substitution(doc, 2)
+    assert table.names == ["abc"]
+    assert render(out) == "\0/r\0/abc\0#0\0|0\0|0\0|0"
+
+
+@st.composite
+def _name_streams(draw):
+    """Element and attribute names drawn from a few, some escaped in
+    entity mode, with and without depth markers."""
+    tokens = []
+    for _ in range(draw(st.integers(1, 16))):
+        kind = draw(st.sampled_from([PrefixKind.CHILD, PrefixKind.SIBLING,
+                                     PrefixKind.ATTR_NAME]))
+        depth = None
+        if kind is not PrefixKind.ATTR_NAME:
+            depth = draw(st.one_of(st.none(), st.integers(0, 20)))
+        name = draw(st.sampled_from(["x", "ab", "abc", "a/b", "ab#c",
+                                     "abcdefghij"]))
+        tokens.append(XsToken(kind, name, depth=depth))
+    return tokens
+
+
+@given(_name_streams(), st.sampled_from(list(EscapeMode)),
+       st.integers(2, 10))
+def test_substitution_binds_only_keys_that_shorten(tokens, mode, threshold):
+    doc = XsDocument(tokens, mode)
+    table, out = build_substitution(doc, threshold)
+    if table.names:
+        assert len(render(out)) < len(render(doc))
 
 
 def test_numeric_name_rejected():
