@@ -24,10 +24,10 @@ from .codec import (AttrAfterContent, BadStreamStart, BadToken, BudgetConflict,
 from .transforms import (NumericNameClash, SubstitutionTable,
                          build_substitution, expand_substitution,
                          to_child_depth)
-from .binary import (BadMagic, BadNameIndex, BadNibble, BadPayload,
-                     BadVersion, MalformedVarint, PackError, StrayMarker,
-                     TrailingBytes, Truncated, pack, pack_envelope, unpack,
-                     unpack_envelope)
+from .binary import (BadContainer, BadMagic, BadNameIndex, BadNibble,
+                     BadPayload, BadVersion, MalformedVarint, PackError,
+                     StrayMarker, TrailingBytes, Truncated, pack,
+                     pack_envelope, unpack, unpack_envelope)
 from .folding import (FoldError, FoldMode, IndexOutOfRange, LengthMismatch,
                       MixedSlot, MultipleSlots, NoSlot, escape_fold_attr,
                       fold, unescape_fold_attr, unfold)
@@ -57,9 +57,10 @@ __all__ = [
     "NumericNameClash", "SubstitutionTable", "build_substitution",
     "expand_substitution", "to_child_depth",
     # binary
-    "BadMagic", "BadNameIndex", "BadNibble", "BadPayload", "BadVersion",
-    "MalformedVarint", "PackError", "StrayMarker", "TrailingBytes",
-    "Truncated", "pack", "pack_envelope", "unpack", "unpack_envelope",
+    "BadContainer", "BadMagic", "BadNameIndex", "BadNibble", "BadPayload",
+    "BadVersion", "MalformedVarint", "PackError", "StrayMarker",
+    "TrailingBytes", "Truncated", "pack", "pack_envelope", "unpack",
+    "unpack_envelope",
     # folding
     "FoldError", "FoldMode", "IndexOutOfRange", "LengthMismatch", "MixedSlot",
     "MultipleSlots", "NoSlot", "escape_fold_attr", "fold",

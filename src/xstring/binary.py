@@ -1,12 +1,38 @@
-"""Nibble-packed binary form of a token stream, format version 2.
+"""Nibble-packed binary form of a token stream, format version 3.
 
-Each token expands to one or more units: a unit is a four-bit code plus an
-optional body.  Units are consumed two at a time; every pair contributes
-one byte holding both codes (first unit in the high nibble) followed by the
-two bodies.  String bodies are a varint length and that many UTF-8 bytes;
-depth, key and index bodies are a bare varint, and a varint holds at most
-64 bits.  An odd unit count is completed with the bodiless pad code in the
-low nibble of the last pair byte, the only place a pad may sit.
+A payload is a header and then the bodies of its containers: the structure
+container first, then each string container that holds a string, in
+order.
+
+The structure container holds the stream's units.  Each token expands to
+one or more units: a unit is a four-bit code plus an optional body.  Units
+are consumed two at a time; every pair contributes one byte holding both
+codes (first unit in the high nibble) followed by the two bodies.  Depth,
+key and index bodies are a bare varint, and a varint holds at most 64
+bits.  A string unit is its code alone: its string is the next one of its
+string container.  An odd unit count is completed with the bodiless pad
+code in the low nibble of the last pair byte, the only place a pad may
+sit.
+
+The seven string containers group the strings by kind: 0 the names
+written as strings (child, sibling and attribute names, the empty name of
+a key reference too), 1 text and dual text, 2 attribute values, 3
+comments, 4 instructions, 5 CDATA, 6 declarations.  A container is the
+UTF-8 of its strings in unit order, joined by NUL, which no payload may
+hold; the structure says how many strings each holds.  A container with
+no string is left out.
+
+The header is one byte whose bit i is set when string container i is
+there (bit 7 is never set), one byte whose bit i is set when string
+container i is deflated and bit 7 when the structure is, and then, for
+the structure and each string container there, its raw length and, when
+it is deflated, its stored length, as varints.  A container of 256 bytes
+or more is raw-deflated at LEVEL, with a window sized to it, and kept so
+when that is shorter, its stored length included.  unpack refuses as
+BadContainer a deflated container that is not shorter than its raw
+length, and one whose deflate stream does not end exactly at its raw
+length; it inflates no further than that length, so what a container
+costs to read is bounded by the input, whatever it inflates to.
 
 Names go by index once written.  The stream's name table holds each
 distinct non-empty name written as a string, in order of first
@@ -14,32 +40,39 @@ occurrence; it is built as the units are written or read and is never
 sent.  The codes 0xB, 0xC and 0xD are a child, sibling or attribute name
 by index: their body is the name's varint index into the table.  pack
 writes a repeated name that way when the index is shorter than the
-string body, and a tie keeps the string, so no stream packs longer than
-with every name a string (format version 1).  An empty name, a key
-reference, is always a string.  A depth or key marker follows an index
-unit as it follows a name unit.
+string body it would cost in format version 1, a length and the bytes; a
+tie keeps the string.  An empty name, a key reference, is always a
+string.  A depth or key marker follows an index unit as it follows a
+name unit.  Deflate finds most repeated names on its own, but the index
+units still pay: without them the benchmark's deep workload packed to
+0.170 of its XML instead of 0.159, wide to the same size, and mixed,
+whose names are short, to 0.245 instead of 0.246 (seed 1, LEVEL 3).
 
-Both work on a stream's columns and build no token object.  pack reads
-the columns in one zip and writes each unit where it meets it: the first
-unit of a pair appends its pair byte with the low nibble still open and
-its body; the second sets that nibble and appends its own body.  A value
-below 0x80 is its own one-byte varint and is appended as it is.
+pack reads the stream's columns in one zip and writes each unit where it
+meets it: the first unit of a pair appends its pair byte with the low
+nibble still open and its body; the second sets that nibble and appends
+its own body; a string unit's payload goes to its container's list.  A
+value below 0x80 is its own one-byte varint and is appended as it is.
+Then each container is joined, encoded and checked for NUL once.
 
-unpack reads in one loop.  It reads each unit where it meets it, its
-body included: a varint below 0x80 is one byte, a longer one goes to
-_read_varint, and a string body is sliced and decoded in place.  Then it
-appends the unit's token to the columns, or sets a marker's value in the
-column entry of the name before it, and applies, as BadPayload, the
+unpack reads the header, inflates and decodes each string container once
+and splits it on NUL.  Then it reads the units in one loop, each body
+where it meets it: a varint below 0x80 is one byte, a longer one goes to
+_read_varint, and a string unit takes the next string of its container.
+It appends the unit's token to the columns, or sets a marker's value in
+the column entry of the name before it, and applies, as BadPayload, the
 constructor's checks that a unit stream can fail, each distinct name's
 once; a name goes into the table when it passes.  A byte-level error
-(BadNibble, TrailingBytes, Truncated, MalformedVarint, a body that is
-not UTF-8) raises where it is found.  The first token-level error
-(StrayMarker, BadNameIndex for an index past the table, a failed check)
-is held while every later unit is still read and checked, and raised
-after the last byte.  So a byte-level error anywhere in the input wins
-over every token-level error, and token-level errors come in unit order:
-a name is checked when the next unit that is not a marker, or the end,
-arrives, since a marker may still give it a key.
+(BadContainer, BadNibble, TrailingBytes, Truncated, MalformedVarint, a
+container that is not UTF-8) raises where it is found, and a string
+container with strings left after the last unit raises TrailingBytes
+then.  The first token-level error (StrayMarker, BadNameIndex for an
+index past the table, a failed check) is held while every later unit is
+still read and checked, and raised after the last byte.  So a byte-level
+error anywhere in the input wins over every token-level error, and
+token-level errors come in unit order: a name is checked when the next
+unit that is not a marker, or the end, arrives, since a marker may still
+give it a key.
 
 pack and unpack work on the bare payload; pack_envelope and
 unpack_envelope add and check the magic and format version.
@@ -47,11 +80,18 @@ unpack_envelope add and check the magic and format version.
 
 from __future__ import annotations
 
+import zlib
+
 from .errors import XStringError
 from .grammar import NUL, EscapeMode, PrefixKind, XsDocument, name_fault
 
 MAGIC = b"XSB1"
-VERSION = 2
+VERSION = 3
+
+# the deflate level of every container.  On the benchmark's mixed
+# workload level 3 packs to 0.246 of the XML, with compact_MBps 0.89x of
+# format version 2's, and level 1 to 0.271, above zlib level 9's 0.268
+LEVEL = 3
 
 _CHILD = 0x0
 _SIBLING = 0x1
@@ -88,6 +128,17 @@ _INDEX_CODE = {_CHILD: _CHILD_INDEX, _SIBLING: _SIBLING_INDEX,
 _CODE_TO_KIND = {v: k for k, v in _KIND_TO_CODE.items()} | {
     _CHILD_INDEX: PrefixKind.CHILD, _SIBLING_INDEX: PrefixKind.SIBLING,
     _ATTR_NAME_INDEX: PrefixKind.ATTR_NAME}
+# each code's string container, by code; a code with a varint body or
+# none has none, and reads as container 0 where it is never used
+_BOX = (0, 0, 3, 4, 5, 6, 1, 0, 2, 0, 0, 0, 0, 0, 0, 1)
+_BOXES = 7
+# the structure's number among the containers, and its bit in the
+# header's byte of deflated bits
+_STRUCTURE = 7
+# the smallest container deflate is tried on.  On the corpus workload 128
+# packed to 0.780 of the XML and made pack take 16.3 us a document
+# against 12.4, and 512 packed to 0.813, above format version 2's 0.809
+_DEFLATE_FROM = 256
 
 
 class PackError(XStringError):
@@ -130,6 +181,10 @@ class BadNameIndex(PackError):
     pass
 
 
+class BadContainer(PackError):
+    pass
+
+
 def _write_varint(value: int, out: bytearray) -> None:
     while True:
         b = value & 0x7F
@@ -161,16 +216,29 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
 
 def _index_pays(index: int, name: str) -> bool:
     """Whether the varint of index, above zero, is shorter than the string
-    body of name, which is not empty."""
+    body of name, which is not empty, in format version 1: its length's
+    varint and its bytes."""
     size = len(name.encode("utf-8"))
     return (index.bit_length() + 6) // 7 < (size.bit_length() + 6) // 7 + size
 
 
+def _unencodable(payloads: list[str]) -> BadPayload:
+    """The error for the first of payloads that UTF-8 cannot hold, a lone
+    surrogate, in the words of its own encode error."""
+    for payload in payloads:
+        try:
+            payload.encode("utf-8")
+        except UnicodeEncodeError as err:
+            return BadPayload(f"payload is not encodable as UTF-8: {err}")
+    raise AssertionError("every payload encodes")
+
+
 def pack(doc: XsDocument) -> bytes:
     """Pack a stream into the bare binary payload."""
-    out = bytearray()
+    out = bytearray()  # the structure
     held = -1  # where the pair byte waiting for its low unit sits
     table: dict[str, int] = {}  # each name written as a string: its index
+    boxes = ([], [], [], [], [], [], [])  # each string container's strings
     for kind, payload, depth, key in zip(doc.kinds, doc.payloads, doc.depths,
                                          doc.keys):
         code = _KIND_TO_CODE[kind]
@@ -191,25 +259,15 @@ def pack(doc: XsDocument) -> bytes:
         else:
             out[held] |= code
             held = -1
-        if index is not None:
-            # here, for the length and for a marker, a value below 0x80 is
-            # appended as its own varint: through _write_varint, pack took
-            # 1.26x as long on the wide benchmark workload's stream
-            if index < 0x80:
-                out.append(index)
-            else:
-                _write_varint(index, out)
+        if index is None:
+            boxes[_BOX[code]].append(payload)
+        # here, for a marker too, a value below 0x80 is appended as its own
+        # varint: through _write_varint, pack took 1.26x as long on the
+        # wide benchmark workload's stream
+        elif index < 0x80:
+            out.append(index)
         else:
-            try:
-                raw = payload.encode("utf-8")
-            except UnicodeEncodeError as err:  # a lone surrogate
-                raise BadPayload(
-                    f"payload is not encodable as UTF-8: {err}") from None
-            if len(raw) < 0x80:
-                out.append(len(raw))
-            else:
-                _write_varint(len(raw), out)
-            out += raw
+            _write_varint(index, out)
         if depth is None and key is None:
             continue
         for code, value in ((_DEPTH, depth), (_SUBST_KEY, key)):
@@ -229,7 +287,42 @@ def pack(doc: XsDocument) -> bytes:
                 _write_varint(value, out)
     if held >= 0:
         out[held] |= _PAD
-    return bytes(out)
+    head = bytearray(2)  # the byte of present bits and of deflated bits
+    raws = [(_STRUCTURE, out)]  # each container's number and bytes
+    for box, strings in enumerate(boxes):
+        if not strings:
+            continue
+        try:
+            raw = NUL.join(strings).encode("utf-8")
+        except UnicodeEncodeError:
+            raise _unencodable(strings) from None
+        # else one NUL would shift every later string to the wrong token
+        if raw.count(0) != len(strings) - 1:
+            raise BadPayload("payload must not contain NUL")
+        head[0] |= 1 << box
+        raws.append((box, raw))
+    bodies = [head]
+    for box, raw in raws:
+        size = len(raw)
+        if size >= _DEFLATE_FROM:
+            # a window of 2**w bytes reaches back 2**w - 262 bytes: the
+            # smallest that reaches over the whole container.  On 400
+            # bytes a 2**10 window took 3.7 us and 2**15 13.8 us, for the
+            # same output (zlib 1.2.13, shared 2-vCPU host)
+            wbits = min(max((size + 261).bit_length(), 9), 15)
+            packed = zlib.compress(raw, LEVEL, -wbits)
+            stored = len(packed)
+            # kept when shorter, the stored length's varint included
+            if stored + (stored.bit_length() + 6) // 7 < size:
+                head[1] |= 1 << box
+                _write_varint(size, head)
+                raw, size = packed, stored
+        if size < 0x80:
+            head.append(size)
+        else:
+            _write_varint(size, head)
+        bodies.append(raw)
+    return b"".join(bodies)
 
 
 def unpack(data: bytes, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
@@ -244,13 +337,91 @@ def unpack(data: bytes, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
     depths, keys = doc.depths, doc.keys
     add_kind, add_payload = kinds.append, payloads.append
     add_depth, add_key = depths.append, keys.append
+
+    # the header: each container's raw and stored length, and whether it
+    # is deflated, in the order of the bodies
+    end = len(data)
+    if end < 2:
+        raise Truncated("input ends inside the header")
+    present, deflated = data[0], data[1]
+    if present >> _BOXES:
+        raise BadContainer("present bit past string container 6")
+    if deflated & ~present & (1 << _BOXES) - 1:
+        raise BadContainer("deflated bit of an absent string container")
+    spans = []
+    pos = 2
+    for box in (_STRUCTURE, 0, 1, 2, 3, 4, 5, 6):
+        if box != _STRUCTURE and not present >> box & 1:
+            continue
+        # a one-byte varint read in place, as in the unit loop below
+        if pos < end and data[pos] < 0x80:
+            raw = data[pos]
+            pos += 1
+        else:
+            raw, pos = _read_varint(data, pos)
+        stored = raw
+        if deflated >> box & 1:
+            if pos < end and data[pos] < 0x80:
+                stored = data[pos]
+                pos += 1
+            else:
+                stored, pos = _read_varint(data, pos)
+            # as pack keeps it; so a container inflates to no more than
+            # its input can, whatever it states, and to one byte at least
+            if stored >= raw:
+                raise BadContainer("deflated container is no shorter than"
+                                   " its raw length")
+        spans.append((box, raw, stored))
+    # the bodies: each string container inflated, decoded and split once,
+    # its bytes and its string dropped once it is split.  Its strings are
+    # kept last first, so that each one taken leaves the list and a list
+    # shrinks as it is read: held whole to the end, the lists took 1.3
+    # bytes per byte of a record table's raw payload
+    none: list[str] = []
+    boxes = [none] * _BOXES
+    for box, raw, stored in spans:
+        stop = pos + stored
+        if stop > end:
+            raise Truncated("input ends inside a container")
+        body = data[pos:stop]
+        pos = stop
+        if deflated >> box & 1:
+            try:
+                # a window that holds all raw bytes reaches back as far as
+                # any stream that makes them can
+                inflater = zlib.decompressobj(-min(max(raw.bit_length(), 9),
+                                                   15))
+                body = inflater.decompress(body, raw)
+            except zlib.error as err:
+                raise BadContainer(f"container does not inflate: {err}"
+                                   ) from None
+            if len(body) != raw or not inflater.eof or (
+                    inflater.unconsumed_tail or inflater.unused_data):
+                raise BadContainer(
+                    "container does not inflate to its stated length")
+        if box == _STRUCTURE:
+            units = body
+            continue
+        try:
+            body = body.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise BadPayload(f"string body is not UTF-8: {err}") from None
+        boxes[box] = body.split(NUL)
+        boxes[box].reverse()
+    if pos != end:
+        raise TrailingBytes("data continues after the last container")
+    del body
+    strings = list(map(boxes.__getitem__, _BOX))  # by code
+
     # The checks of XsToken(...) that a unit stream can fail, in its words.
     # No code maps to a marker kind, a misplaced depth or key is a
-    # StrayMarker, and a varint is never negative, so no other can fail.
+    # StrayMarker, a varint is never negative and NUL separates strings,
+    # so no other can fail.
     name = -1  # the last name token's column while markers may follow it
     passed: set[str] = set()  # the names name_fault has passed
     table: list[str] = []  # the same names, in the order they passed
     fault = None  # the first token-level error, raised after the last byte
+    data = units
     end = len(data)
     pos = 0
     low = None  # the code in the low nibble of the pair being read
@@ -284,15 +455,23 @@ def unpack(data: bytes, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
                 name = -1
             if code == _PAD:
                 break
-        # a one-byte varint read in place: through _read_varint, unpack
-        # took 1.41x as long on the corpus benchmark workload's streams and
-        # 1.42x on wide's
-        if pos < end and data[pos] < 0x80:
-            value = data[pos]
-            pos += 1
+        if code < _DEPTH or code == _TEXT:
+            try:
+                value = strings[code].pop()
+            except IndexError:  # from an empty list
+                raise Truncated("a string container ends before its"
+                                " units do") from None
+            if code in _INDEX_CODE:  # a name
+                name = len(kinds)
         else:
-            value, pos = _read_varint(data, pos)
-        if code > _ATTR_VALUE and code != _TEXT:
+            # a one-byte varint read in place: through _read_varint, unpack
+            # took 1.41x as long on the corpus benchmark workload's streams
+            # and 1.42x on wide's
+            if pos < end and data[pos] < 0x80:
+                value = data[pos]
+                pos += 1
+            else:
+                value, pos = _read_varint(data, pos)
             if code == _DEPTH:
                 if name < 0 or kinds[name] is PrefixKind.ATTR_NAME or (
                         depths[name] is not None):
@@ -318,23 +497,14 @@ def unpack(data: bytes, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
                     " names")
                 value = ""
             name = len(kinds)
-        else:
-            stop = pos + value
-            if stop > end:
-                raise Truncated("input ends inside a string body")
-            try:
-                value = data[pos:stop].decode("utf-8")
-            except UnicodeDecodeError as err:
-                raise BadPayload(f"string body is not UTF-8: {err}") from None
-            pos = stop
-            if code in _INDEX_CODE:  # a name
-                name = len(kinds)
-            elif NUL in value:
-                fault = fault or BadPayload("payload must not contain NUL")
         add_kind(_CODE_TO_KIND[code])
         add_payload(value)
         add_depth(None)
         add_key(None)
+    for left in boxes:
+        if left:
+            raise TrailingBytes("a string container holds strings past its"
+                                " units")
     if fault is not None:
         raise fault
     return doc

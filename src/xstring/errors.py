@@ -11,6 +11,13 @@ class BadArgument(XStringError, ValueError):
     catching either one sees it."""
 
 
+def check_int(what: str, value: object) -> None:
+    """Refuse value, named what in the message, unless it is an int.
+    Checked by type: a bool is an int and True equals 1, but no count."""
+    if type(value) is bool or not isinstance(value, int):
+        raise BadArgument(f"{what} {value!r} is not an int")
+
+
 class LocatedError(XStringError):
     """An error found at an offset of the input text: offset is that
     offset and reason the message without it."""

@@ -24,7 +24,7 @@ from enum import StrEnum
 from typing import Optional
 
 from .codec import EncodeOptions, decode, encode
-from .errors import BadArgument, XStringError
+from .errors import BadArgument, XStringError, check_int
 from .grammar import EscapeMode, escaper, render, tokenize
 from .xml_model import NodeKind, XmlDocument, XmlNode, walk
 
@@ -214,10 +214,8 @@ def unfold(doc: XmlDocument, index: Optional[int] = None) -> XmlDocument:
     returned document gets the pairs below that layer handed back to its
     own slot, so it compares equal to the document that was folded in.
     """
-    # checked by type: True equals 1
-    if index is not None and (type(index) is bool
-                              or not isinstance(index, int)):
-        raise BadArgument(f"index {index!r} is not an int")
+    if index is not None:
+        check_int("index", index)
     slot = _find_slot(doc, "document")
     attrs = _read_slot(slot)
     pairs = _layers(attrs)

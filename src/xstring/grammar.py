@@ -77,7 +77,7 @@ from dataclasses import dataclass
 from enum import StrEnum
 from typing import Callable, Iterable, NoReturn, Optional
 
-from .errors import BadArgument, LocatedError
+from .errors import BadArgument, LocatedError, check_int
 
 NUL = "\x00"
 _WS = r" \t\r\n"
@@ -187,8 +187,7 @@ class XsToken:
         for what, value in (("depth", self.depth), ("key", self.subst_key)):
             if value is None:
                 continue
-            if type(value) is bool or not isinstance(value, int):
-                raise BadArgument(f"{what} {value!r} is not an int")
+            check_int(what, value)
             if value < 0:
                 raise BadArgument(f"negative {what}")
 

@@ -21,7 +21,7 @@ from typing import Iterator, Optional
 
 from .binary import pack_envelope
 from .codec import Unencodable, Verifier, encode
-from .errors import BadArgument, XStringError
+from .errors import BadArgument, XStringError, check_int
 from .grammar import WHITESPACE, PrefixKind, XsDocument, render, wire_pieces
 from .xml_model import (Attribute, NodeKind, XmlDocument, XmlNode, parse_xml,
                         serialize_attribute, serialize_xml, walk)
@@ -54,12 +54,6 @@ _FORMULAS = {
 }
 
 
-def _check_ints(**values: object) -> None:
-    for what, value in values.items():
-        if type(value) is bool or not isinstance(value, int):
-            raise BadArgument(f"{what} {value!r} is not an int")
-
-
 def predict_size(kind: ConstructKind, n: int, m: int = 0) -> tuple[int, int]:
     """Markup and encoded character counts for one construct.
 
@@ -71,7 +65,8 @@ def predict_size(kind: ConstructKind, n: int, m: int = 0) -> tuple[int, int]:
     # checked by type: 'text' equals ConstructKind.TEXT, True equals 1
     if not isinstance(kind, ConstructKind):
         raise BadArgument(f"{kind!r} is not a ConstructKind")
-    _check_ints(n=n, m=m)
+    check_int("n", n)
+    check_int("m", m)
     if n < 1:
         raise BadArgument("n must be at least 1")
     if kind is ConstructKind.ATTRIBUTE and m < 1:
@@ -225,7 +220,8 @@ def asymptote_check(name_len: int, depth: int) -> AsymptoteProbe:
     ratio approaches it from above as depth grows, since only the
     innermost empty element deviates from the nested-pair formula.
     """
-    _check_ints(name_len=name_len, depth=depth)
+    check_int("name_len", name_len)
+    check_int("depth", depth)
     if name_len < 1 or depth < 1:
         raise BadArgument("name_len and depth must be positive")
     name = "A" * name_len

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .codec import EncodeMode, EncodeOptions, UnknownKey, decode, encode
-from .errors import BadArgument, XStringError
+from .errors import BadArgument, XStringError, check_int
 from .grammar import (NAME_KINDS, EscapeMode, XsDocument, escape_data,
                       name_fault, reads_as_key)
 
@@ -47,8 +47,7 @@ def build_substitution(doc: XsDocument,
     replacement actually shortens the rendered stream; the first occurrence
     keeps the name and binds the key, later ones carry the bare key.
     """
-    if type(threshold) is bool or not isinstance(threshold, int):
-        raise BadArgument(f"threshold {threshold!r} is not an int")
+    check_int("threshold", threshold)
     if threshold < 2:
         raise BadArgument("substitution threshold must be at least 2")
 

@@ -1,8 +1,10 @@
 """The reader and writer of format version 1, which expand a stream into
 unit tuples, kept as a reference.
 
-The binary module's one-pass pack and unpack replaced them; test_binary.py
-compares the two.  Version 1 writes every name as a string: the codes
+Format version 2's one-pass pack and unpack replaced them, and version 3
+replaced those in turn (see binary_v2_oracle.py, which takes its varint
+helpers from here); test_binary.py packs version 1 envelopes to check
+that they are refused.  Version 1 writes every name as a string: the codes
 0xB, 0xC and 0xD, version 2's names by index, are not assigned in it, and
 the envelope's version byte is 1.  pack lists every unit as a (code,
 value) tuple before writing pairs, and unpack reads each body through a

@@ -44,12 +44,27 @@ for xml in refs.xml ws.xml rep.xml; do
 done
 grep -q '#0' keyed.xs
 # unkeyed, the repeated names item and id are packed by index: unit
-# codes 0xC and 0xD, with table indexes 1 and 2
+# codes 0xC and 0xD, with table indexes 1 and 2.  The header says that
+# the names and the attribute values, string containers 0 and 2, are
+# there, and none is deflated; then come the lengths of the six units
+# and of the two containers, and the bodies
 xstring encode < rep.xml > rep.xs
 xstring pack -o rep.xsb < rep.xs
-printf 'XSB1\002\000\004list\004item\170\002id\0011\315\001\002\216\0012' |
+printf 'XSB1\003\005\000\006\014\003\000\170\315\001\002\216list\000item\000id1\0002' |
   cmp - rep.xsb
 xstring unpack rep.xsb | cmp - rep.xs
+# a 2 000-row table round-trips through the packed form, which is
+# smaller than the XML compressed by zlib at level 9
+python3 - > table.xml <<'PY'
+rows = "".join(f'<ROW ID="{i}"><NAME>Name {i}</NAME><TOWN>Town/{i % 97}'
+               f"</TOWN><QTY>{i * 7 % 9999}</QTY></ROW>" for i in range(2000))
+print(f"<TABLE>{rows}</TABLE>")
+PY
+xstring encode < table.xml | xstring pack > table.xsb
+xstring unpack table.xsb | xstring decode | cmp - table.xml
+zlib_size=$(python3 -c 'import sys, zlib
+print(len(zlib.compress(sys.stdin.buffer.read(), 9)))' < table.xml)
+test "$(wc -c < table.xsb)" -lt "$zlib_size"
 # the canonical form read back, in both escape modes: each element's
 # depth marker comes right after its name, or after an attribute list
 # or padding
@@ -90,9 +105,10 @@ xstring decode sen.xs | cmp - ent.xml
 status=0
 xstring decode --escape sentinel sen.xs 2> /dev/null || status=$?
 test "$status" = 2
-# a payload cut off after its pair byte: exit 1, one labelled line
+# a payload cut off before its string container: exit 1, one labelled
+# line
 status=0
-printf 'XSB1\002\016' | xstring unpack 2> err.txt || status=$?
+printf 'XSB1\003\001\000\001\001\016' | xstring unpack 2> err.txt || status=$?
 test "$status" = 1
 test "$(wc -l < err.txt)" = 1
 grep -q '^pack: ' err.txt
@@ -149,7 +165,7 @@ for xml in '<r>a\000b</r>' '<r x="a\000b"/>'; do
   done
 done
 # the decoder's depth errors, the packed form's held stray marker and
-# its refusal of format version 1, and a stream that opens with a byte
+# its refusal of format versions 1 and 2, and a stream that opens with a byte
 # order mark: exit 1, one labelled line; a byte-level error after the
 # stray marker wins over it
 while IFS=';' read -r cmd input message; do
@@ -162,8 +178,9 @@ done <<'CASES'
 decode;/a/b+2|c;decode: sibling <c> would close <b> with 2 nodes of its depth unfilled
 decode;/r/a/b+3|a;decode: sibling <a> closure crosses <b> with 3 nodes of its depth unfilled
 decode;/a+1/b+5't;decode: <b> still expects 5 nodes when an enclosing depth ran out
-unpack;XSB1\002\236\001;pack: depth without an element to attach to
-unpack;XSB1\002\236\001\000;pack: data continues after the pad code
+unpack;XSB1\003\000\000\002\236\001;pack: depth without an element to attach to
+unpack;XSB1\003\000\000\003\236\001\000;pack: data continues after the pad code
 unpack;XSB1\001\016\001X;pack: unsupported format version 1
+unpack;XSB1\002;pack: unsupported format version 2
 decode;\357\273\277/r;tokenize: data outside any token at offset 0
 CASES

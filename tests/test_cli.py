@@ -161,7 +161,7 @@ def test_pack_and_unpack(tmp_path, capsys):
     packed = tmp_path / "out.xsb"
     assert main(["pack", src, "-o", str(packed)]) == 0
     data = packed.read_bytes()
-    assert data[:5] == b"XSB1\x02"
+    assert data[:5] == b"XSB1\x03"
     assert main(["unpack", str(packed)]) == 0
     assert capsys.readouterr().out == PROPERTIES_XS
 

@@ -7,9 +7,13 @@ sibling stream, and the wire string and packed envelope of that stream
 keyed by build_substitution.  A rewrite of any layer that writes these
 forms must leave every digest as it is.
 
-The two packed digests were re-pinned once, on purpose, for format
-version 2, which writes a repeated name as an index into the stream's
-name table; the three wire-string digests did not move.
+The two packed digests were re-pinned on purpose, for format version 2,
+which writes a repeated name as an index into the stream's name table,
+and for format version 3, which moves the strings into containers by
+kind and deflates those it shortens; the three wire-string digests did
+not move.  The deflated bytes are zlib's, pinned with zlib 1.2.13: a
+zlib that deflates the same input to other bytes moves the packed
+digests alone.
 """
 
 import hashlib
@@ -55,11 +59,11 @@ _PINNED = {
         "canonical":
             "2684e2db9d171092f295069262cc19369b8d924b9bd74e03eb697050e9f277c6",
         "xsb":
-            "651d25231792f9ba2b0e820240fcf45f8c6335cc736e0223af02c37b57a3e0fa",
+            "20b5043a5a55899bb232e623bcbac737e0e1e38916b6f8509b528266d1a33772",
         "keyed":
             "b9d010be5b293cbb3a3414393463fbfa271ebfa898f46f32cd87bdb2e843ff83",
         "keyed_xsb":
-            "dd8fff024291f2ea82c78515bf78e63f28f447a4379e93b8f9cc1ec071e08d09",
+            "db29a1f15a96f8a2e79c2c2e1f07a73df04e200c9b6d15ca9f61dd09e90a0827",
     },
     EscapeMode.SENTINEL: {
         "sibling":
@@ -67,11 +71,11 @@ _PINNED = {
         "canonical":
             "bdf0799f5c1e41c6166be40a0c4e7bb7e7d5b9e95608ce5bab1cc936b3864d82",
         "xsb":
-            "55133b9276344d14b5e8ef394041741655934de93c69dd1fb2bac7be6a7e9e55",
+            "d4968e2aa426abe875fb7e440fea9634ce12308400632c58cc6b2770cb23488f",
         "keyed":
             "fad5ab57d8899cfdf4ba84d7fd3b323e47a16aee747e8f8fdcec3ad61d8b3eba",
         "keyed_xsb":
-            "6d8fddd277993f1569023612b2d04be606236d2f7c88f8137b7a85f1e0f1f0f3",
+            "2f7dd9e23dacde6a2aa62a9076558cecdfac0cdb754fc2aa7bf6acf55e768da6",
     },
 }
 

@@ -3,14 +3,18 @@ are peak bytes allocated per input character, measured with tracemalloc
 and set from a measurement with some headroom; the last tests count the
 objects the cyclic collector tracks per token of a stream."""
 
+import functools
 import gc
 import tracemalloc
+import zlib
 
 import pytest
 
-from xstring import (EncodeOptions, EscapeMode, build_substitution, decode,
-                     encode, pack_envelope, parse_xml, render, serialize_xml,
-                     tokenize, unpack_envelope)
+from xstring import (BadContainer, EncodeOptions, EscapeMode,
+                     build_substitution, decode, encode, pack_envelope,
+                     parse_xml, render, serialize_xml, tokenize, unpack,
+                     unpack_envelope)
+from xstring.binary import _read_varint, _write_varint
 
 
 def peak_per_char(fn, text) -> float:
@@ -124,16 +128,85 @@ def test_build_substitution_memory_on_a_table():
     assert _least_peak(measure) <= 5.5
 
 
+def split(data: bytes) -> dict[int, bytes]:
+    """The raw bodies of a well-formed packed payload's containers, by
+    number, the structure's 7, read apart from unpack."""
+    present, deflated = data[0], data[1]
+    spans = []
+    pos = 2
+    for box in (7, *(b for b in range(7) if present >> b & 1)):
+        raw, pos = _read_varint(data, pos)
+        stored = raw
+        if deflated >> box & 1:
+            stored, pos = _read_varint(data, pos)
+        spans.append((box, raw, stored))
+    bodies = {}
+    for box, raw, stored in spans:
+        body = data[pos:pos + stored]
+        pos += stored
+        if deflated >> box & 1:
+            body = zlib.decompress(body, -15)
+        assert len(body) == raw
+        bodies[box] = body
+    assert pos == len(data)
+    return bodies
+
+
 def test_unpack_envelope_memory_on_a_keyed_table():
-    # per byte of the keyed packed form, whose repeated short names go by
-    # index: 11.5 bytes on CPython 3.11.7, 10.8 on 3.12.1 and 3.13.0, the
-    # stream's columns filled in the loop that reads each unit: 13 % and
-    # 20 % headroom.  With every name a string it was 11.9 and 11.2, and
-    # with an XsToken built per unit 18.7 on 3.11 and 18.0 on 3.13
+    # per byte of the keyed payload with nothing deflated, whose repeated
+    # short names go by index: 11.5 bytes on CPython 3.11.7, the stream's
+    # columns filled in the loop that reads each unit, each container's
+    # strings dropped as they are taken: 13 % headroom.  Format version 2,
+    # whose packed size this was, read 11.5 too, and 10.8 on 3.12.1 and
+    # 3.13.0; with every name a string it was 11.9 and 11.2, and with an
+    # XsToken built per unit 18.7 on 3.11 and 18.0 on 3.13
     def measure(xml):
         keyed = build_substitution(encode(parse_xml(xml)), 8)[1]
-        return unpack_envelope, pack_envelope(keyed)
+        data = pack_envelope(keyed)
+        raw = sum(map(len, split(data[5:]).values()))
+        return (lambda _: unpack_envelope(data)), bytes(raw)
     assert _least_peak(measure) <= 13
+
+
+def deflated_text(raw: int, body: bytes) -> bytes:
+    """A payload of one text token whose container states raw bytes and
+    stores the deflate stream body."""
+    head = bytearray(b"\x02\x02\x01")  # text present and deflated
+    _write_varint(raw, head)
+    _write_varint(len(body), head)
+    return bytes(head) + b"\xfe" + body
+
+
+@functools.cache
+def deflate_bomb() -> bytes:
+    """A text container that states 1 000 raw bytes and inflates to 64 MB
+    of zeros, deflated a megabyte at a time."""
+    compressor = zlib.compressobj(9, zlib.DEFLATED, -15)
+    chunk = bytes(1 << 20)
+    body = b"".join(compressor.compress(chunk) for _ in range(64))
+    return deflated_text(1000, body + compressor.flush())
+
+
+def dense_bomb() -> bytes:
+    """A text container that states 1 000 raw bytes and stores 976, which
+    inflate to 990 000 zeros."""
+    return deflated_text(1000, zlib.compress(bytes(990_000), 9, -15))
+
+
+@pytest.mark.parametrize("bomb", [deflate_bomb, dense_bomb],
+                         ids=["64MB", "dense"])
+def test_unpack_memory_on_a_deflate_bomb(bomb):
+    # refused before it is inflated, or inflated no further than the 1 000
+    # bytes it states: 12.1 KB for the dense one on CPython 3.11.7, most
+    # of it zlib's state, where inflating it whole takes 990 KB
+    data = bomb()
+    tracemalloc.start()
+    try:
+        with pytest.raises(BadContainer):
+            unpack(data)
+        assert tracemalloc.get_traced_memory()[1] <= 16 * 1000
+    finally:
+        tracemalloc.stop()
 
 
 def tracked_per_token(fn, arg) -> float:
