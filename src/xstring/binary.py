@@ -30,9 +30,11 @@ it is deflated, its stored length, as varints.  A container of 256 bytes
 or more is raw-deflated at LEVEL, with a window sized to it, and kept so
 when that is shorter, its stored length included.  unpack refuses as
 BadContainer a deflated container that is not shorter than its raw
-length, and one whose deflate stream does not end exactly at its raw
-length; it inflates no further than that length, so what a container
-costs to read is bounded by the input, whatever it inflates to.
+length, one whose raw length is more than the 1032 bytes a deflate stream
+can make of each stored byte, and one whose deflate stream does not end
+exactly at its raw length; it inflates no further than that length, so
+what a container costs to read is bounded by the input, whatever it
+inflates to.
 
 Names go by index once written.  The stream's name table holds each
 distinct non-empty name written as a string, in order of first
@@ -53,7 +55,11 @@ meets it: the first unit of a pair appends its pair byte with the low
 nibble still open and its body; the second sets that nibble and appends
 its own body; a string unit's payload goes to its container's list.  A
 value below 0x80 is its own one-byte varint and is appended as it is.
-Then each container is joined, encoded and checked for NUL once.
+Then each container is joined, encoded and checked for NUL once.  So
+pack's errors come in this order: a marker past 64 bits, MalformedVarint,
+where the loop meets it, ahead of every bad payload; then the containers
+by number, and within one a payload UTF-8 cannot hold ahead of one that
+holds NUL, both BadPayload.
 
 unpack reads the header, inflates and decodes each string container once
 and splits it on NUL.  Then it reads the units in one loop, each body
@@ -139,6 +145,10 @@ _STRUCTURE = 7
 # packed to 0.780 of the XML and made pack take 16.3 us a document
 # against 12.4, and 512 packed to 0.813, above format version 2's 0.809
 _DEFLATE_FROM = 256
+# the most bytes a deflate stream makes of each of its own: a match makes
+# 258 bytes at most and costs two bits at least, a length code and a
+# distance code, and a literal makes one byte of one bit at least
+_INFLATE_MOST = 1032
 
 
 class PackError(XStringError):
@@ -220,6 +230,15 @@ def _index_pays(index: int, name: str) -> bool:
     varint and its bytes."""
     size = len(name.encode("utf-8"))
     return (index.bit_length() + 6) // 7 < (size.bit_length() + 6) // 7 + size
+
+
+def _window(size: int) -> int:
+    """The window bits that deflate size bytes, and inflate them: a window
+    of 2**w bytes reaches back 2**w - 262 bytes, so the smallest that
+    reaches over the whole container, within zlib's 9 to 15.  On 400 bytes
+    a 2**10 window took 3.7 us and 2**15 13.8 us, for the same output
+    (zlib 1.2.13, shared 2-vCPU host)."""
+    return min(max((size + 261).bit_length(), 9), 15)
 
 
 def _unencodable(payloads: list[str]) -> BadPayload:
@@ -305,12 +324,7 @@ def pack(doc: XsDocument) -> bytes:
     for box, raw in raws:
         size = len(raw)
         if size >= _DEFLATE_FROM:
-            # a window of 2**w bytes reaches back 2**w - 262 bytes: the
-            # smallest that reaches over the whole container.  On 400
-            # bytes a 2**10 window took 3.7 us and 2**15 13.8 us, for the
-            # same output (zlib 1.2.13, shared 2-vCPU host)
-            wbits = min(max((size + 261).bit_length(), 9), 15)
-            packed = zlib.compress(raw, LEVEL, -wbits)
+            packed = zlib.compress(raw, LEVEL, -_window(size))
             stored = len(packed)
             # kept when shorter, the stored length's varint included
             if stored + (stored.bit_length() + 6) // 7 < size:
@@ -371,6 +385,11 @@ def unpack(data: bytes, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
             if stored >= raw:
                 raise BadContainer("deflated container is no shorter than"
                                    " its raw length")
+            # and no raw length past what its stored bytes can make, which
+            # also keeps it within what zlib takes as a length
+            if raw > _INFLATE_MOST * stored:
+                raise BadContainer("deflated container states more than"
+                                   " its stored length can inflate to")
         spans.append((box, raw, stored))
     # the bodies: each string container inflated, decoded and split once,
     # its bytes and its string dropped once it is split.  Its strings are
@@ -387,10 +406,7 @@ def unpack(data: bytes, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
         pos = stop
         if deflated >> box & 1:
             try:
-                # a window that holds all raw bytes reaches back as far as
-                # any stream that makes them can
-                inflater = zlib.decompressobj(-min(max(raw.bit_length(), 9),
-                                                   15))
+                inflater = zlib.decompressobj(-_window(raw))
                 body = inflater.decompress(body, raw)
             except zlib.error as err:
                 raise BadContainer(f"container does not inflate: {err}"

@@ -18,6 +18,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from xstring.binary import (
+    MAGIC,
+    VERSION,
     BadContainer,
     BadMagic,
     BadNameIndex,
@@ -365,6 +367,26 @@ def test_pack_refuses_what_unpack_refuses():
                 fn(nul)
 
 
+def test_pack_error_order():
+    # a marker past 64 bits raises where the unit loop meets it, ahead of
+    # a bad payload before it; then the containers go by number: a NUL in
+    # a name, container 0, ahead of a lone surrogate in text, container 1
+    bad_text = (PrefixKind.TEXT, "a\ud800", None, None)
+    over = _unchecked([(PrefixKind.CHILD, "X", None, None), bad_text,
+                       (PrefixKind.CHILD, "Y", *_marker("depth", 2 ** 64))])
+    with pytest.raises(MalformedVarint, match="does not fit in 64"):
+        pack(over)
+    nul_name = _unchecked([(PrefixKind.CHILD, "X", None, None), bad_text,
+                           (PrefixKind.CHILD, "a\x00b", None, None)])
+    with pytest.raises(BadPayload, match="^payload must not contain NUL$"):
+        pack(nul_name)
+    # within one container, a payload UTF-8 cannot hold wins
+    both = _unchecked([(PrefixKind.CHILD, "X", None, None),
+                       (PrefixKind.TEXT, "a\x00b", None, None), bad_text])
+    with pytest.raises(BadPayload, match="not encodable as UTF-8"):
+        pack(both)
+
+
 def test_pack_refuses_a_payload_utf8_cannot_hold():
     # XsToken(...) accepts a lone surrogate, which has no UTF-8 form
     doc = XsDocument([XsToken(PrefixKind.CHILD, "X"),
@@ -540,6 +562,28 @@ def test_deflate_bomb_is_refused():
         unpack(deflate_bomb())
     with pytest.raises(BadContainer, match="inflate to its stated length"):
         unpack(dense_bomb())
+    # a raw length past the 1032 bytes deflate makes of each stored byte,
+    # refused from the header; one at 2**63 or more is also past what zlib
+    # takes as a length
+    for raw in (1033, 2 ** 63, 2 ** 64 - 1):
+        with pytest.raises(BadContainer, match="more than its stored"):
+            unpack(deflated_text(raw, b"\x03"))
+        with pytest.raises(BadContainer):
+            unpack_envelope(MAGIC + bytes([VERSION])
+                            + deflated_text(raw, b"\x03"))
+    # and at the bound, read until the stream ends short of it
+    with pytest.raises(BadContainer, match="inflate to its stated length"):
+        unpack(deflated_text(1032, b"\x03"))
+
+
+def test_dense_container_unpacks():
+    # a megabyte run of one character at zlib's level 9, which makes more
+    # than 1 000 bytes of each stored byte, within the bound, unpacks
+    size = 1 << 20
+    body = zlib.compress(b"a" * size, 9, -15)
+    assert size > 1000 * len(body)
+    got = unpack(deflated_text(size, body)).tokens
+    assert got == (XsToken(PrefixKind.TEXT, "a" * size),)
 
 
 def test_packed_table_is_smaller_than_zlib():

@@ -373,6 +373,16 @@ def test_pack_error_label(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("pack: ")
 
 
+def test_pack_error_label_on_an_overlong_container(tmp_path, capsys):
+    # a deflated text container that states 2**63 raw bytes from one
+    # stored byte: one labelled line, not a traceback
+    bad = tmp_path / "bad.xsb"
+    bad.write_bytes(b"XSB1\x03\x02\x02\x01" + b"\x80" * 9 + b"\x01"
+                    + b"\x01\xfe\x03")
+    assert main(["unpack", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("pack: ")
+
+
 def test_substitution_error_label(tmp_path, capsys):
     src = write(tmp_path, "in.xs", "/ROOT/42'x|42'y")
     assert main(["subst", src]) == 1

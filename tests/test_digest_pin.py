@@ -11,9 +11,10 @@ The two packed digests were re-pinned on purpose, for format version 2,
 which writes a repeated name as an index into the stream's name table,
 and for format version 3, which moves the strings into containers by
 kind and deflates those it shortens; the three wire-string digests did
-not move.  The deflated bytes are zlib's, pinned with zlib 1.2.13: a
-zlib that deflates the same input to other bytes moves the packed
-digests alone.
+not move.  The deflated bytes are zlib's: zlib 1.2.13 (CPython 3.11.7,
+3.12.1 and 3.13.0) and zlib 1.3.1 (CPython 3.13.13) write the same ones.
+A zlib that deflates the same input to other bytes, zlib-ng for one,
+moves the packed digests alone.
 """
 
 import hashlib

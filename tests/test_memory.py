@@ -154,12 +154,14 @@ def split(data: bytes) -> dict[int, bytes]:
 
 def test_unpack_envelope_memory_on_a_keyed_table():
     # per byte of the keyed payload with nothing deflated, whose repeated
-    # short names go by index: 11.5 bytes on CPython 3.11.7, the stream's
-    # columns filled in the loop that reads each unit, each container's
-    # strings dropped as they are taken: 13 % headroom.  Format version 2,
-    # whose packed size this was, read 11.5 too, and 10.8 on 3.12.1 and
-    # 3.13.0; with every name a string it was 11.9 and 11.2, and with an
-    # XsToken built per unit 18.7 on 3.11 and 18.0 on 3.13
+    # short names go by index: 11.0 bytes on CPython 3.11.7 and 10.4 on
+    # 3.12.1 and 3.13.0 (zlib 1.2.13) and on 3.13.13 (zlib 1.3.1), the
+    # stream's columns filled in the loop that reads each unit, each
+    # container's strings dropped as they are taken: 18 % headroom.
+    # Format version 2, whose packed size this was, read 11.5 on 3.11.7
+    # and 10.8 on 3.12.1 and 3.13.0; with every name a string it was 11.9
+    # and 11.2, and with an XsToken built per unit 18.7 on 3.11 and 18.0
+    # on 3.13
     def measure(xml):
         keyed = build_substitution(encode(parse_xml(xml)), 8)[1]
         data = pack_envelope(keyed)
@@ -197,8 +199,10 @@ def dense_bomb() -> bytes:
                          ids=["64MB", "dense"])
 def test_unpack_memory_on_a_deflate_bomb(bomb):
     # refused before it is inflated, or inflated no further than the 1 000
-    # bytes it states: 12.1 KB for the dense one on CPython 3.11.7, most
-    # of it zlib's state, where inflating it whole takes 990 KB
+    # bytes it states: 13.1 KB for the dense one on CPython 3.11.7, 3.12.1
+    # and 3.13.0 (zlib 1.2.13) and on 3.13.13 (zlib 1.3.1), most of it
+    # zlib's state with its 2 KB window, where inflating it whole takes
+    # 990 KB
     data = bomb()
     tracemalloc.start()
     try:
