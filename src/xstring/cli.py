@@ -120,7 +120,12 @@ def _keyed(args: argparse.Namespace, stream: XsDocument) -> XsDocument:
 
 
 def _threshold(text: str) -> int:
-    value = int(text)
+    # a ValueError would make argparse name this function in its message
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"threshold must be an integer, not {text!r}") from None
     if value < 2:
         raise argparse.ArgumentTypeError("threshold must be at least 2")
     return value

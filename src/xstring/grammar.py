@@ -34,24 +34,32 @@ takes a list of them and ``XsDocument.tokens`` builds a tuple of them on
 demand, a copy that writes do not reach.  A document checks its escaping
 where it is built, so no step after that needs to.
 
-The tokenizer reads each token with one match of a compiled pattern per
-escape mode.  The match skips padding and reads the lead (the prefix
-character, after its NUL in sentinel mode) and that kind's payload run;
-``m.lastindex`` says which kind of run it read.  A depth marker right
-after a name or data payload is read by the same match.  That is where
-the renderer writes an element's own marker (``/name+N``, or ``\\x00+N``
-in sentinel mode), so a canonical stream costs one match per token as a
-sibling stream does.  An element takes the marker; any other token hands
-it to ``_attach_depth`` as a marker of its own would be.  A marker
-anywhere else (after padding, a key binder, a quoted value or another
-marker) is a match of its own.  An entity-mode data run is the possessive
-``(?:[^<prefix chars>&\\x00]+|&#[0-9]+;|&(?!#))*+``, as are the name and dual
-runs, so re keeps no backtracking state per reference.  The character a
-run stops at names the error, read by the same match: ``&`` a malformed
-reference, NUL stray data, the end of input an unterminated dual.  The
-tokenizer writes each token's fields straight into the columns, without
-``XsToken``'s checks: the pattern has already established them.  A marker
-read after its token sets that token's depth or key in place.
+The tokenizer reads a stream with one ``re.split`` of a compiled pattern
+per escape mode.  A match is one token or marker, and its groups line up
+as the columns of a row of the split: the lead (the prefix character
+alone, without the NUL before it in sentinel mode, so that the split
+makes no string for it), the payload, whose dual, data or name run a
+lookbehind on the lead chooses, a dual flag, a visit flag set for
+markers and for names made only of digits, the stop, and the digits of a
+depth marker right after a name or data run.  That is where the renderer
+writes an element's own marker (``/name+N``, or ``\\x00+N`` in sentinel
+mode).  Slices of the split give the columns, and the kinds are mapped
+from the leads, all in C.  Python then visits only the rows that need
+it, in stream order: a marker, attached by ``_attach_depth`` or
+``_attach_key``; a name made only of digits, read as a key; a depth
+marker on a row that is not an element (an element's own depths are
+mapped from their digits in C); and the first fault.  A fault is the
+first row whose run stopped short (the stop group: ``&`` a malformed
+reference, NUL stray data, the end of input or a NUL an unterminated
+dual) or the first gap between matches that holds more than padding.
+It is raised after any error of an earlier row, with the offset the
+match that read it had: the split is made again, stopped after that
+many matches, and the length of what it leaves gives the offset, so no
+offset is computed on the way to a good result.  The entity-mode
+payload runs are possessive and unrolled,
+``[^<stops>&\\x00]*+(?:<reference>[^<stops>&\\x00]*+)*+``, so re keeps no
+backtracking state per reference and a payload without an ``&`` is one
+scan of a class.
 
 Entity mode escapes and folds a stream's payloads together, not one
 payload at a time.  ``render`` joins every payload with NUL, which no
@@ -62,7 +70,7 @@ payload held NUL, and render raises ``BadArgument`` in either mode rather
 than write a stream that does not read back.  A dual payload escapes only
 ``"`` and ``#``: the loop that writes each token's piece escapes it where
 it meets the token, from the payload itself.  ``tokenize`` leaves the
-payloads that hold an ``&`` as the match read them and, after its loop,
+payloads that hold an ``&`` as the split read them and then
 folds their references back in one joined pass and writes them back into
 ``payloads`` by index: one ``str.replace`` per exact ``&#N;`` form of a
 prefix character, ``&#35;`` last so that the ``#`` it writes starts no new
@@ -73,14 +81,18 @@ Every other reference, of any length, stays verbatim.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from enum import StrEnum
+from functools import partial
+from itertools import compress, count, filterfalse, repeat
+from operator import contains, is_not
 from typing import Callable, Iterable, NoReturn, Optional
 
 from .errors import BadArgument, LocatedError, check_int
 
 NUL = "\x00"
-_WS = r" \t\r\n"
+_WS = " \t\r\n"
 # the one definition of whitespace on the wire
 WHITESPACE = re.compile(f"[{_WS}]")
 
@@ -399,49 +411,65 @@ def render(doc: XsDocument) -> str:
 # tokenizing
 
 _P = re.escape(PREFIX_CHARS)
-_DATA_LEADS = "-'?\\[!="
-_RUN_REF = "&#[0-9]+;|&(?!#)"
-# One token pattern per escape mode.  The alternatives and their groups:
-#   1 2 3   dual lead, payload, what the run stopped at when unclosed
-#   4 5     data lead, payload
-#   6 7     name lead, payload
-#   8       the digits of a depth marker right after a name or data run
-#   9       (entity mode) the '&' or NUL a name or data run stopped at
-#   last 2  a marker's lead and digits: 10 11 in entity mode, 9 10 in
-#           sentinel mode
-# A quoted attribute value ``="..."`` is read as a dual; sentinel mode has
-# no quoted values.  The entity-mode payload runs are possessive (``*+``):
-# what follows a run matches wherever it stops, so re keeps no state to
-# backtrack into it, where ``*`` kept some for every reference.  The
-# marker alternative goes last: first, it cost 5-8 % in the match loop.
+# a reference a run reads past: a decimal one, or an '&' that starts none
+_REF = "(?:&#[0-9]+;|&(?!#))"
+
+
+def _run(chars: str) -> str:
+    """An entity-mode payload run of chars and references, unrolled: on a
+    payload with no '&' it is one scan of a class."""
+    return f"[^{chars}&\\x00]*+(?:{_REF}[^{chars}&\\x00]*+)*+"
+
+
+# One token pattern per escape mode, which tokenize splits a stream with.
+# A match is one token or marker, and its groups line up as the columns of
+# a row of the split:
+#   1 lead     the prefix character, without the NUL before it in sentinel
+#              mode: one character, which Python does not build anew
+#   2 payload  the run the lead calls for, chosen by a lookbehind on the
+#              lead: a dual run after '"' (a quoted value ``="`` reads as
+#              a dual), a marker's digits or a name made only of digits,
+#              a name run after a name lead, and a data run after the rest
+#   3 dual     the opening quote of a dual, read by that lookbehind; the
+#              tail takes the closing one when this is set
+#   4 visit    the lead again for a marker and for a name made only of
+#              digits (or of nothing): the rows Python has to visit
+#   5 stop     what a run stopped short at: '&' starting no reference or a
+#              NUL in entity mode, and for a dual a NUL that does not close
+#              it in sentinel mode, or the end of input ("")
+#   6 depth    the digits of a depth marker right after a name or data run
+# Padding is not part of the pattern but left between matches, so a
+# search never reads a run of whitespace more than once.  The payload runs
+# are possessive (``*+``): what follows a run matches wherever it stops,
+# so re keeps no state to backtrack into it.
 _TOKEN = {
     EscapeMode.ENTITY: re.compile(
-        f"[{_WS}]*(?:"
-        f'(="|")((?:[^"&\\x00]+|{_RUN_REF})*+)(?:"|([&\\x00]|\\Z))'
-        f"|(?:([{_DATA_LEADS}])((?:[^{_P}&\\x00]+|{_RUN_REF})*+)"
-        f"|([/|@])((?:[^{_P}&\\x00{_WS}]+|{_RUN_REF})*+))"
-        "(?:\\+([0-9]+)|([&\\x00]))?"
-        "|([+#])([0-9]*)"
-        ")?"),
+        f'([{_P}])(?:(?<==)")?+('
+        f'(?<=("))' + _run('"') +
+        f"|(?=(?<=[+#])|[0-9]*+(?![^{_P}&\\x00{_WS}]|{_REF}))"
+        "(?<=([/|@+#]))[0-9]*+"
+        "|(?<=[/|@])" + _run(_P + _WS) +
+        "|" + _run(_P) +
+        ')(?:([&\\x00]|(?(3)\\Z|(?!)))|(?(3)"|(?:\\+([0-9]+))?))'),
     EscapeMode.SENTINEL: re.compile(
-        f"[{_WS}]*(?:"
-        '(\\x00")([^\\x00]*)(?:\\x00"|(\\x00|\\Z))'
-        f"|(?:(\\x00[{_DATA_LEADS}])([^\\x00]*)"
-        f"|(\\x00[/|@])([^\\x00{_WS}]*))"
-        "(?:\\x00\\+([0-9]+))?"
-        "|(\\x00[+#])([0-9]*)"
-        ")?"),
+        f"\\x00([{_P}])("
+        '(?<=("))[^\\x00]*+'
+        f"|(?=(?<=[+#])|[0-9]*+(?![^\\x00{_WS}]))(?<=([/|@+#]))[0-9]*+"
+        f"|(?<=[/|@])[^\\x00{_WS}]*+"
+        "|[^\\x00]*+"
+        ')(?:((?(3)\\x00(?!")|(?!))|(?(3)\\Z|(?!)))'
+        '|(?(3)\\x00"|(?:\\x00\\+([0-9]+))?))'),
 }
-# what a match read, by its m.lastindex; the group before a payload holds
-# its lead, and a lastindex of 3 or 9 says where a run stopped short
-_DUAL, _DATA, _NAME, _DEPTH = 2, 5, 7, 8
-_MARKER = {EscapeMode.ENTITY: 11, EscapeMode.SENTINEL: 10}
+# a row of a split: the text before the match, then its six groups
+_STRIDE = 7
 _CHILD, _SIBLING = PrefixKind.CHILD, PrefixKind.SIBLING
 # keyed by plain str, not the members, so a lookup stays on dict's
 # str-only fast path
-_LEADS = {lead: kind for kind in PrefixKind
-          for lead in (kind.value, NUL + kind)}
-_LEADS['="'] = PrefixKind.ATTR_VALUE
+_LEADS = {kind.value: kind for kind in PrefixKind}
+# whether a row's kind is a token's, not a marker's
+_IS_TOKEN = {kind: kind not in _MARKER_KINDS for kind in PrefixKind}
+# what a depth marker passes over on its way back to its element
+_ATTACH_ACROSS = (PrefixKind.ATTR_NAME, PrefixKind.ATTR_VALUE) + _MARKER_KINDS
 # a sentinel-mode token opens with NUL; an entity-mode stream holds none
 _SENTINEL_LEAD = re.compile(f"[{_WS}]*\\x00")
 
@@ -452,6 +480,20 @@ def stream_escaping(text: str) -> EscapeMode:
     if _SENTINEL_LEAD.match(text):
         return EscapeMode.SENTINEL
     return EscapeMode.ENTITY
+
+
+def _start(pattern: re.Pattern, text: str, row: int) -> int:
+    """Where the match of row begins, past the padding before it; for the
+    row after the last, where the text after the last match stops being
+    padding.  A split that stops after row matches leaves the rest of text
+    as its last part."""
+    rest = pattern.split(text, row)[-1] if row else text
+    return len(text) - len(rest.lstrip(_WS))
+
+
+def _end(pattern: re.Pattern, text: str, row: int) -> int:
+    """Where the match of row ends."""
+    return len(text) - len(pattern.split(text, row + 1)[-1])
 
 
 def _no_token(text: str, i: int, sentinel: bool) -> NoReturn:
@@ -467,50 +509,71 @@ def _no_token(text: str, i: int, sentinel: bool) -> NoReturn:
     raise StrayData(i, "data outside any token")
 
 
-def _stopped(m: re.Match, g: int, sentinel: bool) -> NoReturn:
-    """Raise for a payload run that stopped where group g of m begins: at
-    an '&' that starts no reference, at a NUL in entity mode, or before the
-    closer of a dual."""
-    c, at = m[g], m.start(g)
+def _stopped(c: str, at: int, lead: Callable[[], int],
+             sentinel: bool) -> NoReturn:
+    """Raise for a payload run that stopped short at c, at offset at: an
+    '&' that starts no reference, a NUL in entity mode, or, for a dual, a
+    NUL or the end of input ("") where its closer should be; lead gives
+    the offset of its token."""
     if c == "&":
         raise MalformedEntity(at, "'&#' is not a decimal character reference")
     if c == NUL and not sentinel:
         raise StrayData(at, "NUL in entity-mode stream")
-    raise UnterminatedDual(m.start(_DUAL - 1), "dual text never closed")
+    raise UnterminatedDual(lead(), "dual text never closed")
 
 
-def _integer(digits: str, error: type[TokenizeError], offset: int,
-             what: str) -> int:
+def _integer(digits: str, error: type[TokenizeError],
+             where: Callable[[], int], what: str) -> int:
     try:
         return int(digits)
     except ValueError:  # more digits than int() converts
-        raise error(offset, f"{what} has too many digits") from None
+        raise error(where(), f"{what} has too many digits") from None
 
 
-def _attach_depth(doc: XsDocument, value: int, offset: int) -> None:
+def _attach_depth(doc: XsDocument, row: int, value: int,
+                  where: Callable[[], int]) -> None:
+    """Give value to the element that the depth marker of row follows: the
+    row itself, or the nearest row before it across attributes and other
+    markers."""
     kinds, depths = doc.kinds, doc.depths
-    for j in range(len(kinds) - 1, -1, -1):
+    for j in range(row, -1, -1):
         kind = kinds[j]
         if kind is _CHILD or kind is _SIBLING:
             if depths[j] is not None:
-                raise BadDepth(offset, "duplicate depth marker")
+                raise BadDepth(where(), "duplicate depth marker")
             depths[j] = value
             return
-        if kind not in (PrefixKind.ATTR_NAME, PrefixKind.ATTR_VALUE):
+        if kind not in _ATTACH_ACROSS:
             break
-    raise BadDepth(offset, "depth marker is not attached to an element")
+    raise BadDepth(where(), "depth marker is not attached to an element")
 
 
-def _attach_key(doc: XsDocument, value: int, offset: int) -> None:
-    if doc.kinds and doc.kinds[-1] in NAME_KINDS and doc.payloads[-1] and (
-            doc.keys[-1] is None):
-        doc.keys[-1] = value
+def _attach_key(doc: XsDocument, row: int, value: int,
+                where: Callable[[], int]) -> None:
+    """Give value to the name that the key binder of row follows."""
+    kinds = doc.kinds
+    j = row - 1
+    while j >= 0 and kinds[j] in _MARKER_KINDS:
+        j -= 1
+    if j >= 0 and kinds[j] in NAME_KINDS and doc.payloads[j] and (
+            doc.keys[j] is None):
+        doc.keys[j] = value
         return
-    raise BadKey(offset, "key binder is not attached to a name")
+    raise BadKey(where(), "key binder is not attached to a name")
 
 
-_MARKERS = {"+": (BadDepth, "depth marker", _attach_depth),
-            "#": (BadKey, "key binder", _attach_key)}
+_MARKERS = {PrefixKind.DEPTH: (BadDepth, "depth marker", _attach_depth),
+            PrefixKind.SUBST_KEY: (BadKey, "key binder", _attach_key)}
+
+
+def _fold(payloads: list[str], rows: list[int],
+          fold: Callable[[str], str]) -> None:
+    """Fold the references of the payloads of rows, joined with NUL, which
+    an entity-mode stream does not hold: a fold per payload was 3-8 %
+    slower on the corpus and wide benchmark workloads."""
+    if rows:
+        folded = fold(NUL.join(map(payloads.__getitem__, rows))).split(NUL)
+        deque(map(payloads.__setitem__, rows, folded), 0)
 
 
 def tokenize(text: str, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
@@ -520,83 +583,100 @@ def tokenize(text: str, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
     treated as padding and discarded; whitespace inside data payloads is
     preserved.
     """
-    doc = XsDocument.from_columns([], [], [], [], escaping)
+    pattern = _TOKEN[_checked_escaping(escaping)]
     sentinel = escaping is EscapeMode.SENTINEL
-    match = _TOKEN[escaping].match
-    marker = _MARKER[escaping]
-    # the length of a depth marker's lead, '+' or NUL '+'
-    plus = 2 if sentinel else 1
-    kinds, payloads = doc.kinds, doc.payloads
-    depths, keys = doc.depths, doc.keys
-    add_kind, add_payload = kinds.append, payloads.append
-    add_depth, add_key = depths.append, keys.append
-    # entity mode: the indexes of the payloads that hold an '&', by kind
-    # of run
-    refs: list[int] = []
-    duals: list[int] = []
-    n = len(text)
-    i = 0
-    while i < n:
-        m = match(text, i)
-        g = m.lastindex
-        if g is None:
-            if m.end() < n:
-                _no_token(text, m.end(), sentinel)
+    parts = pattern.split(text)
+    rows = len(parts) // _STRIDE
+    # the first fault: the text before row `gap` (rows for the text after
+    # the last match) holds more than padding, or the run of row `stop`
+    # stopped short; rows + 1 where there is none
+    gap = stop = rows + 1
+    if "".join(parts[::_STRIDE]).strip(_WS):
+        gap = next(g for g, before in enumerate(parts[::_STRIDE])
+                   if before.strip(_WS))
+    stops = parts[5::_STRIDE]
+    if stops.count(None) != rows:
+        stop = next(compress(count(), map(is_not, stops, repeat(None))))
+        stopped_at = stops[stop]
+    del stops
+    kinds = list(map(_LEADS.__getitem__, parts[1::_STRIDE]))
+    payloads = parts[2::_STRIDE]
+    visits = list(compress(range(rows), parts[4::_STRIDE]))
+    # the dual and depth columns, kept only where they hold something, so
+    # that a stream without them peaks lower
+    flags = parts[3::_STRIDE]
+    if flags.count(None) == rows:
+        flags = ()
+    marks = parts[6::_STRIDE]
+    if marks.count(None) == rows:
+        marks = None
+    del parts
+    depths = [None] * rows
+    # each element's own depth marker is read in C; a marker on any other
+    # row is attached by the visit to that row
+    values = {}
+    if marks:
+        distinct = set(marks)
+        distinct.discard(None)
+        try:
+            values = dict(zip(distinct, map(int, distinct)))
+        except ValueError:  # too many digits: each visit reads its own
+            values = None
+        if values is not None:
+            values[None] = None
+            depths = list(map(values.__getitem__, marks))
+        if values is None or not set(compress(kinds, marks)) <= {
+                _CHILD, _SIBLING}:
+            visits = sorted({*visits, *compress(range(rows), marks)})
+    doc = XsDocument.from_columns(kinds, payloads, depths, [None] * rows,
+                                  escaping)
+    # visit the rows that need Python, in stream order, up to the first
+    # fault; a marker row whose stop is its fault is visited first
+    limit = gap if gap <= stop else stop + (kinds[stop] in _MARKER_KINDS)
+    markers = False
+    for j in visits:
+        if j >= limit:
             break
-        i = m.end()
-        if g == marker:
-            start = m.start(g - 1)
-            error, what, attach = _MARKERS[m[g - 1][-1]]
-            payload = m[g]
+        kind, payload = kinds[j], payloads[j]
+        mark = marks[j] if marks else None
+        where = partial(_start, pattern, text, j)
+        if kind in _MARKER_KINDS:
+            markers = True
+            error, what, attach = _MARKERS[kind]
             if not payload:
-                raise error(start, f"no integer after {what}")
-            attach(doc, _integer(payload, error, start, what), start)
-            continue
-        marked = g == _DEPTH
-        if marked:
-            g = _DATA if m[_DATA] is not None else _NAME
-        payload = m[g]
-        if g == _NAME:
+                raise error(where(), f"no integer after {what}")
+            attach(doc, j, _integer(payload, error, where, what), where)
+        elif kind in NAME_KINDS and (not payload or reads_as_key(payload)):
             if not payload:
-                raise EmptyName(m.start(g - 1), "missing name")
-            # isdigit first spares most names the call
-            if payload.isdigit() and reads_as_key(payload):
-                add_key(_integer(payload, BadKey, m.start(g - 1),
-                                 "key reference"))
-                payload = ""
-            else:
-                add_key(None)
-        elif g == _DATA or g == _DUAL:
-            add_key(None)
-        else:
-            _stopped(m, g, sentinel)
-        kind = _LEADS[m[g - 1]]
-        add_kind(kind)
-        add_payload(payload)
-        add_depth(None)
-        if marked:
-            # the marker read with the token: an element takes it, and
-            # any other token attaches it as a marker of its own would be
-            start = m.start(_DEPTH) - plus
-            # int inline, _integer only when it fails: through _integer,
-            # canonical decode on the deep benchmark workload took 1.02x
-            # as long
-            try:
-                depth = int(m[_DEPTH])
-            except ValueError:  # _integer raises the overlong error
-                depth = _integer(m[_DEPTH], BadDepth, start, "depth marker")
-            if kind is _CHILD or kind is _SIBLING:
-                depths[-1] = depth
-            else:
-                _attach_depth(doc, depth, start)
-        if not sentinel and "&" in payload:
-            (duals if g == _DUAL else refs).append(len(payloads) - 1)
-    # one fold over each kind's payloads, joined with NUL, which an
-    # entity-mode stream does not hold; a fold per payload was 3-8 %
-    # slower on the corpus and wide benchmark workloads
-    for held, fold in ((refs, _UNESCAPE), (duals, _UNESCAPE_DUAL)):
-        if held:
-            folded = fold(NUL.join([payloads[j] for j in held])).split(NUL)
-            for j, payload in zip(held, folded):
-                payloads[j] = payload
+                raise EmptyName(where(), "missing name")
+            doc.keys[j] = _integer(payload, BadKey, where, "key reference")
+            payloads[j] = ""
+        if mark is not None and (values is None or (
+                kind is not _CHILD and kind is not _SIBLING)):
+            def where():
+                return (_end(pattern, text, j) - len(mark)
+                        - (2 if sentinel else 1))
+            depths[j] = None
+            _attach_depth(doc, j, _integer(mark, BadDepth, where,
+                                           "depth marker"), where)
+    if gap <= min(stop, rows):
+        _no_token(text, _start(pattern, text, gap), sentinel)
+    if stop < rows:
+        at = _end(pattern, text, stop) - len(stopped_at)
+        if kinds[stop] in _MARKER_KINDS:
+            _no_token(text, at, sentinel)
+        _stopped(stopped_at, at, partial(_start, pattern, text, stop),
+                 sentinel)
+    if not sentinel and "&" in text:
+        # the payloads holding an '&', folded together by kind of run
+        held = list(compress(range(rows), map(contains, payloads,
+                                              repeat("&"))))
+        duals = set(compress(range(rows), flags)).__contains__
+        _fold(payloads, list(filterfalse(duals, held)), _UNESCAPE)
+        _fold(payloads, list(filter(duals, held)), _UNESCAPE_DUAL)
+    if markers:
+        keep = list(map(_IS_TOKEN.__getitem__, kinds))
+        doc.kinds, doc.payloads, doc.depths, doc.keys = (
+            list(compress(column, keep)) for column in (
+                kinds, payloads, depths, doc.keys))
     return doc

@@ -597,6 +597,23 @@ def test_bad_threshold_is_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["subst", "IN", "--threshold", "abc"],
+    ["encode", "IN", "--subst-threshold", "1.5"],
+    ["stats", "IN", "--subst-threshold", ""],
+])
+def test_non_integer_threshold_names_no_private_function(tmp_path, capsys,
+                                                         argv):
+    # argparse names the type function in the message of a ValueError
+    src = write(tmp_path, "in.xml", "<r/>")
+    with pytest.raises(SystemExit) as exc:
+        main([src if arg == "IN" else arg for arg in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "threshold must be an integer" in err
+    assert "_threshold" not in err
+
+
 def test_cli_smoke_script(tmp_path):
     # the installed-package checks, with an xstring on PATH that runs this
     # source tree; CI runs the script again against the installed one

@@ -9,6 +9,7 @@ from xstring import (EncodeMode, EncodeOptions, EscapeMode, PREFIX_CHARS,
                      build_substitution, encode, render, tokenize)
 
 import corpus as fixtures
+import steps
 from tokenizer_oracle import tokenize as oracle_tokenize
 
 # single characters and the multi-character pieces where the two scanners
@@ -172,3 +173,60 @@ def test_long_markers_match_oracle(entity, sentinel):
                                  lift_for_tokenize=True)
     assert_same_digits_unlimited(sentinel + digits, EscapeMode.SENTINEL,
                                  lift_for_tokenize=True)
+
+
+def _rendered_streams():
+    """The rendered streams of the corpus documents: sibling and canonical,
+    keyed by build_substitution(..., 4) or not, in either escape mode."""
+    streams = []
+    for mode in (EncodeMode.SAFE_SIBLING, EncodeMode.CANONICAL):
+        for escaping in EscapeMode:
+            opts = EncodeOptions(mode=mode, escaping=escaping)
+            for doc in fixtures.corpus()[:40] + fixtures.fixture_documents():
+                stream = encode(doc, opts)
+                streams.append((render(stream), escaping))
+                streams.append((render(build_substitution(stream, 4)[1]),
+                                escaping))
+    return streams
+
+
+_RENDERED = _rendered_streams()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.sampled_from(_RENDERED), st.sampled_from(["insert", "delete",
+                                                    "replace"]),
+       st.sampled_from(PIECES), st.floats(0, 1, exclude_max=True))
+def test_one_edit_to_a_rendered_stream_matches_oracle(stream, edit, piece,
+                                                      where):
+    # the first fault sits behind as many good tokens as the edit offset
+    # leaves before it, where the random strings above hold at most 30
+    # pieces
+    text, mode = stream
+    at = int(where * (len(text) + (edit == "insert")))
+    if edit == "insert":
+        text = text[:at] + piece + text[at:]
+    elif edit == "delete":
+        text = text[:at] + text[at + 1:]
+    else:
+        text = text[:at] + piece + text[at + 1:]
+    assert_same(text, mode)
+
+
+def test_tokenize_runs_few_lines_per_token():
+    # Python visits only the rows that need it: markers, names made of
+    # digits, depth markers off an element and the first fault.  Over the
+    # corpus streams in both forms and escape modes this reads 2.3 (sibling,
+    # sentinel) to 4.2 (canonical, entity) lines per token, most of them a
+    # call's fixed cost and the reference fold over streams of about 25
+    # tokens; the per-match loop it replaced read 20.4 to 24.1
+    docs = fixtures.corpus() + fixtures.fixture_documents()
+    for mode in (EncodeMode.SAFE_SIBLING, EncodeMode.CANONICAL):
+        for escaping in EscapeMode:
+            opts = EncodeOptions(mode=mode, escaping=escaping)
+            lines = tokens = 0
+            for doc in docs:
+                wire = render(encode(doc, opts))
+                lines += steps.lines_run(tokenize, wire, escaping)
+                tokens += len(tokenize(wire, escaping).kinds)
+            assert lines / tokens <= 5, (mode, escaping, lines / tokens)
