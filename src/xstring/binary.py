@@ -41,14 +41,14 @@ distinct non-empty name written as a string, in order of first
 occurrence; it is built as the units are written or read and is never
 sent.  The codes 0xB, 0xC and 0xD are a child, sibling or attribute name
 by index: their body is the name's varint index into the table.  pack
-writes a repeated name that way when the index is shorter than the
-string body it would cost in format version 1, a length and the bytes; a
-tie keeps the string.  An empty name, a key reference, is always a
-string.  A depth or key marker follows an index unit as it follows a
-name unit.  Deflate finds most repeated names on its own, but the index
-units still pay: without them the benchmark's deep workload packed to
-0.170 of its XML instead of 0.159, wide to the same size, and mixed,
-whose names are short, to 0.245 instead of 0.246 (seed 1, LEVEL 3).
+writes a repeated name that way when the index is shorter than the name
+costs as a string, its UTF-8 and the NUL after it in container 0; a tie
+keeps the string.  An empty name, a key reference, is always a string.  A
+depth or key marker follows an index unit as it follows a name unit.
+Deflate finds most repeated names on its own, but the index units still
+pay: without them the benchmark's deep workload packed to 0.170 of its
+XML instead of 0.159, wide to the same size, and mixed, whose names are
+short, to 0.245 instead of 0.246 (seed 1, LEVEL 3).
 
 pack reads the stream's columns in one zip and writes each unit where it
 meets it: the first unit of a pair appends its pair byte with the low
@@ -224,14 +224,6 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
         shift += 7
 
 
-def _index_pays(index: int, name: str) -> bool:
-    """Whether the varint of index, above zero, is shorter than the string
-    body of name, which is not empty, in format version 1: its length's
-    varint and its bytes."""
-    size = len(name.encode("utf-8"))
-    return (index.bit_length() + 6) // 7 < (size.bit_length() + 6) // 7 + size
-
-
 def _window(size: int) -> int:
     """The window bits that deflate size bytes, and inflate them: a window
     of 2**w bytes reaches back 2**w - 262 bytes, so the smallest that
@@ -265,8 +257,10 @@ def pack(doc: XsDocument) -> bytes:
         if code in _INDEX_CODE:
             if payload in table:
                 index = table[payload]
-                # below 0x80 the index is one byte and the string two or more
-                if index < 0x80 or _index_pays(index, payload):
+                # below 0x80 the index is one byte and the string two or
+                # more; a lone surrogate is left to container 0 to refuse
+                if index < 0x80 or (index.bit_length() + 6) // 7 <= len(
+                        payload.encode("utf-8", "surrogatepass")):
                     code = _INDEX_CODE[code]
                 else:
                     index = None
@@ -280,9 +274,9 @@ def pack(doc: XsDocument) -> bytes:
             held = -1
         if index is None:
             boxes[_BOX[code]].append(payload)
-        # here, for a marker too, a value below 0x80 is appended as its own
-        # varint: through _write_varint, pack took 1.26x as long on the
-        # wide benchmark workload's stream
+        # here, for a marker and a length too, a value below 0x80 is its own
+        # varint: with all three through _write_varint, pack took 1.08-1.15x
+        # as long on the benchmark's keyed streams (medians of 21 passes)
         elif index < 0x80:
             out.append(index)
         else:
@@ -367,7 +361,9 @@ def unpack(data: bytes, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
     for box in (_STRUCTURE, 0, 1, 2, 3, 4, 5, 6):
         if box != _STRUCTURE and not present >> box & 1:
             continue
-        # a one-byte varint read in place, as in the unit loop below
+        # a one-byte raw length read in place, as in the unit loop: through
+        # _read_varint, unpack made 0.93 calls per keyed corpus token, not
+        # 0.70.  A stored length is seldom one byte, 3 times a benchmark pass
         if pos < end and data[pos] < 0x80:
             raw = data[pos]
             pos += 1
@@ -375,11 +371,7 @@ def unpack(data: bytes, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
             raw, pos = _read_varint(data, pos)
         stored = raw
         if deflated >> box & 1:
-            if pos < end and data[pos] < 0x80:
-                stored = data[pos]
-                pos += 1
-            else:
-                stored, pos = _read_varint(data, pos)
+            stored, pos = _read_varint(data, pos)
             # as pack keeps it; so a container inflates to no more than
             # its input can, whatever it states, and to one byte at least
             if stored >= raw:
@@ -481,8 +473,8 @@ def unpack(data: bytes, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
                 name = len(kinds)
         else:
             # a one-byte varint read in place: through _read_varint, unpack
-            # took 1.41x as long on the corpus benchmark workload's streams
-            # and 1.42x on wide's
+            # took 1.19-1.27x as long on the benchmark's keyed streams of
+            # wide, mixed and deep, 1.01x on corpus's (medians of 21 passes)
             if pos < end and data[pos] < 0x80:
                 value = data[pos]
                 pos += 1

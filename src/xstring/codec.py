@@ -99,7 +99,8 @@ from typing import Iterable, Iterator, Optional
 from .errors import BadArgument, XStringError
 from .grammar import (NUL, PREFIX_CHARS, WHITESPACE, EscapeMode, PrefixKind,
                       XsDocument, name_fault, reads_as_key)
-from .xml_model import Attribute, NodeKind, XmlDocument, XmlNode, walk
+from .xml_model import (Attribute, NodeKind, XmlDocument, XmlNode,
+                        instruction_body, walk)
 
 
 # what walk yields per node: (node, parent, depth)
@@ -570,7 +571,7 @@ def _emit(written: Iterable[_Walked], escaping: EscapeMode,
             if not name or NUL in name or WHITESPACE.search(name):
                 raise Unencodable(f"pi name {name!r} cannot be written")
             kind = PrefixKind.PROC_INSTR
-            content = f"{name} {content}" if content else name
+            content = instruction_body(node)
         else:
             kind = _DATA_KINDS[node.kind]
         add_kind(kind)

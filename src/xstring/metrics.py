@@ -23,8 +23,9 @@ from .binary import pack_envelope
 from .codec import Unencodable, Verifier, encode
 from .errors import BadArgument, XStringError, check_int
 from .grammar import WHITESPACE, PrefixKind, XsDocument, render, wire_pieces
-from .xml_model import (Attribute, NodeKind, XmlDocument, XmlNode, parse_xml,
-                        serialize_attribute, serialize_xml, walk)
+from .xml_model import (Attribute, NodeKind, XmlDocument, XmlNode,
+                        instruction_body, parse_xml, serialize_attribute,
+                        serialize_xml, walk)
 
 
 class ConstructKind(StrEnum):
@@ -144,8 +145,7 @@ def _node_construct(node: XmlNode, token_kind: PrefixKind,
                 else ConstructKind.TEXT)
         return kind, len(node.content)
     if node.kind is NodeKind.PROC_INSTR:
-        return ConstructKind.PI_TAG, len(node.name) + (
-            1 + len(node.content) if node.content else 0)
+        return ConstructKind.PI_TAG, len(instruction_body(node))
     return _DATA_CONSTRUCTS[node.kind], len(node.content)
 
 

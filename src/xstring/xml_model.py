@@ -444,6 +444,12 @@ def serialize_attribute(attr: Attribute) -> str:
     return f' {name}="{v}"'
 
 
+def instruction_body(node: XmlNode) -> str:
+    """What an instruction holds between <? and ?>: its target, then one
+    space and its data when it has data."""
+    return f"{node.name} {node.content}" if node.content else node.name
+
+
 def serialize_xml(doc: XmlDocument) -> str:
     """Serialize without adding any inter-node whitespace.
 
@@ -469,8 +475,7 @@ def serialize_xml(doc: XmlDocument) -> str:
         elif kind is _COMMENT:
             out.append(f"<!--{node.content}-->")
         elif kind is _PROC_INSTR:
-            body = f"{node.name} {node.content}" if node.content else node.name
-            out.append(f"<?{body}?>")
+            out.append(f"<?{instruction_body(node)}?>")
         elif kind is _CDATA:
             out.append(f"<![CDATA[{node.content}]]>")
         elif kind is _DTD:

@@ -7,8 +7,9 @@ version 3.  Its unpack reads each unit where it meets it and holds the
 first token-level error until the last byte, as version 3's does, and
 refuses a non-name payload that holds NUL; its pack writes one.  The
 envelope's version byte is 2.  The error classes are the binary module's
-own, so outcomes compare by class and message; the varint helpers are
-version 1's, which neither version changed.
+own, so outcomes compare by class and message.  The varint helpers are
+this module's own, so that the reference takes nothing from the code it
+checks; version 3 did not change the varint.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from xstring.binary import (BadMagic, BadNameIndex, BadNibble, BadPayload,
                             BadVersion, MalformedVarint, StrayMarker,
                             TrailingBytes, Truncated)
 from xstring.grammar import NUL, EscapeMode, PrefixKind, XsDocument, name_fault
-
-from binary_oracle import _read_varint, _write_varint
 
 MAGIC = b"XSB1"
 VERSION = 2
@@ -58,6 +57,35 @@ _INDEX_CODE = {_CHILD: _CHILD_INDEX, _SIBLING: _SIBLING_INDEX,
 _CODE_TO_KIND = {v: k for k, v in _KIND_TO_CODE.items()} | {
     _CHILD_INDEX: PrefixKind.CHILD, _SIBLING_INDEX: PrefixKind.SIBLING,
     _ATTR_NAME_INDEX: PrefixKind.ATTR_NAME}
+
+
+def _write_varint(value: int, out: bytearray) -> None:
+    while True:
+        b = value & 0x7F
+        value >>= 7
+        if value:
+            out.append(b | 0x80)
+        else:
+            out.append(b)
+            return
+
+
+def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
+    value = 0
+    shift = 0
+    while True:
+        if pos >= len(data):
+            raise Truncated("input ends inside a varint")
+        if shift > 63:
+            raise MalformedVarint("varint is longer than 64 bits")
+        b = data[pos]
+        pos += 1
+        value |= (b & 0x7F) << shift
+        if not b & 0x80:
+            if value >> 64:  # a tenth byte carries bit 63 alone
+                raise MalformedVarint("varint is longer than 64 bits")
+            return value, pos
+        shift += 7
 
 
 def _index_pays(index: int, name: str) -> bool:

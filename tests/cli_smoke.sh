@@ -65,6 +65,15 @@ xstring unpack table.xsb | xstring decode | cmp - table.xml
 zlib_size=$(python3 -c 'import sys, zlib
 print(len(zlib.compress(sys.stdin.buffer.read(), 9)))' < table.xml)
 test "$(wc -c < table.xsb)" -lt "$zlib_size"
+# names that repeat past index 127, after 128 other distinct names: the
+# two-byte index of "x" is no shorter than "x" and its NUL, so x is
+# written as a string again, and the long name goes by index
+python3 - > names.xml <<'PY'
+others = "".join(f"<n{i}/>" for i in range(1, 128))
+print(f"<r>{others}<x/><a_long_element_name/><x/><a_long_element_name/></r>")
+PY
+xstring encode < names.xml | xstring pack | xstring unpack | xstring decode |
+  cmp - names.xml
 # the canonical form read back, in both escape modes: each element's
 # depth marker comes right after its name, or after an attribute list
 # or padding

@@ -40,12 +40,11 @@ from xstring.binary import (
 )
 from xstring.codec import EncodeMode, EncodeOptions, encode
 from xstring.grammar import (NAME_KINDS, NUL, EscapeMode, PrefixKind,
-                             XsDocument, XsToken)
+                             XsDocument, XsToken, name_fault)
 from xstring.transforms import build_substitution
 from xstring.xml_model import parse_xml
 
 import binary_v2_oracle as v2
-from binary_oracle import oracle_pack_envelope
 from corpus import corpus
 from steps import python_calls
 from test_grammar import _names, _payloads, _token_lists
@@ -217,6 +216,13 @@ def test_envelope_bad_version():
         with pytest.raises(BadVersion,
                            match=f"^unsupported format version {version}$"):
             unpack_envelope(b"XSB1" + bytes([version]) + b"\x0e\x01\x58")
+    # two envelopes format version 1 wrote, every name a string: /r'a and
+    # /list/item@id=1|item@id=2
+    for data in ("58534231010f01720161",
+                 "585342310100046c697374046974656d78026964013117046974656d02"
+                 "69648e0132"):
+        with pytest.raises(BadVersion, match="^unsupported format version 1$"):
+            unpack_envelope(bytes.fromhex(data))
 
 
 def test_envelope_truncated_before_version():
@@ -288,10 +294,10 @@ def test_index_error_is_held_as_a_token_error():
 
 def test_index_is_written_only_where_shorter():
     # 128 names fill the one-byte indexes.  At index 128 an index takes
-    # two bytes, as much as a length and the one byte of "a" took in
-    # format version 1, so its repeat stays a string; "ab" at 129 takes
-    # its index, and so does "n5" at 5.  The string "a" is not tabled
-    # again, else "ab" would be at 130
+    # two bytes, as much as "a" and the NUL after it in container 0, so
+    # its repeat stays a string; "ab" at 129 takes its index, and so does
+    # "n5" at 5.  The string "a" is not tabled again, else "ab" would be
+    # at 130
     names = [f"n{i}" for i in range(128)]
     doc = doc_of(*(XsToken(PrefixKind.CHILD, n)
                    for n in names + ["a", "a", "ab", "ab", "n5"]))
@@ -300,6 +306,20 @@ def test_index_is_written_only_where_shorter():
         STRUCTURE: bytes(65) + bytes.fromhex("0B 8101 BE 05"),
         0: "\0".join(names + ["a", "a", "ab"]).encode()}
     assert unpack(data) == doc
+
+
+def test_repeated_name_utf8_cannot_hold_is_bad_payload():
+    # the repeat of a lone surrogate at index 128 is priced by its
+    # surrogatepass form and goes by index, and container 0's join refuses
+    # its first occurrence as it refuses any payload UTF-8 cannot hold
+    doc = XsDocument([XsToken(PrefixKind.CHILD, "r")]
+                     + [XsToken(PrefixKind.ATTR_NAME, f"n{i}")
+                        for i in range(127)]
+                     + [XsToken(PrefixKind.CHILD, "\ud800"),
+                        XsToken(PrefixKind.SIBLING, "\ud800")])
+    for fn in (pack, pack_envelope):
+        with pytest.raises(BadPayload, match="not encodable as UTF-8"):
+            fn(doc)
 
 
 def test_pad_in_high_nibble_rejected():
@@ -896,9 +916,78 @@ def test_repeating_streams_pack_and_unpack(doc):
     assert_packs_and_unpacks(doc)
 
 
+def _index_pays(index, name):
+    """pack's rule for a repeated name at an index of 0x80 or more: the
+    index's varint is shorter than the name's UTF-8 and the NUL after it
+    in container 0."""
+    return (index.bit_length() + 6) // 7 <= len(
+        name.encode("utf-8", "surrogatepass"))
+
+
+# indexes of every varint length from two bytes to ten, up to 2**64 - 1
+_WIDE_INDEXES = st.integers(8, 64).flatmap(
+    lambda bits: st.integers(1 << bits - 1, (1 << bits) - 1))
+# names of one to four characters, each of one to four UTF-8 bytes, and
+# names of 128 bytes or more
+_SHORT_NAMES = st.text(st.sampled_from("aZ_.é߀中𝄞😀") | st.characters(),
+                       min_size=1, max_size=4)
+_LONG_NAMES = st.text(st.sampled_from("aé€𝄞"), min_size=40, max_size=80)
+
+
+@given(_WIDE_INDEXES, _SHORT_NAMES | _LONG_NAMES)
+def test_index_rule_decides_as_version_2s(index, name):
+    # version 2 priced a string as a length varint and the bytes; below
+    # 128 bytes that varint is one byte, as the NUL is, and from 128 up
+    # both rules choose the index, which is ten bytes at most
+    assert _index_pays(index, name) == v2._index_pays(index, name)
+
+
+def _utf8(doc):
+    """Whether UTF-8 can hold every payload of doc."""
+    try:
+        for p in doc.payloads:
+            p.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+@st.composite
+def _many_name_streams(draw):
+    """A stream of 128 or more distinct names, then drawn names, short,
+    multibyte, holding a lone surrogate or 128 bytes long, which first come
+    at index 128 or past it and then repeat, in either escape mode."""
+    tokens = [XsToken(PrefixKind.CHILD, "r")]
+    tokens += [XsToken(PrefixKind.ATTR_NAME, f"n{i}")
+               for i in range(draw(st.integers(127, 140)))]
+    names = draw(st.lists((_SHORT_NAMES | _LONG_NAMES).filter(
+        lambda n: name_fault(n, None) is None), min_size=1, max_size=6,
+        unique=True))
+    if draw(st.booleans()):
+        surrogates = st.sampled_from(["\ud800", "\udbff", "\udc00"])
+        names.append(draw(st.text(surrogates, min_size=1, max_size=2)))
+    for name in names + draw(st.lists(st.sampled_from(names), min_size=1,
+                                      max_size=24)):
+        tokens.append(XsToken(draw(st.sampled_from(NAME_KINDS)), name))
+    return XsDocument(tokens, draw(st.sampled_from(list(EscapeMode))))
+
+
+@given(_many_name_streams())
+def test_names_past_index_127_pack_and_unpack(doc):
+    # pack writes what unpack reads back as the stream, and what the
+    # version 2 oracle writes, or refuses a name UTF-8 cannot hold
+    if _utf8(doc):
+        assert_packs_and_unpacks(doc)
+    else:
+        with pytest.raises(BadPayload, match="not encodable as UTF-8"):
+            pack(doc)
+
+
 @given(_repeating_streams())
 def test_version_1_and_2_envelopes_are_refused(doc):
-    for data, version in ((oracle_pack_envelope(doc), 1),
+    # the version byte is refused before any payload byte is read, so a
+    # version 2 payload stands in for version 1's
+    for data, version in ((b"XSB1\x01" + v2.pack(doc), 1),
                           (v2.pack_envelope(doc), 2)):
         with pytest.raises(BadVersion,
                            match=f"^unsupported format version {version}$"):
@@ -944,7 +1033,7 @@ def keyed_corpus_streams():
 def test_unpack_makes_few_python_calls_per_token():
     # the body of each unit read where it lies, its fields written into
     # the stream's columns, and each distinct name checked once: about
-    # 0.67 calls per token on these streams, where an XsToken built and
+    # 0.70 calls per token on these streams, where an XsToken built and
     # every name checked per token made 1.62, and a helper per unit and a
     # checked constructor per token 6.8
     blobs = [(pack(xs), xs.escaping) for xs in keyed_corpus_streams()]

@@ -136,8 +136,9 @@ def test_tokenize_memory_on_a_table(mode, escaping):
     # strings and the columns taken from it, the list dropped before the
     # depths and keys are built.  Sibling/entity, sibling/sentinel,
     # canonical/entity and canonical/sentinel read 14.2, 13.2, 13.2 and
-    # 11.9 bytes on CPython 3.11.7: 6 % headroom at the most.  The
-    # per-match loop the split replaced read 10.1, 8.6, 9.2 and 7.6
+    # 11.9 bytes on CPython 3.11.7: 6 % headroom at the most; 13.3, 12.4,
+    # 12.4 and 11.2 on 3.12.1 and on 3.13.0.  The per-match loop the split
+    # replaced read 10.1, 8.6, 9.2 and 7.6 on 3.11.7
     def measure(xml):
         wire = render(encode(parse_xml(xml), EncodeOptions(
             mode=mode, escaping=escaping)))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xstring import (EncodeMode, EncodeOptions, EscapeMode, PREFIX_CHARS,
-                     build_substitution, encode, render, tokenize)
+                     StrayData, build_substitution, encode, render, tokenize)
 
 import corpus as fixtures
 import steps
@@ -58,6 +58,17 @@ def test_wire_strings_with_sentinels_match_oracle(mode, data):
 @pytest.mark.parametrize("mode", list(EscapeMode))
 def test_end_of_input_matches_oracle(text, mode):
     assert_same(text, mode)
+
+
+@pytest.mark.parametrize("text, offset, message", [
+    ("/r#5&x", 4, "data outside any token at offset 4"),
+    ("/r#5\0", 4, "NUL in entity-mode stream at offset 4"),
+    ("/r@a#3&#47;", 6, "data outside any token at offset 6")])
+def test_marker_whose_run_stopped_matches_oracle(text, offset, message):
+    # a key marker's digits stop at a character no marker can hold: the
+    # error is the one for data outside any token, at that character
+    got = assert_same(text, EscapeMode.ENTITY)
+    assert got[1] == (StrayData, offset, message)
 
 
 def assert_same_digits_unlimited(text, mode=EscapeMode.ENTITY,
