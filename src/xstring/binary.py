@@ -78,7 +78,12 @@ still read and checked, and raised after the last byte.  So a byte-level
 error anywhere in the input wins over every token-level error, and
 token-level errors come in unit order: a name is checked when the next
 unit that is not a marker, or the end, arrives, since a marker may still
-give it a key.
+give it a key.  Holding is what keeps this reader's outcomes equal to
+format version 2's, which the differentials in the tests compare: this
+one reads every string container before any unit, and the version 2
+reader reads each string where its unit is.  Were a token-level error
+raised where it is found, a fault in a unit before a string that is not
+UTF-8 would win in version 2 and lose here.
 
 pack and unpack work on the bare payload; pack_envelope and
 unpack_envelope add and check the magic and format version.
@@ -457,7 +462,9 @@ def unpack(data: bytes, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
                     error = name_fault(payload, keys[name])
                     if error is not None:
                         fault = fault or BadPayload(error)
-                    elif payload:
+                    else:
+                        # payload is not empty: the one empty name checked
+                        # here has no key, which name_fault refuses
                         passed.add(payload)
                         table.append(payload)
                 name = -1

@@ -72,28 +72,28 @@ def _read_stream(path: str) -> XsDocument:
     return tokenize(text, stream_escaping(text))
 
 
-def _write_text(path: str, text: str, exact: bool = False) -> None:
-    if not exact and not text.endswith("\n"):
-        text += "\n"
-    data = text.encode("utf-8")
+def _write(path: str, data: bytes) -> int:
+    """Write data to stdout's buffer, for path "-", or to the file."""
     if path == "-":
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
-    else:
-        Path(path).write_bytes(data)
-
-
-def _write_bytes(path: str, data: bytes) -> int:
-    if path == "-":
-        if sys.stdout.isatty():
-            print("refusing to write packed data to a terminal; "
-                  "use --output or redirect", file=sys.stderr)
-            return 2
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
     else:
         Path(path).write_bytes(data)
     return 0
+
+
+def _write_text(path: str, text: str, exact: bool = False) -> int:
+    if not exact and not text.endswith("\n"):
+        text += "\n"
+    return _write(path, text.encode("utf-8"))
+
+
+def _write_bytes(path: str, data: bytes) -> int:
+    if path == "-" and sys.stdout.isatty():
+        print("refusing to write packed data to a terminal; "
+              "use --output or redirect", file=sys.stderr)
+        return 2
+    return _write(path, data)
 
 
 def _write_stream(args: argparse.Namespace, doc) -> int:
@@ -101,8 +101,7 @@ def _write_stream(args: argparse.Namespace, doc) -> int:
     if (doc.escaping is EscapeMode.SENTINEL and args.output == "-"
             and sys.stdout.isatty()):
         print("note: sentinel output contains NUL bytes", file=sys.stderr)
-    _write_text(args.output, text, exact=True)
-    return 0
+    return _write_text(args.output, text, exact=True)
 
 
 def _options(args: argparse.Namespace) -> EncodeOptions:
@@ -140,8 +139,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 def cmd_decode(args: argparse.Namespace) -> int:
     stream = _read_stream(args.input)
-    _write_text(args.output, serialize_xml(decode(stream)))
-    return 0
+    return _write_text(args.output, serialize_xml(decode(stream)))
 
 
 def cmd_canon(args: argparse.Namespace) -> int:
@@ -174,14 +172,12 @@ def cmd_fold(args: argparse.Namespace) -> int:
     host = parse_xml(_read_text(args.host))
     inner = parse_xml(_read_text(args.input))
     out = fold(inner, host, args.fold_mode)
-    _write_text(args.output, serialize_xml(out))
-    return 0
+    return _write_text(args.output, serialize_xml(out))
 
 
 def cmd_unfold(args: argparse.Namespace) -> int:
     doc = parse_xml(_read_text(args.input))
-    _write_text(args.output, serialize_xml(unfold(doc, args.index)))
-    return 0
+    return _write_text(args.output, serialize_xml(unfold(doc, args.index)))
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -191,15 +187,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
     stream = _keyed(args, emit(source, _options(args)))
     report = measure(text, stream, source)
     body = report.as_table() if args.format == "table" else report.as_kv()
-    _write_text(args.output, body)
-    return 0
+    return _write_text(args.output, body)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     report = check_well_formed(_read_text(args.input))
     if report.ok:
-        _write_text(args.output, "ok")
-        return 0
+        return _write_text(args.output, "ok")
     lines = []
     for v in report.violations:
         rule = f"rule {v.rule}" if v.rule is not None else "syntax"
@@ -209,13 +203,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 # -- wiring -----------------------------------------------------------------
-
-def _add_io(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("input", nargs="?", default="-",
-                     help="input file, - for stdin (default)")
-    sub.add_argument("-o", "--output", default="-",
-                     help="output file, - for stdout (default)")
-
 
 def _add_escape(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--escape", choices=[mode.value for mode in EscapeMode],
@@ -245,66 +232,43 @@ def build_parser() -> argparse.ArgumentParser:
         description="Convert between XML and its compact string encoding.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("encode", help="XML in, encoded string out")
-    _add_io(p)
-    _add_encode_opts(p)
-    p.set_defaults(func=cmd_encode)
+    def command(name, func, summary):
+        """Register a command that reads input and writes --output, and
+        return its parser for the command's own options."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("input", nargs="?", default="-",
+                       help="input file, - for stdin (default)")
+        p.add_argument("-o", "--output", default="-",
+                       help="output file, - for stdout (default)")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("decode", help="encoded string in, XML out")
-    _add_io(p)
-    p.set_defaults(func=cmd_decode)
-
-    p = sub.add_parser("canon",
-                       help="rewrite a stream to child tokens with depths")
-    _add_io(p)
-    p.set_defaults(func=cmd_canon)
-
-    p = sub.add_parser("subst", help="replace repeated long names with keys")
-    _add_io(p)
+    _add_encode_opts(command("encode", cmd_encode,
+                             "XML in, encoded string out"))
+    command("decode", cmd_decode, "encoded string in, XML out")
+    command("canon", cmd_canon,
+            "rewrite a stream to child tokens with depths")
+    p = command("subst", cmd_subst, "replace repeated long names with keys")
     p.add_argument("--threshold", type=_threshold, default=8, metavar="N",
                    help="minimum name length to consider (default 8)")
-    p.set_defaults(func=cmd_subst)
-
-    p = sub.add_parser("expand", help="resolve substitution keys back to names")
-    _add_io(p)
-    p.set_defaults(func=cmd_expand)
-
-    p = sub.add_parser("pack", help="encoded string in, packed bytes out")
-    _add_io(p)
-    p.set_defaults(func=cmd_pack)
-
-    p = sub.add_parser("unpack", help="packed bytes in, encoded string out")
-    _add_io(p)
-    _add_escape(p)
-    p.set_defaults(func=cmd_unpack)
-
-    p = sub.add_parser("fold",
-                       help="store an encoded document in a host's slot")
-    _add_io(p)
+    command("expand", cmd_expand, "resolve substitution keys back to names")
+    command("pack", cmd_pack, "encoded string in, packed bytes out")
+    _add_escape(command("unpack", cmd_unpack,
+                        "packed bytes in, encoded string out"))
+    p = command("fold", cmd_fold, "store an encoded document in a host's slot")
     p.add_argument("--host", required=True, help="host XML file with the slot")
     p.add_argument("--fold-mode", choices=[m.value for m in FoldMode],
                    default=FoldMode.NESTED,
                    help="slot layout (default nested)")
-    p.set_defaults(func=cmd_fold)
-
-    p = sub.add_parser("unfold", help="rebuild the document a slot holds")
-    _add_io(p)
+    p = command("unfold", cmd_unfold, "rebuild the document a slot holds")
     p.add_argument("--index", type=int, default=None,
                    help="layer to rebuild in a multi fold "
                         "(default the outermost)")
-    p.set_defaults(func=cmd_unfold)
-
-    p = sub.add_parser("stats", help="size comparison for an XML document")
-    _add_io(p)
+    p = command("stats", cmd_stats, "size comparison for an XML document")
     _add_encode_opts(p)
     p.add_argument("--format", choices=["kv", "table"], default="kv",
                    help="output layout (default kv)")
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("check", help="report well-formedness violations")
-    _add_io(p)
-    p.set_defaults(func=cmd_check)
-
+    command("check", cmd_check, "report well-formedness violations")
     return parser
 
 

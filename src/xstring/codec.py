@@ -98,7 +98,7 @@ from typing import Iterable, Iterator, Optional
 
 from .errors import BadArgument, XStringError
 from .grammar import (NUL, PREFIX_CHARS, WHITESPACE, EscapeMode, PrefixKind,
-                      XsDocument, name_fault, reads_as_key)
+                      XsDocument, checked_escaping, name_fault, reads_as_key)
 from .xml_model import (Attribute, NodeKind, XmlDocument, XmlNode,
                         instruction_body, walk)
 
@@ -121,8 +121,7 @@ class EncodeOptions:
     def __post_init__(self):
         if self.mode not in list(EncodeMode):
             raise BadArgument(f"unknown encode mode {self.mode!r}")
-        if not isinstance(self.escaping, EscapeMode):
-            raise BadArgument(f"unknown escape mode {self.escaping!r}")
+        checked_escaping(self.escaping)
 
 
 class DecodeError(XStringError):

@@ -90,11 +90,11 @@ from operator import contains, is_not
 from typing import Callable, Iterable, NoReturn, Optional
 
 from .errors import BadArgument, LocatedError, check_int
+from .xml_model import XML_WHITESPACE
 
 NUL = "\x00"
-_WS = " \t\r\n"
-# the one definition of whitespace on the wire
-WHITESPACE = re.compile(f"[{_WS}]")
+# whitespace on the wire is XML's
+WHITESPACE = re.compile(f"[{XML_WHITESPACE}]")
 
 
 def reads_as_key(s: str) -> bool:
@@ -208,7 +208,8 @@ class XsToken:
         return self.subst_key is not None and not self.payload
 
 
-def _checked_escaping(escaping: EscapeMode) -> EscapeMode:
+def checked_escaping(escaping: EscapeMode) -> EscapeMode:
+    """escaping, which must be an EscapeMode; else BadArgument."""
     if not isinstance(escaping, EscapeMode):
         raise BadArgument(f"unknown escape mode {escaping!r}")
     return escaping
@@ -236,7 +237,7 @@ class XsDocument:
         self.payloads = [t.payload for t in tokens]
         self.depths = [t.depth for t in tokens]
         self.keys = [t.subst_key for t in tokens]
-        self.escaping = _checked_escaping(escaping)
+        self.escaping = checked_escaping(escaping)
 
     @classmethod
     def from_columns(cls, kinds: list[PrefixKind], payloads: list[str],
@@ -248,7 +249,7 @@ class XsDocument:
         doc = object.__new__(cls)
         doc.kinds, doc.payloads, doc.depths, doc.keys = (kinds, payloads,
                                                          depths, keys)
-        doc.escaping = _checked_escaping(escaping)
+        doc.escaping = checked_escaping(escaping)
         return doc
 
     @property
@@ -330,7 +331,7 @@ _MALFORMED = re.compile("&#(?![0-9]+;)")
 
 def escape_data(s: str, mode: EscapeMode = EscapeMode.ENTITY) -> str:
     """Make s safe for use as payload data in the given mode."""
-    if _checked_escaping(mode) is EscapeMode.SENTINEL:
+    if checked_escaping(mode) is EscapeMode.SENTINEL:
         return s
     return _ESCAPE(s)
 
@@ -340,7 +341,7 @@ def unescape_data(s: str, mode: EscapeMode = EscapeMode.ENTITY) -> str:
 
     A '&#' that is not a decimal reference is an error, since escaping
     never produces one."""
-    if _checked_escaping(mode) is EscapeMode.SENTINEL:
+    if checked_escaping(mode) is EscapeMode.SENTINEL:
         return s
     bad = _MALFORMED.search(s)
     if bad:
@@ -446,16 +447,17 @@ _TOKEN = {
     EscapeMode.ENTITY: re.compile(
         f'([{_P}])(?:(?<==)")?+('
         f'(?<=("))' + _run('"') +
-        f"|(?=(?<=[+#])|[0-9]*+(?![^{_P}&\\x00{_WS}]|{_REF}))"
+        f"|(?=(?<=[+#])|[0-9]*+(?![^{_P}&\\x00{XML_WHITESPACE}]|{_REF}))"
         "(?<=([/|@+#]))[0-9]*+"
-        "|(?<=[/|@])" + _run(_P + _WS) +
+        "|(?<=[/|@])" + _run(_P + XML_WHITESPACE) +
         "|" + _run(_P) +
         ')(?:([&\\x00]|(?(3)\\Z|(?!)))|(?(3)"|(?:\\+([0-9]+))?))'),
     EscapeMode.SENTINEL: re.compile(
         f"\\x00([{_P}])("
         '(?<=("))[^\\x00]*+'
-        f"|(?=(?<=[+#])|[0-9]*+(?![^\\x00{_WS}]))(?<=([/|@+#]))[0-9]*+"
-        f"|(?<=[/|@])[^\\x00{_WS}]*+"
+        f"|(?=(?<=[+#])|[0-9]*+(?![^\\x00{XML_WHITESPACE}]))"
+        "(?<=([/|@+#]))[0-9]*+"
+        f"|(?<=[/|@])[^\\x00{XML_WHITESPACE}]*+"
         "|[^\\x00]*+"
         ')(?:((?(3)\\x00(?!")|(?!))|(?(3)\\Z|(?!)))'
         '|(?(3)\\x00"|(?:\\x00\\+([0-9]+))?))'),
@@ -471,7 +473,7 @@ _IS_TOKEN = {kind: kind not in _MARKER_KINDS for kind in PrefixKind}
 # what a depth marker passes over on its way back to its element
 _ATTACH_ACROSS = (PrefixKind.ATTR_NAME, PrefixKind.ATTR_VALUE) + _MARKER_KINDS
 # a sentinel-mode token opens with NUL; an entity-mode stream holds none
-_SENTINEL_LEAD = re.compile(f"[{_WS}]*\\x00")
+_SENTINEL_LEAD = re.compile(f"[{XML_WHITESPACE}]*\\x00")
 
 
 def stream_escaping(text: str) -> EscapeMode:
@@ -488,7 +490,7 @@ def _start(pattern: re.Pattern, text: str, row: int) -> int:
     padding.  A split that stops after row matches leaves the rest of text
     as its last part."""
     rest = pattern.split(text, row)[-1] if row else text
-    return len(text) - len(rest.lstrip(_WS))
+    return len(text) - len(rest.lstrip(XML_WHITESPACE))
 
 
 def _end(pattern: re.Pattern, text: str, row: int) -> int:
@@ -498,15 +500,13 @@ def _end(pattern: re.Pattern, text: str, row: int) -> int:
 
 def _no_token(text: str, i: int, sentinel: bool) -> NoReturn:
     """Raise for the character at i, which cannot start a token."""
-    if sentinel:
-        if text[i] != NUL:
-            raise StrayData(i, "data outside any token")
-        if i + 1 == len(text):
-            raise DanglingEscape(i, "sentinel at end of input")
-        raise DanglingEscape(i, "sentinel before a non-structural character")
-    if text[i] == NUL:
+    if text[i] != NUL:
+        raise StrayData(i, "data outside any token")
+    if not sentinel:
         raise StrayData(i, "NUL in entity-mode stream")
-    raise StrayData(i, "data outside any token")
+    if i + 1 == len(text):
+        raise DanglingEscape(i, "sentinel at end of input")
+    raise DanglingEscape(i, "sentinel before a non-structural character")
 
 
 def _stopped(c: str, at: int, lead: Callable[[], int],
@@ -583,7 +583,7 @@ def tokenize(text: str, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
     treated as padding and discarded; whitespace inside data payloads is
     preserved.
     """
-    pattern = _TOKEN[_checked_escaping(escaping)]
+    pattern = _TOKEN[checked_escaping(escaping)]
     sentinel = escaping is EscapeMode.SENTINEL
     parts = pattern.split(text)
     rows = len(parts) // _STRIDE
@@ -591,9 +591,9 @@ def tokenize(text: str, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
     # the last match) holds more than padding, or the run of row `stop`
     # stopped short; rows + 1 where there is none
     gap = stop = rows + 1
-    if "".join(parts[::_STRIDE]).strip(_WS):
+    if "".join(parts[::_STRIDE]).strip(XML_WHITESPACE):
         gap = next(g for g, before in enumerate(parts[::_STRIDE])
-                   if before.strip(_WS))
+                   if before.strip(XML_WHITESPACE))
     stops = parts[5::_STRIDE]
     if stops.count(None) != rows:
         stop = next(compress(count(), map(is_not, stops, repeat(None))))

@@ -22,10 +22,10 @@ from typing import Iterator, Optional
 from .binary import pack_envelope
 from .codec import Unencodable, Verifier, encode
 from .errors import BadArgument, XStringError, check_int
-from .grammar import WHITESPACE, PrefixKind, XsDocument, render, wire_pieces
-from .xml_model import (Attribute, NodeKind, XmlDocument, XmlNode,
-                        instruction_body, parse_xml, serialize_attribute,
-                        serialize_xml, walk)
+from .grammar import PrefixKind, XsDocument, render, wire_pieces
+from .xml_model import (XML_WHITESPACE, Attribute, NodeKind, XmlDocument,
+                        XmlNode, instruction_body, parse_xml,
+                        serialize_attribute, serialize_xml, walk)
 
 
 class ConstructKind(StrEnum):
@@ -166,7 +166,7 @@ def measure(xml_text: str, xs: XsDocument,
     """
     if source is None:
         source = parse_xml(xml_text)
-    drop = all(WHITESPACE.sub("", payload)
+    drop = all(payload.strip(XML_WHITESPACE)
                for kind, payload in zip(xs.kinds, xs.payloads)
                if kind in (PrefixKind.TEXT, PrefixKind.TEXT_DUAL))
     nodes = list(walk(source, drop))

@@ -13,6 +13,13 @@ frame that builds each node with one constructor call.
 check_well_formed reports the list and parse_xml raises its first entry,
 so both give the same first error, found at linear cost.
 
+XML_WHITESPACE, space, tab, CR and LF, is XML's whitespace and the
+package's one whitespace set: what the parser skips inside tags, the
+whitespace-only text that walk and the encoder may drop, and, through
+grammar, the padding the wire allows between tokens and the characters
+that end a name or an instruction's target there, so that a name reads
+the same on both sides.
+
 Well-formedness violations are reported against a fixed eight-rule list:
 
 1. one unique root element, nothing else at the top level
@@ -34,6 +41,8 @@ from itertools import zip_longest
 from typing import Iterable, Iterator, Optional
 
 from .errors import LocatedError, XStringError
+
+XML_WHITESPACE = " \t\r\n"
 
 
 class NodeKind(StrEnum):
@@ -87,7 +96,8 @@ class XmlNode:
     def is_whitespace_text(self) -> bool:
         """True for text nodes containing only XML whitespace (space, tab,
         CR, LF), which is insignificant."""
-        return self.kind is NodeKind.TEXT and self.content.strip(_WS) == ""
+        return (self.kind is NodeKind.TEXT
+                and self.content.strip(XML_WHITESPACE) == "")
 
     def copy(self) -> "XmlNode":
         dups: list[XmlNode] = []  # the copies of the node's ancestors
@@ -121,7 +131,7 @@ def walk(tops: Iterable[XmlNode], drop: bool = False
                 stack.append((node, iter(node.children)))
                 break
             if not (drop and node.kind is _TEXT
-                    and not node.content.strip(_WS)):
+                    and not node.content.strip(XML_WHITESPACE)):
                 yield node, parent, depth
         else:
             stack.pop()
@@ -172,18 +182,18 @@ class WellFormednessError(XStringError):
         self.reason = message
 
 
-_WS = " \t\r\n"
 # a name character is alphanumeric or one of "._-:", which is exactly \w
 # plus ".-:" (\w already holds the underscore)
 _NAME = r"[\w.\-:]*"
 _NAME_RUN = re.compile(_NAME)
 # a start tag's name (1), then the tag's end (2) when no attribute follows
-_OPEN_TAG = re.compile(f"<({_NAME})[{_WS}]*(/?>)?")
+_OPEN_TAG = re.compile(f"<({_NAME})[{XML_WHITESPACE}]*(/?>)?")
 # one step of a start tag: the tag's end (1), or a name (2), then after
 # '=' the opening quote or the end of input (3), or an unquoted value (4)
-_ATTR = re.compile(f"[{_WS}]*(?:(/?>)|({_NAME})[{_WS}]*"
-                   f"(?:=[{_WS}]*(?:([\"']|\\Z)|([^{_WS}>/]*)))?)")
-_CLOSE_TAG = re.compile(f"</({_NAME})[{_WS}]*(>)?")
+_ATTR = re.compile(f"[{XML_WHITESPACE}]*(?:(/?>)|({_NAME})"
+                   f"[{XML_WHITESPACE}]*(?:=[{XML_WHITESPACE}]*"
+                   f"(?:([\"']|\\Z)|([^{XML_WHITESPACE}>/]*)))?)")
+_CLOSE_TAG = re.compile(f"</({_NAME})[{XML_WHITESPACE}]*(>)?")
 # '&' not starting a reference: a name or digits after an optional '#',
 # then ';'
 _BARE_AMP = re.compile(r"&(?!#?[\w.\-]+;)")
@@ -274,7 +284,7 @@ def _scan(text: str
             pos = end + 2
             # exactly one separator char, so leading whitespace in data
             # survives; an empty instruction has its '?' there
-            if text[cut] in _WS:
+            if text[cut] in XML_WHITESPACE:
                 cut += 1
             node = XmlNode(_PROC_INSTR, target, [], text[cut:end], [])
             if target.lower() == "xml":

@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
 # The installed-package checks: the xstring console script on small
 # inputs, through files, pipes and both escape modes.  It writes its
-# scratch files to the current directory.
+# scratch files to a temporary directory and removes it on exit.
 #
 #   bash tests/cli_smoke.sh
 set -eo pipefail
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+cd "$work"
 out=$(printf '<r><a x="1"/>t</r>' | xstring encode | xstring decode)
 test "$out" = '<r><a x="1"/>t</r>'
 # a file argument and stdin read the same UTF-8 bytes, CR and CRLF

@@ -78,6 +78,25 @@ def test_no_whitespace_calls_without_characters():
     assert calls == []
 
 
+def test_each_decision_has_one_owner():
+    # XML's whitespace set and the escape-mode and no-token messages are
+    # each written once, so a rule changed in one place is changed
+    # everywhere; the other modules import them
+    wanted = {"whitespace": lambda c: (len(c) == 4
+                                       and set(c) == set(" \t\r\n")),
+              "escape": lambda c: "unknown escape mode" in c,
+              "stray": lambda c: "data outside any token" in c}
+    found = {what: [] for what in wanted}
+    for path in sorted(Path(xstring.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                for what, test in wanted.items():
+                    if test(node.value):
+                        found[what].append(f"{path.name}:{node.lineno}")
+    assert {what: len(where) for what, where in found.items()} == {
+        what: 1 for what in wanted}, found
+
+
 def test_no_reads_of_enum_private_value():
     # PrefixKind and NodeKind are StrEnums: a member is a str that hashes
     # as one, so no table needs a key read from Enum's private _value_
