@@ -94,7 +94,8 @@ from __future__ import annotations
 import zlib
 
 from .errors import XStringError
-from .grammar import NUL, EscapeMode, PrefixKind, XsDocument, name_fault
+from .grammar import (NUL, NUL_IN_PAYLOAD, EscapeMode, PrefixKind,
+                      XsDocument, name_fault)
 
 MAGIC = b"XSB1"
 VERSION = 3
@@ -316,7 +317,7 @@ def pack(doc: XsDocument) -> bytes:
             raise _unencodable(strings) from None
         # else one NUL would shift every later string to the wrong token
         if raw.count(0) != len(strings) - 1:
-            raise BadPayload("payload must not contain NUL")
+            raise BadPayload(NUL_IN_PAYLOAD)
         head[0] |= 1 << box
         raws.append((box, raw))
     bodies = [head]

@@ -12,7 +12,7 @@ string: a sentinel-mode stream opens with NUL after any padding, and an
 entity-mode stream holds no NUL.  canon, subst and expand write in the
 mode they read.  --escape belongs to the commands that write a stream
 from something else: encode and stats from XML, unpack from packed bytes,
-which do not record the mode.  $XSTRING_ESCAPE sets its default.
+which do not record the mode.  Its default is entity.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ _LABELS = [
     (PackError, "pack"),
     (FoldError, "fold"),
     (Mismatch, "measure"),
-    (NumericNameClash, "substitution"),
-    (AlreadyKeyed, "substitution"),
+    ((NumericNameClash, AlreadyKeyed), "substitution"),
 ]
 
 
@@ -194,11 +193,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     report = check_well_formed(_read_text(args.input))
     if report.ok:
         return _write_text(args.output, "ok")
-    lines = []
-    for v in report.violations:
-        rule = f"rule {v.rule}" if v.rule is not None else "syntax"
-        lines.append(f"{rule} at offset {v.offset}: {v.message}")
-    _write_text(args.output, "\n".join(lines))
+    _write_text(args.output, "\n".join(v.line() for v in report.violations))
     return 1
 
 
@@ -206,11 +201,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def _add_escape(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--escape", choices=[mode.value for mode in EscapeMode],
-                     default=os.environ.get("XSTRING_ESCAPE", "entity"),
+                     default=EscapeMode.ENTITY,
                      help="how structural characters in data are protected "
-                          "in the stream written (default entity, or "
-                          "$XSTRING_ESCAPE); commands that read a stream "
-                          "take its mode from it")
+                          "in the stream written (default entity); commands "
+                          "that read a stream take its mode from it")
 
 
 def _add_encode_opts(sub: argparse.ArgumentParser) -> None:
@@ -275,10 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    escape = getattr(args, "escape", None)
-    if escape is not None and escape not in [m.value for m in EscapeMode]:
-        parser.error(f"invalid escape mode {escape!r} "
-                     "(check $XSTRING_ESCAPE)")
     try:
         return args.func(args)
     except XStringError as err:

@@ -112,7 +112,7 @@ class EncodeMode(StrEnum):
     CANONICAL = "canonical"
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncodeOptions:
     mode: str = EncodeMode.SAFE_SIBLING
     escaping: EscapeMode = EscapeMode.ENTITY
@@ -122,6 +122,8 @@ class EncodeOptions:
         if self.mode not in list(EncodeMode):
             raise BadArgument(f"unknown encode mode {self.mode!r}")
         checked_escaping(self.escaping)
+        if type(self.drop_insignificant_whitespace) is not bool:
+            raise BadArgument("drop_insignificant_whitespace is not a bool")
 
 
 class DecodeError(XStringError):
@@ -181,16 +183,17 @@ _NODE_KINDS = {PrefixKind.CHILD: NodeKind.ELEMENT,
                PrefixKind.SIBLING: NodeKind.ELEMENT,
                PrefixKind.TEXT: NodeKind.TEXT,
                PrefixKind.TEXT_DUAL: NodeKind.TEXT,
-               PrefixKind.COMMENT: NodeKind.COMMENT,
                PrefixKind.PROC_INSTR: NodeKind.PROC_INSTR,
-               PrefixKind.CDATA: NodeKind.CDATA,
-               PrefixKind.DTD: NodeKind.DTD}
+               **{token: node for node, token in _DATA_KINDS.items()}}
 # the kinds feed and the emitters compare against, bound once as module
 # globals
 _CHILD, _SIBLING = PrefixKind.CHILD, PrefixKind.SIBLING
 _ATTR_NAME, _ATTR_VALUE = PrefixKind.ATTR_NAME, PrefixKind.ATTR_VALUE
 _ELEMENT, _TEXT, _PROC_INSTR = (NodeKind.ELEMENT, NodeKind.TEXT,
                                 NodeKind.PROC_INSTR)
+# what an element token after the root says; any other token is data
+_AFTER_ROOT = {_CHILD: "second root element",
+               _SIBLING: "sibling after the root closed"}
 
 
 class DecodeState:
@@ -312,28 +315,21 @@ class DecodeState:
                 raise BudgetOverrun(
                     f"<{node.name}> still expects {close - attached} "
                     "nodes when an enclosing depth ran out")
+        # what may come while no element is open: a child token opening
+        # the root, and before it one instruction, the prolog
+        if not stack and (kind is not _CHILD or self.root is not None):
+            if self.root is not None:
+                raise ContentAfterRoot(_AFTER_ROOT.get(
+                    kind, "data after the root closed"))
+            if node_kind is _PROC_INSTR and self.prolog is None:
+                self.prolog = self._node(node_kind, name, content, [], None)
+                return
+            raise BadStreamStart("stream must start with a child element")
         if node_kind is not _ELEMENT:
-            if not stack:
-                if self.root is None:
-                    if node_kind is _PROC_INSTR and self.prolog is None:
-                        self.prolog = self._node(node_kind, name, content,
-                                                 [], None)
-                        return
-                    raise BadStreamStart(
-                        "stream must start with a child element")
-                raise ContentAfterRoot("data after the root closed")
             self._node(node_kind, name, content, [], stack[-1][0])
             self._attached = attached + 1
             return
-        if kind is _CHILD:
-            if not stack and self.root is not None:
-                raise ContentAfterRoot("second root element")
-        else:
-            if not stack:
-                if self.root is None:
-                    raise BadStreamStart(
-                        "stream must start with a child element")
-                raise ContentAfterRoot("sibling after the root closed")
+        if kind is _SIBLING:
             # close back to the nearest open element with the name, or
             # just the innermost one when none has it
             idx = nearest.get(name, -1)
@@ -453,6 +449,7 @@ def descendant_count(node: XmlNode) -> int:
 
 
 _NUL_IN_DATA = "NUL in character data cannot be written"
+_DEFAULT_OPTIONS = EncodeOptions()  # frozen, so one serves every call
 
 
 def _writable_name(name: str, what: str) -> str:
@@ -585,19 +582,28 @@ def _emit(written: Iterable[_Walked], escaping: EscapeMode,
                                    [None] * len(kinds), escaping)
 
 
+def _default_options(opts: object) -> EncodeOptions:
+    """The defaults for None, where EncodeOptions are due; else BadArgument."""
+    if opts is not None:
+        raise BadArgument(f"{opts!r} is not an EncodeOptions")
+    return _DEFAULT_OPTIONS
+
+
 def emit(doc: XmlDocument, opts: Optional[EncodeOptions] = None) -> XsDocument:
     """The stream encode writes, without encode's check that its sibling
     form decodes to doc: for a caller that checks the stream itself, as
     metrics.measure does.  It pays: with encode in its place, xstring
     stats ran 1.34-1.50x as long on the four benchmark workload shapes."""
-    opts = opts or EncodeOptions()
+    if not isinstance(opts, EncodeOptions):
+        opts = _default_options(opts)
     return _emit(_written(doc, opts.drop_insignificant_whitespace),
                  opts.escaping, opts.mode == EncodeMode.CANONICAL)
 
 
 def encode(doc: XmlDocument, opts: Optional[EncodeOptions] = None) -> XsDocument:
     """Encode a document; decode(encode(d)) is structurally equal to d."""
-    opts = opts or EncodeOptions()
+    if not isinstance(opts, EncodeOptions):
+        opts = _default_options(opts)
     written = _written(doc, opts.drop_insignificant_whitespace)
     if opts.mode == EncodeMode.CANONICAL:
         return _emit(written, opts.escaping, True)

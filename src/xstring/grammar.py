@@ -93,6 +93,8 @@ from .errors import BadArgument, LocatedError, check_int
 from .xml_model import XML_WHITESPACE
 
 NUL = "\x00"
+# a NUL would end its payload early on the wire and in the packed form
+NUL_IN_PAYLOAD = "payload must not contain NUL"
 # whitespace on the wire is XML's
 WHITESPACE = re.compile(f"[{XML_WHITESPACE}]")
 
@@ -105,7 +107,7 @@ def reads_as_key(s: str) -> bool:
 def name_fault(name: str, key: Optional[int]) -> Optional[str]:
     """XsToken(...)'s message for a name token it refuses, else None."""
     if NUL in name:
-        return "payload must not contain NUL"
+        return NUL_IN_PAYLOAD
     if WHITESPACE.search(name):
         return "names must not contain whitespace"
     if not name and key is None:
@@ -190,7 +192,7 @@ class XsToken:
                 raise BadArgument(fault)
         else:
             if NUL in self.payload:
-                raise BadArgument("payload must not contain NUL")
+                raise BadArgument(NUL_IN_PAYLOAD)
             if self.subst_key is not None:
                 raise BadArgument("key on a non-name token")
         if self.depth is not None:
@@ -327,6 +329,7 @@ _ESCAPE = escaper({c: f"&#{ord(c)};" for c in PREFIX_CHARS})
 _UNESCAPE = folder(PREFIX_CHARS)
 _UNESCAPE_DUAL = folder(_DUAL_CHARS)
 _MALFORMED = re.compile("&#(?![0-9]+;)")
+_NOT_A_REFERENCE = "'&#' is not a decimal character reference"
 
 
 def escape_data(s: str, mode: EscapeMode = EscapeMode.ENTITY) -> str:
@@ -345,8 +348,7 @@ def unescape_data(s: str, mode: EscapeMode = EscapeMode.ENTITY) -> str:
         return s
     bad = _MALFORMED.search(s)
     if bad:
-        raise MalformedEntity(bad.start(),
-                              "'&#' is not a decimal character reference")
+        raise MalformedEntity(bad.start(), _NOT_A_REFERENCE)
     return _UNESCAPE(s)
 
 
@@ -373,7 +375,7 @@ def wire_pieces(doc: XsDocument) -> list[str]:
     joined = NUL.join(payloads)
     bodies = (joined if sentinel else _ESCAPE(joined)).split(NUL)
     if len(bodies) != len(payloads):
-        raise BadArgument("payload must not contain NUL")
+        raise BadArgument(NUL_IN_PAYLOAD)
     mark = NUL if sentinel else ""
     leads = _WIRE_LEADS[doc.escaping]
     dual, names = PrefixKind.TEXT_DUAL, NAME_KINDS
@@ -507,19 +509,6 @@ def _no_token(text: str, i: int, sentinel: bool) -> NoReturn:
     if i + 1 == len(text):
         raise DanglingEscape(i, "sentinel at end of input")
     raise DanglingEscape(i, "sentinel before a non-structural character")
-
-
-def _stopped(c: str, at: int, lead: Callable[[], int],
-             sentinel: bool) -> NoReturn:
-    """Raise for a payload run that stopped short at c, at offset at: an
-    '&' that starts no reference, a NUL in entity mode, or, for a dual, a
-    NUL or the end of input ("") where its closer should be; lead gives
-    the offset of its token."""
-    if c == "&":
-        raise MalformedEntity(at, "'&#' is not a decimal character reference")
-    if c == NUL and not sentinel:
-        raise StrayData(at, "NUL in entity-mode stream")
-    raise UnterminatedDual(lead(), "dual text never closed")
 
 
 def _integer(digits: str, error: type[TokenizeError],
@@ -662,11 +651,16 @@ def tokenize(text: str, escaping: EscapeMode = EscapeMode.ENTITY) -> XsDocument:
     if gap <= min(stop, rows):
         _no_token(text, _start(pattern, text, gap), sentinel)
     if stop < rows:
+        # a run stopped short: where no token starts, at an '&' that
+        # starts no reference, or where a dual's closer should be
         at = _end(pattern, text, stop) - len(stopped_at)
-        if kinds[stop] in _MARKER_KINDS:
+        if (kinds[stop] in _MARKER_KINDS
+                or (stopped_at == NUL and not sentinel)):
             _no_token(text, at, sentinel)
-        _stopped(stopped_at, at, partial(_start, pattern, text, stop),
-                 sentinel)
+        if stopped_at == "&":
+            raise MalformedEntity(at, _NOT_A_REFERENCE)
+        raise UnterminatedDual(_start(pattern, text, stop),
+                               "dual text never closed")
     if not sentinel and "&" in text:
         # the payloads holding an '&', folded together by kind of run
         held = list(compress(range(rows), map(contains, payloads,

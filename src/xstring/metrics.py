@@ -8,8 +8,9 @@ documents below by (n+1)/(2n+5) and pushes it toward one half as names
 grow.
 
 measure checks a stream with the sibling encoder's verifier against the
-parsed markup, building no second tree: the stream must be one that encode
-can write for it, with all whitespace-only text dropped or all of it kept.
+parsed markup, building no second tree: the stream must decode to its tree,
+with all whitespace-only text dropped or all of it kept.  Any such stream
+will do, not only the ones encode writes.
 """
 
 from __future__ import annotations
@@ -153,16 +154,16 @@ def measure(xml_text: str, xs: XsDocument,
             source: Optional[XmlDocument] = None) -> SizeReport:
     """Compare the sizes of a markup document and its encoded form.
 
-    The stream must be one that encode can write for the markup, with all
-    of its whitespace-only text dropped or all of it kept.  Any other
-    stream raises Mismatch, or the decoder's DecodeError if the decoder
-    rejects it no later than it stops matching.  Markup characters are
-    attributed to the construct they belong to; the space before each
-    attribute is counted as separator overhead so the columns add up.
-    source is parse_xml(xml_text) when the caller has already parsed it,
-    and is not changed; None parses xml_text here.  Passing it pays, as
-    emit does: without both, xstring stats ran 1.34-1.50x as long on the
-    four benchmark workload shapes.
+    The stream must decode to the markup's tree, whether encode writes it
+    or not, with all of its whitespace-only text dropped or all of it
+    kept.  Any other stream raises Mismatch, or the decoder's DecodeError
+    if the decoder rejects it no later than it stops matching.  Markup
+    characters are attributed to the construct they belong to; the space
+    before each attribute is counted as separator overhead so the columns
+    add up.  source is parse_xml(xml_text) when the caller has already
+    parsed it, and is not changed; None parses xml_text here.  Passing it
+    pays, as emit does: without both, xstring stats ran 1.34-1.50x as long
+    on the four benchmark workload shapes.
     """
     if source is None:
         source = parse_xml(xml_text)

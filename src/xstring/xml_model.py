@@ -160,6 +160,13 @@ class Violation:
     offset: int
     message: str
 
+    def line(self) -> str:
+        """The violation as xstring check prints it and WellFormednessError
+        says it: "rule N at offset O: message", with "syntax" in place of
+        "rule N" for a plain syntax error."""
+        rule = "syntax" if self.rule is None else f"rule {self.rule}"
+        return f"{rule} at offset {self.offset}: {self.message}"
+
 
 @dataclass
 class WellFormednessReport:
@@ -176,7 +183,7 @@ class XmlSyntaxError(LocatedError):
 
 class WellFormednessError(XStringError):
     def __init__(self, rule: int, offset: int, message: str):
-        super().__init__(f"rule {rule} at offset {offset}: {message}")
+        super().__init__(Violation(rule, offset, message).line())
         self.rule = rule
         self.offset = offset
         self.reason = message

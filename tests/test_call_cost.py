@@ -16,8 +16,8 @@ import math
 from corpus import corpus
 from steps import lines_run
 from xstring import (EncodeMode, EncodeOptions, build_substitution, decode,
-                     encode, pack_envelope, parse_xml, render,
-                     serialize_xml, tokenize, unpack_envelope)
+                     encode, expand_substitution, pack_envelope, parse_xml,
+                     render, serialize_xml, tokenize, unpack_envelope)
 
 MARGIN = 0.05
 
@@ -26,14 +26,14 @@ COUNTS = {
     "tiny": {
         "parse_xml": 43, "encode.sibling": 136, "encode.canonical": 77,
         "render": 51, "tokenize": 44, "decode": 48, "serialize_xml": 28,
-        "build_substitution": 30, "pack_envelope": 67,
-        "unpack_envelope": 149,
+        "build_substitution": 30, "expand_substitution": 19,
+        "pack_envelope": 67, "unpack_envelope": 149,
     },
     "median": {
         "parse_xml": 189, "encode.sibling": 454, "encode.canonical": 240,
         "render": 117, "tokenize": 81, "decode": 201, "serialize_xml": 103,
-        "build_substitution": 94, "pack_envelope": 190,
-        "unpack_envelope": 369,
+        "build_substitution": 94, "expand_substitution": 43,
+        "pack_envelope": 190, "unpack_envelope": 369,
     },
 }
 
@@ -64,6 +64,7 @@ def call_costs(text: str) -> dict[str, int]:
         "decode": (decode, stream),
         "serialize_xml": (serialize_xml, doc),
         "build_substitution": (build_substitution, stream, 8),
+        "expand_substitution": (expand_substitution, keyed),
         "pack_envelope": (pack_envelope, keyed),
         "unpack_envelope": (unpack_envelope, packed),
     }

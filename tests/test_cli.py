@@ -516,24 +516,6 @@ def test_escape_environment_leaves_stream_readers_alone(command, tmp_path,
     assert capsysbinary.readouterr().out == library(tokenize(text))
 
 
-def test_sentinel_escape_from_environment(tmp_path, monkeypatch):
-    monkeypatch.setenv("XSTRING_ESCAPE", "sentinel")
-    src = write(tmp_path, "in.xml", "<X>a/b</X>")
-    mid = tmp_path / "mid.xs"
-    assert main(["encode", src, "-o", str(mid)]) == 0
-    assert mid.read_bytes() == b"\x00/X\x00'a/b"
-
-
-def test_invalid_escape_environment_is_usage_error(tmp_path, monkeypatch,
-                                                   capsys):
-    monkeypatch.setenv("XSTRING_ESCAPE", "bogus")
-    src = write(tmp_path, "in.xml", "<X/>")
-    with pytest.raises(SystemExit) as exc:
-        main(["encode", src])
-    assert exc.value.code == 2
-    assert "XSTRING_ESCAPE" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("command, choices", [
     ("encode", ["{sibling,canonical}", "{entity,sentinel}"]),
     ("stats", ["{sibling,canonical}", "{entity,sentinel}", "{kv,table}"]),

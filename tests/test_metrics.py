@@ -9,7 +9,8 @@ from xstring import XStringError, parse_xml
 from xstring.binary import pack_envelope
 from xstring.codec import (DecodeError, DecodeState, DuplicateAttr,
                            EncodeMode, EncodeOptions, decode, encode)
-from xstring.grammar import EscapeMode, PrefixKind, XsDocument, XsToken, render
+from xstring.grammar import (EscapeMode, PrefixKind, XsDocument, XsToken,
+                             render, tokenize)
 from xstring.metrics import (
     AsymptoteProbe,
     ConstructKind,
@@ -178,6 +179,18 @@ def test_measure_rejects_wrong_stream():
         measure(ROWS_MIXED_XML, encode(parse_xml(RECORDS_XML)))
     with pytest.raises(Mismatch):
         measure("<A/>", encode(parse_xml("<B/>")))
+
+
+def test_measure_takes_any_stream_that_decodes_to_the_markup():
+    # neither encoding writes /r/a+0/b: the sibling form is /r/a|b, the
+    # canonical one /r+2/a+0/b+0
+    text = "<r><a/><b/></r>"
+    xs = tokenize("/r/a+0/b")
+    assert all(xs != encode(parse_xml(text), EncodeOptions(mode=mode))
+               for mode in EncodeMode)
+    report = measure(text, xs)
+    assert (report.xml_chars, report.xs_chars) == (15, 8)
+    assert report.constructs[ConstructKind.EMPTY_TAG].count == 2
 
 
 def test_asymptote_short_names():

@@ -2,7 +2,9 @@
 it raises for a caller's arguments."""
 
 import ast
+import dataclasses
 import graphlib
+import re
 import sys
 import types
 from pathlib import Path
@@ -12,8 +14,8 @@ import pytest
 import xstring
 from xstring import (ConstructKind, EncodeOptions, FoldMode, PrefixKind,
                      XsDocument, XStringError, XsToken, asymptote_check,
-                     build_substitution, fold, parse_xml, predict_size,
-                     render, tokenize, unfold, unpack)
+                     build_substitution, encode, fold, parse_xml,
+                     predict_size, render, tokenize, unfold, unpack)
 
 # a multi fold of one layer, whose layer 1 does not exist
 _FOLDED = fold(parse_xml("<a/>"), parse_xml('<h><XSTRING COUNT="0"/></h>'),
@@ -79,22 +81,47 @@ def test_no_whitespace_calls_without_characters():
 
 
 def test_each_decision_has_one_owner():
-    # XML's whitespace set and the escape-mode and no-token messages are
+    # XML's whitespace set, each message below and the violation line are
     # each written once, so a rule changed in one place is changed
-    # everywhere; the other modules import them
+    # everywhere; the other modules import them.  The CLI reads no
+    # environment variable for --escape's default, so its name is gone
     wanted = {"whitespace": lambda c: (len(c) == 4
                                        and set(c) == set(" \t\r\n")),
               "escape": lambda c: "unknown escape mode" in c,
-              "stray": lambda c: "data outside any token" in c}
-    found = {what: [] for what in wanted}
+              "stray": lambda c: "data outside any token" in c,
+              "nul_payload": lambda c: "payload must not contain NUL" in c,
+              "nul_entity": lambda c: "NUL in entity-mode stream" in c,
+              "reference": lambda c: (
+                  "is not a decimal character reference" in c),
+              "stream_start": lambda c: (
+                  "stream must start with a child element" in c),
+              "escape_environment": lambda c: "XSTRING_ESCAPE" in c}
+    # "rule N at offset O: message"; LocatedError's "message at offset O"
+    # is another line
+    violation = re.compile(r" at offset \{[^{}]*\}: ")
+    found = {what: [] for what in [*wanted, "violation_line"]}
     for path in sorted(Path(xstring.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                for what, test in wanted.items():
-                    if test(node.value):
-                        found[what].append(f"{path.name}:{node.lineno}")
+                hits = [what for what, test in wanted.items()
+                        if test(node.value)]
+            elif (isinstance(node, ast.JoinedStr)
+                    and violation.search(ast.unparse(node))):
+                hits = ["violation_line"]
+            else:
+                continue
+            for what in hits:
+                found[what].append(f"{path.name}:{node.lineno}")
     assert {what: len(where) for what, where in found.items()} == {
-        what: 1 for what in wanted}, found
+        **{what: 1 for what in found}, "escape_environment": 0}, found
+
+
+def test_encode_options_are_frozen():
+    # a field set after the checks would skip them: mode "bogus" encoded
+    # a sibling stream
+    opts = EncodeOptions()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        opts.mode = "bogus"
 
 
 def test_no_reads_of_enum_private_value():
@@ -185,12 +212,16 @@ def test_module_imports_form_no_cycle():
     lambda: predict_size(ConstructKind.ATTRIBUTE, 3, 1.0),
     lambda: asymptote_check("3", 5),
     lambda: asymptote_check(3, True),
+    lambda: EncodeOptions(drop_insignificant_whitespace="no"),
+    lambda: encode(parse_xml("<a/>"), {}),
+    lambda: encode(parse_xml("<a/>"), {"mode": "canonical"}),
 ], ids=["encode_mode", "fold_mode", "size_n", "size_m", "asymptote",
         "threshold", "token", "encode_escape", "tokenize_escape",
         "unpack_escape", "render_escape", "threshold_str", "threshold_bool",
         "index_bool", "index_float", "index_str", "fold_mode_no_slot",
         "size_kind_str", "size_n_str", "size_n_bool", "size_m_float",
-        "asymptote_name_len_str", "asymptote_depth_bool"])
+        "asymptote_name_len_str", "asymptote_depth_bool", "encode_drop_str",
+        "encode_options_empty_dict", "encode_options_dict"])
 def test_argument_errors_are_typed(call):
     # each is both: existing callers catch ValueError, the CLI XStringError;
     # a value of the wrong type is refused by type, bool included, since
