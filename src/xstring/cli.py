@@ -203,14 +203,14 @@ def _add_escape(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--escape", choices=[mode.value for mode in EscapeMode],
                      default=EscapeMode.ENTITY,
                      help="how structural characters in data are protected "
-                          "in the stream written (default entity); commands "
-                          "that read a stream take its mode from it")
+                          "in the stream written (default %(default)s); "
+                          "commands that read a stream take its mode from it")
 
 
 def _add_encode_opts(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--mode", choices=[m.value for m in EncodeMode],
                      default=EncodeMode.SAFE_SIBLING,
-                     help="element emission style (default sibling)")
+                     help="element emission style (default %(default)s)")
     sub.add_argument("--keep-whitespace", action="store_true",
                      help="encode whitespace-only text nodes too")
     sub.add_argument("--subst-threshold", type=_threshold, default=None,
@@ -244,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
             "rewrite a stream to child tokens with depths")
     p = command("subst", cmd_subst, "replace repeated long names with keys")
     p.add_argument("--threshold", type=_threshold, default=8, metavar="N",
-                   help="minimum name length to consider (default 8)")
+                   help="minimum name length to consider "
+                        "(default %(default)s)")
     command("expand", cmd_expand, "resolve substitution keys back to names")
     command("pack", cmd_pack, "encoded string in, packed bytes out")
     _add_escape(command("unpack", cmd_unpack,
@@ -253,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", required=True, help="host XML file with the slot")
     p.add_argument("--fold-mode", choices=[m.value for m in FoldMode],
                    default=FoldMode.NESTED,
-                   help="slot layout (default nested)")
+                   help="slot layout (default %(default)s)")
     p = command("unfold", cmd_unfold, "rebuild the document a slot holds")
     p.add_argument("--index", type=int, default=None,
                    help="layer to rebuild in a multi fold "
@@ -261,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("stats", cmd_stats, "size comparison for an XML document")
     _add_encode_opts(p)
     p.add_argument("--format", choices=["kv", "table"], default="kv",
-                   help="output layout (default kv)")
+                   help="output layout (default %(default)s)")
     command("check", cmd_check, "report well-formedness violations")
     return parser
 

@@ -8,10 +8,13 @@ expanded; text is carried verbatim so that a parse/serialize round trip is
 byte-faithful for the data it touches.
 
 One function, _scan, reads the text once and always collects: it
-returns the tree it built and every violation, in the order met, in one
-frame that builds each node with one constructor call.
-check_well_formed reports the list and parse_xml raises its first entry,
-so both give the same first error, found at linear cost.
+returns the tree it built and every violation, in the order met.  It
+reads the text as the rows of one compiled pattern, each a construct and
+the text after it, and builds each node with one constructor call; a
+construct the pattern refuses is read step by step by _read_construct,
+and the rows resume where that reading stopped.  check_well_formed
+reports the list and parse_xml raises its first entry, so both give the
+same first error, found at linear cost.
 
 XML_WHITESPACE, space, tab, CR and LF, is XML's whitespace and the
 package's one whitespace set: what the parser skips inside tags, the
@@ -191,8 +194,40 @@ class WellFormednessError(XStringError):
 
 # a name character is alphanumeric or one of "._-:", which is exactly \w
 # plus ".-:" (\w already holds the underscore)
-_NAME = r"[\w.\-:]*"
+_NAME_CHAR = r"[\w.\-:]"
+_NAME = f"{_NAME_CHAR}*"
 _NAME_RUN = re.compile(_NAME)
+_SPACE = f"[{XML_WHITESPACE}]*+"
+# a name the row pattern takes unchecked: an ASCII letter, '_' or ':'
+# first.  A name that starts otherwise, valid or not, is read step by
+# step, where the name-start rule is applied
+_PLAIN_NAME = f"[A-Za-z_:]{_NAME_CHAR}*+"
+# one attribute as the row pattern takes it: a name (1), then optionally
+# '=' and a quoted value, whose characters between the quotes are (2); a
+# lookbehind at the opening quote picks the closing one
+_PAIR = (f"({_PLAIN_NAME})(?:{_SPACE}={_SPACE}[\"']"
+         "((?<=\")[^\"]*+|(?<=')[^']*+)[\"'])?+")
+_PAIRS = re.compile(_PAIR)
+# one row: a construct that is well formed as it stands, then the text
+# after it up to the next '<' (14).  Only a row at the start of a run of
+# rows may lack the construct, and no row is empty.  A '<' that the other
+# alternatives refuse matches the empty fault group (13), so the rows of
+# a text leave no gap
+_ROW = re.compile(
+    "(?=.)(?:<(?:"
+    # a start tag: its name (1), its attributes (2, with the last one's
+    # name and value in 3 and 4), "" when one of them has no value (5) and
+    # "/" when the tag closes itself (6)
+    f"({_PLAIN_NAME})((?:{_SPACE}{_PAIR}(?:(?<=[\"'])|()))*+)"
+    f"{_SPACE}(/?)>"
+    # a close tag's name (7)
+    f"|/({_NAME_CHAR}*+){_SPACE}>"
+    # a comment (8), a CDATA section (9), an instruction's target (10) and
+    # its data after one separator (11), a declaration with no '<' (12)
+    r"|!--(.*?)-->|!\[CDATA\[(.*?)\]\]>"
+    f"|\\?({_NAME_CHAR}++)[{XML_WHITESPACE}]?+(.*?)\\?>"
+    r"|!(?!--|\[CDATA\[)([^<>]*+)>"
+    r"|()))?+([^<]*+)", re.S)
 # a start tag's name (1), then the tag's end (2) when no attribute follows
 _OPEN_TAG = re.compile(f"<({_NAME})[{XML_WHITESPACE}]*(/?>)?")
 # one step of a start tag: the tag's end (1), or a name (2), then after
@@ -216,14 +251,16 @@ def _scan(text: str
     """Read text once into its prolog, its root and its violations, in the
     order they are met.
 
-    The loop reads every construct in its own frame: a text run, a start
-    tag with its attributes (one _ATTR match per attribute after the
-    name), a close tag, and a comment, CDATA section, processing
-    instruction or declaration, each by one find or scan for its closer.
-    It builds each node with one XmlNode(...) call.  Names are runs of
-    _NAME_RUN's class, so a name is valid exactly when its first character
-    may start one.  After a syntax error the scan stops at the end of the
-    construct it is in."""
+    The loop reads the rows of _ROW: one construct and the text after it,
+    the construct's parts in the groups.  It builds each node with one
+    XmlNode(...) call, and checks in Python only what the pattern leaves
+    open: a repeated attribute name, a bare '&', a close tag that does
+    not close the innermost open element, an instruction's target, and
+    where a declaration stands.  A row that the pattern refused, or whose
+    attributes fail a check, is a fault row: _read_construct reads that
+    one construct step by step from its '<', recording its violations in
+    order, and the rows resume where it stopped.  After a syntax error the
+    scan stops at the end of the construct it is in."""
     violations: list[Violation] = []
     record = violations.append
     prolog: Optional[XmlNode] = None
@@ -234,193 +271,212 @@ def _scan(text: str
     stack: list[XmlNode] = []
     nearest: dict[str, int] = {}
     below: list[int] = []
-    fatal = False  # a syntax error in a tag stops the scan after the tag
-    stop = ""  # the syntax error that stopped the scan outside a tag
+    fatal = False  # a syntax error stops the scan after its construct
     n = len(text)
-    open_tag, attr = _OPEN_TAG.match, _ATTR.match
-    close_tag = _CLOSE_TAG.match
     # a byte order mark is not content (XML 1.0 4.3.3); offsets stay
     # offsets into text
     pos = body = 1 if text.startswith("\ufeff") else 0
     while pos < n and not fatal:
-        start = pos
-        lead = text[pos:pos + 2]
-        if lead[0] != "<":
-            pos = text.find("<", pos)
-            if pos < 0:
-                pos = n
-            content = text[start:pos]
-            if "&" in content:
-                for m in _BARE_AMP.finditer(text, start, pos):
-                    record(Violation(8, m.start(), _BARE_AMP_MESSAGE))
-            node = XmlNode(_TEXT, "", [], content, [])
-        elif lead == "</":
-            m = close_tag(text, pos)
-            name = m[1]
-            pos = m.end()
-            if m[2] is None:
-                record(Violation(5, pos,
-                                 "attributes are not allowed on close tags"))
-                end = text.find(">", pos)
-                pos = n if end < 0 else end + 1
-            if stack and stack[-1].name == name:
-                nearest[name] = below.pop()
-                del stack[-1]
-                continue
-            at = nearest.get(name, -1)
-            if at < 0:
-                record(Violation(2, start,
-                                 f"close tag </{name}> matches no open tag"))
-                continue
-            record(Violation(4, start, f"close tag </{name}> overlaps "
-                             f"<{stack[-1].name}>"))
-            while len(stack) > at:
-                nearest[stack.pop().name] = below.pop()
-            continue
-        elif lead == "<?":
-            m = _NAME_RUN.match(text, pos + 2)
-            target = m[0]
-            if not target:
-                stop = "processing instruction without a target"
-                break
-            cut = m.end()
-            end = text.find("?>", cut)
-            if end < 0:
-                stop = "unterminated processing instruction"
-                break
-            pos = end + 2
-            # exactly one separator char, so leading whitespace in data
-            # survives; an empty instruction has its '?' there
-            if text[cut] in XML_WHITESPACE:
-                cut += 1
-            node = XmlNode(_PROC_INSTR, target, [], text[cut:end], [])
-            if target.lower() == "xml":
-                if start == body:
-                    prolog = node
-                else:
-                    record(Violation(3, start, "XML declaration must be at "
-                                     "the start of the document"))
-                continue
-            if not (target[0].isalpha() or target[0] in "_:"):
-                record(Violation(7, start,
-                                 f"invalid instruction target {target!r}"))
-        elif lead == "<!":
-            if text.startswith("--", pos + 2):
-                end = text.find("-->", pos + 4)
-                if end < 0:
-                    stop = "unterminated comment"
-                    break
-                pos = end + 3
-                node = XmlNode(_COMMENT, "", [], text[start + 4:end], [])
-            elif text.startswith("[CDATA[", pos + 2):
-                end = text.find("]]>", pos + 9)
-                if end < 0:
-                    stop = "unterminated CDATA section"
-                    break
-                pos = end + 3
-                node = XmlNode(_CDATA, "", [], text[start + 9:end], [])
-            else:
-                # an opaque declaration; '<'/'>' depth covers internal
-                # subsets
-                depth = 1
-                for m in _ANGLES.finditer(text, pos + 2):
-                    depth += 1 if m[0] == "<" else -1
-                    if not depth:
-                        break
-                else:
-                    stop = "unterminated '<!' declaration"
-                    break
-                pos = m.end()
-                if not stack:
+        for m in _ROW.finditer(text, pos):
+            (tag, spec, _, _, bare, slash, close, comment, cdata, target,
+             data, decl, fault, run) = m.groups()
+            if tag:
+                attrs = []
+                if spec:
+                    if bare is None:
+                        attrs = _PAIRS.findall(spec)
+                    else:
+                        # split gives None, where findall gives "", for an
+                        # attribute without a value: [space, name, value]
+                        # per attribute
+                        split = _PAIRS.split(spec)
+                        attrs = list(zip(split[1::3], split[2::3]))
+                    if (len(attrs) > 1 and len(dict(attrs)) < len(attrs)
+                            or "&" in spec and _BARE_AMP.search(spec)):
+                        # read step by step, which records each repeated
+                        # name and bare '&' in the order met
+                        attrs = _read_construct(text, m.start(), record)[1]
+            elif close is None:
+                if fault is not None:
+                    # the text after the construct is the next row's
+                    tag, attrs, slash, close, decl, pos, fatal = (
+                        _read_construct(text, m.start(), record))
+                    run = None
+                node = None
+                if comment is not None:
+                    node = XmlNode(_COMMENT, "", [], comment, [])
+                elif cdata is not None:
+                    node = XmlNode(_CDATA, "", [], cdata, [])
+                elif target and target.lower() == "xml":
+                    if m.start() == body:
+                        prolog = XmlNode(_PROC_INSTR, target, [], data, [])
+                    else:
+                        record(Violation(3, m.start(), "XML declaration must "
+                                         "be at the start of the document"))
+                elif target:
+                    if not (target[0].isalpha() or target[0] in "_:"):
+                        record(Violation(7, m.start(), "invalid instruction "
+                                         f"target {target!r}"))
+                    node = XmlNode(_PROC_INSTR, target, [], data, [])
+                elif decl is not None and stack:
+                    node = XmlNode(_DTD, "", [], decl, [])
+                elif decl is not None:
                     # no slot for a doctype in the document model
-                    record(Violation(1, start,
+                    record(Violation(1, m.start(),
                                      "declaration outside the root element"))
-                    continue
-                node = XmlNode(_DTD, "", [], text[start + 2:m.start()], [])
+                if node is not None and stack:
+                    stack[-1].children.append(node)
+                elif node is not None:
+                    # only the declaration and the root element stand at
+                    # the top
+                    record(Violation(1, m.start(), _OUTSIDE_ROOT_MESSAGE))
+            if tag:
+                node = XmlNode(_ELEMENT, tag, attrs, "", [])
+                if stack:
+                    stack[-1].children.append(node)
+                elif root is None:
+                    root = node
+                else:
+                    record(Violation(1, m.start(), _OUTSIDE_ROOT_MESSAGE))
+                if not slash:
+                    below.append(nearest.get(tag, -1))
+                    nearest[tag] = len(stack)
+                    stack.append(node)
+            elif close is not None:
+                if stack and stack[-1].name == close:
+                    nearest[close] = below.pop()
+                    del stack[-1]
+                else:
+                    at = nearest.get(close, -1)
+                    if at < 0:
+                        record(Violation(2, m.start(), f"close tag </{close}> "
+                                         "matches no open tag"))
+                    else:
+                        record(Violation(4, m.start(), f"close tag </{close}> "
+                                         f"overlaps <{stack[-1].name}>"))
+                        while len(stack) > at:
+                            nearest[stack.pop().name] = below.pop()
+            if run:
+                if "&" in run:
+                    for a in _BARE_AMP.finditer(text, m.start(14), m.end()):
+                        record(Violation(8, a.start(), _BARE_AMP_MESSAGE))
+                if stack:
+                    stack[-1].children.append(XmlNode(_TEXT, "", [], run, []))
+                elif run.strip(XML_WHITESPACE):
+                    record(Violation(1, m.start(14), _OUTSIDE_ROOT_MESSAGE))
+            elif fault is not None:
+                break  # the rows start again at pos
         else:
-            m = open_tag(text, pos)
-            name = m[1]
-            if not name:
-                stop = "bare '<' does not start markup"
-                break
-            if not (name[0].isalpha() or name[0] in "_:"):
-                record(Violation(7, pos + 1, f"invalid element name {name!r}"))
-            pos = m.end()
-            attrs: list[Attribute] = []
-            seen: Optional[set[str]] = None  # made at a second attribute
-            end = m[2]  # '>' or '/>' once read
-            while end is None:
-                m = attr(text, pos)
-                end, aname, quote, value = m.groups()
-                pos = m.end()
-                if end:
-                    break
-                off = m.start(2)
-                if not aname:
-                    fatal = True
-                    if off == n:
-                        # attached but not opened, as after '/>'
-                        record(Violation(None, off, "unterminated start tag"))
-                        end = "/>"
-                        break
-                    # skip the character and read on to the tag's end
-                    record(Violation(None, off,
-                                     f"unexpected {text[off]!r} in tag"))
-                    pos = off + 1
-                    continue
-                if not (aname[0].isalpha() or aname[0] in "_:"):
-                    record(Violation(7, off,
-                                     f"invalid attribute name {aname!r}"))
-                if quote is not None:
-                    # an empty quote is '=' at the end of input
-                    close = text.find(quote, pos) if quote else -1
-                    if close < 0:
-                        record(Violation(None, off,
-                                         "unterminated attribute value"))
-                        fatal = True
-                        end = "/>"
-                        break
-                    value = text[pos:close]
-                    if "&" in value:
-                        for a in _BARE_AMP.finditer(text, pos, close):
-                            record(Violation(8, a.start(), _BARE_AMP_MESSAGE))
-                    pos = close + 1
-                elif value is not None:
-                    record(Violation(6, m.start(4),
-                                     "attribute value must be quoted"))
-                if attrs:
-                    if seen is None:
-                        seen = {attrs[0][0]}
-                    if aname in seen:
-                        record(Violation(6, off,
-                                         f"duplicate attribute {aname!r}"))
-                        continue
-                    seen.add(aname)
-                attrs.append((aname, value))
-            node = XmlNode(_ELEMENT, name, attrs, "", [])
-            if stack:
-                stack[-1].children.append(node)
-            elif root is None:
-                root = node
-            else:
-                record(Violation(1, start, _OUTSIDE_ROOT_MESSAGE))
-            if end == ">":
-                below.append(nearest.get(name, -1))
-                nearest[name] = len(stack)
-                stack.append(node)
-            continue
-        if stack:
-            stack[-1].children.append(node)
-        elif not node.is_whitespace_text():
-            # only the declaration and the root element stand at the top
-            record(Violation(1, start, _OUTSIDE_ROOT_MESSAGE))
-    if stop:
-        record(Violation(None, start, stop))
+            break
     for node in reversed(stack):
         record(Violation(2, n, f"<{node.name}> is never closed"))
-    if root is None and not (stop or fatal):
+    if root is None and not fatal:
         record(Violation(1, n, "no root element"))
     return prolog, root, violations
+
+
+def _read_construct(text: str, start: int, record
+                    ) -> tuple[str, list[Attribute], str, Optional[str],
+                               Optional[str], int, bool]:
+    """Read the construct at start, where text[start] is '<', one step at
+    a time, recording its violations in the order met: _scan's path for
+    a fault row.
+
+    Returns what _scan reads from a row's groups: a start tag's name (""
+    for none), its attributes and "/" when it opens nothing, a close tag's
+    name and a declaration's content; then the position after the
+    construct and whether a syntax error stops the scan there.  A comment,
+    CDATA section or instruction comes here only to stop it."""
+    n = len(text)
+    m = _OPEN_TAG.match(text, start)
+    name = m[1]
+    if name:
+        if not (name[0].isalpha() or name[0] in "_:"):
+            record(Violation(7, start + 1, f"invalid element name {name!r}"))
+        pos = m.end()
+        attr = _ATTR.match
+        attrs: list[Attribute] = []
+        seen: Optional[set[str]] = None  # made at a second attribute
+        fatal = False  # a syntax error in a tag stops the scan after it
+        end = m[2]  # '>' or '/>' once read
+        while end is None:
+            m = attr(text, pos)
+            end, aname, quote, value = m.groups()
+            pos = m.end()
+            if end:
+                break
+            off = m.start(2)
+            if not aname:
+                fatal = True
+                if off == n:
+                    # attached but not opened, as after '/>'
+                    record(Violation(None, off, "unterminated start tag"))
+                    end = "/>"
+                    break
+                # skip the character and read on to the tag's end
+                record(Violation(None, off,
+                                 f"unexpected {text[off]!r} in tag"))
+                pos = off + 1
+                continue
+            if not (aname[0].isalpha() or aname[0] in "_:"):
+                record(Violation(7, off, f"invalid attribute name {aname!r}"))
+            if quote is not None:
+                # an empty quote is '=' at the end of input
+                close = text.find(quote, pos) if quote else -1
+                if close < 0:
+                    record(Violation(None, off,
+                                     "unterminated attribute value"))
+                    fatal = True
+                    end = "/>"
+                    break
+                value = text[pos:close]
+                if "&" in value:
+                    for a in _BARE_AMP.finditer(text, pos, close):
+                        record(Violation(8, a.start(), _BARE_AMP_MESSAGE))
+                pos = close + 1
+            elif value is not None:
+                record(Violation(6, m.start(4),
+                                 "attribute value must be quoted"))
+            if attrs:
+                if seen is None:
+                    seen = {attrs[0][0]}
+                if aname in seen:
+                    record(Violation(6, off, f"duplicate attribute {aname!r}"))
+                    continue
+                seen.add(aname)
+            attrs.append((aname, value))
+        return name, attrs, "/" if end == "/>" else "", None, None, pos, fatal
+    lead = text[start + 1:start + 2]
+    if lead == "/":
+        m = _CLOSE_TAG.match(text, start)
+        pos = m.end()
+        if m[2] is None:
+            record(Violation(5, pos,
+                             "attributes are not allowed on close tags"))
+            end = text.find(">", pos)
+            pos = n if end < 0 else end + 1
+        return "", [], "", m[1], None, pos, False
+    if lead == "?":
+        stop = ("unterminated processing instruction"
+                if _NAME_RUN.match(text, start + 2)[0]
+                else "processing instruction without a target")
+    elif text.startswith("!--", start + 1):
+        stop = "unterminated comment"
+    elif text.startswith("![CDATA[", start + 1):
+        stop = "unterminated CDATA section"
+    elif lead == "!":
+        # an opaque declaration; '<'/'>' depth covers internal subsets
+        depth = 1
+        for m in _ANGLES.finditer(text, start + 2):
+            depth += 1 if m[0] == "<" else -1
+            if not depth:
+                return ("", [], "", None, text[start + 2:m.start()], m.end(),
+                        False)
+        stop = "unterminated '<!' declaration"
+    else:
+        stop = "bare '<' does not start markup"
+    record(Violation(None, start, stop))
+    return "", [], "", None, None, n, True
 
 
 def parse_xml(text: str) -> XmlDocument:

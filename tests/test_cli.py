@@ -1,5 +1,6 @@
 """Tests for the command line front end, driven through main()."""
 
+import argparse
 import io
 import os
 import pty
@@ -531,6 +532,27 @@ def test_help_lists_each_options_values_in_order(command, choices, capsys,
     out = capsys.readouterr().out
     for listed in choices:
         assert listed in out
+
+
+def test_help_shows_each_options_parser_default(monkeypatch):
+    # the help reads each default from its option, so a default changed
+    # in the parser cannot leave --help stale: with every option's default
+    # replaced by a marker, each help that names a default names the marker
+    monkeypatch.setenv("COLUMNS", "200")
+    parser = cli.build_parser()
+    [commands] = [action.choices for action in parser._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    shown = set()
+    for command, sub in commands.items():
+        options = [action for action in sub._actions if action.option_strings]
+        for action in options:
+            action.default = f"{command}:{action.dest}"
+        text = sub.format_help()
+        shown |= {action.default for action in options
+                  if f"(default {action.default})" in text}
+    assert shown == {"encode:mode", "encode:escape", "stats:mode",
+                     "stats:escape", "stats:format", "unpack:escape",
+                     "subst:threshold", "fold:fold_mode"}
 
 
 @pytest.mark.parametrize("argv, values", [

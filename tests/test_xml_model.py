@@ -252,3 +252,16 @@ def test_start_tag_takes_linear_steps(tag):
         return lines_run(check_well_formed, tag(n))
 
     assert steps(1000) < 2.2 * steps(500)
+
+
+@pytest.mark.parametrize("fault", [
+    "<a x=1/>", "<a></a x>", "<1a/>", "<a x='&'/>", "<a x='1' x='2'/>",
+], ids=["unquoted_value", "close_tag_attributes", "digit_led_name",
+        "bare_ampersand", "duplicate_attribute"])
+def test_fault_rows_take_linear_steps(fault):
+    # each fault is read step by step from its '<', and the rows resume
+    # where that reading stopped, so no fault rereads the text before it
+    def steps(n):
+        return lines_run(check_well_formed, "<r>" + fault * n + "</r>")
+
+    assert steps(1000) < 2.2 * steps(500)
